@@ -34,7 +34,6 @@ from .exactmath import (
     LaurentPoly,
     RationalFunction,
     SemifieldElement,
-    eq_exact,
     evaluate,
     gens,
     laurent_divide_exact,

@@ -14,7 +14,7 @@ import random
 import time
 
 from . import cartan, cluster, tsystem, ysystem
-from .cartan import new_cartan
+from .cartan import a_type_rows as _a_type, new_cartan
 from .exactmath import random_nonzero_rational
 from .tsystem import SystemSpec
 
@@ -24,11 +24,6 @@ MIXED44_ROWS = [
     [0, -1, 2, -1],
     [0, -1, -1, 2],
 ]
-
-
-def _a_type(rank):
-    return [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
-             for j in range(rank)] for i in range(rank)]
 
 
 def _b_type(rank):
@@ -100,23 +95,32 @@ def criterion_2_unified_form(seed=0):
     return _verdict(2, "Unified coupling form", 5.0, start, failures)
 
 
-def criterion_3_telescoping_identities(seed=0):
-    start = time.time()
-    failures = []
-    rng = random.Random(seed + 300)
-    window = (-4, 28)
-    for p in (1, 2, 3):
+def telescoping_failures(ps, window, rng):
+    """Both telescoping identities on random single-node tables, the first
+    at every p in ps, then the second at every weight in ps; returns the
+    (identity number, p) pairs that fail."""
+    failed = []
+    for p in ps:
         values = {(m, k): random_nonzero_rational(rng)
                   for m in range(0, 5 * p + 3)
                   for k in range(window[0], window[1] + 1)}
         if not tsystem.identity_check_1(p, window, values):
-            failures.append(f"first identity fails at p={p}")
-    for db in (1, 2, 3):
+            failed.append((1, p))
+    for db in ps:
         values = {(m, k): random_nonzero_rational(rng)
                   for m in range(0, 8)
                   for k in range(window[0], window[1] + 1)}
         if not tsystem.identity_check_2(db, window, values):
-            failures.append(f"second identity fails at weight {db}")
+            failed.append((2, db))
+    return failed
+
+
+def criterion_3_telescoping_identities(seed=0):
+    start = time.time()
+    failures = [f"first identity fails at p={p}" if which == 1
+                else f"second identity fails at weight {p}"
+                for which, p in telescoping_failures((1, 2, 3), (-4, 28),
+                                                     random.Random(seed + 300))]
     return _verdict(3, "Telescoping identities", 10.0, start, failures)
 
 

@@ -11,6 +11,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -51,6 +52,11 @@ class CartanMatrix:
     def rows(self) -> list:
         return [list(row) for row in self.entries]
 
+    @cached_property
+    def tamely_laced(self) -> bool:
+        """is_tamely_laced, evaluated once per matrix."""
+        return is_tamely_laced(self)
+
 
 def new_cartan(entries: Sequence[Sequence[int]]) -> CartanMatrix:
     """Validate the axioms and compute the minimal symmetrizer by graph
@@ -74,6 +80,31 @@ def new_cartan(entries: Sequence[Sequence[int]]) -> CartanMatrix:
     adj = tuple(tuple(j for j in range(r) if j != i and rows[i][j] < 0)
                 for i in range(r))
 
+    d = minimal_symmetrizer(rows, "symmetrizer")
+
+    for i in range(r):
+        for j in range(r):
+            if d[i] * rows[i][j] != d[j] * rows[j][i]:
+                raise NotSymmetrizable("DC is not symmetric")
+
+    t = 1
+    for v in d:
+        t = t * v // math.gcd(t, v)
+    return CartanMatrix(tuple(rows), d, t, tuple(t // v for v in d), adj)
+
+
+def a_type_rows(rank: int) -> list:
+    """Rows of the Cartan matrix of type A_rank (the path on rank nodes)."""
+    return [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
+             for j in range(rank)] for i in range(rank)]
+
+
+def minimal_symmetrizer(rows, what: str) -> tuple:
+    """Minimal positive integers d (gcd 1 on every connected component) with
+    d_j / d_i = |M_ij| / |M_ji| along the nonzero off-diagonal entries of the
+    square matrix rows, found by graph traversal; inconsistent ratios raise
+    NotSymmetrizable.  The caller checks the symmetry it needs."""
+    r = len(rows)
     ratio: list = [None] * r
     d = [0] * r
     for root in range(r):
@@ -84,16 +115,17 @@ def new_cartan(entries: Sequence[Sequence[int]]) -> CartanMatrix:
         queue = deque([root])
         while queue:
             i = queue.popleft()
-            for j in adj[i]:
-                # d_i C_ij = d_j C_ji  =>  d_j = d_i * C_ij / C_ji
-                rij = ratio[i] * Fraction(rows[i][j], rows[j][i])
+            for j in range(r):
+                if j == i or rows[i][j] == 0:
+                    continue
+                rij = ratio[i] * Fraction(abs(rows[i][j]), abs(rows[j][i]))
                 if ratio[j] is None:
                     ratio[j] = rij
                     component.append(j)
                     queue.append(j)
                 elif ratio[j] != rij:
                     raise NotSymmetrizable(
-                        f"inconsistent symmetrizer ratios around node {j + 1}")
+                        f"inconsistent {what} ratios around node {j + 1}")
         scale = 1
         for i in component:
             scale = scale * ratio[i].denominator // math.gcd(scale, ratio[i].denominator)
@@ -103,16 +135,7 @@ def new_cartan(entries: Sequence[Sequence[int]]) -> CartanMatrix:
             g = math.gcd(g, v)
         for i, v in zip(component, ints):
             d[i] = v // g
-
-    for i in range(r):
-        for j in range(r):
-            if d[i] * rows[i][j] != d[j] * rows[j][i]:
-                raise NotSymmetrizable("DC is not symmetric")
-
-    t = 1
-    for v in d:
-        t = t * v // math.gcd(t, v)
-    return CartanMatrix(tuple(rows), tuple(d), t, tuple(t // v for v in d), adj)
+    return tuple(d)
 
 
 def is_simply_laced(cm: CartanMatrix) -> bool:

@@ -10,14 +10,21 @@ in files and serialized output.
 
 from __future__ import annotations
 
-import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cartan import CartanMatrix, bipartite_double, bipartition, is_simply_laced, new_cartan, parse_matrix_text
+from .cartan import (
+    CartanMatrix,
+    a_type_rows,
+    bipartite_double,
+    bipartition,
+    is_simply_laced,
+    minimal_symmetrizer,
+    new_cartan,
+    parse_matrix_text,
+)
 from .errors import (
     ConditionsViolated,
     InverseOfZero,
@@ -91,35 +98,7 @@ def new_exchange_matrix(entries: Sequence[Sequence[int]], parity=None,
                 raise NotSymmetrizable(f"entries at ({i + 1},{j + 1}) must have opposite signs")
 
     # d_i B_ij = -d_j B_ji, propagated over the support graph
-    ratio: list = [None] * n
-    d = [0] * n
-    for root in range(n):
-        if ratio[root] is not None:
-            continue
-        ratio[root] = Fraction(1)
-        component = [root]
-        queue = deque([root])
-        while queue:
-            i = queue.popleft()
-            for j in range(n):
-                if rows[i][j] == 0 or j == i:
-                    continue
-                rij = ratio[i] * Fraction(abs(rows[i][j]), abs(rows[j][i]))
-                if ratio[j] is None:
-                    ratio[j] = rij
-                    component.append(j)
-                    queue.append(j)
-                elif ratio[j] != rij:
-                    raise NotSymmetrizable("inconsistent skew-symmetrizer ratios")
-        scale = 1
-        for i in component:
-            scale = scale * ratio[i].denominator // math.gcd(scale, ratio[i].denominator)
-        ints = [int(ratio[i] * scale) for i in component]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        for i, v in zip(component, ints):
-            d[i] = v // g
+    d = minimal_symmetrizer(rows, "skew-symmetrizer")
     for i in range(n):
         for j in range(n):
             if d[i] * rows[i][j] != -d[j] * rows[j][i]:
@@ -128,7 +107,7 @@ def new_exchange_matrix(entries: Sequence[Sequence[int]], parity=None,
         parity = tuple(parity)
         if len(parity) != n or any(s not in (1, -1) for s in parity):
             raise ValueError("parity must assign +1/-1 to every node")
-    return ExchangeMatrix(tuple(rows), tuple(d), parity, tuple(labels))
+    return ExchangeMatrix(tuple(rows), d, parity, tuple(labels))
 
 
 def mutate_matrix(em: ExchangeMatrix, k: int) -> ExchangeMatrix:
@@ -563,12 +542,6 @@ def laurent_check(seq: SequenceResult) -> List[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _a_type_cartan(rank: int) -> CartanMatrix:
-    rows = [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
-             for j in range(rank)] for i in range(rank)]
-    return new_cartan(rows)
-
-
 def _odd_plus_parity(rank: int) -> tuple:
     return tuple(1 if i % 2 == 0 else -1 for i in range(rank))
 
@@ -579,7 +552,7 @@ def exchange_matrix_for_level(cm: CartanMatrix, level: int,
     level-1 (odd path nodes in the + class) at level >= 3."""
     if level == 2:
         return b_of_c(cm, parity)
-    ladder = _a_type_cartan(level - 1)
+    ladder = new_cartan(a_type_rows(level - 1))
     return square_product(cm, ladder, parity, _odd_plus_parity(level - 1))
 
 

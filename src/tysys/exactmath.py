@@ -731,11 +731,6 @@ def inverse(value):
     return 1 / Fraction(value)
 
 
-def eq_exact(a, b) -> bool:
-    """Exact equality by cross-multiplication; no canonical form required."""
-    return a == b
-
-
 def evaluate(expr, assignment: Mapping[str, Rational]) -> Fraction:
     """Evaluation homomorphism into the rationals."""
     if isinstance(expr, (int, Fraction)):

@@ -1,5 +1,6 @@
-"""T-system lattice: relation generation, unit boundary substitution,
-solution checking, slice-major Cauchy propagation, and the telescoping
+"""T-system lattice: relations compiled once per system and shifted in k,
+unit boundary substitution, solution checking, the one lattice scheduler
+(used for Cauchy propagation here and by ysystem), and the telescoping
 identities used everywhere for cross-verification.
 
 The spectral parameter u = k/t is kept as the integer k throughout.  A shift
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .cartan import CartanMatrix, is_tamely_laced
+from .cartan import CartanMatrix
 from .errors import (
     EmptyWindow,
     LevelOutOfRange,
@@ -25,11 +26,6 @@ from .errors import (
     ZeroDivisor,
 )
 from .exactmath import evaluate, random_nonzero_rational
-
-
-def floor_div(a: int, b: int) -> int:
-    """Floor of a/b, negative arguments included."""
-    return a // b
 
 
 class LatticeVar(NamedTuple):
@@ -42,8 +38,15 @@ class LatticeVar(NamedTuple):
     def label(self, kind: str = "T") -> str:
         return f"{kind}[a={self.a + 1},m={self.m},k={self.k}]"
 
+    def shifted(self, k: int) -> "LatticeVar":
+        return LatticeVar(self.a, self.m, self.k + k)
+
 
 Factor = Tuple[LatticeVar, int]
+
+
+def _shift(factors: Iterable[Factor], k: int) -> Tuple[Factor, ...]:
+    return tuple((LatticeVar(a, m, kv + k), e) for (a, m, kv), e in factors)
 
 
 @dataclass(frozen=True)
@@ -59,9 +62,12 @@ class SystemSpec:
     cm: CartanMatrix
     level: Optional[int] = None
     restricted: bool = True
+    # compiled relations centred at k = 0, keyed by (kind, a, m)
+    _stencils: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
-        if not is_tamely_laced(self.cm):
+        if not self.cm.tamely_laced:
             raise NotTamelyLaced("T/Y systems require a tamely laced Cartan matrix")
         if self.restricted and (self.level is None or self.level < 2):
             raise LevelOutOfRange("restricted systems need level >= 2")
@@ -119,6 +125,11 @@ class TRelation:
         for var, _ in self.term_m:
             yield var
 
+    def shift(self, k: int) -> "TRelation":
+        """The same relation centred k slices later."""
+        return TRelation(self.center.shifted(k), tuple(v.shifted(k) for v in self.lhs),
+                         _shift(self.term_a, k), _shift(self.term_m, k))
+
     def to_json(self) -> dict:
         def fx(factors):
             return [[v.a + 1, v.m, v.k, e] for v, e in factors]
@@ -147,14 +158,14 @@ def s_term(cm: CartanMatrix, b: int, m: int, k: int,
     shift 2k' - 1 - m + floor((m-k')/d_b)*d_b.  Level-0 factors are units and
     are dropped unless drop_units is False.
     """
-    if not is_tamely_laced(cm):
+    if not cm.tamely_laced:
         raise NotTamelyLaced("s_term requires a tamely laced matrix")
     if m < 0:
         raise LevelOutOfRange("s_term needs m >= 0")
     db = cm.d[b]
     out = []
     for kp in range(1, db + 1):
-        e = floor_div(m - kp, db)
+        e = (m - kp) // db
         level = 1 + e
         if level == 0 and drop_units:
             continue
@@ -167,7 +178,7 @@ def m_term(cm: CartanMatrix, a: int, m: int, k: int) -> Tuple[Factor, ...]:
     """Coupling product of the relation centered at (a, m, k): for d_a > 1 the
     neighbors enter at level (d_a/d_b) m and the same slice, for d_a = 1 they
     enter through their s_term factors."""
-    if not is_tamely_laced(cm):
+    if not cm.tamely_laced:
         raise NotTamelyLaced("m_term requires a tamely laced matrix")
     da = cm.d[a]
     factors: List[Factor] = []
@@ -182,7 +193,7 @@ def m_term(cm: CartanMatrix, a: int, m: int, k: int) -> Tuple[Factor, ...]:
 def m_term_unified(cm: CartanMatrix, a: int, m: int, k: int) -> Tuple[Factor, ...]:
     """Same product assembled from the single double-product closed form
     (over neighbors b and k' = 1..-C_ab), used as an independent route."""
-    if not is_tamely_laced(cm):
+    if not cm.tamely_laced:
         raise NotTamelyLaced("m_term_unified requires a tamely laced matrix")
     da = cm.d[a]
     factors: List[Factor] = []
@@ -191,7 +202,7 @@ def m_term_unified(cm: CartanMatrix, a: int, m: int, k: int) -> Tuple[Factor, ..
         cab = cm[a, b]
         cba = cm[b, a]
         for kp in range(1, -cab + 1):
-            e = floor_div(da * (m - kp), db)
+            e = da * (m - kp) // db
             level = -cba + e
             if level <= 0:
                 continue
@@ -225,18 +236,33 @@ def _boundary_filter(sys: SystemSpec, factors: Iterable[Factor]) -> Tuple[Factor
     return tuple(kept)
 
 
+def stencil(sys: SystemSpec, kind: str, a: int, m: int, build: Callable):
+    """The kind relation centred at (a, m, 0), built by build(sys, a, m) once
+    per system.  Relations do not change when k is shifted: the one centred
+    at (a, m, k) is this stencil shifted by k."""
+    key = (kind, a, m)
+    rel = sys._stencils.get(key)
+    if rel is None:
+        top = sys.max_center_m(a, kind)
+        if m < 1 or (top is not None and m > top):
+            raise LevelOutOfRange(
+                f"center level m={m} outside 1..{top} for node {a + 1}")
+        rel = sys._stencils[key] = build(sys, a, m)
+    return rel
+
+
+def _compile_t(sys: SystemSpec, a: int, m: int) -> TRelation:
+    da = sys.cm.d[a]
+    lhs = (LatticeVar(a, m, -da), LatticeVar(a, m, da))
+    term_a = _boundary_filter(
+        sys, ((LatticeVar(a, m - 1, 0), 1), (LatticeVar(a, m + 1, 0), 1)))
+    term_m = _boundary_filter(sys, m_term(sys.cm, a, m, 0))
+    return TRelation(LatticeVar(a, m, 0), lhs, term_a, term_m)
+
+
 def t_relation(sys: SystemSpec, a: int, m: int, k: int) -> TRelation:
     """Relation centered at (a, m, k) with unit boundaries substituted."""
-    top = sys.max_center_m(a, "T")
-    if m < 1 or (top is not None and m > top):
-        raise LevelOutOfRange(
-            f"center level m={m} outside 1..{top} for node {a + 1}")
-    da = sys.cm.d[a]
-    lhs = (LatticeVar(a, m, k - da), LatticeVar(a, m, k + da))
-    term_a = _boundary_filter(
-        sys, ((LatticeVar(a, m - 1, k), 1), (LatticeVar(a, m + 1, k), 1)))
-    term_m = _boundary_filter(sys, m_term(sys.cm, a, m, k))
-    return TRelation(LatticeVar(a, m, k), lhs, term_a, term_m)
+    return stencil(sys, "T", a, m, _compile_t).shift(k)
 
 
 def _check_window(window) -> Tuple[int, int]:
@@ -247,23 +273,20 @@ def _check_window(window) -> Tuple[int, int]:
 
 
 def enumerate_relations(sys: SystemSpec, window, kind: str = "T",
-                        relation_fn: Optional[Callable] = None) -> List:
+                        build: Callable = _compile_t) -> List:
     """All relations whose variables (after unit substitution) lie in the
-    window.  Unrestricted windows additionally exclude centers whose m+1
-    factor would exceed the level cap."""
+    window, ordered by node, level and centre, shifted from the stencils
+    that build compiles.  Unrestricted windows additionally exclude centers
+    whose m+1 factor would exceed the level cap."""
     lo, hi = _check_window(window)
-    if relation_fn is None:
-        relation_fn = t_relation
     if sys.level is None:
         raise LevelOutOfRange("enumeration needs a level or an m-cap")
     out = []
     for a in range(sys.cm.r):
-        top = sys.max_center_m(a, kind)
-        for m in range(1, top + 1):
-            for k in range(lo, hi + 1):
-                rel = relation_fn(sys, a, m, k)
-                if all(lo <= v.k <= hi for v in rel.variables()):
-                    out.append(rel)
+        for m in range(1, sys.max_center_m(a, kind) + 1):
+            rel = stencil(sys, kind, a, m, build)
+            ks = [v.k for v in rel.variables()]
+            out += [rel.shift(k) for k in range(lo - min(ks), hi - max(ks) + 1)]
     return out
 
 
@@ -289,12 +312,6 @@ class ValueTable:
             return self.values[var]
         except KeyError:
             raise MissingValue(var.label(self.kind)) from None
-
-    def product(self, factors: Iterable[Factor]):
-        result = Fraction(1)
-        for var, exp in factors:
-            result = result * self.get(var) ** exp
-        return result
 
     def to_json(self) -> dict:
         entries = [
@@ -382,7 +399,7 @@ def check_t_solution(table: ValueTable, relations: Iterable[TRelation],
         assignments = _sample_assignments(table.values.values(), rng, samples)
     for rel in relations:
         lhs = table.get(rel.lhs[0]) * table.get(rel.lhs[1])
-        rhs = table.product(rel.term_a) + table.product(rel.term_m)
+        rhs = factor_product(table.get, rel.term_a) + factor_product(table.get, rel.term_m)
         if mode == "exact":
             ok = lhs == rhs
         else:
@@ -407,80 +424,142 @@ class SolvePolicy:
     bits: int = 8
 
 
-def _initial_slab_vars(sys: SystemSpec, window, kind: str) -> List[LatticeVar]:
-    lo, hi = window
-    out = []
-    for a in range(sys.cm.r):
-        top = sys.max_m_t(a) if kind == "T" else sys.max_m_y(a)
-        for m in range(1, top + 1):
-            for k in range(lo, min(lo + 2 * sys.cm.d[a] - 1, hi) + 1):
-                out.append(LatticeVar(a, m, k))
-    return out
+def factor_product(value: Callable, factors: Iterable[Factor]):
+    """prod value(var) ** exp over the factors."""
+    result = Fraction(1)
+    for var, exp in factors:
+        result = result * value(var) ** exp
+    return result
 
 
-def propagate_t(sys: SystemSpec, window, initial: Optional[dict] = None,
-                rng=None, policy: SolvePolicy = SolvePolicy()) -> ValueTable:
-    """Fill the window slice by slice from an initial slab of width 2*d_a per
-    node, solving T(a, m, k) from the relation centered d_a slices earlier.
+# rule(var) result for a free value drawn when the visit reaches var
+SAMPLE = "sample"
 
-    Within a slice, nodes are processed in decreasing d_a; that resolves every
-    dependency when max d <= 2.  A coupling factor that lands on a slice that
-    cannot be ready yet (which happens for max d >= 3) raises
-    UnschedulableDependency naming the blocking variable.  A vanishing
-    right-hand side resamples the free initial data up to max_retries times.
+
+def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
+                 rule: Callable, rng, policy, initial: Optional[dict] = None,
+                 partial: bool = False) -> dict:
+    """The one scheduler and resample loop behind propagate_t, propagate_y
+    and y_to_t; returns the filled {var: value}.
+
+    The free variables take initial[var] where given, else a random sample,
+    in their order; then the targets are visited in order.  rule(var) is
+    None when no rule determines var, SAMPLE for a free value drawn when it
+    is reached, or solve(value), which computes var through the memoised
+    getter value; value computes a missing dependency on demand.  A
+    dependency that no rule determines raises UnschedulableDependency; with
+    partial, the target that needs it is left out instead.  A ZeroDivisor
+    redraws every sample, up to policy.max_retries times, when there is an
+    rng and something was sampled.
     """
-    if not sys.restricted:
-        raise LevelOutOfRange("propagate_t handles restricted systems only; "
-                              "unrestricted T-solutions come from y_to_t")
-    lo, hi = _check_window(window)
-    initial = dict(initial or {})
-    slab = _initial_slab_vars(sys, (lo, hi), "T")
-    order = sorted(range(sys.cm.r), key=lambda a: -sys.cm.d[a])
-
+    if policy.max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {policy.max_retries}")
+    initial = initial or {}
     last_error = None
     for _ in range(policy.max_retries + 1):
         values = {}
-        for var in slab:
+        undetermined = set()
+        active = {}  # variables being solved, innermost last
+        sampled = False
+
+        def sample():
+            nonlocal sampled
+            sampled = True
+            return random_nonzero_rational(rng, policy.bits)
+
+        def value(var):
+            got = values.get(var)
+            if got is not None:
+                return got
+            how = None if var in undetermined or var in active else rule(var)
+            if how is None:
+                undetermined.add(var)
+                needer = next(reversed(active), var)
+                raise UnschedulableDependency(
+                    var.label(kind), f"solving {needer.label(kind)} needs "
+                    f"{var.label(kind)} at a not-yet-filled slice")
+            if how is SAMPLE:
+                got = sample()
+            else:
+                active[var] = True
+                try:
+                    got = how(value)
+                except UnschedulableDependency:
+                    undetermined.add(var)
+                    raise
+                finally:
+                    del active[var]
+                if got == 0:
+                    raise ZeroDivisor(f"solved zero at {var.label(kind)}")
+            values[var] = got
+            return got
+
+        for var in free:
             given = initial.get(var)
-            value = given if given is not None else random_nonzero_rational(rng, policy.bits)
-            if value == 0:
-                raise ZeroDivisor(f"initial value for {var.label()} is zero")
-            values[var] = value
+            got = given if given is not None else sample()
+            if got == 0:
+                raise ZeroDivisor(f"initial value for {var.label(kind)} is zero")
+            values[var] = got
         try:
-            for k in range(lo, hi + 1):
-                for a in order:
-                    da = sys.cm.d[a]
-                    if k < lo + 2 * da:
-                        continue
-                    for m in range(1, sys.max_m_t(a) + 1):
-                        rel = t_relation(sys, a, m, k - da)
-                        for var in rel.variables():
-                            if var not in values and var != rel.lhs[1]:
-                                if var.k >= k or var.k < lo:
-                                    raise UnschedulableDependency(
-                                        var.label(),
-                                        f"solving {rel.lhs[1].label()} needs "
-                                        f"{var.label()} at a not-yet-filled slice")
-                                raise MissingValue(var.label())
-                        rhs = _product(values, rel.term_a) + _product(values, rel.term_m)
-                        new = rhs / values[rel.lhs[0]]
-                        if new == 0:
-                            raise ZeroDivisor(f"solved zero at {rel.lhs[1].label()}")
-                        values[rel.lhs[1]] = new
-            return ValueTable("T", sys, (lo, hi), values)
+            for var in targets:
+                try:
+                    value(var)
+                except UnschedulableDependency:
+                    if not partial:
+                        raise
+            return values
         except ZeroDivisor as err:
             last_error = err
-            free = [v for v in slab if v not in initial]
-            if rng is None or not free:
+            if rng is None or not sampled:
                 raise
     raise ZeroDivisor(f"retries exhausted: {last_error}")
 
 
-def _product(values: dict, factors: Iterable[Factor]):
-    result = Fraction(1)
-    for var, exp in factors:
-        result = result * values[var] ** exp
-    return result
+def _propagate(kind: str, sys: SystemSpec, window, solver: Callable,
+               initial: Optional[dict], rng, policy: SolvePolicy) -> ValueTable:
+    """Cauchy propagation of a kind table on the window: the first 2*d_a
+    slices of each node are free (drawn node by node, level by level), and
+    every later variable, visited slice by slice, gets its rule from
+    solver(var)."""
+    lo, hi = _check_window(window)
+    top = sys.max_m_t if kind == "T" else sys.max_m_y
+    inside = [LatticeVar(a, m, k) for k in range(lo, hi + 1)
+              for a in range(sys.cm.r) for m in range(1, top(a) + 1)]
+    slab = sorted(v for v in inside if v.k < lo + 2 * sys.cm.d[v.a])
+    in_window = set(inside)
+
+    def rule(var):
+        return solver(var) if var in in_window else None
+
+    values = fill_lattice(kind, slab, inside, rule, rng, policy, initial)
+    return ValueTable(kind, sys, (lo, hi), values)
+
+
+def propagate_t(sys: SystemSpec, window, initial: Optional[dict] = None,
+                rng=None, policy: SolvePolicy = SolvePolicy()) -> ValueTable:
+    """Fill the window from an initial slab of width 2*d_a per node, solving
+    T(a, m, k) from the relation centered d_a slices earlier.
+
+    A coupling factor that is not ready yet is solved first; that resolves
+    every dependency when max d <= 2.  A factor outside the window (which
+    happens for max d >= 3) raises UnschedulableDependency naming it.  A
+    vanishing right-hand side resamples the free initial data up to
+    max_retries times.
+    """
+    if not sys.restricted:
+        raise LevelOutOfRange("propagate_t handles restricted systems only; "
+                              "unrestricted T-solutions come from y_to_t")
+
+    def solver(var):
+        rel = t_relation(sys, var.a, var.m, var.k - sys.cm.d[var.a])
+
+        def solve(value):
+            rhs = factor_product(value, rel.term_a) + factor_product(value, rel.term_m)
+            return rhs / value(rel.lhs[0])
+
+        return solve
+
+    return _propagate("T", sys, window, solver, initial, rng, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +619,7 @@ def _s_value(values, db: int, m: int, k: int) -> Fraction:
     level-0 factors treated as units."""
     result = Fraction(1)
     for kp in range(1, db + 1):
-        e = floor_div(m - kp, db)
+        e = (m - kp) // db
         level = 1 + e
         if level == 0:
             continue

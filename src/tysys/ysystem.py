@@ -21,27 +21,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .cartan import CartanMatrix, is_tamely_laced
+from .cartan import CartanMatrix
 from .errors import (
     LevelOutOfRange,
-    MissingValue,
     NotTamelyLaced,
     WindowTooNarrow,
     ZeroDivisor,
 )
-from .exactmath import evaluate, inverse, one_plus, random_nonzero_rational
+from .exactmath import evaluate, inverse, one_plus
 from .tsystem import (
+    SAMPLE,
     Factor,
     LatticeVar,
     SolvePolicy,
     SystemSpec,
     ValueTable,
-    _check_window,
-    _initial_slab_vars,
+    _aggregate,
+    _boundary_filter,
+    _propagate,
     _sample_assignments,
+    _shift,
+    enumerate_relations,
+    factor_product,
+    fill_lattice,
     g_exponents,
     m_term,
-    _boundary_filter,
+    stencil,
+    t_relation,
 )
 
 
@@ -61,6 +67,11 @@ class YRelation:
             yield var
         for var, _ in self.denominator:
             yield var
+
+    def shift(self, k: int) -> "YRelation":
+        """The same relation centred k slices later."""
+        return YRelation(self.center.shifted(k), tuple(v.shifted(k) for v in self.lhs),
+                         _shift(self.numerator, k), _shift(self.denominator, k))
 
     def to_json(self) -> dict:
         def fx(factors):
@@ -90,29 +101,25 @@ def z_term(cm: CartanMatrix, b: int, p: int, m: int, k: int) -> List[Factor]:
     return out
 
 
-def y_relation(sys: SystemSpec, a: int, m: int, k: int) -> YRelation:
-    """Relation centered at (a, m, k) with the boundary conventions applied."""
-    top = sys.max_center_m(a, "Y")
-    if m < 1 or (top is not None and m > top):
-        raise LevelOutOfRange(
-            f"center level m={m} outside 1..{top} for node {a + 1}")
+def _compile_y(sys: SystemSpec, a: int, m: int) -> YRelation:
     cm = sys.cm
     da = cm.d[a]
     numerator: List[Factor] = []
     for b in cm.neighbors(a):
         db = cm.d[b]
         if da > 1:
-            numerator.extend(z_term(cm, b, da // db, m, k))
+            numerator.extend(z_term(cm, b, da // db, m, 0))
         elif m % db == 0:
-            numerator.append((LatticeVar(b, m // db, k), 1))
+            numerator.append((LatticeVar(b, m // db, 0), 1))
     denominator = _boundary_filter(
-        sys, ((LatticeVar(a, m - 1, k), 1), (LatticeVar(a, m + 1, k), 1)))
-    agg_n: Dict[LatticeVar, int] = {}
-    for var, exp in numerator:
-        agg_n[var] = agg_n.get(var, 0) + exp
-    return YRelation(LatticeVar(a, m, k), (LatticeVar(a, m, k - da),
-                                           LatticeVar(a, m, k + da)),
-                     tuple(sorted(agg_n.items())), denominator)
+        sys, ((LatticeVar(a, m - 1, 0), 1), (LatticeVar(a, m + 1, 0), 1)))
+    return YRelation(LatticeVar(a, m, 0), (LatticeVar(a, m, -da), LatticeVar(a, m, da)),
+                     _aggregate(numerator), denominator)
+
+
+def y_relation(sys: SystemSpec, a: int, m: int, k: int) -> YRelation:
+    """Relation centered at (a, m, k) with the boundary conventions applied."""
+    return stencil(sys, "Y", a, m, _compile_y).shift(k)
 
 
 def y_relation_via_transpose(cm: CartanMatrix, a: int, m: int, k: int) -> YRelation:
@@ -120,7 +127,7 @@ def y_relation_via_transpose(cm: CartanMatrix, a: int, m: int, k: int) -> YRelat
     (1+Y(b,K,v)) enters with the exponent that T(a,m,k) carries in the
     coupling product of the T-relation centered at (b, K, v).  Must agree
     with y_relation for every tamely laced matrix."""
-    if not is_tamely_laced(cm):
+    if not cm.tamely_laced:
         raise NotTamelyLaced("transposed relation requires a tamely laced matrix")
     da = cm.d[a]
     target = LatticeVar(a, m, k)
@@ -143,9 +150,7 @@ def y_relation_via_transpose(cm: CartanMatrix, a: int, m: int, k: int) -> YRelat
 
 
 def enumerate_y_relations(sys: SystemSpec, window) -> List[YRelation]:
-    from .tsystem import enumerate_relations
-
-    return enumerate_relations(sys, window, kind="Y", relation_fn=y_relation)
+    return enumerate_relations(sys, window, "Y", _compile_y)
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +158,15 @@ def enumerate_y_relations(sys: SystemSpec, window) -> List[YRelation]:
 # ---------------------------------------------------------------------------
 
 
-def _y_rhs(values, rel: YRelation):
+def _y_rhs(value, rel: YRelation):
+    """(numerator, denominator) of the right-hand side, reading each
+    variable through value(var)."""
     num = Fraction(1)
     for var, exp in rel.numerator:
-        num = num * one_plus(values[var]) ** exp
+        num = num * one_plus(value(var)) ** exp
     den = Fraction(1)
     for var, exp in rel.denominator:
-        den = den * one_plus(inverse(values[var])) ** exp
+        den = den * one_plus(inverse(value(var))) ** exp
     return num, den
 
 
@@ -174,7 +181,7 @@ def check_y_solution(table: ValueTable, relations: Iterable[YRelation],
         for var in rel.variables():
             table.get(var)
         lhs = table.get(rel.lhs[0]) * table.get(rel.lhs[1])
-        num, den = _y_rhs(table.values, rel)
+        num, den = _y_rhs(table.get, rel)
         if mode == "exact":
             ok = lhs * den == num
         else:
@@ -207,48 +214,22 @@ def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
     """
     if sys.level is None:
         raise LevelOutOfRange("propagation needs a level or an m-cap")
-    lo, hi = _check_window(window)
-    initial = dict(initial or {})
-    slab = _initial_slab_vars(sys, (lo, hi), "Y")
 
-    last_error = None
-    for _ in range(policy.max_retries + 1):
-        values = {}
-        sampled = False
-        for var in slab:
-            given = initial.get(var)
-            if given is None:
-                sampled = True
-                value = random_nonzero_rational(rng, policy.bits)
-            else:
-                value = given
-            if value == 0:
-                raise ZeroDivisor(f"initial value for {var.label('Y')} is zero")
-            values[var] = value
-        try:
-            for k in range(lo, hi + 1):
-                for a in range(sys.cm.r):
-                    da = sys.cm.d[a]
-                    if k < lo + 2 * da:
-                        continue
-                    backed = sys.max_center_m(a, "Y")
-                    for m in range(1, sys.max_m_y(a) + 1):
-                        var = LatticeVar(a, m, k)
-                        if m > backed:
-                            sampled = True
-                            values[var] = random_nonzero_rational(rng, policy.bits)
-                            continue
-                        rel = y_relation(sys, a, m, k - da)
-                        num, den = _y_rhs(values, rel)
-                        if den == 0 or num == 0:
-                            raise ZeroDivisor(f"degenerate side at {rel.center.label('Y')}")
-                        values[var] = num / (den * values[rel.lhs[0]])
-            return ValueTable("Y", sys, (lo, hi), values)
-        except ZeroDivisor as err:
-            last_error = err
-            if rng is None or not sampled:
-                raise
-    raise ZeroDivisor(f"retries exhausted: {last_error}")
+    def solver(var):
+        a, m, k = var
+        if m > sys.max_center_m(a, "Y"):
+            return SAMPLE
+        rel = y_relation(sys, a, m, k - sys.cm.d[a])
+
+        def solve(value):
+            num, den = _y_rhs(value, rel)
+            if den == 0 or num == 0:
+                raise ZeroDivisor(f"degenerate side at {rel.center.label('Y')}")
+            return num / (den * value(rel.lhs[0]))
+
+        return solve
+
+    return _propagate("Y", sys, window, solver, initial, rng, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +251,7 @@ def _coupling_value(table: ValueTable, a: int, m: int, k: int):
     """Value of the coupling product of the relation centered at (a, m, k),
     or None where the table does not cover it."""
     result = Fraction(1)
-    for var, exp in m_term(table.system.cm, a, m, k):
+    for var, exp in t_relation(table.system, a, m, k).term_m:
         val = _t_value(table, var)
         if val is None:
             return None
@@ -331,14 +312,13 @@ def t_to_y(t_table: ValueTable):
                                        "rhs": str(shifted / coupling)})
     if sys.restricted:
         for a in range(cm.r):
-            for k in range(lo, hi + 1):
-                leftover = _boundary_filter(sys, m_term(cm, a, sys.boundary_m(a), k))
-                if leftover:
-                    violations.append({
-                        "relation": f"boundary quantity at node {a + 1}, k={k}",
-                        "lhs": "non-unit factors remain",
-                        "rhs": "1",
-                    })
+            # the boundary quantity is the same stencil at every k
+            if _boundary_filter(sys, m_term(cm, a, sys.boundary_m(a), 0)):
+                violations += [{
+                    "relation": f"boundary quantity at node {a + 1}, k={k}",
+                    "lhs": "non-unit factors remain",
+                    "rhs": "1",
+                } for k in range(lo, hi + 1)]
     y_table = ValueTable("Y", sys, t_table.window, values)
     return y_table, violations
 
@@ -355,49 +335,6 @@ class FreeChoicePolicy:
     bits: int = 8
 
 
-def _reconstruction_region(sys: SystemSpec, y_table: ValueTable, center: int,
-                           caps: Dict[int, int]) -> Dict[Tuple[int, int], set]:
-    """Fixpoint of the reachable region of the reconstruction schedule:
-    per (node, level), the set of k for which the value is determined by the
-    free slab, the level-1 extension rule, and the level-raising rule."""
-    cm = sys.cm
-    det: Dict[Tuple[int, int], set] = {}
-    for a in range(cm.r):
-        det[(a, 1)] = set(range(center - cm.d[a], center + cm.d[a]))
-        for m in range(2, caps[a] + 1):
-            det[(a, m)] = set()
-    y_vars = y_table.values
-    lo, hi = y_table.window
-    span = range(lo - max(cm.d), hi + max(cm.d) + 1)
-
-    changed = True
-    while changed:
-        changed = False
-        for a in range(cm.r):
-            da = cm.d[a]
-            for k in span:
-                if k in det[(a, 1)]:
-                    continue
-                kc = k - da if k >= center + da else k + da
-                far = k - 2 * da if k >= center + da else k + 2 * da
-                if LatticeVar(a, 1, kc) not in y_vars or far not in det[(a, 1)]:
-                    continue
-                if all(v.k in det.get((v.a, v.m), ()) for v, _ in m_term(cm, a, 1, kc)):
-                    det[(a, 1)].add(k)
-                    changed = True
-            for m in range(2, caps[a] + 1):
-                for k in span:
-                    if k in det[(a, m)]:
-                        continue
-                    if LatticeVar(a, m - 1, k) not in y_vars:
-                        continue
-                    if (k - da) in det[(a, m - 1)] and (k + da) in det[(a, m - 1)] \
-                            and (m == 2 or k in det[(a, m - 2)]):
-                        det[(a, m)].add(k)
-                        changed = True
-    return det
-
-
 def y_to_t(y_table: ValueTable, rng=None,
            policy: FreeChoicePolicy = FreeChoicePolicy(),
            center: Optional[int] = None) -> ValueTable:
@@ -406,10 +343,11 @@ def y_to_t(y_table: ValueTable, rng=None,
 
     Free data: T(a, 1, k) on the 2*d_a slices around the chosen center slice.
     Level 1 is extended outward (the extension of a node consumes the d_a-fold
-    levels of its lighter neighbors, which the level-raising rule supplies in
-    the interleaved order the dependencies dictate); levels m >= 2 come from
-    the level-raising rule.  The exact determined sub-window is computed
-    first; the returned table covers it and nothing else.
+    levels of its lighter neighbors, which the level-raising rule supplies on
+    demand); levels m >= 2 come from the level-raising rule.  A variable is
+    determined when its rule's Y-value lies in the table and its
+    dependencies are determined; the returned table covers exactly these,
+    within d_max slices of the Y window.
     """
     sys = y_table.system
     if sys.restricted:
@@ -424,62 +362,54 @@ def y_to_t(y_table: ValueTable, rng=None,
             raise WindowTooNarrow(probe.label("Y"))
     caps = {a: (sys.max_m_y(a) + 1 if sys.level is not None else
                 max(cm.d) + 1) for a in range(cm.r)}
-    det = _reconstruction_region(sys, y_table, center, caps)
+    span = range(lo - max(cm.d), hi + max(cm.d) + 1)
+    y_vals = y_table.values
 
-    last_error = None
-    for _ in range(policy.max_retries + 1):
-        values: Dict[LatticeVar, Fraction] = {}
-        for a in range(cm.r):
-            for k in range(center - cm.d[a], center + cm.d[a]):
-                free = (Fraction(1) if policy.kind == "unit"
-                        else random_nonzero_rational(rng, policy.bits))
-                values[LatticeVar(a, 1, k)] = free
+    def rule(var):
+        a, m, k = var
+        if k not in span or not 1 <= m <= caps[a]:
+            return None
+        da = cm.d[a]
+        if m == 1:
+            sign = 1 if k >= center + da else -1
+            kc = k - sign * da
+            y1 = y_vals.get(LatticeVar(a, 1, kc))
+            if y1 is None:
+                return None
+            coupling = t_relation(sys, a, 1, kc).term_m
+            opposite = LatticeVar(a, 1, k - 2 * sign * da)
 
-        def t_at(var: LatticeVar) -> Fraction:
-            if var.m == 0:
-                return Fraction(1)
-            got = values.get(var)
-            if got is not None:
-                return got
-            a, m, k = var
-            if k not in det.get((a, m), ()):  # outside the determined region
-                raise MissingValue(var.label())
-            da = cm.d[a]
-            if m == 1:
-                sign = 1 if k >= center + cm.d[a] else -1
-                kc = k - sign * da
-                y1 = y_table.values[LatticeVar(a, 1, kc)]
-                coupling = Fraction(1)
-                for v, e in m_term(cm, a, 1, kc):
-                    coupling = coupling * t_at(v) ** e
-                opposite = t_at(LatticeVar(a, 1, k - 2 * sign * da))
-                if y1 == 0 or opposite == 0:
+            def solve(value):
+                product = factor_product(value, coupling)
+                far = value(opposite)
+                if y1 == 0 or far == 0:
                     raise ZeroDivisor(f"degenerate extension at {var.label()}")
-                value = (1 + 1 / y1) * coupling / opposite
-            else:
-                ym = y_table.values[LatticeVar(a, m - 1, k)]
+                return (1 + 1 / y1) * product / far
+        else:
+            ym = y_vals.get(LatticeVar(a, m - 1, k))
+            if ym is None:
+                return None
+
+            def solve(value):
+                left = value(LatticeVar(a, m - 1, k - da))
+                right = value(LatticeVar(a, m - 1, k + da))
+                below = Fraction(1) if m == 2 else value(LatticeVar(a, m - 2, k))
+                # after the dependencies: an undetermined variable must not raise
                 if ym == -1:
                     raise ZeroDivisor(f"1 + Y vanishes under {var.label()}")
-                value = (t_at(LatticeVar(a, m - 1, k - da))
-                         * t_at(LatticeVar(a, m - 1, k + da))
-                         / ((1 + ym) * t_at(LatticeVar(a, m - 2, k))))
-            if value == 0:
-                raise ZeroDivisor(f"solved zero at {var.label()}")
-            values[var] = value
-            return value
+                return left * right / ((1 + ym) * below)
 
-        try:
-            for (a, m), ks in sorted(det.items()):
-                for k in sorted(ks):
-                    t_at(LatticeVar(a, m, k))
-            ks = [v.k for v in values]
-            meta = {"free_choice": policy.kind, "center": center}
-            return ValueTable("T", sys, (min(ks), max(ks)), values, meta)
-        except ZeroDivisor as err:
-            last_error = err
-            if policy.kind == "unit" or rng is None:
-                raise
-    raise ZeroDivisor(f"retries exhausted: {last_error}")
+        return solve
+
+    free = [LatticeVar(a, 1, k) for a in range(cm.r)
+            for k in range(center - cm.d[a], center + cm.d[a])]
+    initial = {var: Fraction(1) for var in free} if policy.kind == "unit" else None
+    targets = [LatticeVar(a, m, k) for a in range(cm.r)
+               for m in range(1, caps[a] + 1) for k in span]
+    values = fill_lattice("T", free, targets, rule, rng, policy, initial, partial=True)
+    ks = [v.k for v in values]
+    meta = {"free_choice": policy.kind, "center": center}
+    return ValueTable("T", sys, (min(ks), max(ks)), values, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +459,7 @@ def _relation_holds(y_table: ValueTable, a: int, m: int, k: int) -> bool:
     vals = y_table.values
     if any(v not in vals for v in rel.variables()):
         return False
-    num, den = _y_rhs(vals, rel)
+    num, den = _y_rhs(vals.__getitem__, rel)
     return den != 0 and vals[rel.lhs[0]] * vals[rel.lhs[1]] * den == num
 
 

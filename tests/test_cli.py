@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -168,3 +169,47 @@ def test_verify_all_smoke(capsys):
     assert code == 0 and report["pass"]
     assert len(report["criteria"]) == 10
     assert "criterion" in captured.err
+
+
+def test_negative_retries_is_a_usage_error(a2_file, capsys):
+    code = main(["sys", "solve-y", a2_file, "--level", "2", "--retries", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "tysys: max_retries must be >= 0, got -1"]
+
+
+@pytest.mark.parametrize("command", ["solve-t", "solve-y", "t2y"])
+def test_check_that_compared_nothing_fails(a2_file, tmp_path, capsys, command):
+    if command == "t2y":
+        table_path = str(tmp_path / "table.json")
+        run_cli(capsys, "sys", "solve-t", a2_file, "--level", "2",
+                "--window", "0..1", "--out", table_path)
+        argv = ["--in", table_path]
+    else:
+        argv = ["--window", "0..1"]
+    code, report = run_cli(capsys, "sys", command, a2_file, "--level", "2", *argv)
+    assert code == 1
+    assert report["pass"] is False and report["relations_checked"] == 0
+    assert report["violations"] == [{"relation": "no relation lies inside the window"}]
+
+
+B3_TEXT = "3\n2 -1 0\n-1 2 -1\n0 -2 2\n"
+
+
+@pytest.mark.parametrize("command,text,level,digest", [
+    ("gen-t", B3_TEXT, ["--level", "3"],
+     "bed52de60685fcec84b384bdcf84437596d86efd0c99f29844c921b843360451"),
+    ("gen-y", B3_TEXT, ["--level", "3"],
+     "be00b69bf2c36c19a10de90af1c38759aeab80ffa04606c6af7a1d3319cb1399"),
+    ("gen-t", MIXED44_TEXT, ["--level", "unrestricted", "--mcap", "2"],
+     "df754f5d52579ee7a21f29696abfae7bbf5fb03f97e1d72fbcb5424bd5b7d016"),
+    ("gen-y", MIXED44_TEXT, ["--level", "unrestricted", "--mcap", "2"],
+     "8143146c46e0e18a31bba507fede8b430a8577c5e7394fd6860705bbe8c7a158"),
+])
+def test_generated_relations_golden(tmp_path, capsys, command, text, level, digest):
+    path = tmp_path / "matrix.txt"
+    path.write_text(text)
+    assert main(["sys", command, str(path), *level]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -8,11 +8,13 @@ from tysys.errors import (
     EmptyWindow,
     LevelOutOfRange,
     MissingValue,
+    NotTamelyLaced,
     UnschedulableDependency,
 )
 from tysys.exactmath import random_nonzero_rational
 from tysys.tsystem import (
     LatticeVar,
+    SolvePolicy,
     SystemSpec,
     check_t_solution,
     enumerate_relations,
@@ -295,3 +297,63 @@ def test_identity_2_non_multiple_is_one():
     lhs = (_s_value(values, db, m, k - 1) * _s_value(values, db, m, k + 1)
            / (_s_value(values, db, m - 1, k) * _s_value(values, db, m + 1, k)))
     assert lhs == 1
+
+
+def test_propagate_rejects_negative_retries():
+    sys = SystemSpec(A2, 2)
+    with pytest.raises(ValueError, match="-1"):
+        propagate_t(sys, (0, 10), rng=random.Random(0), policy=SolvePolicy(max_retries=-1))
+
+
+# --- compiled stencils against the independent routes ----------------------------
+
+
+def test_stencils_match_independent_routes():
+    from tysys.acceptance import FINITE_TYPE, MIXED44_ROWS
+    from tysys.tsystem import _boundary_filter
+    from tysys.ysystem import y_relation, y_relation_via_transpose
+
+    centres = 0
+    for rows in [*FINITE_TYPE.values(), MIXED44_ROWS]:
+        cm = new_cartan(rows)
+        systems = [SystemSpec(cm, level) for level in (2, 3, 4)]
+        systems.append(SystemSpec(cm, 3, restricted=False))
+        for sys in systems:
+            for a in range(cm.r):
+                for m in range(1, sys.max_center_m(a, "T") + 1):
+                    for k in range(20):
+                        centres += 1
+                        assert t_relation(sys, a, m, k).term_m == \
+                            _boundary_filter(sys, m_term_unified(cm, a, m, k))
+                for m in range(1, sys.max_center_m(a, "Y") + 1):
+                    for k in range(20):
+                        centres += 1
+                        direct = y_relation(sys, a, m, k)
+                        transposed = y_relation_via_transpose(cm, a, m, k)
+                        if sys.restricted:
+                            assert direct.numerator == transposed.numerator
+                        else:
+                            assert direct == transposed
+    assert centres == 23640
+
+
+def test_tamely_laced_checked_once_per_matrix(monkeypatch):
+    from tysys import cartan
+
+    calls = []
+    original = cartan.is_tamely_laced
+    monkeypatch.setattr(cartan, "is_tamely_laced",
+                        lambda cm: calls.append(cm) or original(cm))
+    cm = new_cartan([[2, -1], [-2, 2]])
+    sys = SystemSpec(cm, 3)
+    for k in range(50):
+        m_term(cm, 0, 2, k)
+        s_term(cm, 0, 3, k)
+        t_relation(sys, 1, 2, k)
+    assert len(calls) == 1
+    bad = new_cartan([[2, -2], [-2, 2]])
+    for fn in (m_term, m_term_unified):
+        with pytest.raises(NotTamelyLaced):
+            fn(bad, 0, 1, 0)
+    with pytest.raises(NotTamelyLaced):
+        s_term(bad, 0, 1, 0)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -287,3 +288,23 @@ def test_a2_level2_symmetric_start_period_five():
     init = {V(a, 1, k): Fraction(1) for a in range(2) for k in range(2)}
     table = propagate_y(sys, (0, 24), initial=init, rng=random.Random(0))
     assert detect_period(table, 12) == 5
+
+
+# --- resampling keeps the order of random draws ----------------------------------------
+
+
+def _table_digest(table):
+    h = hashlib.sha256()
+    for var, val in sorted(table.values.items()):
+        h.update(f"{var.a},{var.m},{var.k}:{val.numerator}/{val.denominator};".encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("cm,cap,width,seed,digest", [
+    (A3, 4, 16, 11, "1a441a39a27f04ed"),
+    (B2_LIKE, 3, 20, 45, "41cddeb2661fc52f"),
+])
+def test_propagate_y_resample_draw_order(cm, cap, width, seed, digest):
+    # both runs hit a vanishing right-hand side mid-window and redraw
+    table = unrestricted_y(cm, cap, width, seed)
+    assert _table_digest(table) == digest
