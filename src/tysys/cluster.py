@@ -244,11 +244,11 @@ def square_product(cm: CartanMatrix, cm2: CartanMatrix,
 class Seed:
     """Exchange matrix with a cluster x and a coefficient tuple y.  Symbolic
     seeds carry rational functions and semifield elements; numeric seeds carry
-    plain Fractions (positive for y)."""
+    plain Fractions (positive for y).  A cluster-only seed has y = None."""
 
     matrix: ExchangeMatrix
     x: tuple
-    y: tuple
+    y: Optional[tuple]
 
 
 def initial_seed(em: ExchangeMatrix, numeric=False, rng=None) -> Seed:
@@ -263,7 +263,9 @@ def initial_seed(em: ExchangeMatrix, numeric=False, rng=None) -> Seed:
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
     """Seed mutation at node k: the standard exchange relations for the
-    cluster entry and the coefficient tuple, then the matrix flips."""
+    cluster entry and the coefficient tuple, then the matrix flips.  The two
+    exchange relations never read each other, so a cluster-only seed
+    (y = None) skips the coefficients."""
     em = seed.matrix
     n = em.n
     if not 0 <= k < n:
@@ -283,6 +285,8 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     if isinstance(new_xk, RationalFunction):
         new_xk = new_xk.reduced()
     x = tuple(new_xk if i == k else v for i, v in enumerate(seed.x))
+    if seed.y is None:
+        return Seed(mutate_matrix(em, k), x, None)
 
     yk = seed.y[k]
     y = []
@@ -307,16 +311,25 @@ def mutate_seed_composed(seed: Seed, nodes: Sequence[int]) -> Seed:
 @dataclass
 class SequenceResult:
     """Clusters x_i(u) and coefficients y_i(u) along the alternating
-    parity-class mutation sequence, with x(0), y(0) the initial seed."""
+    parity-class mutation sequence, with x(0), y(0) the initial seed.  A
+    cluster-only sequence has y = None."""
 
     matrix: ExchangeMatrix
     u_range: Tuple[int, int]
     x: Dict[Tuple[int, int], object] = field(default_factory=dict)
-    y: Dict[Tuple[int, int], object] = field(default_factory=dict)
+    y: Optional[Dict[Tuple[int, int], object]] = field(default_factory=dict)
     mode: str = "symbolic"
+
+    def require_y(self, reader: str) -> dict:
+        if self.y is None:
+            raise ValueError(f"{reader} reads the coefficients y, but the "
+                             "sequence was run cluster-only (y is None)")
+        return self.y
 
     def to_json(self) -> dict:
         from .exactmath import expr_to_json
+
+        y = self.require_y("to_json")
 
         def dump(values, semifield):
             out = {}
@@ -333,12 +346,12 @@ class SequenceResult:
             "u_range": list(self.u_range),
             "mode": self.mode,
             "x": dump(self.x, False),
-            "y": dump(self.y, True),
+            "y": dump(y, True),
         }
 
 
 def run_sequence(em: ExchangeMatrix, u_range, mode: str = "auto",
-                 rng=None) -> SequenceResult:
+                 rng=None, coefficients: bool = True) -> SequenceResult:
     """Walk the alternating sequence: from even u the composed + mutation
     steps right, from odd u the composed - mutation; stepping left uses the
     involutivity of the same maps.  The matrix alternates between B and -B.
@@ -346,6 +359,10 @@ def run_sequence(em: ExchangeMatrix, u_range, mode: str = "auto",
     Symbolic arithmetic is used up to moderate sizes; beyond
     SYMBOLIC_STEP_LIMIT steps or SYMBOLIC_RANK_LIMIT nodes the run switches
     to numeric (random positive initial values) with a warning.
+
+    coefficients=False runs the clusters alone: the seeds carry y = None and
+    the result's y is None.  The clusters and the random draws are those of
+    the full run.
     """
     parity = em.require_parity()
     if not (check_b1(em) and check_b2(em)):
@@ -364,12 +381,16 @@ def run_sequence(em: ExchangeMatrix, u_range, mode: str = "auto",
             mode = "symbolic"
     plus, minus = em.plus_nodes(), em.minus_nodes()
     start = initial_seed(em, numeric=(mode == "numeric"), rng=rng)
-    result = SequenceResult(em, (lo, hi), mode=mode)
+    result = SequenceResult(em, (lo, hi), y={} if coefficients else None,
+                            mode=mode)
+    if not coefficients:
+        start = replace(start, y=None)
 
     def record(u, seed):
         for i in range(em.n):
             result.x[(i, u)] = seed.x[i]
-            result.y[(i, u)] = seed.y[i]
+            if coefficients:
+                result.y[(i, u)] = seed.y[i]
 
     record(0, start)
     seed = start
@@ -409,11 +430,12 @@ def check_y_parity(seq: SequenceResult) -> List[dict]:
     """y_i(u) equals y_i(u+1)^-1 on the + parity class and y_i(u-1)^-1 on the -."""
     em = seq.matrix
     lo, hi = seq.u_range
+    y = seq.require_y("check_y_parity")
     violations = []
-    for (i, u), val in sorted(seq.y.items()):
+    for (i, u), val in sorted(y.items()):
         s = _parity_sign(em, i, u)
         other = u + 1 if s > 0 else u - 1
-        if lo <= other <= hi and not val == inverse(seq.y[(i, other)]):
+        if lo <= other <= hi and not val == inverse(y[(i, other)]):
             violations.append({"relation": f"y[{em.label(i)}]({u}) vs ({other})"})
     return violations
 
@@ -462,13 +484,14 @@ def check_yb(seq: SequenceResult, eps: int,
     variable in the relation lies in the class being checked."""
     em = em or seq.matrix
     lo, hi = seq.u_range
+    y = seq.require_y("check_yb")
     violations = []
     for i in range(em.n):
         for u in range(lo + 1, hi):
             if _parity_sign(em, i, u) != -eps:
                 continue
-            lhs = seq.y[(i, u - 1)] * seq.y[(i, u + 1)]
-            num, den = _yb_sides(em, seq.y, i, u, eps)
+            lhs = y[(i, u - 1)] * y[(i, u + 1)]
+            num, den = _yb_sides(em, y, i, u, eps)
             if not lhs * den == num:
                 violations.append({"relation": f"Y{'+' if eps > 0 else '-'}(B) "
                                                f"at ({em.label(i)},{u})",
@@ -598,11 +621,12 @@ def correspondence_check(cm: CartanMatrix, level: int,
 
     Relation level: under the index identification (a, m) -> pair node, the
     restricted T-system relations on one parity class coincide with the
-    exchange-matrix T-system relations.  Value level: the cluster family of
-    run_sequence, pulled back through the identification, solves the
-    restricted T-system relations of that class, in exact symbolic
-    arithmetic.  Nonbipartite input is routed through the bipartite double
-    first (with the extra relation-level bijection check).
+    exchange-matrix T-system relations.  Value level: the cluster family of a
+    cluster-only run_sequence (the check never reads y), pulled back through
+    the identification, solves the restricted T-system relations of that
+    class, in exact symbolic arithmetic.  Nonbipartite input is routed
+    through the bipartite double first (with the extra relation-level
+    bijection check).
     """
     from .errors import NotSimplyLaced
 
@@ -644,7 +668,8 @@ def correspondence_check(cm: CartanMatrix, level: int,
                                                    f"(a={a + 1},m={m},u={u})"})
 
     # value-level comparison on each parity class
-    seq = run_sequence(em, (lo - 1, hi + 1), mode="symbolic", rng=rng)
+    seq = run_sequence(em, (lo - 1, hi + 1), mode="symbolic", rng=rng,
+                       coefficients=False)
     for eps in (1, -1):
         values = {}
         for a in range(cm.r):

@@ -14,8 +14,10 @@ syntactically instead of snowballing.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -36,6 +38,11 @@ def _natural_key(name: str):
 
 def _grlex_key(mono: tuple) -> tuple:
     return (sum(mono), mono)
+
+
+def _heap_entry(mono: tuple) -> tuple:
+    """Min-heap entry whose order is descending graded lex order."""
+    return (-sum(mono), tuple(-e for e in mono), mono)
 
 
 class LaurentPoly:
@@ -300,6 +307,11 @@ def laurent_divide_exact(p: LaurentPoly, q: LaurentPoly) -> Optional[LaurentPoly
     Monomial factors are units here, so both operands are first shifted to
     ordinary polynomials; divisibility is then decided by single-divisor
     multivariate division with remainder under the graded lex order.
+
+    The remainder's leading monomial comes from a heap with lazy deletion:
+    an entry whose monomial has left the remainder is skipped.  Each step
+    only touches monomials below the one it cancels, so a cancelled leading
+    monomial never returns.
     """
     if q.is_zero():
         raise DivisionByZeroPoly("division by the zero polynomial")
@@ -315,8 +327,12 @@ def laurent_divide_exact(p: LaurentPoly, q: LaurentPoly) -> Optional[LaurentPoly
     cb = b[lead_b]
     quotient = {}
     rem = dict(a)
+    heap = [_heap_entry(m) for m in rem]
+    heapq.heapify(heap)
     while rem:
-        lead = max(rem, key=_grlex_key)
+        lead = heapq.heappop(heap)[2]
+        if lead not in rem:
+            continue
         diff = tuple(x - y for x, y in zip(lead, lead_b))
         if any(e < 0 for e in diff):
             return None
@@ -324,11 +340,15 @@ def laurent_divide_exact(p: LaurentPoly, q: LaurentPoly) -> Optional[LaurentPoly
         quotient[diff] = coeff
         for mb, c in b.items():
             m = tuple(x + y for x, y in zip(diff, mb))
-            nv = rem.get(m, Fraction(0)) - coeff * c
+            if m not in rem:
+                rem[m] = -coeff * c
+                heapq.heappush(heap, _heap_entry(m))
+                continue
+            nv = rem[m] - coeff * c
             if nv:
                 rem[m] = nv
             else:
-                rem.pop(m, None)
+                del rem[m]
     back = {v: sa - sb for v, sa, sb in zip(names, shift_a, shift_b) if sa != sb}
     result = LaurentPoly(names, quotient)
     if back:
@@ -690,9 +710,14 @@ class SemifieldElement:
         return value
 
     def __eq__(self, other):
+        """Equal factored forms prove equality at once; equal values need not
+        share a factored form, so otherwise cross-multiply."""
         other = _as_sf(other)
         if other is NotImplemented:
             return NotImplemented
+        if (self._coeff == other._coeff and self._powers == other._powers
+                and self._factors == other._factors):
+            return True
         return self.num * other.den == other.num * self.den
 
     __hash__ = None
@@ -755,6 +780,36 @@ def random_positive_rational(rng, bits: int = 8) -> Fraction:
 # ---------------------------------------------------------------------------
 # JSON expression format
 # ---------------------------------------------------------------------------
+
+_FRACTION_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def fraction_to_text(value: Rational) -> str:
+    """'n' or 'n/d', as str(Fraction) writes it, at any length.
+
+    str() and int() refuse integers past the interpreter's digit limit;
+    Decimal converts integers of any length and writes an integral Decimal
+    with its plain digits.
+    """
+    value = Fraction(value)
+    num, den = (str(Decimal(n)) for n in (value.numerator, value.denominator))
+    return num if den == "1" else f"{num}/{den}"
+
+
+def fraction_from_text(text) -> Fraction:
+    """Inverse of fraction_to_text; ValueError for anything else."""
+    match = _FRACTION_TEXT.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"{_clipped(text)} is not an integer or a fraction n/d")
+    num, den = (int(Decimal(group or "1")) for group in match.groups())
+    if den == 0:
+        raise ValueError(f"{_clipped(text)} has a zero denominator")
+    return Fraction(num, den)
+
+
+def _clipped(value) -> str:
+    shown = repr(value)
+    return shown if len(shown) <= 40 else shown[:37] + "..."
 
 
 def _poly_terms_json(poly: LaurentPoly, names: Sequence[str]):

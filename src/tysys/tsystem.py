@@ -25,7 +25,12 @@ from .errors import (
     UnschedulableDependency,
     ZeroDivisor,
 )
-from .exactmath import evaluate, random_nonzero_rational
+from .exactmath import (
+    evaluate,
+    fraction_from_text,
+    fraction_to_text,
+    random_nonzero_rational,
+)
 
 
 class LatticeVar(NamedTuple):
@@ -316,7 +321,7 @@ class ValueTable:
     def to_json(self) -> dict:
         entries = [
             {"a": v.a + 1, "m": v.m, "k": v.k, "kind": self.kind,
-             "value": str(val)}
+             "value": fraction_to_text(val)}
             for v, val in sorted(self.values.items())
         ]
         return {
@@ -328,46 +333,95 @@ class ValueTable:
         }
 
     def dump(self, path):
+        # serialise first, so that a value that cannot be written leaves no
+        # empty file behind
+        text = json.dumps(self.to_json(), sort_keys=True, indent=1) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.write(text)
 
 
 def table_from_json(data, sys: Optional[SystemSpec] = None,
                     kind: Optional[str] = None) -> ValueTable:
     """Load a table dump; also accepts a bare entry array when the system
-    descriptor is supplied by the caller."""
+    descriptor is supplied by the caller.  Every entry is checked against
+    the system: malformed input raises ValueError with a one-line message."""
     if isinstance(data, list):
         entries = data
         window = None
         meta = {}
-    else:
+    elif isinstance(data, dict):
+        required = ["entries", "window"] + ["system"] * (sys is None) \
+            + ["kind"] * (kind is None)
+        missing = [key for key in required if key not in data]
+        if missing:
+            raise ValueError(f"table has no {', '.join(map(repr, missing))} field")
         entries = data["entries"]
-        window = tuple(data["window"])
+        window = data["window"]
+        if not (isinstance(window, list) and len(window) == 2
+                and all(_is_int(k) for k in window)):
+            raise ValueError(f"table window must be two integers, got {window!r}")
+        window = tuple(window)
         meta = data.get("meta", {})
         if sys is None:
             sdesc = data["system"]
             from .cartan import new_cartan
 
-            sys = SystemSpec(new_cartan(sdesc["matrix"]), sdesc["level"],
-                             sdesc["restricted"])
+            try:
+                sys = SystemSpec(new_cartan(sdesc["matrix"]), sdesc["level"],
+                                 sdesc["restricted"])
+            except (KeyError, TypeError) as err:
+                raise ValueError(f"table system descriptor is malformed: "
+                                 f"{err!r}") from None
         if kind is None:
             kind = data["kind"]
+    else:
+        raise ValueError("a table is a JSON object or an array of entries")
     if sys is None or kind is None:
         raise ValueError("bare entry arrays need an explicit system and kind")
+    if kind not in ("T", "Y"):
+        raise ValueError(f"table kind must be 'T' or 'Y', got {kind!r}")
+    if not isinstance(entries, list):
+        raise ValueError("table entries must be an array")
     values = {}
     for row in entries:
-        if row.get("kind", kind) != kind:
-            raise ValueError(f"table mixes kinds {row['kind']!r} and {kind!r}")
-        value = Fraction(row["value"])
+        var = _entry_var(row, sys, kind)
+        try:
+            value = fraction_from_text(row.get("value"))
+        except ValueError as err:
+            raise ValueError(f"{var.label(kind)}: {err}") from None
         if value == 0:
-            raise ValueError(
-                f"zero value at (a={row['a']},m={row['m']},k={row['k']})")
-        values[LatticeVar(row["a"] - 1, row["m"], row["k"])] = value
+            raise ValueError(f"{var.label(kind)}: zero value")
+        if var in values:
+            raise ValueError(f"{var.label(kind)} appears twice")
+        values[var] = value
     if window is None:
         ks = [v.k for v in values]
         window = (min(ks), max(ks)) if ks else (0, 0)
     return ValueTable(kind, sys, window, values, meta)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _entry_var(row, sys: SystemSpec, kind: str) -> LatticeVar:
+    """The variable of one table entry, checked against the system."""
+    if not isinstance(row, dict):
+        raise ValueError(f"table entry {row!r:.40} is not an object")
+    if row.get("kind", kind) != kind:
+        raise ValueError(f"table mixes kinds {row['kind']!r} and {kind!r}")
+    if not all(_is_int(row.get(key)) for key in ("a", "m", "k")):
+        raise ValueError(f"table entry needs integers a, m and k: "
+                         f"{ {key: row.get(key) for key in ('a', 'm', 'k')} }")
+    var = LatticeVar(row["a"] - 1, row["m"], row["k"])
+    if not 0 <= var.a < sys.cm.r:
+        raise ValueError(f"{var.label(kind)}: node {row['a']} is outside "
+                         f"1..{sys.cm.r}")
+    top = sys.max_m_t(var.a) if kind == "T" else sys.max_m_y(var.a)
+    if var.m < 1 or (top is not None and var.m > top):
+        allowed = "m >= 1" if top is None else f"1..{top}"
+        raise ValueError(f"{var.label(kind)}: level m={var.m} is outside {allowed}")
+    return var
 
 
 # ---------------------------------------------------------------------------

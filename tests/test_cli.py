@@ -213,3 +213,47 @@ def test_generated_relations_golden(tmp_path, capsys, command, text, level, dige
     assert main(["sys", command, str(path), *level]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_tables_past_the_digit_limit(tmp_path, capsys):
+    matrix = tmp_path / "m44.txt"
+    matrix.write_text(MIXED44_TEXT)
+    y44 = tmp_path / "y44.json"
+    system = [str(matrix), "--level", "unrestricted", "--mcap", "2"]
+    code, report = run_cli(capsys, "sys", "solve-y", *system, "--window", "0..12",
+                           "--seed", "1", "--out", str(y44))
+    assert code == 0 and report["pass"]
+    entries = json.loads(y44.read_text())["entries"]
+    assert max(len(row["value"]) for row in entries) > 4300
+    code, report = run_cli(capsys, "sys", "y2t", *system, "--in", str(y44))
+    assert code == 0 and report["pass"]
+
+
+def _drop_entries(data):
+    del data["entries"]
+
+
+def _set_entry(key, value):
+    def edit(data):
+        data["entries"][0][key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_drop_entries, "tysys: table has no 'entries' field"),
+    (_set_entry("value", "1/0"), "tysys: T[a=1,m=1,k=0]: '1/0' has a zero denominator"),
+    (_set_entry("a", 9), "tysys: T[a=9,m=1,k=0]: node 9 is outside 1..2"),
+    (_set_entry("m", 7), "tysys: T[a=1,m=7,k=0]: level m=7 is outside 1..1"),
+], ids=["no entries", "zero denominator", "node out of range", "level out of range"])
+def test_malformed_table_is_a_usage_error(a2_file, tmp_path, capsys, edit, message):
+    table_path = tmp_path / "table.json"
+    run_cli(capsys, "sys", "solve-t", a2_file, "--level", "2",
+            "--window", "0..6", "--out", str(table_path))
+    data = json.loads(table_path.read_text())
+    edit(data)
+    table_path.write_text(json.dumps(data))
+    code = main(["sys", "t2y", a2_file, "--level", "2", "--in", str(table_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.strip().splitlines() == [message]

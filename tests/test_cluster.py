@@ -317,3 +317,43 @@ def test_sequence_json_dump(ba2_seq):
     data = ba2_seq.to_json()
     assert data["u_range"] == [-2, 10]
     assert "(1,0)" in data["x"] and "(2,5)" in data["y"]
+
+
+# --- cluster-only sequences ------------------------------------------------------
+
+
+@pytest.mark.parametrize("reader", [
+    check_y_parity,
+    lambda seq: check_yb(seq, 1),
+    lambda seq: check_yb(seq, -1),
+    lambda seq: seq.to_json(),
+], ids=["check_y_parity", "check_yb+", "check_yb-", "to_json"])
+def test_cluster_only_sequence_refuses_y_readers(reader):
+    seq = run_sequence(BA2, (-2, 4), mode="symbolic", coefficients=False)
+    assert seq.y is None
+    with pytest.raises(ValueError, match="cluster-only"):
+        reader(seq)
+
+
+@pytest.mark.parametrize("cm,level", [(A3, 2), (A2, 3), (CYCLE3, 2)],
+                         ids=["A3 level 2", "A2 level 3", "3-cycle level 2"])
+def test_cluster_only_x_equals_full_run(cm, level):
+    # the matrices of criterion 9; the 3-cycle through its bipartite double
+    from tysys.cartan import bipartite_double, bipartition
+
+    if bipartition(cm) is None:
+        cm, _ = bipartite_double(cm)
+    em = exchange_matrix_for_level(cm, level)
+    full = run_sequence(em, (-4, 4), mode="symbolic")
+    alone = run_sequence(em, (-4, 4), mode="symbolic", coefficients=False)
+    assert alone.y is None
+    assert alone.x.keys() == full.x.keys()
+    assert all(alone.x[key] == full.x[key] for key in full.x)
+
+
+def test_cluster_only_numeric_run_keeps_the_draws():
+    em = exchange_matrix_for_level(A3, 2)
+    full = run_sequence(em, (-3, 6), mode="numeric", rng=random.Random(12))
+    alone = run_sequence(em, (-3, 6), mode="numeric", rng=random.Random(12),
+                         coefficients=False)
+    assert alone.x == full.x

@@ -13,6 +13,8 @@ from tysys.exactmath import (
     evaluate,
     expr_from_json,
     expr_to_json,
+    fraction_from_text,
+    fraction_to_text,
     gens,
     laurent_divide_exact,
     one_plus,
@@ -115,6 +117,66 @@ def test_divide_exact_roundtrip(a, b):
         return
     q = laurent_divide_exact(a * b, b)
     assert q is not None and q == a
+
+
+def rescanning_divide_exact(p, q):
+    """Reference for laurent_divide_exact: the same division with
+    remainder, finding the leading monomial by rescanning the remainder."""
+    if p.is_zero():
+        return LaurentPoly.zero()
+    names, a, b = p._aligned(q)
+    n = len(names)
+    shift_a = [min(m[i] for m in a) for i in range(n)]
+    shift_b = [min(m[i] for m in b) for i in range(n)]
+    a = {tuple(e - s for e, s in zip(m, shift_a)): c for m, c in a.items()}
+    b = {tuple(e - s for e, s in zip(m, shift_b)): c for m, c in b.items()}
+
+    def grlex(mono):
+        return (sum(mono), mono)
+
+    lead_b = max(b, key=grlex)
+    quotient = {}
+    rem = dict(a)
+    while rem:
+        lead = max(rem, key=grlex)
+        diff = tuple(x - y for x, y in zip(lead, lead_b))
+        if any(e < 0 for e in diff):
+            return None
+        coeff = rem[lead] / b[lead_b]
+        quotient[diff] = coeff
+        for mb, c in b.items():
+            m = tuple(x + y for x, y in zip(diff, mb))
+            nv = rem.get(m, Fraction(0)) - coeff * c
+            if nv:
+                rem[m] = nv
+            else:
+                rem.pop(m, None)
+    back = {v: sa - sb for v, sa, sb in zip(names, shift_a, shift_b) if sa != sb}
+    return LaurentPoly(names, quotient).mul_monomial(1, back)
+
+
+def polys3(min_terms=0, max_terms=5):
+    monos = st.tuples(*[st.integers(-2, 3)] * 3)
+    coeffs = st.fractions(-5, 5, max_denominator=3).filter(bool)
+    return st.dictionaries(monos, coeffs, min_size=min_terms, max_size=max_terms) \
+        .map(lambda terms: LaurentPoly(("x", "y", "z"), terms))
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys3(), polys3(min_terms=1))
+def test_heap_division_matches_rescanning_on_products(p, q):
+    got = laurent_divide_exact(p * q, q)
+    assert got == rescanning_divide_exact(p * q, q) == p
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys3(), polys3(min_terms=2), polys3(min_terms=1, max_terms=1))
+def test_heap_division_matches_rescanning_on_nondivisible_pairs(p, q, unit):
+    # q is not a monomial, so not a unit of the Laurent ring: it divides
+    # p*q + unit only if it divided the unit
+    a = p * q + unit
+    assert laurent_divide_exact(a, q) is None
+    assert rescanning_divide_exact(a, q) is None
 
 
 # --- rational functions ------------------------------------------------------
@@ -234,3 +296,110 @@ def test_expr_json_roundtrip():
     e = one_plus(sf_gen("y1")) / sf_gen("y2")
     back = expr_from_json(expr_to_json(e), semifield=True)
     assert back == e
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions())
+def test_fraction_text_matches_str(value):
+    assert fraction_to_text(value) == str(value)
+    assert fraction_from_text(fraction_to_text(value)) == value
+
+
+def test_fraction_text_past_the_digit_limit():
+    value = Fraction(-(7 ** 9000), 3 ** 9001)
+    text = fraction_to_text(value)
+    assert len(text) > 2 * 4300 and text.startswith("-")
+    assert fraction_from_text(text) == value
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/000", "1.5", "1e5", " 2", "", None, 4])
+def test_fraction_text_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        fraction_from_text(text)
+
+
+# --- semifield equality: factored form first, cross-multiplication behind --------
+
+SF_GENS = ("y1", "y2", "y3")
+G1, G2, G3 = (LaurentPoly.gen(n) for n in SF_GENS)
+SF_FACTORS = (1 + G1, 1 + G2, 1 + G1 + G2, G1 + G3, 1 + G1 * G2 + G3)
+
+
+@st.composite
+def semifield_elements(draw):
+    coeff = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    powers = {n: draw(st.integers(-2, 2)) for n in SF_GENS}
+    factors = {f: draw(st.integers(-2, 2)) for f in SF_FACTORS}
+    return SemifieldElement(coeff, powers, factors)
+
+
+def cross_multiplied_eq(a, b):
+    return a.num * b.den == b.num * a.den
+
+
+@settings(max_examples=60, deadline=None)
+@given(semifield_elements(), semifield_elements())
+def test_sf_eq_agrees_with_cross_multiplication(a, b):
+    assert (a == b) == cross_multiplied_eq(a, b)
+    assert (a == a * b / b) is True
+
+
+@settings(max_examples=60, deadline=None)
+@given(semifield_elements())
+def test_sf_eq_on_equal_values_in_another_factored_form(a):
+    # rebuilt from the expanded num/den, each side becomes one factor
+    b = SemifieldElement.from_num_den(a.num, a.den)
+    assert cross_multiplied_eq(a, b)
+    assert a == b and b == a
+
+
+def test_sf_eq_fallback_path_runs():
+    y1, y2 = sf_gen("y1"), sf_gen("y2")
+    factored = one_plus(y1) * one_plus(y2)
+    expanded = SemifieldElement.from_num_den((1 + G1) * (1 + G2), one)
+    assert factored._factors != expanded._factors
+    assert factored == expanded
+    assert not factored == expanded * y1
+
+
+# --- sympy as a second oracle (optional) -----------------------------------------
+
+
+def _to_sympy(poly, symbols):
+    sympy = pytest.importorskip("sympy")
+    pos = dict(zip(("x", "y", "z"), symbols))
+    total = sympy.Integer(0)
+    for mono, coeff in poly.terms.items():
+        term = sympy.Rational(coeff.numerator, coeff.denominator)
+        for name, e in zip(poly.vars, mono):
+            term *= pos[name] ** e
+        total += term
+    return total
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys3(max_terms=4), polys3(min_terms=1, max_terms=3), st.booleans())
+def test_division_against_sympy(a, b, make_divisible):
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols("x y z")
+    if make_divisible:
+        a = a * b
+    ratio = sympy.cancel(_to_sympy(a, symbols) / _to_sympy(b, symbols))
+    _, den = sympy.fraction(ratio)
+    got = laurent_divide_exact(a, b)
+    assert (got is not None) == sympy.Poly(den, *symbols).is_monomial
+    if got is not None:
+        assert sympy.cancel(_to_sympy(got, symbols) - ratio) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys3(max_terms=3), polys3(min_terms=1, max_terms=3),
+       polys3(min_terms=1, max_terms=3), polys3(max_terms=3), st.booleans())
+def test_rational_function_eq_against_sympy(a, b, h, c, make_equal):
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols("x y z")
+    f = RationalFunction(a, b)
+    g = RationalFunction(a * h, b * h) if make_equal else RationalFunction(c, h)
+    difference = (_to_sympy(f.num, symbols) / _to_sympy(f.den, symbols)
+                  - _to_sympy(g.num, symbols) / _to_sympy(g.den, symbols))
+    assert (f == g) == (sympy.cancel(difference) == 0)

@@ -247,6 +247,15 @@ def test_table_json_roundtrip():
     assert again.values == table.values
 
 
+def test_failed_dump_leaves_no_file(tmp_path):
+    table = propagate_t(SystemSpec(A2, 2), (0, 4), rng=random.Random(1))
+    table.values[next(iter(table.values))] = object()
+    out = tmp_path / "table.json"
+    with pytest.raises(TypeError):
+        table.dump(out)
+    assert not out.exists()
+
+
 # --- telescoping identities ------------------------------------------------------
 
 
