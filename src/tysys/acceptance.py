@@ -171,7 +171,7 @@ def criterion_5_y_to_t_roundtrip(seed=0):
         common = set(t_table.values) & set(other.values)
         if not any(t_table.values[v] != other.values[v] for v in common):
             failures.append(f"{name}: distinct free choices gave identical T")
-        recovered, _ = ysystem.t_to_y(other)
+        recovered = ysystem.t_to_y_table(other)
         region = ysystem.recoverable_region(y_table, recovered)
         if any(recovered.values[v] != y_table.values[v] for v in region):
             failures.append(f"{name}: second reconstruction broke the Y image")

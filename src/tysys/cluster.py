@@ -40,7 +40,15 @@ from .exactmath import (
     one_plus,
     random_positive_rational,
 )
-from .tsystem import LatticeVar, SystemSpec, t_relation
+from .tsystem import (
+    LatticeVar,
+    SystemSpec,
+    TRelation,
+    check_relations,
+    factor_product,
+    t_relation,
+)
+from .ysystem import YRelation, companion_identities
 
 SYMBOLIC_STEP_LIMIT = 14
 SYMBOLIC_RANK_LIMIT = 10
@@ -413,31 +421,64 @@ def _parity_sign(em: ExchangeMatrix, i: int, u: int) -> int:
     return em.parity[i] * (1 if u % 2 == 0 else -1)
 
 
-def check_x_parity(seq: SequenceResult) -> List[dict]:
-    """x_i(u) equals x_i(u-1) on the + parity class and x_i(u+1) on the -."""
+def _parity_violations(seq: SequenceResult, name: str, values: dict, step: int,
+                       partner) -> List[dict]:
+    """values_i(u) equals partner(values_i(u + step)) on the + parity class
+    and partner(values_i(u - step)) on the -."""
     em = seq.matrix
     lo, hi = seq.u_range
     violations = []
-    for (i, u), val in sorted(seq.x.items()):
-        s = _parity_sign(em, i, u)
-        other = u - 1 if s > 0 else u + 1
-        if lo <= other <= hi and not val == seq.x[(i, other)]:
-            violations.append({"relation": f"x[{em.label(i)}]({u}) vs ({other})"})
+    for (i, u), val in sorted(values.items()):
+        other = u + step * _parity_sign(em, i, u)
+        if lo <= other <= hi and not val == partner(values[(i, other)]):
+            violations.append({"relation": f"{name}[{em.label(i)}]({u}) vs ({other})"})
     return violations
+
+
+def check_x_parity(seq: SequenceResult) -> List[dict]:
+    """x_i(u) equals x_i(u-1) on the + parity class and x_i(u+1) on the -."""
+    return _parity_violations(seq, "x", seq.x, -1, lambda x: x)
 
 
 def check_y_parity(seq: SequenceResult) -> List[dict]:
     """y_i(u) equals y_i(u+1)^-1 on the + parity class and y_i(u-1)^-1 on the -."""
-    em = seq.matrix
-    lo, hi = seq.u_range
-    y = seq.require_y("check_y_parity")
-    violations = []
-    for (i, u), val in sorted(y.items()):
-        s = _parity_sign(em, i, u)
-        other = u + 1 if s > 0 else u - 1
-        if lo <= other <= hi and not val == inverse(y[(i, other)]):
-            violations.append({"relation": f"y[{em.label(i)}]({u}) vs ({other})"})
-    return violations
+    return _parity_violations(seq, "y", seq.require_y("check_y_parity"), 1, inverse)
+
+
+def _node(i: int, u: int = 0) -> LatticeVar:
+    """Cluster node i at time u (the level-2 identification)."""
+    return LatticeVar(i, 1, u)
+
+
+def _factors(em: ExchangeMatrix, i: int, sign: int) -> tuple:
+    """(node j, |B_ji|) at u = 0 for the j with sign * B_ji > 0, j ascending."""
+    return tuple((_node(j), abs(em[j, i])) for j in range(em.n) if sign * em[j, i] > 0)
+
+
+def _tb_relations(em: ExchangeMatrix) -> List[TRelation]:
+    """T(B) of every node i as a lattice relation centred at u = 0:
+    x_i(u-1) x_i(u+1) = prod_{B_ji>0} x_j(u)^{B_ji} + prod_{B_ji<0} x_j(u)^{-B_ji}."""
+    return [TRelation(_node(i), (_node(i, -1), _node(i, 1)),
+                      _factors(em, i, 1), _factors(em, i, -1)) for i in range(em.n)]
+
+
+def _yb_relations(em: ExchangeMatrix, eps: int) -> List[YRelation]:
+    """Y^eps(B) of every node i as a lattice relation centred at u = 0: the
+    (1 + y_j) factors are the j with eps parity_i B_ji > 0, the (1 + y_j^-1)
+    factors those with eps parity_i B_ji < 0."""
+    parity = em.require_parity()
+    return [YRelation(_node(i), (_node(i, -1), _node(i, 1)),
+                      _factors(em, i, eps * parity[i]), _factors(em, i, -eps * parity[i]))
+            for i in range(em.n)]
+
+
+def _reader(values: dict):
+    """value(var) for the relations: node var.a at time var.k."""
+    return lambda var: values[(var.a, var.k)]
+
+
+def _label(em: ExchangeMatrix, prefix: str):
+    return lambda rel: f"{prefix} at ({em.label(rel.center.a)},{rel.center.k})"
 
 
 def check_tb(seq: SequenceResult, em: Optional[ExchangeMatrix] = None) -> List[dict]:
@@ -446,35 +487,8 @@ def check_tb(seq: SequenceResult, em: Optional[ExchangeMatrix] = None) -> List[d
     + prod_{B_ji<0} x_j(u)^{-B_ji}."""
     em = em or seq.matrix
     lo, hi = seq.u_range
-    violations = []
-    for i in range(em.n):
-        for u in range(lo + 1, hi):
-            lhs = seq.x[(i, u - 1)] * seq.x[(i, u + 1)]
-            plus = Fraction(1)
-            minus = Fraction(1)
-            for j in range(em.n):
-                bji = em[j, i]
-                if bji > 0:
-                    plus = plus * seq.x[(j, u)] ** bji
-                elif bji < 0:
-                    minus = minus * seq.x[(j, u)] ** (-bji)
-            if not lhs == plus + minus:
-                violations.append({"relation": f"T(B) at ({em.label(i)},{u})",
-                                   "lhs": str(lhs), "rhs": f"{plus} + {minus}"})
-    return violations
-
-
-def _yb_sides(em: ExchangeMatrix, values, i: int, u: int, eps: int):
-    s = eps * em.parity[i]
-    num = Fraction(1)
-    den = Fraction(1)
-    for j in range(em.n):
-        bji = em[j, i]
-        if s * bji > 0:
-            num = num * one_plus(values[(j, u)]) ** abs(bji)
-        elif s * bji < 0:
-            den = den * one_plus(inverse(values[(j, u)])) ** abs(bji)
-    return num, den
+    rels = [rel.shift(u) for rel in _tb_relations(em) for u in range(lo + 1, hi)]
+    return check_relations(rels, _reader(seq.x), _label(em, "T(B)"))
 
 
 def check_yb(seq: SequenceResult, eps: int,
@@ -485,18 +499,9 @@ def check_yb(seq: SequenceResult, eps: int,
     em = em or seq.matrix
     lo, hi = seq.u_range
     y = seq.require_y("check_yb")
-    violations = []
-    for i in range(em.n):
-        for u in range(lo + 1, hi):
-            if _parity_sign(em, i, u) != -eps:
-                continue
-            lhs = y[(i, u - 1)] * y[(i, u + 1)]
-            num, den = _yb_sides(em, y, i, u, eps)
-            if not lhs * den == num:
-                violations.append({"relation": f"Y{'+' if eps > 0 else '-'}(B) "
-                                               f"at ({em.label(i)},{u})",
-                                   "lhs": str(lhs), "rhs": f"({num})/({den})"})
-    return violations
+    rels = [rel.shift(u) for i, rel in enumerate(_yb_relations(em, eps))
+            for u in range(lo + 1, hi) if _parity_sign(em, i, u) == -eps]
+    return check_relations(rels, _reader(y), _label(em, f"Y{'+' if eps > 0 else '-'}(B)"))
 
 
 def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
@@ -507,42 +512,27 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
 
     Returns (y_values, violations).
     """
-    em.require_parity()
+    stencils = _yb_relations(em, eps)
     if u_range is None:
         us = [u for _, u in t_values]
         u_range = (min(us), max(us))
     lo, hi = u_range
+    t = _reader(t_values)
     y_values: Dict[Tuple[int, int], object] = {}
     violations: List[dict] = []
-    for i in range(em.n):
-        s = eps * em.parity[i]
+    for i, stencil in enumerate(stencils):
         for u in range(lo, hi + 1):
-            value = Fraction(1)
-            num = Fraction(1)
-            den = Fraction(1)
-            for j in range(em.n):
-                bji = em[j, i]
-                if bji == 0:
-                    continue
-                value = value * t_values[(j, u)] ** (s * bji)
-                if s * bji > 0:
-                    num = num * t_values[(j, u)] ** abs(bji)
-                else:
-                    den = den * t_values[(j, u)] ** abs(bji)
-            y_values[(i, u)] = value
+            rel = stencil.shift(u)
+            coupling = factor_product(t, rel.numerator)
+            inner = factor_product(t, rel.denominator)
+            y = y_values[(i, u)] = coupling / inner
             if lo < u < hi:
-                pair = t_values[(i, u - 1)] * t_values[(i, u + 1)]
-                if not one_plus(value) == pair * inverse(den):
-                    violations.append({"relation": f"one-plus at ({em.label(i)},{u})"})
-                if not one_plus(inverse(value)) == pair * inverse(num):
-                    violations.append({"relation": f"one-plus-inverse at ({em.label(i)},{u})"})
-    for i in range(em.n):
-        for u in range(lo + 1, hi):
-            lhs = y_values[(i, u - 1)] * y_values[(i, u + 1)]
-            num, den = _yb_sides(em, y_values, i, u, eps)
-            if not lhs * den == num:
-                violations.append({"relation": f"mapped Y{'+' if eps > 0 else '-'}(B) "
-                                               f"at ({em.label(i)},{u})"})
+                pair = t(rel.lhs[0]) * t(rel.lhs[1])
+                violations += companion_identities(f"at ({em.label(i)},{u})", y, pair,
+                                                   inner, coupling)
+    rels = [rel.shift(u) for rel in stencils for u in range(lo + 1, hi)]
+    violations += check_relations(
+        rels, _reader(y_values), _label(em, f"mapped Y{'+' if eps > 0 else '-'}(B)"))
     return y_values, violations
 
 
@@ -594,20 +584,21 @@ def _double_relation_bijection(cm: CartanMatrix, doubled: CartanMatrix,
     sys_c = SystemSpec(cm, level)
     sys_d = SystemSpec(doubled, level)
     node = _doubling_map(cm.r)
+
+    def double(v):
+        return LatticeVar(node(v.a, v.m, v.k), v.m, v.k)
+
     violations = []
     for a in range(cm.r):
         for m in range(1, level):
             for u in range(window[0], window[1] + 1):
                 rel = t_relation(sys_c, a, m, u)
-                mapped_lhs = tuple(LatticeVar(node(v.a, v.m, v.k), v.m, v.k)
-                                   for v in rel.lhs)
-                mapped_a = tuple(sorted((LatticeVar(node(v.a, v.m, v.k), v.m, v.k), e)
-                                        for v, e in rel.term_a))
-                mapped_m = tuple(sorted((LatticeVar(node(v.a, v.m, v.k), v.m, v.k), e)
-                                        for v, e in rel.term_m))
+                mapped = (tuple(map(double, rel.lhs)),
+                          *(tuple(sorted((double(v), e) for v, e in terms))
+                            for terms in (rel.term_a, rel.term_m)))
                 center_node = a if (m + 1 + u) % 2 == 1 else cm.r + a
                 twin = t_relation(sys_d, center_node, m, u)
-                if (mapped_lhs, mapped_a, mapped_m) != (twin.lhs, twin.term_a, twin.term_m):
+                if mapped != (twin.lhs, twin.term_a, twin.term_m):
                     violations.append({"relation": f"double mismatch at "
                                                    f"(a={a + 1},m={m},u={u})"})
     return violations
@@ -653,48 +644,30 @@ def correspondence_check(cm: CartanMatrix, level: int,
     def in_class(a, m, u, eps):
         return parity[a] * (-1) ** ((m + 1 + u) % 2) == eps
 
-    # relation-level comparison, both classes
-    for a in range(cm.r):
-        for m in range(1, level):
-            for u in range(lo, hi + 1):
-                rel = t_relation(sys_c, a, m, u)
-                i = flat(a, m)
-                mapped_a = sorted(((flat(v.a, v.m), v.k), e) for v, e in rel.term_a)
-                mapped_m = sorted(((flat(v.a, v.m), v.k), e) for v, e in rel.term_m)
-                plus = sorted(((j, u), em[j, i]) for j in range(em.n) if em[j, i] > 0)
-                minus = sorted(((j, u), -em[j, i]) for j in range(em.n) if em[j, i] < 0)
-                if {tuple(mapped_a), tuple(mapped_m)} != {tuple(plus), tuple(minus)}:
-                    violations.append({"relation": f"relation mismatch at "
-                                                   f"(a={a + 1},m={m},u={u})"})
+    rels = [t_relation(sys_c, a, m, u) for a in range(cm.r) for m in range(1, level)
+            for u in range(lo, hi + 1)]
+
+    # relation-level comparison, both classes: the lattice relation read
+    # through the identification against the T(B) stencil shifted to u
+    tb = _tb_relations(em)
+    for rel in rels:
+        a, m, u = rel.center
+        twin = tb[flat(a, m)].shift(u)
+        mapped = {tuple(sorted((_node(flat(v.a, v.m), v.k), e) for v, e in terms))
+                  for terms in (rel.term_a, rel.term_m)}
+        if mapped != {twin.term_a, twin.term_m}:
+            violations.append({"relation": f"relation mismatch at (a={a + 1},m={m},u={u})"})
 
     # value-level comparison on each parity class
     seq = run_sequence(em, (lo - 1, hi + 1), mode="symbolic", rng=rng,
                        coefficients=False)
     for eps in (1, -1):
-        values = {}
-        for a in range(cm.r):
-            for m in range(1, level):
-                for u in range(lo - 1, hi + 2):
-                    if in_class(a, m, u, eps):
-                        values[LatticeVar(a, m, u)] = seq.x[(flat(a, m), u)]
-        for a in range(cm.r):
-            for m in range(1, level):
-                for u in range(lo, hi + 1):
-                    if not in_class(a, m, u, -eps):
-                        continue
-                    rel = t_relation(sys_c, a, m, u)
-                    if any(v not in values for v in rel.variables()):
-                        continue
-                    lhs = values[rel.lhs[0]] * values[rel.lhs[1]]
-                    rhs = Fraction(1)
-                    for v, e in rel.term_a:
-                        rhs = rhs * values[v] ** e
-                    prod = Fraction(1)
-                    for v, e in rel.term_m:
-                        prod = prod * values[v] ** e
-                    if not lhs == rhs + prod:
-                        violations.append({"relation": f"value mismatch at "
-                                                       f"(a={a + 1},m={m},u={u},eps={eps})"})
+        checked = [rel for rel in rels if in_class(*rel.center, -eps)
+                   and all(in_class(*v, eps) for v in rel.variables())]
+        violations += check_relations(
+            checked, lambda v: seq.x[(flat(v.a, v.m), v.k)],
+            lambda rel: f"value mismatch at (a={rel.center.a + 1},m={rel.center.m},"
+                        f"u={rel.center.k},eps={eps})")
     return {
         "pass": not violations,
         "violations": violations,

@@ -14,6 +14,7 @@ syntactically instead of snowballing.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
 import re
@@ -794,6 +795,18 @@ def fraction_to_text(value: Rational) -> str:
     value = Fraction(value)
     num, den = (str(Decimal(n)) for n in (value.numerator, value.denominator))
     return num if den == "1" else f"{num}/{den}"
+
+
+def value_text(value) -> str:
+    """str(value) for a violation record, except that a rational with a
+    numerator or denominator past 1000 bits is written as its larger bit
+    length and a sha256 prefix of its fraction_to_text."""
+    if isinstance(value, (int, Fraction)):
+        bits = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
+        if bits > 1000:
+            digest = hashlib.sha256(fraction_to_text(value).encode()).hexdigest()
+            return f"<{bits}-bit rational, sha256 {digest[:12]}>"
+    return str(value)
 
 
 def fraction_from_text(text) -> Fraction:

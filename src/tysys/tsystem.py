@@ -30,6 +30,7 @@ from .exactmath import (
     fraction_from_text,
     fraction_to_text,
     random_nonzero_rational,
+    value_text,
 )
 
 
@@ -135,17 +136,26 @@ class TRelation:
         return TRelation(self.center.shifted(k), tuple(v.shifted(k) for v in self.lhs),
                          _shift(self.term_a, k), _shift(self.term_m, k))
 
-    def to_json(self) -> dict:
-        def fx(factors):
-            return [[v.a + 1, v.m, v.k, e] for v, e in factors]
+    def rhs(self, value):
+        """prod(term_a) + prod(term_m), reading each variable through value(var)."""
+        return factor_product(value, self.term_a) + factor_product(value, self.term_m)
 
-        c = self.center
-        return {
-            "center": {"a": c.a + 1, "m": c.m, "k": c.k},
-            "lhs": [[v.a + 1, v.m, v.k] for v in self.lhs],
-            "termA": fx(self.term_a),
-            "termM": fx(self.term_m),
-        }
+    @staticmethod
+    def holds(lhs, rhs) -> bool:
+        return lhs == rhs
+
+    def to_json(self) -> dict:
+        return _relation_json(self, termA=self.term_a, termM=self.term_m)
+
+
+def _relation_json(rel, **factor_lists) -> dict:
+    """A relation's centre, left-hand side and named factor lists, 1-based."""
+    c = rel.center
+    out = {"center": {"a": c.a + 1, "m": c.m, "k": c.k},
+           "lhs": [[v.a + 1, v.m, v.k] for v in rel.lhs]}
+    for key, factors in factor_lists.items():
+        out[key] = [[v.a + 1, v.m, v.k, e] for v, e in factors]
+    return out
 
 
 def _aggregate(factors: Iterable[Factor]) -> Tuple[Factor, ...]:
@@ -429,15 +439,53 @@ def _entry_var(row, sys: SystemSpec, kind: str) -> LatticeVar:
 # ---------------------------------------------------------------------------
 
 
-def _sample_assignments(values, rng, samples):
-    names = set()
-    for val in values:
-        if not isinstance(val, (int, Fraction)):
-            names |= set(val.num.vars) | set(val.den.vars)
-    out = []
-    for _ in range(samples):
-        out.append({n: random_nonzero_rational(rng) for n in sorted(names)})
-    return out
+def violation(relation: str, lhs, rhs) -> dict:
+    """One violation record: the relation's label and both sides, through
+    value_text; a (numerator, denominator) side is written as a quotient."""
+    if isinstance(rhs, tuple):
+        rhs = f"({value_text(rhs[0])}) / ({value_text(rhs[1])})"
+    return {"relation": relation, "lhs": value_text(lhs), "rhs": value_text(rhs)}
+
+
+def _evaluated(side, at):
+    if isinstance(side, tuple):
+        return tuple(evaluate(part, at) for part in side)
+    return evaluate(side, at)
+
+
+def check_relations(relations: Iterable, value: Callable, label: Callable,
+                    assignments: Optional[list] = None) -> List[dict]:
+    """The one check of T- and Y-relations, lattice or exchange-matrix: the
+    sides, read through value(var), compared by rel.holds exactly or at each
+    assignment given.  Each failure is recorded as violation(label(rel), ...)."""
+    violations = []
+    for rel in relations:
+        lhs = value(rel.lhs[0]) * value(rel.lhs[1])
+        rhs = rel.rhs(value)
+        if assignments is None:
+            ok = rel.holds(lhs, rhs)
+        else:
+            ok = all(rel.holds(evaluate(lhs, at), _evaluated(rhs, at))
+                     for at in assignments)
+        if not ok:
+            violations.append(violation(label(rel), lhs, rhs))
+    return violations
+
+
+def _check_table(table: ValueTable, relations: Iterable, kind: str, mode: str,
+                 rng, samples: int) -> List[dict]:
+    """check_relations on a table; numeric mode draws `samples` random
+    assignments of the table's symbols."""
+    assignments = None
+    if mode == "numeric":
+        names = set()
+        for val in table.values.values():
+            if not isinstance(val, (int, Fraction)):
+                names |= set(val.num.vars) | set(val.den.vars)
+        assignments = [{n: random_nonzero_rational(rng) for n in sorted(names)}
+                       for _ in range(samples)]
+    return check_relations(relations, table.get, lambda rel: rel.center.label(kind),
+                           assignments)
 
 
 def check_t_solution(table: ValueTable, relations: Iterable[TRelation],
@@ -447,24 +495,7 @@ def check_t_solution(table: ValueTable, relations: Iterable[TRelation],
     exact mode compares exactly (cross-multiplied for symbolic values);
     numeric mode evaluates symbolic entries at random assignments instead.
     """
-    violations = []
-    assignments = None
-    if mode == "numeric":
-        assignments = _sample_assignments(table.values.values(), rng, samples)
-    for rel in relations:
-        lhs = table.get(rel.lhs[0]) * table.get(rel.lhs[1])
-        rhs = factor_product(table.get, rel.term_a) + factor_product(table.get, rel.term_m)
-        if mode == "exact":
-            ok = lhs == rhs
-        else:
-            ok = all(evaluate(lhs, at) == evaluate(rhs, at) for at in assignments)
-        if not ok:
-            violations.append({
-                "relation": rel.center.label(table.kind),
-                "lhs": str(lhs),
-                "rhs": str(rhs),
-            })
-    return violations
+    return _check_table(table, relations, table.kind, mode, rng, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +639,7 @@ def propagate_t(sys: SystemSpec, window, initial: Optional[dict] = None,
         rel = t_relation(sys, var.a, var.m, var.k - sys.cm.d[var.a])
 
         def solve(value):
-            rhs = factor_product(value, rel.term_a) + factor_product(value, rel.term_m)
-            return rhs / value(rel.lhs[0])
+            return rel.rhs(value) / value(rel.lhs[0])
 
         return solve
 

@@ -24,11 +24,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .cartan import CartanMatrix
 from .errors import (
     LevelOutOfRange,
+    MissingValue,
     NotTamelyLaced,
     WindowTooNarrow,
     ZeroDivisor,
 )
-from .exactmath import evaluate, inverse, one_plus
+from .exactmath import inverse, one_plus
 from .tsystem import (
     SAMPLE,
     Factor,
@@ -38,9 +39,11 @@ from .tsystem import (
     ValueTable,
     _aggregate,
     _boundary_filter,
+    _check_table,
     _propagate,
-    _sample_assignments,
+    _relation_json,
     _shift,
+    check_relations,
     enumerate_relations,
     factor_product,
     fill_lattice,
@@ -48,6 +51,7 @@ from .tsystem import (
     m_term,
     stencil,
     t_relation,
+    violation,
 )
 
 
@@ -73,17 +77,25 @@ class YRelation:
         return YRelation(self.center.shifted(k), tuple(v.shifted(k) for v in self.lhs),
                          _shift(self.numerator, k), _shift(self.denominator, k))
 
-    def to_json(self) -> dict:
-        def fx(factors):
-            return [[v.a + 1, v.m, v.k, e] for v, e in factors]
+    def rhs(self, value):
+        """(numerator, denominator) of the right-hand side, reading each
+        variable through value(var)."""
+        num = Fraction(1)
+        for var, exp in self.numerator:
+            num = num * one_plus(value(var)) ** exp
+        den = Fraction(1)
+        for var, exp in self.denominator:
+            den = den * one_plus(inverse(value(var))) ** exp
+        return num, den
 
-        c = self.center
-        return {
-            "center": {"a": c.a + 1, "m": c.m, "k": c.k},
-            "lhs": [[v.a + 1, v.m, v.k] for v in self.lhs],
-            "numerator": fx(self.numerator),
-            "denominator": fx(self.denominator),
-        }
+    @staticmethod
+    def holds(lhs, rhs) -> bool:
+        """Cross-multiplied, never divided."""
+        num, den = rhs
+        return lhs * den == num
+
+    def to_json(self) -> dict:
+        return _relation_json(self, numerator=self.numerator, denominator=self.denominator)
 
 
 def z_term(cm: CartanMatrix, b: int, p: int, m: int, k: int) -> List[Factor]:
@@ -158,42 +170,10 @@ def enumerate_y_relations(sys: SystemSpec, window) -> List[YRelation]:
 # ---------------------------------------------------------------------------
 
 
-def _y_rhs(value, rel: YRelation):
-    """(numerator, denominator) of the right-hand side, reading each
-    variable through value(var)."""
-    num = Fraction(1)
-    for var, exp in rel.numerator:
-        num = num * one_plus(value(var)) ** exp
-    den = Fraction(1)
-    for var, exp in rel.denominator:
-        den = den * one_plus(inverse(value(var))) ** exp
-    return num, den
-
-
 def check_y_solution(table: ValueTable, relations: Iterable[YRelation],
                      mode: str = "exact", rng=None, samples: int = 3) -> List[dict]:
     """Violation report for a Y-value table; empty list means pass."""
-    violations = []
-    assignments = None
-    if mode == "numeric":
-        assignments = _sample_assignments(table.values.values(), rng, samples)
-    for rel in relations:
-        for var in rel.variables():
-            table.get(var)
-        lhs = table.get(rel.lhs[0]) * table.get(rel.lhs[1])
-        num, den = _y_rhs(table.get, rel)
-        if mode == "exact":
-            ok = lhs * den == num
-        else:
-            ok = all(evaluate(lhs, at) * evaluate(den, at) == evaluate(num, at)
-                     for at in assignments)
-        if not ok:
-            violations.append({
-                "relation": rel.center.label("Y"),
-                "lhs": str(lhs),
-                "rhs": f"({num}) / ({den})",
-            })
-    return violations
+    return _check_table(table, relations, "Y", mode, rng, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +202,7 @@ def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
         rel = y_relation(sys, a, m, k - sys.cm.d[a])
 
         def solve(value):
-            num, den = _y_rhs(value, rel)
+            num, den = rel.rhs(value)
             if den == 0 or num == 0:
                 raise ZeroDivisor(f"degenerate side at {rel.center.label('Y')}")
             return num / (den * value(rel.lhs[0]))
@@ -237,26 +217,71 @@ def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
 # ---------------------------------------------------------------------------
 
 
-def _t_value(table: ValueTable, var: LatticeVar):
-    """Table value with the structural units filled in."""
-    if var.m == 0:
-        return Fraction(1)
-    top = table.system.boundary_m(var.a)
-    if top is not None and var.m == top:
-        return Fraction(1)
-    return table.values.get(var)
+def _t_sides(table: ValueTable, var: LatticeVar):
+    """(rel, inner, coupling): the T-relation centred at var and its products
+    T_{m-1} T_{m+1} and M, or None where the table does not cover a factor."""
+    rel = t_relation(table.system, *var)
+    try:
+        inner = factor_product(table.get, rel.term_a)
+        return rel, inner, factor_product(table.get, rel.term_m)
+    except MissingValue:
+        return None
 
 
-def _coupling_value(table: ValueTable, a: int, m: int, k: int):
-    """Value of the coupling product of the relation centered at (a, m, k),
-    or None where the table does not cover it."""
-    result = Fraction(1)
-    for var, exp in t_relation(table.system, a, m, k).term_m:
-        val = _t_value(table, var)
-        if val is None:
-            return None
-        result = result * val ** exp
-    return result
+def _t_pair(table: ValueTable, rel):
+    """T(k-d) T(k+d), the product of rel's left-hand side, or None."""
+    if rel.lhs[0] in table.values and rel.lhs[1] in table.values:
+        return table.values[rel.lhs[0]] * table.values[rel.lhs[1]]
+    return None
+
+
+def _mapped_y(t_table: ValueTable):
+    """_t_sides and Y = coupling / inner at every Y-variable whose factors the
+    T-table covers, in (a, m, k) order."""
+    sys = t_table.system
+    lo, hi = t_table.window
+    for a in range(sys.cm.r):
+        top = sys.max_m_y(a)
+        if top is None:
+            top = max((v.m for v in t_table.values if v.a == a), default=0)
+        for var in (LatticeVar(a, m, k) for m in range(1, top + 1)
+                    for k in range(lo, hi + 1)):
+            sides = _t_sides(t_table, var)
+            if sides is None:
+                continue
+            rel, inner, coupling = sides
+            if inner == 0:
+                raise ZeroDivisor(f"vanishing T pair under {var.label('Y')}")
+            yield rel, coupling / inner, inner, coupling
+
+
+def t_to_y_table(t_table: ValueTable) -> ValueTable:
+    """The Y-family of t_to_y, without its identity checks."""
+    values = {rel.center: y for rel, y, _, _ in _mapped_y(t_table)}
+    return ValueTable("Y", t_table.system, t_table.window, values)
+
+
+def companion_identities(label: str, y, pair, inner, coupling) -> List[dict]:
+    """The two companion identities behind T -> Y at one point,
+
+        1 + Y    = pair / inner
+        1 + Y^-1 = pair / coupling
+
+    with pair = T(k-d) T(k+d), inner = T_{m-1} T_{m+1} and coupling = M on
+    the lattice (for an exchange matrix, the Y(B) stencil's denominator and
+    numerator products of T).  A zero Y or coupling is a violation."""
+    violations = []
+    lhs, rhs = one_plus(y), pair / inner
+    if not lhs == rhs:
+        violations.append(violation(f"one-plus {label}", lhs, rhs))
+    if y == 0 or coupling == 0:
+        lhs, rhs, ok = 0, "unit", False
+    else:
+        lhs, rhs = one_plus(inverse(y)), pair / coupling
+        ok = lhs == rhs
+    if not ok:
+        violations.append(violation(f"one-plus-inverse {label}", lhs, rhs))
+    return violations
 
 
 def t_to_y(t_table: ValueTable):
@@ -273,54 +298,23 @@ def t_to_y(t_table: ValueTable):
     quantity M(a, t_a*L, k), which must collapse to exactly 1.
     """
     sys = t_table.system
-    cm = sys.cm
     values: Dict[LatticeVar, Fraction] = {}
     violations: List[dict] = []
+    for rel, y, inner, coupling in _mapped_y(t_table):
+        values[rel.center] = y
+        pair = _t_pair(t_table, rel)
+        if pair is not None:
+            violations += companion_identities(rel.center.label("Y"), y, pair, inner,
+                                               coupling)
     lo, hi = t_table.window
-    for a in range(cm.r):
-        top = sys.max_m_y(a)
-        if top is None:
-            top = max((v.m for v in t_table.values if v.a == a), default=0)
-        da = cm.d[a]
-        for m in range(1, top + 1):
-            for k in range(lo, hi + 1):
-                below = _t_value(t_table, LatticeVar(a, m - 1, k))
-                above = _t_value(t_table, LatticeVar(a, m + 1, k))
-                coupling = _coupling_value(t_table, a, m, k)
-                if below is None or above is None or coupling is None:
-                    continue
-                if below * above == 0:
-                    raise ZeroDivisor(f"vanishing T pair under Y[a={a + 1},m={m},k={k}]")
-                var = LatticeVar(a, m, k)
-                y = coupling / (below * above)
-                values[var] = y
-                left = _t_value(t_table, LatticeVar(a, m, k - da))
-                right = _t_value(t_table, LatticeVar(a, m, k + da))
-                if left is None or right is None:
-                    continue
-                shifted = left * right
-                if 1 + y != shifted / (below * above):
-                    violations.append({"relation": f"one-plus {var.label('Y')}",
-                                       "lhs": str(1 + y),
-                                       "rhs": str(shifted / (below * above))})
-                if coupling == 0 or y == 0:
-                    violations.append({"relation": f"one-plus-inverse {var.label('Y')}",
-                                       "lhs": "0", "rhs": "unit"})
-                elif 1 + 1 / y != shifted / coupling:
-                    violations.append({"relation": f"one-plus-inverse {var.label('Y')}",
-                                       "lhs": str(1 + 1 / y),
-                                       "rhs": str(shifted / coupling)})
     if sys.restricted:
-        for a in range(cm.r):
+        for a in range(sys.cm.r):
             # the boundary quantity is the same stencil at every k
-            if _boundary_filter(sys, m_term(cm, a, sys.boundary_m(a), 0)):
-                violations += [{
-                    "relation": f"boundary quantity at node {a + 1}, k={k}",
-                    "lhs": "non-unit factors remain",
-                    "rhs": "1",
-                } for k in range(lo, hi + 1)]
-    y_table = ValueTable("Y", sys, t_table.window, values)
-    return y_table, violations
+            if _boundary_filter(sys, m_term(sys.cm, a, sys.boundary_m(a), 0)):
+                violations += [violation(f"boundary quantity at node {a + 1}, k={k}",
+                                         "non-unit factors remain", 1)
+                               for k in range(lo, hi + 1)]
+    return ValueTable("Y", sys, t_table.window, values), violations
 
 
 # ---------------------------------------------------------------------------
@@ -424,43 +418,31 @@ def claim_identities_check(t_table: ValueTable, y_table: ValueTable) -> List[dic
         1+Y = T(k-d) T(k+d) / (T_{m-1} T_{m+1})
         1+Y^-1 = T(k-d) T(k+d) / M
     """
-    cm = t_table.system.cm
     violations = []
     for var, y in sorted(y_table.values.items()):
-        a, m, k = var
-        da = cm.d[a]
-        below = _t_value(t_table, LatticeVar(a, m - 1, k))
-        above = _t_value(t_table, LatticeVar(a, m + 1, k))
-        left = _t_value(t_table, LatticeVar(a, m, k - da))
-        right = _t_value(t_table, LatticeVar(a, m, k + da))
-        coupling = _coupling_value(t_table, a, m, k)
-        if None in (below, above, left, right) or coupling is None:
+        sides = _t_sides(t_table, var)
+        pair = None if sides is None else _t_pair(t_table, sides[0])
+        if pair is None:
             continue
-        pair = left * right
-        inner = below * above
+        _, inner, coupling = sides
         if y != coupling / inner:
-            violations.append({"relation": f"value {var.label('Y')}",
-                               "lhs": str(y), "rhs": str(coupling / inner)})
-        if 1 + y != pair / inner:
-            violations.append({"relation": f"one-plus {var.label('Y')}",
-                               "lhs": str(1 + y), "rhs": str(pair / inner)})
-        if y != 0 and coupling != 0 and 1 + 1 / y != pair / coupling:
-            violations.append({"relation": f"one-plus-inverse {var.label('Y')}",
-                               "lhs": str(1 + 1 / y), "rhs": str(pair / coupling)})
+            violations.append(violation(f"value {var.label('Y')}", y, coupling / inner))
+        violations += companion_identities(var.label("Y"), y, pair, inner, coupling)
     return violations
 
 
 def _relation_holds(y_table: ValueTable, a: int, m: int, k: int) -> bool:
-    sys = y_table.system
-    top = sys.max_center_m(a, "Y")
-    if m < 1 or (top is not None and m > top):
+    try:
+        rel = y_relation(y_table.system, a, m, k)
+    except LevelOutOfRange:
         return False
-    rel = y_relation(sys, a, m, k)
     vals = y_table.values
     if any(v not in vals for v in rel.variables()):
         return False
-    num, den = _y_rhs(vals.__getitem__, rel)
-    return den != 0 and vals[rel.lhs[0]] * vals[rel.lhs[1]] * den == num
+    # a factor 1 + Y^-1 that vanishes leaves the relation undefined
+    if any(vals[v] == -1 for v, _ in rel.denominator):
+        return False
+    return not check_relations([rel], vals.__getitem__, lambda r: r.center.label("Y"))
 
 
 def recoverable_region(y_table: ValueTable, recovered: ValueTable) -> List[LatticeVar]:
@@ -495,14 +477,13 @@ def roundtrip_check(y_table: ValueTable, rng=None,
     and lists mismatches (none expected) plus any claim-identity violations.
     """
     t_table = y_to_t(y_table, rng=rng, policy=policy, center=center)
-    recovered, _ = t_to_y(t_table)
+    recovered = t_to_y_table(t_table)
     region = recoverable_region(y_table, recovered)
     mismatches = []
     for var in region:
         if recovered.values[var] != y_table.values[var]:
-            mismatches.append({"relation": var.label("Y"),
-                               "lhs": str(recovered.values[var]),
-                               "rhs": str(y_table.values[var])})
+            mismatches.append(violation(var.label("Y"), recovered.values[var],
+                                        y_table.values[var]))
     claim = claim_identities_check(t_table, y_table)
     report = {
         "compared": len(region),

@@ -135,6 +135,16 @@ def test_cluster_run_and_verify(tmp_path, capsys):
     assert code == 0 and report["pass"]
 
 
+@pytest.mark.parametrize("steps", ["0", "1"])
+def test_cluster_verify_without_interior_point_fails(tmp_path, capsys, steps):
+    path = tmp_path / "ba2.txt"
+    path.write_text(BA2_TEXT)
+    code, report = run_cli(capsys, "cluster", "verify", str(path), "--steps", steps)
+    assert code == 1 and report["pass"] is False
+    assert report["relations_checked"] == 0
+    assert report["violations"] == [{"relation": "no relation lies inside the window"}]
+
+
 def test_cluster_correspond(tmp_path, capsys):
     path = tmp_path / "c3.txt"
     path.write_text(CYCLE3_TEXT)
@@ -227,6 +237,57 @@ def test_tables_past_the_digit_limit(tmp_path, capsys):
     assert max(len(row["value"]) for row in entries) > 4300
     code, report = run_cli(capsys, "sys", "y2t", *system, "--in", str(y44))
     assert code == 0 and report["pass"]
+
+
+@pytest.fixture(scope="module")
+def mixed44_tables(tmp_path_factory):
+    """MIXED44 Y- and T-tables on 0..14, whose largest values pass 4300 digits."""
+    work = tmp_path_factory.mktemp("m44")
+    (work / "m44.txt").write_text(MIXED44_TEXT)
+    system = [str(work / "m44.txt"), "--level", "unrestricted", "--mcap", "2",
+              "--seed", "3"]
+    assert main(["sys", "solve-y", *system, "--window", "0..14",
+                 "--out", str(work / "y.json")]) == 0
+    assert main(["sys", "y2t", *system, "--in", str(work / "y.json"),
+                 "--out", str(work / "t.json")]) == 0
+    return work, system
+
+
+def _run_raw(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def test_oversized_violation_values_are_clipped(mixed44_tables, capsys):
+    # a wrong digit in the longest T-value: t2y fails its checks (exit 1)
+    # with a small report instead of refusing to print the values
+    work, system = mixed44_tables
+    capsys.readouterr()
+    table = json.loads((work / "t.json").read_text())
+    longest = max(table["entries"], key=lambda row: len(row["value"]))
+    assert len(longest["value"]) > 4300
+    longest["value"] += "0"
+    (work / "t_bad.json").write_text(json.dumps(table))
+    code, out = _run_raw(capsys, "sys", "t2y", *system, "--in", str(work / "t_bad.json"))
+    report = json.loads(out)
+    assert code == 1 and report["pass"] is False and report["violations"]
+    assert "-bit rational, sha256 " in out
+    assert len(out) < 64 * 1024
+
+
+def test_oversized_roundtrip_mismatches_are_clipped(mixed44_tables, capsys):
+    work, system = mixed44_tables
+    capsys.readouterr()
+    table = json.loads((work / "y.json").read_text())
+    level_one = [row for row in table["entries"] if row["m"] == 1 and 5 <= row["k"] <= 10]
+    longest = max(level_one, key=lambda row: len(row["value"]))
+    longest["value"] += "1"
+    (work / "y_bad.json").write_text(json.dumps(table))
+    code, out = _run_raw(capsys, "sys", "y2t", *system, "--in", str(work / "y_bad.json"),
+                         "--roundtrip")
+    report = json.loads(out)
+    assert code == 1 and report["pass"] is False and report["violations"]
+    assert len(out) < 64 * 1024
 
 
 def _drop_entries(data):

@@ -222,6 +222,38 @@ def test_perturbed_family_fails(ba2_seq):
     assert check_tb(broken)
 
 
+@pytest.mark.parametrize("eps,u,centres", [
+    (1, 4, ["(1,3)", "(1,5)", "(2,4)"]),
+    (-1, 3, ["(1,2)", "(1,4)", "(2,3)"]),
+], ids=["Y+", "Y-"])
+def test_perturbed_coefficients_fail_yb(ba2_seq, eps, u, centres):
+    # y_1(u) lies in the class that the sign-eps system checks
+    import copy
+
+    broken = copy.copy(ba2_seq)
+    broken.y = dict(ba2_seq.y)
+    broken.y[(0, u)] = broken.y[(0, u)] * 2
+    sign = "+" if eps > 0 else "-"
+    labels = [v["relation"] for v in check_yb(broken, eps)]
+    assert labels == [f"Y{sign}(B) at {c}" for c in centres]
+    assert check_yb(broken, -eps) == []
+
+
+@pytest.mark.parametrize("eps", [1, -1], ids=["Y+", "Y-"])
+def test_perturbed_family_fails_t_to_y_b(ba2_seq, eps):
+    x = dict(ba2_seq.x)
+    x[(0, 3)] = x[(0, 3)] * 2
+    labels = [v["relation"] for v in t_to_y_b(x, BA2, eps=eps)[1]]
+    sign = "+" if eps > 0 else "-"
+    assert labels == [
+        "one-plus at (1,2)", "one-plus-inverse at (1,2)",
+        "one-plus at (1,4)", "one-plus-inverse at (1,4)",
+        "one-plus at (2,3)", "one-plus-inverse at (2,3)",
+        f"mapped Y{sign}(B) at (1,3)", f"mapped Y{sign}(B) at (2,2)",
+        f"mapped Y{sign}(B) at (2,4)",
+    ]
+
+
 def test_t_to_y_b_both_signs(ba2_seq):
     lo, hi = ba2_seq.u_range
     for eps in (1, -1):
@@ -288,18 +320,19 @@ def test_correspondence_nonbipartite_via_double():
 
 def test_plus_minus_systems_swap_under_inversion(ba2_seq):
     # Y -> 1/Y turns every + relation into the - relation at the same center
-    from tysys.cluster import _parity_sign, _yb_sides
+    from tysys.cluster import _parity_sign, _yb_relations
 
     em = ba2_seq.matrix
     lo, hi = ba2_seq.u_range
     inverted = {key: val.inv() for key, val in ba2_seq.y.items()}
+    minus = _yb_relations(em, -1)
     hit = 0
     for i in range(em.n):
         for u in range(lo + 1, hi):
             if _parity_sign(em, i, u) != -1:
                 continue  # centers of the + system
             lhs = inverted[(i, u - 1)] * inverted[(i, u + 1)]
-            num, den = _yb_sides(em, inverted, i, u, -1)
+            num, den = minus[i].shift(u).rhs(lambda v: inverted[(v.a, v.k)])
             assert lhs * den == num
             hit += 1
     assert hit

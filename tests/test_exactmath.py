@@ -19,6 +19,7 @@ from tysys.exactmath import (
     laurent_divide_exact,
     one_plus,
     random_nonzero_rational,
+    value_text,
 )
 
 x, y = gens("x", "y")
@@ -310,6 +311,26 @@ def test_fraction_text_past_the_digit_limit():
     text = fraction_to_text(value)
     assert len(text) > 2 * 4300 and text.startswith("-")
     assert fraction_from_text(text) == value
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(2 ** 1000 - 1, 3),
+    Fraction(-1, 2 ** 1000 - 3),
+], ids=["numerator", "denominator"])
+def test_value_text_keeps_values_up_to_1000_bits(value):
+    assert value_text(value) == str(value)
+
+
+@pytest.mark.parametrize("value,bits", [
+    (Fraction(2 ** 1000 + 1, 3), 1001),
+    (Fraction(-1, 2 ** 1000 + 3), 1001),
+    (Fraction(7 ** 9000), 25267),
+], ids=["numerator", "denominator", "past the digit limit"])
+def test_value_text_clips_values_past_1000_bits(value, bits):
+    import hashlib
+
+    digest = hashlib.sha256(fraction_to_text(value).encode()).hexdigest()[:12]
+    assert value_text(value) == f"<{bits}-bit rational, sha256 {digest}>"
 
 
 @pytest.mark.parametrize("text", ["1/0", "-3/000", "1.5", "1e5", " 2", "", None, 4])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from tysys.acceptance import FINITE_TYPE
 from tysys.cartan import new_cartan
 from tysys.errors import LevelOutOfRange, WindowTooNarrow
 from tysys.tsystem import LatticeVar, SystemSpec, ValueTable, propagate_t
@@ -288,6 +289,38 @@ def test_a2_level2_symmetric_start_period_five():
     init = {V(a, 1, k): Fraction(1) for a in range(2) for k in range(2)}
     table = propagate_y(sys, (0, 24), initial=init, rng=random.Random(0))
     assert detect_period(table, 12) == 5
+
+
+def _dual_coxeter(name, rank):
+    return {"A": rank + 1, "B": 2 * rank - 1, "C": rank + 1, "D": 6, "F": 9,
+            "G": 4}[name[0]]
+
+
+# restricted T-propagation cannot start on G2 (max d = 3)
+@pytest.mark.parametrize("name,kind", [
+    (name, kind) for name in FINITE_TYPE for kind in ("T", "Y")
+    if (name, kind) != ("G2", "T")])
+def test_finite_type_period_and_half_period_symmetry(name, kind):
+    # X^a_m(k + t(h^v + l)) = X^{w(a)}_{t_a l - m}(k), with w the node
+    # reversal for A_r and the identity otherwise; so 2t(h^v + l) is a period
+    cm = new_cartan(FINITE_TYPE[name])
+    propagate = propagate_t if kind == "T" else propagate_y
+    for level in (2, 3, 4):
+        full = 2 * cm.t * (_dual_coxeter(name, cm.r) + level)
+        table = propagate(SystemSpec(cm, level), (0, full + 2 * max(cm.d) + 1),
+                          rng=random.Random(level))
+        period = detect_period(table, full)
+        assert period is not None and full % period == 0, (level, period)
+        compared = 0
+        for (a, m, k), val in table.values.items():
+            later = table.values.get(V(a, m, k + full // 2))
+            if later is None:
+                continue
+            mirror = cm.r - 1 - a if name[0] == "A" else a
+            assert later == table.values[V(mirror, cm.t_a[a] * level - m, k)], \
+                (level, a, m, k)
+            compared += 1
+        assert compared, level
 
 
 # --- resampling keeps the order of random draws ----------------------------------------
