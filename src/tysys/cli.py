@@ -26,8 +26,11 @@ def derive_rng(seed: int, label: str) -> random.Random:
 
 
 def parse_window(text: str):
-    lo, hi = text.split("..")
-    return int(lo), int(hi)
+    try:
+        lo, hi = (int(part) for part in text.split(".."))
+    except ValueError:
+        raise ValueError(f"window must be LO..HI with integer bounds, got {text!r}") from None
+    return lo, hi
 
 
 def build_system(cm, level_text: str, mcap) -> SystemSpec:

@@ -28,6 +28,7 @@ from .cartan import (
 from .errors import (
     ConditionsViolated,
     InverseOfZero,
+    LevelOutOfRange,
     NoParity,
     NotBipartite,
     NotSymmetrizable,
@@ -296,17 +297,20 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     if seed.y is None:
         return Seed(mutate_matrix(em, k), x, None)
 
+    # an unchanged coefficient is kept as the same object, so the inverse and
+    # successor it has built travel with it
     yk = seed.y[k]
     y = []
-    for i in range(n):
+    for i, yi in enumerate(seed.y):
+        bki = em[k, i]
         if i == k:
             y.append(inverse(yk))
-            continue
-        bki = em[k, i]
-        if bki >= 0:
-            y.append(seed.y[i] * one_plus(inverse(yk)) ** (-bki))
+        elif bki > 0:
+            y.append(yi * one_plus(inverse(yk)) ** (-bki))
+        elif bki < 0:
+            y.append(yi * one_plus(yk) ** (-bki))
         else:
-            y.append(seed.y[i] * one_plus(yk) ** (-bki))
+            y.append(yi)
     return Seed(mutate_matrix(em, k), x, tuple(y))
 
 
@@ -563,6 +567,8 @@ def exchange_matrix_for_level(cm: CartanMatrix, level: int,
                               parity: Optional[tuple] = None) -> ExchangeMatrix:
     """B(C) at level 2; the square product with the path matrix of rank
     level-1 (odd path nodes in the + class) at level >= 3."""
+    if level < 2:
+        raise LevelOutOfRange(f"the exchange matrix needs level >= 2, got {level}")
     if level == 2:
         return b_of_c(cm, parity)
     ladder = new_cartan(a_type_rows(level - 1))
@@ -624,16 +630,15 @@ def correspondence_check(cm: CartanMatrix, level: int,
     if not is_simply_laced(cm):
         raise NotSimplyLaced("the correspondence applies to simply laced matrices")
     violations: List[dict] = []
+    original = cm
     parity = bipartition(cm)
-    routed = False
-    if parity is None:
-        doubled, _ = bipartite_double(cm)
-        violations += _double_relation_bijection(cm, doubled, level, u_window)
-        cm = doubled
+    routed = parity is None
+    if routed:
+        cm, _ = bipartite_double(cm)
         parity = bipartition(cm)
-        routed = True
-
     em = exchange_matrix_for_level(cm, level, parity)
+    if routed:
+        violations += _double_relation_bijection(original, cm, level, u_window)
     sys_c = SystemSpec(cm, level)
 
     def flat(a, m):

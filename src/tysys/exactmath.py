@@ -10,6 +10,15 @@ deliberately not implemented; equality is decided by cross-multiplication,
 which is exact for any choice of representatives.  Semifield elements keep an
 internal factored form so that long mutation sequences cancel repeated factors
 syntactically instead of snowballing.
+
+Derived values are built once and kept on the value, never in a table keyed
+by value.  ``inv()`` of a rational function or semifield element returns a
+twin whose own ``inv()`` is the original.  Semifield twins share their
+expansions (the twin's num is the original's den) and the split of
+N + D into candidate factors, from which the successors
+1 + y = (N + D)/D and 1 + 1/y = (N + D)/N are built; ``one_plus()`` keeps
+its result.  Each successor splits its own denominator against the
+candidates, which is where factors shared with N + D cancel.
 """
 
 from __future__ import annotations
@@ -218,7 +227,21 @@ class LaurentPoly:
         return mins
 
     def mul_monomial(self, coeff: Rational, powers: Mapping[str, int]) -> "LaurentPoly":
-        return self * LaurentPoly.monomial(coeff, powers)
+        """self * coeff * prod v^e: every exponent is shifted, so no two terms
+        can merge and no product is formed."""
+        coeff = Fraction(coeff)
+        names = sorted(set(self.vars) | {v for v, e in powers.items() if e},
+                       key=_natural_key)
+        pos = {v: i for i, v in enumerate(names)}
+        cols = [pos[v] for v in self.vars]
+        shift = [powers.get(v, 0) for v in names]
+        out = {}
+        for mono, c in self.terms.items():
+            full = list(shift)
+            for col, e in zip(cols, mono):
+                full[col] += e
+            out[tuple(full)] = c * coeff
+        return LaurentPoly(names, out)
 
     def leading(self):
         """(monomial, coefficient) for the graded lexicographic order."""
@@ -364,7 +387,7 @@ class RationalFunction:
     of the Laurent ring), so fully Laurent values always carry denominator 1.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_inv", "_one_plus")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly = None, _reduced=False):
         if den is None:
@@ -375,6 +398,8 @@ class RationalFunction:
             num, den = _reduce_pair(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_inv", None)
+        object.__setattr__(self, "_one_plus", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -425,9 +450,20 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def inv(self) -> "RationalFunction":
-        if self.is_zero():
-            raise InverseOfZero("inverse of the zero rational function")
-        return RationalFunction(self.den, self.num)
+        """den/num, built once; its own inv() is self."""
+        if self._inv is None:
+            if self.is_zero():
+                raise InverseOfZero("inverse of the zero rational function")
+            twin = RationalFunction(self.den, self.num)
+            object.__setattr__(twin, "_inv", self)
+            object.__setattr__(self, "_inv", twin)
+        return self._inv
+
+    def one_plus(self) -> "RationalFunction":
+        """1 + self, built once."""
+        if self._one_plus is None:
+            object.__setattr__(self, "_one_plus", 1 + self)
+        return self._one_plus
 
     def __truediv__(self, other):
         other = _as_rf(other)
@@ -559,6 +595,31 @@ def _split_positive_quotient(poly: LaurentPoly, candidates: Iterable[LaurentPoly
     return factors, residual
 
 
+def _split_side(poly: LaurentPoly, candidates: Iterable[LaurentPoly]):
+    """(coeff, powers, factors) of one side of a semifield quotient: the
+    polynomial atomized, its atom peeled against the candidates, and any
+    residual atom kept as one more factor."""
+    coeff, powers, atom = _atomize(poly)
+    factors = {}
+    if atom is not None:
+        factors, residual = _split_positive_quotient(atom, candidates)
+        if not residual.is_one():
+            factors[residual] = factors.get(residual, 0) + 1
+    return coeff, powers, factors
+
+
+def _quotient(top, bottom) -> "SemifieldElement":
+    """The semifield element top/bottom of two sides from _split_side."""
+    (cn, pn, fn), (cd, pd, fd) = top, bottom
+    factors = dict(fn)
+    for f, e in fd.items():
+        factors[f] = factors.get(f, 0) - e
+    powers = dict(pn)
+    for v, e in pd.items():
+        powers[v] = powers.get(v, 0) - e
+    return SemifieldElement(cn / cd, powers, factors)
+
+
 class SemifieldElement:
     """Element of the universal semifield: a subtraction-free rational value.
 
@@ -567,9 +628,14 @@ class SemifieldElement:
     factored form is what lets iterated mutations cancel; the public num/den
     view expands it back to the contract shape (positive coefficients,
     nonnegative exponents).
+
+    An element keeps what it derives: its expansions, its inverse twin, its
+    successor 1 + self, and the split of num + den that it shares with the
+    twin.
     """
 
-    __slots__ = ("_coeff", "_powers", "_factors", "_num", "_den")
+    __slots__ = ("_coeff", "_powers", "_factors", "_num", "_den", "_inv",
+                 "_one_plus", "_sum")
 
     def __init__(self, coeff: Fraction, powers: Mapping[str, int],
                  factors: Mapping[LaurentPoly, int]):
@@ -579,11 +645,19 @@ class SemifieldElement:
         object.__setattr__(self, "_coeff", coeff)
         object.__setattr__(self, "_powers", {v: e for v, e in powers.items() if e})
         object.__setattr__(self, "_factors", {f: e for f, e in factors.items() if e})
-        object.__setattr__(self, "_num", None)
-        object.__setattr__(self, "_den", None)
+        for slot in ("_num", "_den", "_inv", "_one_plus", "_sum"):
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SemifieldElement is immutable")
+
+    def _keep(self, slot: str, value, twin_slot: str):
+        """Store a derived value, and on the inverse twin (if built) under
+        the slot it has there."""
+        object.__setattr__(self, slot, value)
+        if self._inv is not None:
+            object.__setattr__(self._inv, twin_slot, value)
+        return value
 
     # -- constructors ------------------------------------------------------
 
@@ -600,21 +674,8 @@ class SemifieldElement:
                      candidates: Iterable[LaurentPoly] = ()) -> "SemifieldElement":
         if not (num.has_nonnegative_exponents() and den.has_nonnegative_exponents()):
             raise ValueError("semifield num/den require nonnegative exponents")
-        cn, pn, an = _atomize(num)
-        cd, pd, ad = _atomize(den)
-        factors = {}
-        for atom, sign in ((an, 1), (ad, -1)):
-            if atom is None:
-                continue
-            found, residual = _split_positive_quotient(atom, candidates)
-            if not residual.is_one():
-                found[residual] = found.get(residual, 0) + 1
-            for f, e in found.items():
-                factors[f] = factors.get(f, 0) + sign * e
-        powers = dict(pn)
-        for v, e in pd.items():
-            powers[v] = powers.get(v, 0) - e
-        return SemifieldElement(cn / cd, powers, factors)
+        candidates = tuple(candidates)
+        return _quotient(_split_side(num, candidates), _split_side(den, candidates))
 
     # -- expansion ---------------------------------------------------------
 
@@ -631,13 +692,13 @@ class SemifieldElement:
     @property
     def num(self) -> LaurentPoly:
         if self._num is None:
-            object.__setattr__(self, "_num", self._expand_side(True))
+            self._keep("_num", self._expand_side(True), "_den")
         return self._num
 
     @property
     def den(self) -> LaurentPoly:
         if self._den is None:
-            object.__setattr__(self, "_den", self._expand_side(False))
+            self._keep("_den", self._expand_side(False), "_num")
         return self._den
 
     # -- arithmetic --------------------------------------------------------
@@ -657,9 +718,17 @@ class SemifieldElement:
     __rmul__ = __mul__
 
     def inv(self) -> "SemifieldElement":
-        return SemifieldElement(1 / self._coeff,
-                                {v: -e for v, e in self._powers.items()},
-                                {f: -e for f, e in self._factors.items()})
+        """1/self, built once.  The twin's inv() is self; twin.num is
+        self.den and twin.den is self.num, whichever side expands first."""
+        if self._inv is None:
+            twin = SemifieldElement(1 / self._coeff,
+                                    {v: -e for v, e in self._powers.items()},
+                                    {f: -e for f, e in self._factors.items()})
+            for slot, value in (("_inv", self), ("_num", self._den),
+                                ("_den", self._num), ("_sum", self._sum)):
+                object.__setattr__(twin, slot, value)
+            object.__setattr__(self, "_inv", twin)
+        return self._inv
 
     def __truediv__(self, other):
         other = _as_sf(other)
@@ -678,12 +747,17 @@ class SemifieldElement:
                                 {f: n * e for f, e in self._factors.items()})
 
     def one_plus(self) -> "SemifieldElement":
-        """1 + self, i.e. (den + num) / den, refined against own factors."""
-        p = self.num
-        q = self.den
-        s = p + q
-        combined = SemifieldElement.from_num_den(s, q, candidates=self._factors.keys())
-        return combined
+        """1 + self, i.e. (num + den) / den, both sides refined against own
+        factors; built once.  The twins y and 1/y share the split of num + den,
+        and each splits its own denominator (den for y, num for 1/y), which is
+        where factors shared with num + den cancel."""
+        if self._one_plus is None:
+            candidates = tuple(self._factors)
+            if self._sum is None:
+                self._keep("_sum", _split_side(self.num + self.den, candidates), "_sum")
+            object.__setattr__(self, "_one_plus",
+                               _quotient(self._sum, _split_side(self.den, candidates)))
+        return self._one_plus
 
     def __add__(self, other):
         other = _as_sf(other)
@@ -743,7 +817,7 @@ def _as_sf(value):
 
 def one_plus(value):
     """1 + value in the appropriate structure (semifield, rational, function)."""
-    if isinstance(value, SemifieldElement):
+    if isinstance(value, (SemifieldElement, RationalFunction)):
         return value.one_plus()
     return 1 + value
 

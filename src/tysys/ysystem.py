@@ -502,6 +502,8 @@ def roundtrip_check(y_table: ValueTable, rng=None,
 def detect_period(table: ValueTable, max_period: int) -> Optional[int]:
     """Smallest p <= max_period with value(a,m,k) == value(a,m,k+p) for every
     stored pair, or None.  Purely empirical."""
+    if max_period < 1:
+        raise ValueError(f"max_period must be >= 1, got {max_period}")
     lo, hi = table.window
     for p in range(1, max_period + 1):
         compared = 0

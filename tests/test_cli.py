@@ -11,6 +11,8 @@ MIXED44_TEXT = "# rank 4, one triple and two double bonds\n4\n" \
                "2 -1 0 0\n-3 2 -2 -2\n0 -1 2 -1\n0 -1 -1 2\n"
 BA2_TEXT = "2\n0 1\n-1 0\n+: 1\n"
 CYCLE3_TEXT = "3\n2 -1 -1\n-1 2 -1\n-1 -1 2\n"
+BA3_TEXT = "3\n0 1 0\n-1 0 -1\n0 1 0\n+: 1 3\n"
+BA2XBA2_TEXT = "4\n0 1 -1 0\n-1 0 0 1\n1 0 0 -1\n0 -1 1 0\n+: 1 4\n"
 
 
 @pytest.fixture
@@ -29,6 +31,24 @@ def run_cli(capsys, *argv):
 def test_parse_window():
     assert parse_window("0..8") == (0, 8)
     assert parse_window("-4..12") == (-4, 12)
+
+
+def usage_error(capsys, *argv):
+    """The one stderr line of a command that must exit 2 and print nothing."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+@pytest.mark.parametrize("window", ["0", "a..b", "1..2..3"])
+def test_malformed_window_is_a_usage_error(a2_file, capsys, window):
+    with pytest.raises(ValueError):
+        parse_window(window)
+    line = usage_error(capsys, "sys", "gen-t", a2_file, "--level", "2", "--window", window)
+    assert line == f"tysys: window must be LO..HI with integer bounds, got {window!r}"
 
 
 def test_cartan_check_mixed44(tmp_path, capsys):
@@ -160,6 +180,44 @@ def test_period_scan(a2_file, capsys):
                            "--seed", "11")
     assert code == 0
     assert report["period"] == 10
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_period_scan_needs_a_positive_max_period(a2_file, capsys, value):
+    line = usage_error(capsys, "period", "scan", a2_file, "--level", "2",
+                       "--max-period", value)
+    assert line == f"tysys: max_period must be >= 1, got {value}"
+
+
+@pytest.mark.parametrize("level", ["1", "0", "-1"])
+def test_cluster_correspond_needs_level_two(tmp_path, capsys, level):
+    path = tmp_path / "a2.txt"
+    path.write_text(A2_TEXT)
+    line = usage_error(capsys, "cluster", "correspond", str(path), "--level", level)
+    assert line == f"tysys: the exchange matrix needs level >= 2, got {level}"
+
+
+# sha256 of stdout, taken before coefficient successors and inverses were
+# cached: cluster run prints the num/den of every x and y
+@pytest.mark.parametrize("command,text,digest", [
+    pytest.param("run", BA3_TEXT, "c4d841e1194fa7620e61d21830900a4e2354c97a97e3172e94645c55cb3d4aaa",
+                 id="run-BA3"),
+    pytest.param("run", BA2XBA2_TEXT,
+                 "1bd6765ad0b3447b1814ddbb0c2fbb47470b9d594964ea98579bb662f37722b9",
+                 id="run-BA2xBA2"),
+    pytest.param("verify", BA3_TEXT,
+                 "56bf9e88874501968e05e47ea7adae529a096acf933f2092f6b00f4e5fbad1da",
+                 id="verify-BA3"),
+    pytest.param("verify", BA2XBA2_TEXT,
+                 "ab12e5ab73876eb499768d08d13bd09e21400f36eb91578e8c49e8c62e6c7568",
+                 id="verify-BA2xBA2"),
+])
+def test_cluster_reports_golden(tmp_path, capsys, command, text, digest):
+    path = tmp_path / "matrix.txt"
+    path.write_text(text)
+    assert main(["cluster", command, str(path), "--steps", "8"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_reports_are_reproducible(a2_file, capsys):

@@ -26,7 +26,7 @@ from tysys.cluster import (
     square_product,
     t_to_y_b,
 )
-from tysys.errors import ConditionsViolated, NoParity, NotSymmetrizable
+from tysys.errors import ConditionsViolated, LevelOutOfRange, NoParity, NotSymmetrizable
 from tysys.exactmath import LaurentPoly, RationalFunction, SemifieldElement
 
 A2 = new_cartan([[2, -1], [-1, 2]])
@@ -166,6 +166,20 @@ def test_seed_mutation_involution():
         assert all(back.y[i] == seed.y[i] for i in range(em.n))
 
 
+def test_seed_mutation_keeps_unchanged_coefficients():
+    # B(A3) has B_13 = 0: mutating node 1 keeps y3 itself, and the new y1 is
+    # the inverse twin of the old one
+    em = exchange_matrix_for_level(A3, 2)
+    assert em[0, 2] == 0 and em[0, 1] != 0
+    for seed in (initial_seed(em), initial_seed(em, numeric=True, rng=random.Random(3))):
+        out = mutate_seed(seed, 0)
+        assert out.y[2] is seed.y[2]
+        assert out.y[1] is not seed.y[1]
+    seed = initial_seed(em)
+    out = mutate_seed(seed, 0)
+    assert out.y[0] is seed.y[0].inv() and out.y[0].inv() is seed.y[0]
+
+
 def test_composed_mutation_order_independent():
     em = exchange_matrix_for_level(A3, 2)
     seed = initial_seed(em)
@@ -297,6 +311,16 @@ def test_auto_mode_switches_to_numeric():
 
 
 # --- correspondence ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("level", [1, 0, -1])
+def test_correspondence_needs_level_two(level):
+    message = f"needs level >= 2, got {level}$"
+    with pytest.raises(LevelOutOfRange, match=message):
+        exchange_matrix_for_level(A3, level)
+    for cm in (A3, CYCLE3):  # bipartite, and routed through the double
+        with pytest.raises(LevelOutOfRange, match=message):
+            correspondence_check(cm, level)
 
 
 def test_correspondence_a3_level2():

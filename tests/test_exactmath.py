@@ -424,3 +424,78 @@ def test_rational_function_eq_against_sympy(a, b, h, c, make_equal):
     difference = (_to_sympy(f.num, symbols) / _to_sympy(f.den, symbols)
                   - _to_sympy(g.num, symbols) / _to_sympy(g.den, symbols))
     assert (f == g) == (sympy.cancel(difference) == 0)
+
+
+# --- cached successors and inverse twins against fresh construction ---------------
+
+
+def uncached(a):
+    """The same factored form as a, with nothing derived yet."""
+    return SemifieldElement(a._coeff, a._powers, a._factors)
+
+
+def same_form(a, b):
+    return ((a._coeff, a._powers, a._factors, a.num, a.den)
+            == (b._coeff, b._powers, b._factors, b.num, b.den))
+
+
+@settings(max_examples=60, deadline=None)
+@given(semifield_elements(), st.booleans(), st.booleans())
+def test_sf_one_plus_twins_match_from_num_den(a, twin_first, expand_first):
+    fresh = uncached(a)
+    want = SemifieldElement.from_num_den(fresh.num + fresh.den, fresh.den, fresh._factors)
+    want_inv = SemifieldElement.from_num_den(fresh.num + fresh.den, fresh.num, fresh._factors)
+    if expand_first:
+        a.num, a.den
+    twin = a.inv()
+    # either twin may split num + den first; the other reuses it
+    if twin_first:
+        got_inv, got = twin.one_plus(), a.one_plus()
+    else:
+        got, got_inv = a.one_plus(), twin.one_plus()
+    assert same_form(got, want) and same_form(got_inv, want_inv)
+    assert a.one_plus() is got and twin.one_plus() is got_inv
+
+
+@settings(max_examples=60, deadline=None)
+@given(semifield_elements(), st.booleans())
+def test_sf_inverse_twins(a, expand_first):
+    if expand_first:
+        a.num
+    twin = a.inv()
+    assert twin.inv() is a and a.inv() is twin
+    assert twin.num is a.den and twin.den is a.num
+    fresh = uncached(a)
+    negated = SemifieldElement(1 / fresh._coeff, {v: -e for v, e in fresh._powers.items()},
+                               {f: -e for f, e in fresh._factors.items()})
+    assert same_form(twin, negated)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys3(max_terms=3), polys3(min_terms=1, max_terms=3))
+def test_rf_one_plus_and_inv_match_fresh_construction(a, b):
+    f = RationalFunction(a, b)
+    got = f.one_plus()
+    want = 1 + RationalFunction(a, b)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert one_plus(f) is got and f.one_plus() is got
+    if f.is_zero():
+        with pytest.raises(InverseOfZero):
+            f.inv()
+        return
+    twin = f.inv()
+    want = RationalFunction(f.den, f.num)
+    assert (twin.num, twin.den) == (want.num, want.den)
+    assert twin.inv() is f and f.inv() is twin
+
+
+MONOMIAL_NAMES = ("x", "y", "z", "w", "x2", "x10")
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys3(), st.fractions(-5, 5, max_denominator=3),
+       st.dictionaries(st.sampled_from(MONOMIAL_NAMES), st.integers(-3, 3)))
+def test_mul_monomial_matches_product(p, coeff, powers):
+    got = p.mul_monomial(coeff, powers)
+    want = p * LaurentPoly.monomial(coeff, powers)
+    assert got.vars == want.vars and got.terms == want.terms
