@@ -49,7 +49,7 @@ from .tsystem import (
     factor_product,
     t_relation,
 )
-from .ysystem import YRelation, companion_identities
+from .ysystem import YRelation, companion_identities, companions_hold
 
 SYMBOLIC_STEP_LIMIT = 14
 SYMBOLIC_RANK_LIMIT = 10
@@ -508,11 +508,56 @@ def check_yb(seq: SequenceResult, eps: int,
     return check_relations(rels, _reader(y), _label(em, f"Y{'+' if eps > 0 else '-'}(B)"))
 
 
+def _mapped_exponents_agree(stencils: List[YRelation]) -> List[bool]:
+    """Per Y(B) stencil: whether the mapped relation is a monomial identity
+    in the T-atoms (node, time offset).  Both sides are written as exponent
+    vectors after substituting Y_i = coupling_i / inner_i on the left, and
+    1 + Y_j = pair_j / inner_j, 1 + Y_j^-1 = pair_j / coupling_j on the right
+    (pair_j = T_j(-1) T_j(+1)).  The answer depends on B and the parity
+    only, so it holds or fails for every shift of the stencil at once."""
+
+    def add(vec, factors, shift, times):
+        for var, exp in factors:
+            key = (var.a, var.k + shift)
+            vec[key] = vec.get(key, 0) + times * exp
+
+    def pair(j):
+        return tuple((var, 1) for var in stencils[j].lhs)
+
+    agree = []
+    for rel in stencils:
+        lhs: Dict[Tuple[int, int], int] = {}
+        rhs: Dict[Tuple[int, int], int] = {}
+        for var in rel.lhs:
+            add(lhs, stencils[var.a].numerator, var.k, 1)
+            add(lhs, stencils[var.a].denominator, var.k, -1)
+        for var, exp in rel.numerator:
+            add(rhs, pair(var.a), var.k, exp)
+            add(rhs, stencils[var.a].denominator, var.k, -exp)
+        for var, exp in rel.denominator:
+            add(rhs, pair(var.a), var.k, -exp)
+            add(rhs, stencils[var.a].numerator, var.k, exp)
+        agree.append({key: e for key, e in lhs.items() if e}
+                     == {key: e for key, e in rhs.items() if e})
+    return agree
+
+
 def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
              eps: int = 1, u_range: Optional[Tuple[int, int]] = None):
     """Map a T(B) solution to Y_i(u) = prod_j T_j(u)^{+-B_ji} (sign from the
     parity of i, flipped for eps = -1) and verify both companion identities
     and the resulting sign-eps Y-system.
+
+    Y = coupling / inner is computed at every point.  At each interior point
+    the companion identities are checked exactly in their T(B) form,
+    inner + coupling == pair (ysystem.companions_hold), and compared as
+    values only where that fails.  A shifted mapped Y(B) relation is
+    established without values when its stencil's exponent vectors agree
+    (_mapped_exponents_agree) and the T(B) form held at every numerator and
+    denominator point.  Both sides are then the same Laurent monomial in the
+    T-atoms, and its denominators, the inner and coupling products, are
+    nonzero there, so the value comparison would pass.  Every other mapped
+    relation is compared as values, with the same records as before.
 
     Returns (y_values, violations).
     """
@@ -524,6 +569,7 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
     t = _reader(t_values)
     y_values: Dict[Tuple[int, int], object] = {}
     violations: List[dict] = []
+    held = set()
     for i, stencil in enumerate(stencils):
         for u in range(lo, hi + 1):
             rel = stencil.shift(u)
@@ -532,9 +578,19 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
             y = y_values[(i, u)] = coupling / inner
             if lo < u < hi:
                 pair = t(rel.lhs[0]) * t(rel.lhs[1])
-                violations += companion_identities(f"at ({em.label(i)},{u})", y, pair,
-                                                   inner, coupling)
-    rels = [rel.shift(u) for rel in stencils for u in range(lo + 1, hi)]
+                if companions_hold(pair, inner, coupling):
+                    held.add((i, u))
+                else:
+                    violations += companion_identities(f"at ({em.label(i)},{u})", y,
+                                                       pair, inner, coupling)
+    agree = _mapped_exponents_agree(stencils)
+    rels = []
+    for i, stencil in enumerate(stencils):
+        for u in range(lo + 1, hi):
+            rel = stencil.shift(u)
+            if not (agree[i] and all((var.a, var.k) in held for var, _
+                                     in rel.numerator + rel.denominator)):
+                rels.append(rel)
     violations += check_relations(
         rels, _reader(y_values), _label(em, f"mapped Y{'+' if eps > 0 else '-'}(B)"))
     return y_values, violations

@@ -261,15 +261,29 @@ def t_to_y_table(t_table: ValueTable) -> ValueTable:
     return ValueTable("Y", t_table.system, t_table.window, values)
 
 
+def companions_hold(pair, inner, coupling) -> bool:
+    """Both companion identities of Y = coupling / inner, in T-relation form.
+
+    1 + Y = pair / inner and 1 + Y^-1 = pair / coupling hold exactly when
+    coupling is nonzero and inner + coupling == pair: one sum and one
+    comparison, no division and no successor.  Sound only where Y is
+    coupling / inner with inner nonzero; where it fails, companion_identities
+    builds the violation records."""
+    return coupling != 0 and inner + coupling == pair
+
+
 def companion_identities(label: str, y, pair, inner, coupling) -> List[dict]:
-    """The two companion identities behind T -> Y at one point,
+    """The two companion identities behind T -> Y at one point, compared as
+    values,
 
         1 + Y    = pair / inner
         1 + Y^-1 = pair / coupling
 
     with pair = T(k-d) T(k+d), inner = T_{m-1} T_{m+1} and coupling = M on
     the lattice (for an exchange matrix, the Y(B) stencil's denominator and
-    numerator products of T).  A zero Y or coupling is a violation."""
+    numerator products of T).  A zero Y or coupling is a violation.  The
+    checks call it only where companions_hold fails, so that it builds the
+    records of the failures."""
     violations = []
     lhs, rhs = one_plus(y), pair / inner
     if not lhs == rhs:
@@ -295,7 +309,9 @@ def t_to_y(t_table: ValueTable):
         1 + Y(a,m,k)^-1   = T(a,m,k-d) T(a,m,k+d) / M
 
     wherever their factors exist and, for restricted systems, the boundary
-    quantity M(a, t_a*L, k), which must collapse to exactly 1.
+    quantity M(a, t_a*L, k), which must collapse to exactly 1.  Each point
+    is first checked in the exact T-relation form of companions_hold; only
+    where that fails are the identities compared as values.
     """
     sys = t_table.system
     values: Dict[LatticeVar, Fraction] = {}
@@ -303,7 +319,7 @@ def t_to_y(t_table: ValueTable):
     for rel, y, inner, coupling in _mapped_y(t_table):
         values[rel.center] = y
         pair = _t_pair(t_table, rel)
-        if pair is not None:
+        if pair is not None and not companions_hold(pair, inner, coupling):
             violations += companion_identities(rel.center.label("Y"), y, pair, inner,
                                                coupling)
     lo, hi = t_table.window
@@ -417,6 +433,9 @@ def claim_identities_check(t_table: ValueTable, y_table: ValueTable) -> List[dic
         Y   = M / (T_{m-1} T_{m+1})
         1+Y = T(k-d) T(k+d) / (T_{m-1} T_{m+1})
         1+Y^-1 = T(k-d) T(k+d) / M
+
+    Where the first holds, the other two are checked in the T-relation form
+    of companions_hold, and compared as values only where that fails.
     """
     violations = []
     for var, y in sorted(y_table.values.items()):
@@ -425,8 +444,11 @@ def claim_identities_check(t_table: ValueTable, y_table: ValueTable) -> List[dic
         if pair is None:
             continue
         _, inner, coupling = sides
-        if y != coupling / inner:
-            violations.append(violation(f"value {var.label('Y')}", y, coupling / inner))
+        mapped = coupling / inner
+        if y != mapped:
+            violations.append(violation(f"value {var.label('Y')}", y, mapped))
+        elif companions_hold(pair, inner, coupling):
+            continue
         violations += companion_identities(var.label("Y"), y, pair, inner, coupling)
     return violations
 

@@ -1,8 +1,12 @@
+import functools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tysys.cartan import new_cartan
+from tysys.cartan import bipartite_double, new_cartan
 from tysys.cluster import (
     b_of_c,
     check_b1,
@@ -28,6 +32,8 @@ from tysys.cluster import (
 )
 from tysys.errors import ConditionsViolated, LevelOutOfRange, NoParity, NotSymmetrizable
 from tysys.exactmath import LaurentPoly, RationalFunction, SemifieldElement
+from tysys.tsystem import check_relations, factor_product
+from tysys.ysystem import companion_identities
 
 A2 = new_cartan([[2, -1], [-1, 2]])
 A3 = new_cartan([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
@@ -273,6 +279,169 @@ def test_t_to_y_b_both_signs(ba2_seq):
     for eps in (1, -1):
         y_values, violations = t_to_y_b(ba2_seq.x, BA2, eps=eps)
         assert violations == []
+
+
+# --- T -> Y(B): the exact route against the value route ----------------------------
+
+
+def value_route_t_to_y_b(t_values, em, eps=1, u_range=None):
+    """The value-level T -> Y(B) check, the oracle of t_to_y_b: both
+    companion identities compared as values at every interior point, and
+    every mapped Y(B) relation cross-multiplied."""
+    from tysys.cluster import _label, _reader, _yb_relations
+
+    stencils = _yb_relations(em, eps)
+    if u_range is None:
+        us = [u for _, u in t_values]
+        u_range = (min(us), max(us))
+    lo, hi = u_range
+    t = _reader(t_values)
+    y_values = {}
+    violations = []
+    for i, stencil in enumerate(stencils):
+        for u in range(lo, hi + 1):
+            rel = stencil.shift(u)
+            coupling = factor_product(t, rel.numerator)
+            inner = factor_product(t, rel.denominator)
+            y = y_values[(i, u)] = coupling / inner
+            if lo < u < hi:
+                pair = t(rel.lhs[0]) * t(rel.lhs[1])
+                violations += companion_identities(f"at ({em.label(i)},{u})", y, pair,
+                                                   inner, coupling)
+    rels = [rel.shift(u) for rel in stencils for u in range(lo + 1, hi)]
+    violations += check_relations(
+        rels, _reader(y_values), _label(em, f"mapped Y{'+' if eps > 0 else '-'}(B)"))
+    return y_values, violations
+
+
+def assert_routes_agree(t_values, em, u_range=None):
+    """Equal Y-values and byte-identical violation lists for both signs, or
+    the same error where a zero value leaves Y undefined; returns the
+    violations."""
+    found = []
+    for eps in (1, -1):
+        try:
+            oracle_y, oracle = value_route_t_to_y_b(t_values, em, eps, u_range)
+        except ZeroDivisionError as exc:
+            with pytest.raises(type(exc)):
+                t_to_y_b(t_values, em, eps, u_range)
+            continue
+        y_values, violations = t_to_y_b(t_values, em, eps, u_range)
+        assert violations == oracle
+        assert y_values.keys() == oracle_y.keys()
+        assert all(y_values[key] == oracle_y[key] for key in oracle_y)
+        found += violations
+    return found
+
+
+def criterion_8_belts():
+    return [exchange_matrix_for_level(A2, 2), exchange_matrix_for_level(A3, 2),
+            square_product(A2, A2)]
+
+
+@pytest.fixture(scope="module")
+def belt_families():
+    return [(em, run_sequence(em, (-1, 11), mode="symbolic", coefficients=False).x)
+            for em in criterion_8_belts()]
+
+
+def test_t_to_y_b_matches_value_route_on_belts(belt_families):
+    for em, x in belt_families:
+        assert assert_routes_agree(x, em) == []
+
+
+def test_t_to_y_b_matches_value_route_on_perturbed_family(ba2_seq):
+    x = dict(ba2_seq.x)
+    x[(0, 3)] = x[(0, 3)] * 2
+    assert assert_routes_agree(x, BA2)
+
+
+@functools.lru_cache(maxsize=None)
+def short_belt(index):
+    em = criterion_8_belts()[index]
+    return em, run_sequence(em, (-1, 5), mode="symbolic", coefficients=False).x
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(-1, 5),
+                          st.fractions(-3, 3, max_denominator=3)),
+                min_size=1, max_size=2))
+def test_t_to_y_b_matches_value_route_on_scaled_points(belt, scalings):
+    em, x = short_belt(belt)
+    x = dict(x)
+    for i, u, factor in scalings:
+        key = (i % em.n, u)
+        x[key] = x[key] * factor
+    assert_routes_agree(x, em)
+
+
+def test_t_to_y_b_matches_value_route_on_numeric_sequence():
+    em = exchange_matrix_for_level(A3, 2)
+    seq = run_sequence(em, (-3, 6), mode="numeric", rng=random.Random(12))
+    assert all(isinstance(val, Fraction) for val in seq.x.values())
+    assert assert_routes_agree(seq.x, em) == []
+    x = dict(seq.x)
+    x[(1, 2)] = x[(1, 2)] * 3
+    assert assert_routes_agree(x, em)
+
+
+def tb_family(em, u_range, rng):
+    """A numeric solution of T(B) at every node and time, from random
+    positive values at u = 0, 1.  T(B) does not read the parity."""
+    lo, hi = u_range
+    x = {(i, u): Fraction(rng.randint(1, 9), rng.randint(1, 9))
+         for i in range(em.n) for u in (0, 1)}
+    for u in range(1, hi):
+        for i in range(em.n):
+            plus = minus = Fraction(1)
+            for j in range(em.n):
+                if em[j, i] > 0:
+                    plus *= x[(j, u)] ** em[j, i]
+                elif em[j, i] < 0:
+                    minus *= x[(j, u)] ** -em[j, i]
+            x[(i, u + 1)] = (plus + minus) / x[(i, u - 1)]
+    return x
+
+
+@pytest.mark.parametrize("rows,parity,flagged", [
+    ([[0, 1, 0], [-1, 0, -1], [0, 1, 0]], (1, 1, -1), [0, 1]),
+    ([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], (1, -1, 1), [0, 1, 2]),
+], ids=["B(A3) parity (1,1,-1)", "3-cycle parity (1,-1,1)"])
+def test_exponent_check_flags_wrong_parity(rows, parity, flagged):
+    from tysys.cluster import _mapped_exponents_agree, _yb_relations
+
+    em = new_exchange_matrix(rows, parity)
+    for eps in (1, -1):
+        agree = _mapped_exponents_agree(_yb_relations(em, eps))
+        assert [i for i, ok in enumerate(agree) if not ok] == flagged
+    x = tb_family(em, (0, 6), random.Random(5))
+    # the companions hold, so the flagged stencils alone reach the value route
+    violations = assert_routes_agree(x, em)
+    assert violations
+    assert not any(v["relation"].startswith("one-plus") for v in violations)
+
+
+def test_exponent_check_holds_on_the_parity_matrices():
+    from tysys.cluster import _mapped_exponents_agree, _yb_relations
+
+    doubled, _ = bipartite_double(CYCLE3)
+    for em in criterion_8_belts() + [exchange_matrix_for_level(doubled, 2),
+                                     exchange_matrix_for_level(A3, 4)]:
+        for eps in (1, -1):
+            assert all(_mapped_exponents_agree(_yb_relations(em, eps)))
+
+
+def test_t_to_y_b_on_the_doubled_three_cycle():
+    # the criterion-9 double of the 3-cycle, rank 6, with cluster entries of
+    # thousands of terms: the value route took about a minute here
+    doubled, _ = bipartite_double(CYCLE3)
+    em = exchange_matrix_for_level(doubled, 2)
+    seq = run_sequence(em, (-5, 5), mode="symbolic", coefficients=False)
+    for eps in (1, -1):
+        y_values, violations = t_to_y_b(seq.x, em, eps)
+        assert violations == []
+        assert len(y_values) == em.n * 11
 
 
 def test_y_coefficients_stay_subtraction_free(ba2_seq):

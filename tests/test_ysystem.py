@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tysys.acceptance import FINITE_TYPE
 from tysys.cartan import new_cartan
@@ -12,6 +14,8 @@ from tysys.ysystem import (
     FreeChoicePolicy,
     check_y_solution,
     claim_identities_check,
+    companion_identities,
+    companions_hold,
     detect_period,
     enumerate_y_relations,
     propagate_y,
@@ -273,6 +277,67 @@ def test_claim_identities_fail_on_perturbation():
     bad[var] = bad[var] + 1
     broken = ValueTable("T", t_table.system, t_table.window, bad)
     assert claim_identities_check(broken, y_table)
+
+
+nonzero = st.fractions(-6, 6, max_denominator=5).filter(bool)
+
+
+@settings(max_examples=80, deadline=None)
+@given(nonzero, st.fractions(-6, 6, max_denominator=5), st.fractions(-2, 2, max_denominator=3))
+def test_companions_hold_is_the_value_identities(inner, coupling, offset):
+    # for Y = coupling/inner, the T-relation form passes exactly where the
+    # value route reports nothing; offset 0 makes the relation hold
+    pair = inner + coupling + offset
+    found = companion_identities("at p", coupling / inner, pair, inner, coupling)
+    assert companions_hold(pair, inner, coupling) == (found == [])
+
+
+def value_route_t_to_y(t_table):
+    """The companion records of t_to_y, every point compared as values."""
+    from tysys.ysystem import _mapped_y, _t_pair
+
+    violations = []
+    for rel, y, inner, coupling in _mapped_y(t_table):
+        pair = _t_pair(t_table, rel)
+        if pair is not None:
+            violations += companion_identities(rel.center.label("Y"), y, pair, inner,
+                                               coupling)
+    return violations
+
+
+def value_route_claim(t_table, y_table):
+    """claim_identities_check with every companion compared as values."""
+    from tysys.tsystem import violation
+    from tysys.ysystem import _t_pair, _t_sides
+
+    violations = []
+    for var, y in sorted(y_table.values.items()):
+        sides = _t_sides(t_table, var)
+        pair = None if sides is None else _t_pair(t_table, sides[0])
+        if pair is None:
+            continue
+        _, inner, coupling = sides
+        if y != coupling / inner:
+            violations.append(violation(f"value {var.label('Y')}", y, coupling / inner))
+        violations += companion_identities(var.label("Y"), y, pair, inner, coupling)
+    return violations
+
+
+def test_lattice_companion_checks_match_value_route():
+    y_table = unrestricted_y(A2, 3, 14, 51)
+    t_table = y_to_t(y_table, rng=random.Random(8))
+    var = V(0, 1, t_table.meta["center"] + 2)
+    bad_t = dict(t_table.values)
+    bad_t[var] = bad_t[var] + 1
+    broken_t = ValueTable("T", t_table.system, t_table.window, bad_t)
+    bad_y = dict(y_table.values)
+    bad_y[V(1, 1, 9)] = bad_y[V(1, 1, 9)] * 2
+    broken_y = ValueTable("Y", y_table.system, y_table.window, bad_y)
+    for t, y in ((t_table, y_table), (broken_t, y_table), (t_table, broken_y)):
+        assert claim_identities_check(t, y) == value_route_claim(t, y)
+    assert value_route_claim(broken_t, y_table) and value_route_claim(t_table, broken_y)
+    assert t_to_y(broken_t)[1] == value_route_t_to_y(broken_t) != []
+    assert t_to_y(t_table)[1] == value_route_t_to_y(t_table) == []
 
 
 # --- periodicity -----------------------------------------------------------------------
