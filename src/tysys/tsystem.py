@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .cartan import CartanMatrix
@@ -143,6 +144,18 @@ class TRelation:
     @staticmethod
     def holds(lhs, rhs) -> bool:
         return lhs == rhs
+
+    def holds_exactly(self, value) -> Optional[bool]:
+        """The relation as one integer identity, without a gcd:
+        p0 p1 Q_a Q_m == q0 q1 (P_a Q_m + P_m Q_a), with P_a / Q_a and
+        P_m / Q_m the two products.  None where a value is symbolic."""
+        lhs = lhs_pair(value, self)
+        term_a = None if lhs is None else factor_pairs(value, self.term_a)
+        term_m = None if term_a is None else factor_pairs(value, self.term_m)
+        if term_m is None:
+            return None
+        (ln, ld), (an, ad), (mn, md) = lhs, pair_product(term_a), pair_product(term_m)
+        return ln * ad * md == ld * (an * md + mn * ad)
 
     def to_json(self) -> dict:
         return _relation_json(self, termA=self.term_a, termM=self.term_m)
@@ -455,18 +468,24 @@ def _evaluated(side, at):
 
 def check_relations(relations: Iterable, value: Callable, label: Callable,
                     assignments: Optional[list] = None) -> List[dict]:
-    """The one check of T- and Y-relations, lattice or exchange-matrix: the
-    sides, read through value(var), compared by rel.holds exactly or at each
-    assignment given.  Each failure is recorded as violation(label(rel), ...)."""
+    """The one check of T- and Y-relations, lattice or exchange-matrix.
+
+    Where every value is an int or a Fraction, rel.holds_exactly decides the
+    exact check as one integer identity.  Otherwise the sides, read through
+    value(var), are compared by rel.holds exactly or at each assignment
+    given.  Each failure is recorded as violation(label(rel), lhs, rhs), from
+    the sides as values."""
     violations = []
     for rel in relations:
+        ok = rel.holds_exactly(value) if assignments is None else None
+        if ok:
+            continue
         lhs = value(rel.lhs[0]) * value(rel.lhs[1])
         rhs = rel.rhs(value)
-        if assignments is None:
-            ok = rel.holds(lhs, rhs)
-        else:
-            ok = all(rel.holds(evaluate(lhs, at), _evaluated(rhs, at))
-                     for at in assignments)
+        if ok is None:
+            ok = (rel.holds(lhs, rhs) if assignments is None else
+                  all(rel.holds(evaluate(lhs, at), _evaluated(rhs, at))
+                      for at in assignments))
         if not ok:
             violations.append(violation(label(rel), lhs, rhs))
     return violations
@@ -480,7 +499,7 @@ def _check_table(table: ValueTable, relations: Iterable, kind: str, mode: str,
     if mode == "numeric":
         names = set()
         for val in table.values.values():
-            if not isinstance(val, (int, Fraction)):
+            if not isinstance(val, RATIONAL):
                 names |= set(val.num.vars) | set(val.den.vars)
         assignments = [{n: random_nonzero_rational(rng) for n in sorted(names)}
                        for _ in range(samples)]
@@ -515,6 +534,73 @@ def factor_product(value: Callable, factors: Iterable[Factor]):
     for var, exp in factors:
         result = result * value(var) ** exp
     return result
+
+
+# ---------------------------------------------------------------------------
+# the rational route: products, checks and solves on integer pairs
+# ---------------------------------------------------------------------------
+
+RATIONAL = (int, Fraction)
+
+
+def factor_pairs(value: Callable, factors: Iterable[Factor],
+                 form: Optional[Callable] = None) -> Optional[List[Tuple[int, int]]]:
+    """[(a ** exp, b ** exp)] over the factors, where (a, b) is (p, q), or
+    form(p, q), for value(var) = p / q in lowest terms; a / b is the factor.
+
+    None if a value is not an int or a Fraction: the caller then takes the
+    value route.  Every value is read, in order, as the value route reads
+    it, so that a lazy reader sees the same reads either way; form is not
+    applied after a symbolic value, since the value route raises there."""
+    pairs = []
+    for var, exp in factors:
+        v = value(var)
+        if pairs is None:
+            continue
+        if not isinstance(v, RATIONAL):
+            pairs = None
+            continue
+        pair = v.as_integer_ratio() if form is None else form(*v.as_integer_ratio())
+        pairs.append(pair if exp == 1 else (pair[0] ** exp, pair[1] ** exp))
+    return pairs
+
+
+def pair_product(pairs: Iterable[Tuple[int, int]]) -> Tuple[int, int]:
+    """(prod a, prod b) over the pairs: multiplied out, no gcd."""
+    n = d = 1
+    for a, b in pairs:
+        n *= a
+        d *= b
+    return n, d
+
+
+def lhs_pair(value: Callable, rel) -> Optional[Tuple[int, int]]:
+    """(p0 p1, q0 q1) for rel's left-hand side p0/q0 * p1/q1, or None where
+    a value is symbolic."""
+    x, y = value(rel.lhs[0]), value(rel.lhs[1])
+    if isinstance(x, RATIONAL) and isinstance(y, RATIONAL):
+        (p0, q0), (p1, q1) = x.as_integer_ratio(), y.as_integer_ratio()
+        return p0 * p1, q0 * q1
+    return None
+
+
+def reduced_quotient(pairs: Iterable[Tuple[int, int]]) -> Fraction:
+    """prod a / b over the pairs (every b nonzero) as one Fraction.  Each
+    factor is cross-cancelled against the running product, as a Fraction
+    product does (two gcds), so that a product of reduced factors stays
+    reduced; Fraction(n, d) then normalises once, sign included."""
+    n = d = 1
+    for a, b in pairs:
+        g, h = gcd(n, b), gcd(a, d)
+        if g > 1:
+            n //= g
+            b //= g
+        if h > 1:
+            a //= h
+            d //= h
+        n *= a
+        d *= b
+    return Fraction(n, d)
 
 
 # rule(var) result for a free value drawn when the visit reaches var
@@ -639,7 +725,14 @@ def propagate_t(sys: SystemSpec, window, initial: Optional[dict] = None,
         rel = t_relation(sys, var.a, var.m, var.k - sys.cm.d[var.a])
 
         def solve(value):
-            return rel.rhs(value) / value(rel.lhs[0])
+            term_a = factor_pairs(value, rel.term_a)
+            term_m = factor_pairs(value, rel.term_m)
+            before = value(rel.lhs[0])
+            if term_a is None or term_m is None or not isinstance(before, RATIONAL):
+                return rel.rhs(value) / before
+            (an, ad), (mn, md) = pair_product(term_a), pair_product(term_m)
+            return reduced_quotient(((an * md + mn * ad, ad * md),
+                                     before.as_integer_ratio()[::-1]))
 
         return solve
 

@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .cartan import CartanMatrix
 from .errors import (
+    InverseOfZero,
     LevelOutOfRange,
     MissingValue,
     NotTamelyLaced,
@@ -31,6 +32,7 @@ from .errors import (
 )
 from .exactmath import inverse, one_plus
 from .tsystem import (
+    RATIONAL,
     SAMPLE,
     Factor,
     LatticeVar,
@@ -45,14 +47,31 @@ from .tsystem import (
     _shift,
     check_relations,
     enumerate_relations,
+    factor_pairs,
     factor_product,
     fill_lattice,
     g_exponents,
+    lhs_pair,
     m_term,
+    pair_product,
+    reduced_quotient,
     stencil,
     t_relation,
     violation,
 )
+
+
+def _one_plus(p: int, q: int) -> Tuple[int, int]:
+    """1 + p/q as the pair (p + q, q), reduced when p/q is."""
+    return p + q, q
+
+
+def _one_plus_inverse(p: int, q: int) -> Tuple[int, int]:
+    """1 + q/p as the pair (p + q, p), reduced when p/q is; raises as
+    exactmath.inverse does for p = 0."""
+    if p == 0:
+        raise InverseOfZero("inverse of zero")
+    return p + q, p
 
 
 @dataclass(frozen=True)
@@ -93,6 +112,29 @@ class YRelation:
         """Cross-multiplied, never divided."""
         num, den = rhs
         return lhs * den == num
+
+    def rhs_pairs(self, value):
+        """(numerator, denominator) factors of rhs as integer pairs (a, b),
+        a / b the factor: (p + q, q) for 1 + Y and (p + q, p) for 1 + Y^-1,
+        with Y = p / q, each to its exponent.  None where a value is
+        symbolic; read, and raising, as rhs reads and raises."""
+        num = factor_pairs(value, self.numerator, _one_plus)
+        den = factor_pairs(value, self.denominator,
+                           None if num is None else _one_plus_inverse)
+        return None if num is None or den is None else (num, den)
+
+    def holds_exactly(self, value) -> Optional[bool]:
+        """The relation as one integer identity, without a gcd:
+        p0 p1 prod (p_j + q_j)^e prod q_i^e == q0 q1 prod p_j^e prod (p_i + q_i)^e,
+        with i over the 1 + Y factors and j over the 1 + Y^-1 factors.  Each
+        side's numerator and denominator are built apart and cross-multiplied
+        once.  None where a value is symbolic."""
+        lhs = lhs_pair(value, self)
+        sides = None if lhs is None else self.rhs_pairs(value)
+        if sides is None:
+            return None
+        (ln, ld), (nn, nd), (dn, dd) = lhs, pair_product(sides[0]), pair_product(sides[1])
+        return ln * dn * nd == ld * dd * nn
 
     def to_json(self) -> dict:
         return _relation_json(self, numerator=self.numerator, denominator=self.denominator)
@@ -202,6 +244,19 @@ def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
         rel = y_relation(sys, a, m, k - sys.cm.d[a])
 
         def solve(value):
+            sides = rel.rhs_pairs(value)
+            if sides is None:
+                return solve_values(value)
+            num, den = sides
+            if any(x == 0 for x, _ in den) or any(x == 0 for x, _ in num):
+                raise ZeroDivisor(f"degenerate side at {rel.center.label('Y')}")
+            before = value(rel.lhs[0])
+            if not isinstance(before, RATIONAL):
+                return solve_values(value)
+            return reduced_quotient([*num, *((b, a) for a, b in den),
+                                     before.as_integer_ratio()[::-1]])
+
+        def solve_values(value):
             num, den = rel.rhs(value)
             if den == 0 or num == 0:
                 raise ZeroDivisor(f"degenerate side at {rel.center.label('Y')}")
@@ -219,7 +274,8 @@ def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
 
 def _t_sides(table: ValueTable, var: LatticeVar):
     """(rel, inner, coupling): the T-relation centred at var and its products
-    T_{m-1} T_{m+1} and M, or None where the table does not cover a factor."""
+    T_{m-1} T_{m+1} and M as values, or None where the table does not cover
+    a factor."""
     rel = t_relation(table.system, *var)
     try:
         inner = factor_product(table.get, rel.term_a)
@@ -235,29 +291,84 @@ def _t_pair(table: ValueTable, rel):
     return None
 
 
-def _mapped_y(t_table: ValueTable):
-    """_t_sides and Y = coupling / inner at every Y-variable whose factors the
-    T-table covers, in (a, m, k) order."""
+def _sides(table: ValueTable, rel):
+    """(rel, inner, coupling, pair): the T-relation rel, centred at a
+    Y-variable, and its products T_{m-1} T_{m+1}, M and T(k-d) T(k+d) as
+    integer pairs (N, D), N / D the product, multiplied out without a gcd.
+    pair is None where the table lacks a left-hand value; the whole is None
+    where it lacks a factor of inner or coupling.  Where a T-value is
+    symbolic the three are the values of _t_sides and _t_pair."""
+    try:
+        inner = factor_pairs(table.get, rel.term_a)
+        coupling = factor_pairs(table.get, rel.term_m)
+    except MissingValue:
+        return None
+    covered = rel.lhs[0] in table.values and rel.lhs[1] in table.values
+    pair = lhs_pair(table.get, rel) if covered else None
+    if inner is None or coupling is None or (covered and pair is None):
+        return (*_t_sides(table, rel.center), _t_pair(table, rel))
+    return rel, pair_product(inner), pair_product(coupling), pair
+
+
+def _value(side):
+    """A product of _sides as a value: an integer pair as one Fraction."""
+    return Fraction(*side) if isinstance(side, tuple) else side
+
+
+def _quotient(top, bottom):
+    """top / bottom for products of _sides, as a value: one Fraction for
+    integer pairs.  A zero bottom raises as the division of values does."""
+    if isinstance(top, tuple) and bottom[0] != 0:
+        return Fraction(top[0] * bottom[1], top[1] * bottom[0])
+    return _value(top) / _value(bottom)
+
+
+def _is_quotient(y, top, bottom) -> bool:
+    """y == top / bottom, cross-multiplied where y is rational and the
+    products are integer pairs."""
+    if isinstance(top, tuple) and isinstance(y, RATIONAL) and bottom[0] != 0:
+        p, q = y.as_integer_ratio()
+        return p * top[1] * bottom[0] == q * top[0] * bottom[1]
+    return y == _quotient(top, bottom)
+
+
+def _mapped_relations(t_table: ValueTable):
+    """The T-relation centred at every Y-variable whose inner and coupling
+    factors the T-table covers, in (a, m, k) order.  A vanishing inner
+    raises."""
     sys = t_table.system
+    values = t_table.values
     lo, hi = t_table.window
     for a in range(sys.cm.r):
         top = sys.max_m_y(a)
         if top is None:
-            top = max((v.m for v in t_table.values if v.a == a), default=0)
+            top = max((v.m for v in values if v.a == a), default=0)
         for var in (LatticeVar(a, m, k) for m in range(1, top + 1)
                     for k in range(lo, hi + 1)):
-            sides = _t_sides(t_table, var)
-            if sides is None:
+            rel = t_relation(sys, *var)
+            if any(v not in values for v, _ in rel.term_a + rel.term_m):
                 continue
-            rel, inner, coupling = sides
-            if inner == 0:
+            if any(values[v] == 0 for v, _ in rel.term_a):
                 raise ZeroDivisor(f"vanishing T pair under {var.label('Y')}")
-            yield rel, coupling / inner, inner, coupling
+            yield rel
+
+
+def _mapped_sides(t_table: ValueTable):
+    """_sides at every point of _mapped_relations."""
+    return (_sides(t_table, rel) for rel in _mapped_relations(t_table))
+
+
+def _mapped_y(t_table: ValueTable):
+    """(rel, Y, inner, coupling) with Y = coupling / inner and the products
+    as values, at every point of _mapped_sides."""
+    for rel, inner, coupling, _ in _mapped_sides(t_table):
+        yield rel, _quotient(coupling, inner), _value(inner), _value(coupling)
 
 
 def t_to_y_table(t_table: ValueTable) -> ValueTable:
     """The Y-family of t_to_y, without its identity checks."""
-    values = {rel.center: y for rel, y, _, _ in _mapped_y(t_table)}
+    values = {rel.center: _quotient(coupling, inner)
+              for rel, inner, coupling, _ in _mapped_sides(t_table)}
     return ValueTable("Y", t_table.system, t_table.window, values)
 
 
@@ -266,9 +377,14 @@ def companions_hold(pair, inner, coupling) -> bool:
 
     1 + Y = pair / inner and 1 + Y^-1 = pair / coupling hold exactly when
     coupling is nonzero and inner + coupling == pair: one sum and one
-    comparison, no division and no successor.  Sound only where Y is
-    coupling / inner with inner nonzero; where it fails, companion_identities
-    builds the violation records."""
+    comparison, no division and no successor.  For integer pairs (N, D) of
+    _sides the sum is cross-multiplied,
+    (N_i D_c + N_c D_i) D_p == N_p D_i D_c.  Sound only where Y is
+    coupling / inner with inner nonzero; where it fails,
+    companion_identities builds the violation records."""
+    if isinstance(inner, tuple):
+        (pn, pd), (i_n, i_d), (cn, cd) = pair, inner, coupling
+        return cn != 0 and (i_n * cd + cn * i_d) * pd == pn * i_d * cd
     return coupling != 0 and inner + coupling == pair
 
 
@@ -316,12 +432,11 @@ def t_to_y(t_table: ValueTable):
     sys = t_table.system
     values: Dict[LatticeVar, Fraction] = {}
     violations: List[dict] = []
-    for rel, y, inner, coupling in _mapped_y(t_table):
-        values[rel.center] = y
-        pair = _t_pair(t_table, rel)
+    for rel, inner, coupling, pair in _mapped_sides(t_table):
+        y = values[rel.center] = _quotient(coupling, inner)
         if pair is not None and not companions_hold(pair, inner, coupling):
-            violations += companion_identities(rel.center.label("Y"), y, pair, inner,
-                                               coupling)
+            violations += companion_identities(rel.center.label("Y"), y, _value(pair),
+                                               _value(inner), _value(coupling))
     lo, hi = t_table.window
     if sys.restricted:
         for a in range(sys.cm.r):
@@ -390,11 +505,15 @@ def y_to_t(y_table: ValueTable, rng=None,
             opposite = LatticeVar(a, 1, k - 2 * sign * da)
 
             def solve(value):
-                product = factor_product(value, coupling)
+                pairs = factor_pairs(value, coupling)
                 far = value(opposite)
                 if y1 == 0 or far == 0:
                     raise ZeroDivisor(f"degenerate extension at {var.label()}")
-                return (1 + 1 / y1) * product / far
+                if pairs is None or not isinstance(far, RATIONAL) \
+                        or not isinstance(y1, RATIONAL):
+                    return (1 + 1 / y1) * factor_product(value, coupling) / far
+                return reduced_quotient([_one_plus_inverse(*y1.as_integer_ratio()),
+                                         *pairs, far.as_integer_ratio()[::-1]])
         else:
             ym = y_vals.get(LatticeVar(a, m - 1, k))
             if ym is None:
@@ -407,7 +526,11 @@ def y_to_t(y_table: ValueTable, rng=None,
                 # after the dependencies: an undetermined variable must not raise
                 if ym == -1:
                     raise ZeroDivisor(f"1 + Y vanishes under {var.label()}")
-                return left * right / ((1 + ym) * below)
+                if not all(isinstance(x, RATIONAL) for x in (left, right, below, ym)):
+                    return left * right / ((1 + ym) * below)
+                succ, den = _one_plus(*ym.as_integer_ratio())
+                return reduced_quotient((left.as_integer_ratio(), right.as_integer_ratio(),
+                                         (den, succ), below.as_integer_ratio()[::-1]))
 
         return solve
 
@@ -434,23 +557,36 @@ def claim_identities_check(t_table: ValueTable, y_table: ValueTable) -> List[dic
         1+Y = T(k-d) T(k+d) / (T_{m-1} T_{m+1})
         1+Y^-1 = T(k-d) T(k+d) / M
 
-    Where the first holds, the other two are checked in the T-relation form
-    of companions_hold, and compared as values only where that fails.
+    on the integer pairs of _sides, cross-multiplied.  Where the first
+    holds, the other two are checked in the T-relation form of
+    companions_hold, and compared as values only where that fails.
     """
-    violations = []
+    return _compare_to_t(t_table, y_table)[1]
+
+
+def _compare_to_t(t_table: ValueTable, y_table: ValueTable, region=()):
+    """(mismatches, claim violations): Y == coupling / inner at the
+    variables of region, and the claim identities of claim_identities_check
+    at every covered variable.  Each variable's products are built once, by
+    _sides, for both; records are built from values."""
+    mismatches, violations = [], []
     for var, y in sorted(y_table.values.items()):
-        sides = _t_sides(t_table, var)
-        pair = None if sides is None else _t_pair(t_table, sides[0])
-        if pair is None:
+        sides = _sides(t_table, t_relation(t_table.system, *var))
+        if var in region:
+            _, inner, coupling, _ = sides
+            if not _is_quotient(y, coupling, inner):
+                mismatches.append(violation(var.label("Y"), _quotient(coupling, inner), y))
+        if sides is None or sides[3] is None:
             continue
-        _, inner, coupling = sides
-        mapped = coupling / inner
-        if y != mapped:
-            violations.append(violation(f"value {var.label('Y')}", y, mapped))
+        _, inner, coupling, pair = sides
+        if not _is_quotient(y, coupling, inner):
+            violations.append(violation(f"value {var.label('Y')}", y,
+                                        _quotient(coupling, inner)))
         elif companions_hold(pair, inner, coupling):
             continue
-        violations += companion_identities(var.label("Y"), y, pair, inner, coupling)
-    return violations
+        violations += companion_identities(var.label("Y"), y, _value(pair),
+                                           _value(inner), _value(coupling))
+    return mismatches, violations
 
 
 def _relation_holds(y_table: ValueTable, a: int, m: int, k: int) -> bool:
@@ -467,14 +603,17 @@ def _relation_holds(y_table: ValueTable, a: int, m: int, k: int) -> bool:
     return not check_relations([rel], vals.__getitem__, lambda r: r.center.label("Y"))
 
 
-def recoverable_region(y_table: ValueTable, recovered: ValueTable) -> List[LatticeVar]:
+def recoverable_region(y_table: ValueTable, recovered) -> List[LatticeVar]:
     """Variables of the input Y-table that the reconstruction provably
     recovers: level 1 wherever the recovered table is defined, and level m
     wherever levels m-1 (shifted), m-2, and the input relation centered one
-    level below all cooperate."""
+    level below all cooperate.  recovered is the recovered Y-table or the
+    collection of its variables."""
     cm = y_table.system.cm
     good: set = set()
-    for var in sorted(recovered.values, key=lambda v: (v.m, v.a, v.k)):
+    if isinstance(recovered, ValueTable):
+        recovered = recovered.values
+    for var in sorted(recovered, key=lambda v: (v.m, v.a, v.k)):
         a, m, k = var
         if var not in y_table.values:
             continue
@@ -499,14 +638,9 @@ def roundtrip_check(y_table: ValueTable, rng=None,
     and lists mismatches (none expected) plus any claim-identity violations.
     """
     t_table = y_to_t(y_table, rng=rng, policy=policy, center=center)
-    recovered = t_to_y_table(t_table)
-    region = recoverable_region(y_table, recovered)
-    mismatches = []
-    for var in region:
-        if recovered.values[var] != y_table.values[var]:
-            mismatches.append(violation(var.label("Y"), recovered.values[var],
-                                        y_table.values[var]))
-    claim = claim_identities_check(t_table, y_table)
+    region = recoverable_region(y_table, [rel.center for rel
+                                          in _mapped_relations(t_table)])
+    mismatches, claim = _compare_to_t(t_table, y_table, set(region))
     report = {
         "compared": len(region),
         "mismatches": mismatches,

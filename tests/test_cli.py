@@ -376,3 +376,91 @@ def test_malformed_table_is_a_usage_error(a2_file, tmp_path, capsys, edit, messa
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.strip().splitlines() == [message]
+
+
+def _perturbed(src, dst, index):
+    """Copy a table dump with the value of entry `index` doubled."""
+    from tysys.exactmath import fraction_from_text, fraction_to_text
+
+    data = json.loads(src.read_text())
+    entry = data["entries"][index]
+    entry["value"] = fraction_to_text(2 * fraction_from_text(entry["value"]))
+    dst.write_text(json.dumps(data))
+
+
+B3_SYSTEM = ["b3.txt", "--level", "2"]
+M44_SYSTEM = ["m44.txt", "--level", "unrestricted", "--mcap", "2"]
+
+# (argv, file the step writes, or a (source, copy, entry) table to perturb first)
+SOLVE_PIPELINES = {
+    "B3 level 2": [
+        (["sys", "solve-t", *B3_SYSTEM, "--window", "0..24", "--seed", "7",
+          "--out", "t.json"], "t.json"),
+        (["sys", "t2y", *B3_SYSTEM, "--in", "t.json"], None),
+        (["sys", "t2y", *B3_SYSTEM, "--in", "t_bad.json"], ("t.json", "t_bad.json", 40)),
+        (["sys", "solve-y", *B3_SYSTEM, "--window", "0..24", "--seed", "7"], None),
+        (["period", "scan", *B3_SYSTEM, "--window", "0..40", "--seed", "7",
+          "--max-period", "28"], None),
+    ],
+    "MIXED44 unrestricted": [
+        (["sys", "solve-y", *M44_SYSTEM, "--window", "0..8", "--seed", "3",
+          "--out", "y.json"], "y.json"),
+        (["sys", "y2t", *M44_SYSTEM, "--in", "y.json", "--roundtrip", "--seed", "3",
+          "--out", "t.json"], "t.json"),
+        (["sys", "t2y", *M44_SYSTEM, "--in", "t.json"], None),
+        (["sys", "t2y", *M44_SYSTEM, "--in", "t_bad.json"], ("t.json", "t_bad.json", 30)),
+        (["sys", "y2t", *M44_SYSTEM, "--in", "y_bad.json", "--roundtrip", "--seed", "3"],
+         ("y.json", "y_bad.json", 39)),
+        (["period", "scan", *M44_SYSTEM, "--window", "0..12", "--seed", "3",
+          "--max-period", "8"], None),
+    ],
+}
+
+
+def _pipeline_digests(steps, capsys):
+    """sha256 of every step's stdout, and of the table a step writes."""
+    from pathlib import Path
+
+    digests = []
+    for argv, extra in steps:
+        if isinstance(extra, tuple):
+            src, dst, index = extra
+            _perturbed(Path(src), Path(dst), index)
+        main(argv)
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        if isinstance(extra, str):
+            digests.append(hashlib.sha256(Path(extra).read_bytes()).hexdigest())
+    return digests
+
+
+SOLVE_PIPELINE_DIGESTS = {
+    "B3 level 2": [
+        "8e01134d17288d902094c076f4e2d17db998b4a0ccbb04658336d66f184f9ade",
+        "21097d484dbebe64f96dd6d818f0805eaa7edc6e6f9cf9b594fd9b8c22dbac92",
+        "998d4b90391b9438bdad73934f1376fe9c193655b468117ea6640d1554d75ee3",
+        "4c5fef9bdf653420e2fbcaef7d8179792c0a22c345c511f0f890d13510695785",
+        "4c951af5ca1bf4a35ea1250775c63ac8573d2a615f53fbb696e2c7a2defdd0ce",
+        "f52bee70e72e96327b3f6fe05530f348f8c7f3fa8ea4de7f470800dcdcab0c27",
+    ],
+    "MIXED44 unrestricted": [
+        "3c6699ea16107809a523245c37619bdbf18d4595514b59410c1c0efb6824c547",
+        "8fedf3bc34c7d294dcbdc13cf43618893bb01276813f0f2d4187336e06d339aa",
+        "fa5f1a6f37c8f87ece4a7cce1c76c995c4dbd8ba5831e0079fce02b5ac5f4e6f",
+        "4d0df11bf01a24d20734b627105b37bf7e0cb4fa2a9e47207760d9004adec68a",
+        "13af2721e83520c4531430168064016ed968aafad707036d13e056c7a375035c",
+        "693bde915a1116ca8591162abe41e2c229ef0832edfe26df5db372fface96a4e",
+        "96bc34e33305800731098ac17706e16eb8bfb7cabe8e216745ffee310103be19",
+        "5c92564a5c3bad005f02c5cc489159382e60992822a1b8ae0758c03ecc30d43b",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_PIPELINES))
+def test_solve_and_map_reports_golden(tmp_path, monkeypatch, capsys, name):
+    # byte-identical reports and tables, violation records included, for
+    # solve-t (with its file), t2y, solve-y, y2t --roundtrip and period scan
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b3.txt").write_text(B3_TEXT)
+    (tmp_path / "m44.txt").write_text(MIXED44_TEXT)
+    assert _pipeline_digests(SOLVE_PIPELINES[name], capsys) \
+        == SOLVE_PIPELINE_DIGESTS[name]

@@ -1,0 +1,471 @@
+"""Differential tests of the rational route: relation checks, solves and the
+T -> Y map on integer numerator/denominator pairs, against the Fraction
+value route.
+
+The value route is the oracle.  value_route() makes every value count as
+symbolic, so that each caller takes its Fraction route; the check and the
+Y-solve also have independent oracles written out here, as the Fraction
+formulas they replace.  Outcomes are compared with their types: a result,
+or the type and message of what was raised.
+"""
+
+import random
+from contextlib import contextmanager
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_ysystem import value_route_claim
+
+from tysys import cluster, tsystem, ysystem
+from tysys.acceptance import FINITE_TYPE, MIXED44_ROWS
+from tysys.cartan import new_cartan
+from tysys.errors import ZeroDivisor
+from tysys.exactmath import RationalFunction, evaluate
+from tysys.tsystem import (
+    LatticeVar,
+    SolvePolicy,
+    SystemSpec,
+    ValueTable,
+    _propagate,
+    check_relations,
+    enumerate_relations,
+    propagate_t,
+    reduced_quotient,
+    violation,
+)
+from tysys.ysystem import (
+    claim_identities_check,
+    companion_identities,
+    companions_hold,
+    enumerate_y_relations,
+    propagate_y,
+    roundtrip_check,
+    t_to_y,
+    y_relation,
+    y_to_t,
+)
+
+A3 = new_cartan(FINITE_TYPE["A3"])
+B2 = new_cartan(FINITE_TYPE["B2"])
+MIXED44 = new_cartan(MIXED44_ROWS)
+
+
+@contextmanager
+def value_route():
+    """Every value counts as symbolic: each caller takes its Fraction route."""
+    saved = tsystem.RATIONAL, ysystem.RATIONAL
+    tsystem.RATIONAL = ysystem.RATIONAL = ()
+    try:
+        yield
+    finally:
+        tsystem.RATIONAL, ysystem.RATIONAL = saved
+
+
+def _typed(value):
+    """value with the type of every number and table entry made explicit."""
+    if isinstance(value, ValueTable):
+        return ("table", value.kind, value.window,
+                [(var, _typed(v)) for var, v in sorted(value.values.items())])
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [_typed(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _typed(v) for key, v in value.items()}
+    if isinstance(value, (int, Fraction)):
+        return type(value).__name__, value
+    return value
+
+
+def outcome(call):
+    """What call() gives: its result, or the type and message it raises."""
+    try:
+        return "returns", _typed(call())
+    except Exception as exc:  # the comparison covers every failure
+        return "raises", type(exc).__name__, str(exc)
+
+
+def both_routes(call):
+    """outcome(call) on the rational route, checked against the value route."""
+    got = outcome(call)
+    with value_route():
+        assert outcome(call) == got
+    return got
+
+
+def oracle_check(relations, value, label):
+    """The check as Fraction values: the record of every failing relation."""
+    out = []
+    for rel in relations:
+        lhs = value(rel.lhs[0]) * value(rel.lhs[1])
+        rhs = rel.rhs(value)
+        if not rel.holds(lhs, rhs):
+            out.append(violation(label(rel), lhs, rhs))
+    return out
+
+
+def assert_checks_agree(relations, values, kind):
+    """Per relation: the same verdict, the same records, or the same error,
+    on the rational route and on both oracles.  Returns the failures."""
+    get = values.__getitem__
+    label = lambda rel: rel.center.label(kind)  # noqa: E731
+    failures = 0
+    for rel in relations:
+        got = both_routes(lambda: check_relations([rel], get, label))
+        assert got == outcome(lambda: oracle_check([rel], get, label))
+        if got[0] == "returns":
+            verdict = rel.holds(get(rel.lhs[0]) * get(rel.lhs[1]), rel.rhs(get))
+            assert rel.holds_exactly(get) is verdict
+            failures += not verdict
+    return failures
+
+
+def perturbations(values, rng):
+    """The table and copies with a few entries negated, set to -1, scaled,
+    or replaced by an int."""
+    keys = sorted(values)
+    out = [dict(values)]
+    for change in (lambda v: -v, lambda v: Fraction(-1), lambda v: 3 * v,
+                   lambda v: int(v.numerator) or 1):
+        copy = dict(values)
+        for var in rng.sample(keys, min(3, len(keys))):
+            copy[var] = change(copy[var])
+        out.append(copy)
+    return out
+
+
+def lattice_tables(cm, level, window, seed):
+    """(kind, values, relations) for the Y-system and, where restricted
+    T-propagation runs (max d < 3), the T-system."""
+    sys = SystemSpec(cm, level)
+    out = [("Y", propagate_y(sys, window, rng=random.Random(seed)).values,
+            enumerate_y_relations(sys, window))]
+    if max(cm.d) < 3:
+        out.append(("T", propagate_t(sys, window, rng=random.Random(seed)).values,
+                    enumerate_relations(sys, window)))
+    return out
+
+
+# --- checks ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_TYPE) + ["MIXED44"])
+def test_checks_match_value_route_on_every_finite_type(name):
+    cm = MIXED44 if name == "MIXED44" else new_cartan(FINITE_TYPE[name])
+    rng = random.Random(name)
+    for level in (2, 3, 4):
+        for kind, values, relations in lattice_tables(cm, level, (0, 10), level):
+            failures = [assert_checks_agree(relations, table, kind)
+                        for table in perturbations(values, rng)]
+            assert failures[0] == 0 and sum(failures) > 0, (level, kind)
+
+
+def test_unrestricted_mixed44_checks_match_value_route():
+    # values of about 1k bits
+    sys = SystemSpec(MIXED44, 2, restricted=False)
+    table = propagate_y(sys, (0, 9), rng=random.Random(4))
+    relations = [rel for rel in enumerate_y_relations(sys, table.window)
+                 if all(v in table.values for v in rel.variables())]
+    for values in perturbations(table.values, random.Random(2)):
+        assert_checks_agree(relations, values, "Y")
+
+
+def test_exchange_matrix_checks_with_exponent_two_match_value_route():
+    # B of B2 at level 2 has an entry -2: T(B) and Y(B) factors of exponent 2
+    em = cluster.exchange_matrix_for_level(B2, 2)
+    seq = cluster.run_sequence(em, (0, 10), mode="numeric", rng=random.Random(6))
+    relations = {"T": [rel.shift(u) for rel in cluster._tb_relations(em)
+                       for u in range(1, 10)]}
+    for eps in (1, -1):
+        relations[eps] = [rel.shift(u) for rel in cluster._yb_relations(em, eps)
+                          for u in range(1, 10)]
+    assert any(exp == 2 for rel in relations["T"] for _, exp in rel.term_m + rel.term_a)
+    assert any(exp == 2 for eps in (1, -1) for rel in relations[eps]
+               for _, exp in rel.numerator + rel.denominator)
+    for family, values in (("T", seq.x), (1, seq.y), (-1, seq.y)):
+        as_lattice = {LatticeVar(i, 1, u): v for (i, u), v in values.items()}
+        for table in perturbations(as_lattice, random.Random(str(family))):
+            # Y(B) holds on one parity class only, so both verdicts occur
+            assert_checks_agree(relations[family], table, "Y")
+    for check in (lambda: cluster.check_tb(seq), lambda: cluster.check_yb(seq, 1),
+                  lambda: cluster.t_to_y_b(seq.x, em, -1)):
+        both_routes(check)
+
+
+def _y_table_with(var_of, replacement):
+    """A level-4 A3 Y-table and one relation, with the variable var_of(rel)
+    of that relation replaced."""
+    sys = SystemSpec(A3, 4)
+    values = dict(propagate_y(sys, (0, 12), rng=random.Random(1)).values)
+    rel = y_relation(sys, 1, 2, 6)
+    values[var_of(rel)] = replacement
+    return rel, values
+
+
+@pytest.mark.parametrize("where", ["lhs", "numerator", "denominator"])
+@pytest.mark.parametrize("replacement", [Fraction(-1), 0, -2, Fraction(-5, 3)])
+def test_special_values_in_each_factor_list(where, replacement):
+    # Y = -1 zeroes a 1 + Y or a 1 + Y^-1 factor; a zero Y in a 1 + Y^-1
+    # factor raises InverseOfZero on both routes
+    pick = {"lhs": lambda rel: rel.lhs[0],
+            "numerator": lambda rel: rel.numerator[0][0],
+            "denominator": lambda rel: rel.denominator[1][0]}[where]
+    rel, values = _y_table_with(pick, replacement)
+    assert_checks_agree([rel], values, "Y")
+    got = both_routes(lambda: check_relations([rel], values.__getitem__, str))
+    if where == "denominator" and replacement == 0:
+        assert got == ("raises", "InverseOfZero", "inverse of zero")
+    elif where != "lhs" or replacement != 0:
+        assert got[1][1], (where, replacement)
+
+
+small_rationals = st.one_of(
+    st.sampled_from([0, 1, -1, 2, -2, Fraction(-1), Fraction(1, 2)]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["A3 Y", "B2 T", "B2 Y", "MIXED44 Y"]),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), small_rationals), max_size=4))
+def test_perturbed_checks_match_value_route(case, changes):
+    name, kind = case.split()
+    cm = {"A3": A3, "B2": B2, "MIXED44": MIXED44}[name]
+    sys = SystemSpec(cm, 3)
+    window = (0, 8)
+    if kind == "T":
+        table, relations = propagate_t(sys, window, rng=random.Random(3)), \
+            enumerate_relations(sys, window)
+    else:
+        table, relations = propagate_y(sys, window, rng=random.Random(3)), \
+            enumerate_y_relations(sys, window)
+    values = dict(table.values)
+    keys = sorted(values)
+    for index, replacement in changes:
+        values[keys[index % len(keys)]] = replacement
+    assert_checks_agree(relations, values, kind)
+
+
+# --- solves ---------------------------------------------------------------------------
+
+
+def oracle_propagate_y(sys, window, initial):
+    """propagate_y with the Y-solve written as Fraction values."""
+    def solver(var):
+        a, m, k = var
+        if m > sys.max_center_m(a, "Y"):
+            return tsystem.SAMPLE
+        rel = y_relation(sys, a, m, k - sys.cm.d[a])
+
+        def solve(value):
+            num, den = rel.rhs(value)
+            if den == 0 or num == 0:
+                raise ZeroDivisor(f"degenerate side at {rel.center.label('Y')}")
+            return num / (den * value(rel.lhs[0]))
+
+        return solve
+
+    return _propagate("Y", sys, window, solver, initial, None, SolvePolicy())
+
+
+def slab(sys, kind, window, draw):
+    """Initial data for the free slab of width 2 d_a, value by value."""
+    top = sys.max_m_t if kind == "T" else sys.max_m_y
+    lo = window[0]
+    return {LatticeVar(a, m, k): draw()
+            for a in range(sys.cm.r) for m in range(1, top(a) + 1)
+            for k in range(lo, lo + 2 * sys.cm.d[a])}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["A3", "B2", "MIXED44"]), st.randoms(use_true_random=False),
+       st.sampled_from([[Fraction(-1)], [2, -3], [Fraction(1, 3), Fraction(-2, 5)]]))
+def test_solves_match_value_route(name, rng, specials):
+    # initial data of small rationals with ints, negatives and some Y = -1;
+    # no rng, so a degenerate side or a solved zero raises at its variable
+    cm = {"A3": A3, "B2": B2, "MIXED44": MIXED44}[name]
+    sys = SystemSpec(cm, 2 if name == "MIXED44" else 3)
+    window = (0, 7)
+
+    def draw():
+        if rng.random() < 0.2:
+            return rng.choice(specials)
+        return Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4))
+
+    y_initial = slab(sys, "Y", window, draw)
+    got = both_routes(lambda: propagate_y(sys, window, initial=y_initial))
+    assert got == outcome(lambda: oracle_propagate_y(sys, window, y_initial))
+    if max(cm.d) < 3:
+        t_initial = slab(sys, "T", window, draw)
+        both_routes(lambda: propagate_t(sys, window, initial=t_initial))
+
+
+def test_degenerate_and_zero_solves_name_their_variable():
+    sys = SystemSpec(A3, 3)
+    y_initial = slab(sys, "Y", (0, 6), lambda: Fraction(2))
+    y_initial[LatticeVar(1, 1, 1)] = Fraction(-1)
+    got = both_routes(lambda: propagate_y(sys, (0, 6), initial=y_initial))
+    assert got == ("raises", "ZeroDivisor", "degenerate side at Y[a=1,m=1,k=1]")
+    # T(a=1, m=1, k=2) = (T_2(1) + T_1(1)^0 T(a=2, m=1, k=1)) / T(a=1, m=1, k=0) = 0
+    t_initial = slab(sys, "T", (0, 6), lambda: Fraction(1))
+    t_initial[LatticeVar(1, 1, 1)] = Fraction(-1)
+    got = both_routes(lambda: propagate_t(sys, (0, 6), initial=t_initial))
+    assert got == ("raises", "ZeroDivisor", "solved zero at T[a=1,m=1,k=2]")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(A3, 4, 14), (B2, 3, 16), (MIXED44, 2, 8)]),
+       st.integers(0, 2 ** 16), st.sampled_from(["random", "unit"]),
+       st.lists(st.tuples(st.integers(0, 10 ** 6),
+                          st.sampled_from([Fraction(-1), Fraction(-2, 3), Fraction(5)])),
+                max_size=2))
+def test_y_to_t_and_roundtrip_match_value_route(case, seed, free, changes):
+    cm, cap, width = case
+    y_table = propagate_y(SystemSpec(cm, cap, restricted=False), (0, width),
+                          rng=random.Random(seed))
+    keys = sorted(y_table.values)
+    for index, replacement in changes:
+        y_table.values[keys[index % len(keys)]] = replacement
+    policy = ysystem.FreeChoicePolicy(free)
+    got = both_routes(lambda: y_to_t(y_table, rng=random.Random(seed), policy=policy))
+    both_routes(lambda: roundtrip_check(y_table, rng=random.Random(seed), policy=policy))
+    if got[0] == "returns":
+        t_table = y_to_t(y_table, rng=random.Random(seed), policy=policy)
+        both_routes(lambda: claim_identities_check(t_table, y_table))
+
+
+def test_y_to_t_int_entries_stay_exact():
+    # on the value route 1 + 1/Y is a float for an int Y; the rational route
+    # keeps every reconstructed value an exact Fraction
+    y_table = propagate_y(SystemSpec(A3, 4, restricted=False), (0, 12),
+                          rng=random.Random(21))
+    as_ints = {var: 2 * (var.a + 1) for var in y_table.values}
+    ints = ValueTable("Y", y_table.system, y_table.window, as_ints)
+    t_table = y_to_t(ints, policy=ysystem.FreeChoicePolicy("unit"))
+    assert all(type(v) is Fraction for v in t_table.values.values())
+    with value_route():
+        floats = y_to_t(ints, policy=ysystem.FreeChoicePolicy("unit"))
+    assert any(type(v) is float for v in floats.values.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10 ** 40, 10 ** 40),
+                          st.integers(-10 ** 40, 10 ** 40).filter(bool)),
+                max_size=6))
+def test_reduced_quotient_is_the_fraction_product(pairs):
+    want = Fraction(1)
+    for a, b in pairs:
+        want *= Fraction(a, b)
+    got = reduced_quotient(pairs)
+    assert type(got) is Fraction and got == want
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+# --- T -> Y ---------------------------------------------------------------------------
+
+
+def _t_table(cm, level, window, seed, restricted=True):
+    if restricted:
+        return propagate_t(SystemSpec(cm, level), window, rng=random.Random(seed))
+    y_table = propagate_y(SystemSpec(cm, level, restricted=False), window,
+                          rng=random.Random(seed))
+    return y_to_t(y_table, rng=random.Random(seed + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["A3", "B2", "MIXED44"]),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), small_rationals), max_size=3))
+def test_t_to_y_and_claims_match_value_route(name, changes):
+    # zero T-values included: a vanishing inner raises at its Y-variable in
+    # t_to_y and as the division of values in claim_identities_check
+    if name == "MIXED44":
+        t_table = _t_table(MIXED44, 2, (0, 8), 5, restricted=False)
+    else:
+        t_table = _t_table({"A3": A3, "B2": B2}[name], 3, (0, 10), 5)
+    y_table, _ = t_to_y(t_table)
+    keys = sorted(t_table.values)
+    values = dict(t_table.values)
+    for index, replacement in changes:
+        values[keys[index % len(keys)]] = replacement
+    broken = ValueTable("T", t_table.system, t_table.window, values)
+    both_routes(lambda: t_to_y(broken))
+    both_routes(lambda: claim_identities_check(broken, y_table))
+    both_routes(lambda: claim_identities_check(t_table, y_table))
+
+
+def test_zero_inner_raises_alike():
+    t_table = _t_table(A3, 3, (0, 10), 5)
+    values = dict(t_table.values)
+    values[LatticeVar(0, 2, 5)] = 0
+    broken = ValueTable("T", t_table.system, t_table.window, values)
+    y_table, _ = t_to_y(t_table)
+    assert both_routes(lambda: t_to_y(broken)) == (
+        "raises", "ZeroDivisor", "vanishing T pair under Y[a=1,m=1,k=5]")
+    got = both_routes(lambda: claim_identities_check(broken, y_table))
+    assert got[:2] == ("raises", "ZeroDivisionError")
+
+
+def _unreduced(value, scale):
+    """value as an unreduced integer pair (N, D), both scaled by a nonzero
+    factor, so that D may be negative."""
+    return value.numerator * scale, value.denominator * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+       st.sampled_from([0, 0, Fraction(1), Fraction(-2, 3), Fraction(7, 2)]),
+       st.sampled_from([0, 0, 1, Fraction(-1, 2)]),
+       st.lists(st.integers(-4, 4).filter(bool), min_size=3, max_size=3))
+def test_companions_hold_on_pairs_is_the_value_identities(inner, coupling, offset, scales):
+    # a zero coupling with inner == pair passes the sum test but not the
+    # companion 1 + Y^-1 = pair / coupling
+    pair = inner + coupling + offset
+    found = companion_identities("at p", coupling / inner, pair, inner, coupling)
+    as_pairs = [_unreduced(Fraction(v), s) for v, s in zip((pair, inner, coupling), scales)]
+    assert companions_hold(*as_pairs) == companions_hold(pair, inner, coupling) \
+        == (found == [])
+
+
+def test_roundtrip_mismatches_match_value_route(monkeypatch):
+    # a reconstruction that went wrong: the roundtrip must report the same
+    # mismatches and claim violations as the Fraction value route
+    y_table = propagate_y(SystemSpec(A3, 4, restricted=False), (0, 16),
+                          rng=random.Random(21))
+    t_table = y_to_t(y_table, rng=random.Random(5))
+    values = dict(t_table.values)
+    for var in sorted(values)[::9]:
+        values[var] = -2 * values[var]
+    broken = ValueTable("T", t_table.system, t_table.window, values, t_table.meta)
+    monkeypatch.setattr(ysystem, "y_to_t", lambda *args, **kwargs: broken)
+    report, _ = roundtrip_check(y_table)
+    recovered = ysystem.t_to_y_table(broken).values
+    region = ysystem.recoverable_region(y_table, list(recovered))
+    assert report["compared"] == len(region)
+    assert report["mismatches"] == [
+        violation(var.label("Y"), recovered[var], y_table.values[var])
+        for var in region if recovered[var] != y_table.values[var]] != []
+    assert report["claim_violations"] == value_route_claim(broken, y_table) != []
+
+
+def test_symbolic_tables_take_the_value_route():
+    # rational functions in the initial data: every solve, check and T -> Y
+    # step takes the value route, and agrees with the rational route on the
+    # data evaluated at a point
+    sys = SystemSpec(new_cartan(FINITE_TYPE["A2"]), 2)
+    names = {LatticeVar(a, 1, k): f"x{a}{k}" for a in range(2) for k in range(2)}
+    point = {name: Fraction(i + 2, i + 5) for i, name in enumerate(sorted(names.values()))}
+    symbolic = {var: RationalFunction.gen(name) for var, name in names.items()}
+    rational = {var: point[name] for var, name in names.items()}
+    for propagate, enumerate_kind in ((propagate_t, enumerate_relations),
+                                      (propagate_y, enumerate_y_relations)):
+        table = propagate(sys, (0, 8), initial=symbolic)
+        assert isinstance(table.values[LatticeVar(0, 1, 6)], RationalFunction)
+        exact = propagate(sys, (0, 8), initial=rational)
+        assert {var: evaluate(v, point) for var, v in table.values.items()} == exact.values
+        relations = enumerate_kind(sys, (0, 8))
+        assert check_relations(relations, table.get, str) == [] \
+            == check_relations(relations, exact.get, str)
+    t_table = propagate_t(sys, (0, 8), initial=symbolic)
+    y_table, bad = t_to_y(t_table)
+    exact_y, exact_bad = t_to_y(propagate_t(sys, (0, 8), initial=rational))
+    assert bad == exact_bad == [] and claim_identities_check(t_table, y_table) == []
+    assert {var: evaluate(v, point) for var, v in y_table.values.items()} == exact_y.values

@@ -388,6 +388,50 @@ def test_finite_type_period_and_half_period_symmetry(name, kind):
         assert compared, level
 
 
+def _e_type(rank):
+    """E_rank: the chain 0..rank-2 with node rank-1 attached to node 2, so
+    that the arms from the branch node have lengths 2, rank-4 and 1."""
+    rows = [[0] * rank for _ in range(rank)]
+    for a in range(rank):
+        rows[a][a] = 2
+    for a, b in [(a, a + 1) for a in range(rank - 2)] + [(2, rank - 1)]:
+        rows[a][b] = rows[b][a] = -1
+    return rows
+
+
+# Coxeter numbers; the half-period map reverses the chain of E6 (swapping its
+# two arms of length 2) and is the identity on E7 and E8
+E_TYPE = {"E6": (6, 12), "E7": (7, 18), "E8": (8, 30)}
+
+
+@pytest.mark.parametrize("name,kind", [(name, kind) for name in E_TYPE
+                                       for kind in ("T", "Y")])
+def test_e_type_period_and_half_period_symmetry(name, kind):
+    # X^a_m(k + h + l) = X^{w(a)}_{l - m}(k), so 2(h + l) is a period
+    rank, h = E_TYPE[name]
+    cm = new_cartan(_e_type(rank))
+    assert cm.t == 1 and cm.tamely_laced
+
+    def mirror(a):
+        return rank - 2 - a if name == "E6" and a < rank - 1 else a
+
+    propagate = propagate_t if kind == "T" else propagate_y
+    for level in (2, 3, 4):
+        full = 2 * (h + level)
+        table = propagate(SystemSpec(cm, level), (0, full + 3), rng=random.Random(level))
+        period = detect_period(table, full)
+        assert period is not None and full % period == 0, (level, period)
+        compared = moved = 0
+        for (a, m, k), val in table.values.items():
+            later = table.values.get(V(a, m, k + full // 2))
+            if later is None:
+                continue
+            assert later == table.values[V(mirror(a), level - m, k)], (level, a, m, k)
+            compared += 1
+            moved += mirror(a) != a
+        assert compared and (moved > 0) == (name == "E6"), level
+
+
 # --- resampling keeps the order of random draws ----------------------------------------
 
 
