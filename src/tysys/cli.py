@@ -248,8 +248,8 @@ def cmd_period_scan(args) -> int:
     cm = cartan.read_cartan_file(args.file)
     sys_ = build_system(cm, args.level, args.mcap)
     window = parse_window(args.window)
-    table = ysystem.propagate_y(sys_, window,
-                                rng=derive_rng(args.seed, "period"))
+    table = ysystem.propagate_y(sys_, window, rng=derive_rng(args.seed, "period"),
+                                policy=tsystem.SolvePolicy(max_retries=args.retries))
     period = ysystem.detect_period(table, args.max_period)
     return _emit({
         "pass": period is not None,

@@ -46,7 +46,11 @@ from .tsystem import (
     SystemSpec,
     TRelation,
     check_relations,
-    factor_product,
+    factor_pairs,
+    lhs_pair,
+    pair_product,
+    pair_quotient,
+    pair_value,
     t_relation,
 )
 from .ysystem import YRelation, companion_identities, companions_hold
@@ -343,7 +347,7 @@ class SequenceResult:
 
         y = self.require_y("to_json")
 
-        def dump(values, semifield):
+        def dump(values):
             out = {}
             for (i, u), val in sorted(values.items()):
                 if self.mode == "numeric":
@@ -357,8 +361,8 @@ class SequenceResult:
             "parity": list(self.matrix.parity),
             "u_range": list(self.u_range),
             "mode": self.mode,
-            "x": dump(self.x, False),
-            "y": dump(y, True),
+            "x": dump(self.x),
+            "y": dump(y),
         }
 
 
@@ -556,8 +560,8 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
     (_mapped_exponents_agree) and the T(B) form held at every numerator and
     denominator point.  Both sides are then the same Laurent monomial in the
     T-atoms, and its denominators, the inner and coupling products, are
-    nonzero there, so the value comparison would pass.  Every other mapped
-    relation is compared as values, with the same records as before.
+    nonzero there, so the relation holds.  Every other mapped relation goes
+    through check_relations, with the same records as before.
 
     Returns (y_values, violations).
     """
@@ -573,16 +577,17 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
     for i, stencil in enumerate(stencils):
         for u in range(lo, hi + 1):
             rel = stencil.shift(u)
-            coupling = factor_product(t, rel.numerator)
-            inner = factor_product(t, rel.denominator)
-            y = y_values[(i, u)] = coupling / inner
+            coupling = pair_product(factor_pairs(t, rel.numerator))
+            inner = pair_product(factor_pairs(t, rel.denominator))
+            y = y_values[(i, u)] = pair_quotient(coupling, inner)
             if lo < u < hi:
-                pair = t(rel.lhs[0]) * t(rel.lhs[1])
+                pair = lhs_pair(t, rel)
                 if companions_hold(pair, inner, coupling):
                     held.add((i, u))
                 else:
-                    violations += companion_identities(f"at ({em.label(i)},{u})", y,
-                                                       pair, inner, coupling)
+                    violations += companion_identities(
+                        f"at ({em.label(i)},{u})", y, pair_value(*pair),
+                        pair_value(*inner), pair_value(*coupling))
     agree = _mapped_exponents_agree(stencils)
     rels = []
     for i, stencil in enumerate(stencils):

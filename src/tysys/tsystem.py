@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cartan import CartanMatrix
 from .errors import (
@@ -27,6 +27,7 @@ from .errors import (
     ZeroDivisor,
 )
 from .exactmath import (
+    RationalFunction,
     evaluate,
     fraction_from_text,
     fraction_to_text,
@@ -146,9 +147,9 @@ class TRelation:
         return lhs == rhs
 
     def holds_exactly(self, value) -> Optional[bool]:
-        """The relation as one integer identity, without a gcd:
+        """The relation as one identity in the values' ring, without a gcd:
         p0 p1 Q_a Q_m == q0 q1 (P_a Q_m + P_m Q_a), with P_a / Q_a and
-        P_m / Q_m the two products.  None where a value is symbolic."""
+        P_m / Q_m the two products.  None where a value has no ring pair."""
         lhs = lhs_pair(value, self)
         term_a = None if lhs is None else factor_pairs(value, self.term_a)
         term_m = None if term_a is None else factor_pairs(value, self.term_m)
@@ -470,11 +471,11 @@ def check_relations(relations: Iterable, value: Callable, label: Callable,
                     assignments: Optional[list] = None) -> List[dict]:
     """The one check of T- and Y-relations, lattice or exchange-matrix.
 
-    Where every value is an int or a Fraction, rel.holds_exactly decides the
-    exact check as one integer identity.  Otherwise the sides, read through
-    value(var), are compared by rel.holds exactly or at each assignment
-    given.  Each failure is recorded as violation(label(rel), lhs, rhs), from
-    the sides as values."""
+    Where every value has a ring pair, rel.holds_exactly decides the exact
+    check as one identity of integers or of Laurent polynomials.  Otherwise
+    (semifield values), and at each assignment given, the sides, read
+    through value(var), are compared by rel.holds.  Each failure is recorded
+    as violation(label(rel), lhs, rhs), from the sides as values."""
     violations = []
     for rel in relations:
         ok = rel.holds_exactly(value) if assignments is None else None
@@ -494,15 +495,18 @@ def check_relations(relations: Iterable, value: Callable, label: Callable,
 def _check_table(table: ValueTable, relations: Iterable, kind: str, mode: str,
                  rng, samples: int) -> List[dict]:
     """check_relations on a table; numeric mode draws `samples` random
-    assignments of the table's symbols."""
+    assignments of the symbols of the table's rational functions, and checks
+    a table without one exactly."""
     assignments = None
     if mode == "numeric":
-        names = set()
-        for val in table.values.values():
-            if not isinstance(val, RATIONAL):
-                names |= set(val.num.vars) | set(val.den.vars)
-        assignments = [{n: random_nonzero_rational(rng) for n in sorted(names)}
-                       for _ in range(samples)]
+        if samples < 1:
+            raise ValueError(f"numeric mode needs samples >= 1, got {samples}")
+        symbolic = [val for val in table.values.values()
+                    if isinstance(val, RationalFunction)]
+        if symbolic:
+            names = sorted({n for val in symbolic for n in val.num.vars + val.den.vars})
+            assignments = [{n: random_nonzero_rational(rng) for n in names}
+                           for _ in range(samples)]
     return check_relations(relations, table.get, lambda rel: rel.center.label(kind),
                            assignments)
 
@@ -537,35 +541,40 @@ def factor_product(value: Callable, factors: Iterable[Factor]):
 
 
 # ---------------------------------------------------------------------------
-# the rational route: products, checks and solves on integer pairs
+# ring pairs: every value as numerator / denominator in its own ring
 # ---------------------------------------------------------------------------
 
 RATIONAL = (int, Fraction)
 
 
-def factor_pairs(value: Callable, factors: Iterable[Factor],
-                 form: Optional[Callable] = None) -> Optional[List[Tuple[int, int]]]:
-    """[(a ** exp, b ** exp)] over the factors, where (a, b) is (p, q), or
-    form(p, q), for value(var) = p / q in lowest terms; a / b is the factor.
+def ring_pair(v):
+    """v as (numerator, denominator) in its ring: integers in lowest terms
+    for an int or a Fraction, the Laurent polynomials of a RationalFunction.
+    None for a value without one (a semifield element)."""
+    if isinstance(v, RATIONAL):
+        return v.as_integer_ratio()
+    if isinstance(v, RationalFunction):
+        return v.num, v.den
+    return None
 
-    None if a value is not an int or a Fraction: the caller then takes the
-    value route.  Every value is read, in order, as the value route reads
-    it, so that a lazy reader sees the same reads either way; form is not
-    applied after a symbolic value, since the value route raises there."""
+
+def factor_pairs(value: Callable, factors: Iterable[Factor],
+                 form: Optional[Callable] = None) -> Optional[list]:
+    """[(a ** exp, b ** exp)] over the factors, where (a, b) is (p, q), or
+    form(p, q), for the ring pair (p, q) of value(var); a / b is the factor.
+    None if a value has no ring pair."""
     pairs = []
     for var, exp in factors:
-        v = value(var)
-        if pairs is None:
-            continue
-        if not isinstance(v, RATIONAL):
-            pairs = None
-            continue
-        pair = v.as_integer_ratio() if form is None else form(*v.as_integer_ratio())
+        pair = ring_pair(value(var))
+        if pair is None:
+            return None
+        if form is not None:
+            pair = form(*pair)
         pairs.append(pair if exp == 1 else (pair[0] ** exp, pair[1] ** exp))
     return pairs
 
 
-def pair_product(pairs: Iterable[Tuple[int, int]]) -> Tuple[int, int]:
+def pair_product(pairs: Iterable[tuple]) -> tuple:
     """(prod a, prod b) over the pairs: multiplied out, no gcd."""
     n = d = 1
     for a, b in pairs:
@@ -574,21 +583,36 @@ def pair_product(pairs: Iterable[Tuple[int, int]]) -> Tuple[int, int]:
     return n, d
 
 
-def lhs_pair(value: Callable, rel) -> Optional[Tuple[int, int]]:
+def lhs_pair(value: Callable, rel) -> Optional[tuple]:
     """(p0 p1, q0 q1) for rel's left-hand side p0/q0 * p1/q1, or None where
-    a value is symbolic."""
-    x, y = value(rel.lhs[0]), value(rel.lhs[1])
-    if isinstance(x, RATIONAL) and isinstance(y, RATIONAL):
-        (p0, q0), (p1, q1) = x.as_integer_ratio(), y.as_integer_ratio()
-        return p0 * p1, q0 * q1
-    return None
+    a value has no ring pair."""
+    x = ring_pair(value(rel.lhs[0]))
+    y = None if x is None else ring_pair(value(rel.lhs[1]))
+    return None if y is None else (x[0] * y[0], x[1] * y[1])
 
 
-def reduced_quotient(pairs: Iterable[Tuple[int, int]]) -> Fraction:
-    """prod a / b over the pairs (every b nonzero) as one Fraction.  Each
-    factor is cross-cancelled against the running product, as a Fraction
+def pair_value(n, d):
+    """The value n / d of a ring pair (d nonzero): a Fraction for integers,
+    a RationalFunction, reduced as every one is, for Laurent polynomials."""
+    return Fraction(n, d) if isinstance(n, int) else RationalFunction(n, d)
+
+
+def pair_quotient(top, bottom):
+    """top / bottom for two ring pairs, as one value.  A zero bottom raises
+    as the division of values does."""
+    if bottom[0] == 0:
+        return pair_value(*top) / pair_value(*bottom)
+    return pair_value(top[0] * bottom[1], top[1] * bottom[0])
+
+
+def reduced_quotient(pairs: Sequence[tuple]):
+    """prod a / b over the ring pairs (every b nonzero) as one value: one
+    pair_value of the product unless every pair is of integers.  Integer
+    factors are cross-cancelled against the running product, as a Fraction
     product does (two gcds), so that a product of reduced factors stays
     reduced; Fraction(n, d) then normalises once, sign included."""
+    if not all(isinstance(a, int) for a, _ in pairs):
+        return pair_value(*pair_product(pairs))
     n = d = 1
     for a, b in pairs:
         g, h = gcd(n, b), gcd(a, d)
@@ -725,14 +749,10 @@ def propagate_t(sys: SystemSpec, window, initial: Optional[dict] = None,
         rel = t_relation(sys, var.a, var.m, var.k - sys.cm.d[var.a])
 
         def solve(value):
-            term_a = factor_pairs(value, rel.term_a)
-            term_m = factor_pairs(value, rel.term_m)
-            before = value(rel.lhs[0])
-            if term_a is None or term_m is None or not isinstance(before, RATIONAL):
-                return rel.rhs(value) / before
-            (an, ad), (mn, md) = pair_product(term_a), pair_product(term_m)
-            return reduced_quotient(((an * md + mn * ad, ad * md),
-                                     before.as_integer_ratio()[::-1]))
+            an, ad = pair_product(factor_pairs(value, rel.term_a))
+            mn, md = pair_product(factor_pairs(value, rel.term_m))
+            p, q = ring_pair(value(rel.lhs[0]))
+            return reduced_quotient(((an * md + mn * ad, ad * md), (q, p)))
 
         return solve
 

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .exactmath import inverse, one_plus
 from .tsystem import (
-    RATIONAL,
     SAMPLE,
     Factor,
     LatticeVar,
@@ -48,26 +47,28 @@ from .tsystem import (
     check_relations,
     enumerate_relations,
     factor_pairs,
-    factor_product,
     fill_lattice,
     g_exponents,
     lhs_pair,
     m_term,
     pair_product,
+    pair_quotient,
+    pair_value,
     reduced_quotient,
+    ring_pair,
     stencil,
     t_relation,
     violation,
 )
 
 
-def _one_plus(p: int, q: int) -> Tuple[int, int]:
-    """1 + p/q as the pair (p + q, q), reduced when p/q is."""
+def _one_plus(p, q) -> tuple:
+    """1 + p/q as the ring pair (p + q, q), reduced when p/q is."""
     return p + q, q
 
 
-def _one_plus_inverse(p: int, q: int) -> Tuple[int, int]:
-    """1 + q/p as the pair (p + q, p), reduced when p/q is; raises as
+def _one_plus_inverse(p, q) -> tuple:
+    """1 + q/p as the ring pair (p + q, p), reduced when p/q is; raises as
     exactmath.inverse does for p = 0."""
     if p == 0:
         raise InverseOfZero("inverse of zero")
@@ -114,21 +115,21 @@ class YRelation:
         return lhs * den == num
 
     def rhs_pairs(self, value):
-        """(numerator, denominator) factors of rhs as integer pairs (a, b),
+        """(numerator, denominator) factors of rhs as ring pairs (a, b),
         a / b the factor: (p + q, q) for 1 + Y and (p + q, p) for 1 + Y^-1,
-        with Y = p / q, each to its exponent.  None where a value is
-        symbolic; read, and raising, as rhs reads and raises."""
+        with (p, q) the ring pair of Y, each to its exponent.  None where a
+        value has no ring pair; read, and raising, as rhs reads and raises."""
         num = factor_pairs(value, self.numerator, _one_plus)
-        den = factor_pairs(value, self.denominator,
-                           None if num is None else _one_plus_inverse)
-        return None if num is None or den is None else (num, den)
+        den = None if num is None else factor_pairs(value, self.denominator,
+                                                    _one_plus_inverse)
+        return None if den is None else (num, den)
 
     def holds_exactly(self, value) -> Optional[bool]:
-        """The relation as one integer identity, without a gcd:
+        """The relation as one identity in the values' ring, without a gcd:
         p0 p1 prod (p_j + q_j)^e prod q_i^e == q0 q1 prod p_j^e prod (p_i + q_i)^e,
         with i over the 1 + Y factors and j over the 1 + Y^-1 factors.  Each
         side's numerator and denominator are built apart and cross-multiplied
-        once.  None where a value is symbolic."""
+        once.  None where a value has no ring pair."""
         lhs = lhs_pair(value, self)
         sides = None if lhs is None else self.rhs_pairs(value)
         if sides is None:
@@ -244,23 +245,11 @@ def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
         rel = y_relation(sys, a, m, k - sys.cm.d[a])
 
         def solve(value):
-            sides = rel.rhs_pairs(value)
-            if sides is None:
-                return solve_values(value)
-            num, den = sides
+            num, den = rel.rhs_pairs(value)
             if any(x == 0 for x, _ in den) or any(x == 0 for x, _ in num):
                 raise ZeroDivisor(f"degenerate side at {rel.center.label('Y')}")
-            before = value(rel.lhs[0])
-            if not isinstance(before, RATIONAL):
-                return solve_values(value)
-            return reduced_quotient([*num, *((b, a) for a, b in den),
-                                     before.as_integer_ratio()[::-1]])
-
-        def solve_values(value):
-            num, den = rel.rhs(value)
-            if den == 0 or num == 0:
-                raise ZeroDivisor(f"degenerate side at {rel.center.label('Y')}")
-            return num / (den * value(rel.lhs[0]))
+            p, q = ring_pair(value(rel.lhs[0]))
+            return reduced_quotient([*num, *((b, a) for a, b in den), (q, p)])
 
         return solve
 
@@ -272,32 +261,12 @@ def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
 # ---------------------------------------------------------------------------
 
 
-def _t_sides(table: ValueTable, var: LatticeVar):
-    """(rel, inner, coupling): the T-relation centred at var and its products
-    T_{m-1} T_{m+1} and M as values, or None where the table does not cover
-    a factor."""
-    rel = t_relation(table.system, *var)
-    try:
-        inner = factor_product(table.get, rel.term_a)
-        return rel, inner, factor_product(table.get, rel.term_m)
-    except MissingValue:
-        return None
-
-
-def _t_pair(table: ValueTable, rel):
-    """T(k-d) T(k+d), the product of rel's left-hand side, or None."""
-    if rel.lhs[0] in table.values and rel.lhs[1] in table.values:
-        return table.values[rel.lhs[0]] * table.values[rel.lhs[1]]
-    return None
-
-
 def _sides(table: ValueTable, rel):
     """(rel, inner, coupling, pair): the T-relation rel, centred at a
     Y-variable, and its products T_{m-1} T_{m+1}, M and T(k-d) T(k+d) as
-    integer pairs (N, D), N / D the product, multiplied out without a gcd.
+    ring pairs (N, D), N / D the product, multiplied out without a gcd.
     pair is None where the table lacks a left-hand value; the whole is None
-    where it lacks a factor of inner or coupling.  Where a T-value is
-    symbolic the three are the values of _t_sides and _t_pair."""
+    where it lacks a factor of inner or coupling."""
     try:
         inner = factor_pairs(table.get, rel.term_a)
         coupling = factor_pairs(table.get, rel.term_m)
@@ -305,31 +274,15 @@ def _sides(table: ValueTable, rel):
         return None
     covered = rel.lhs[0] in table.values and rel.lhs[1] in table.values
     pair = lhs_pair(table.get, rel) if covered else None
-    if inner is None or coupling is None or (covered and pair is None):
-        return (*_t_sides(table, rel.center), _t_pair(table, rel))
     return rel, pair_product(inner), pair_product(coupling), pair
 
 
-def _value(side):
-    """A product of _sides as a value: an integer pair as one Fraction."""
-    return Fraction(*side) if isinstance(side, tuple) else side
-
-
-def _quotient(top, bottom):
-    """top / bottom for products of _sides, as a value: one Fraction for
-    integer pairs.  A zero bottom raises as the division of values does."""
-    if isinstance(top, tuple) and bottom[0] != 0:
-        return Fraction(top[0] * bottom[1], top[1] * bottom[0])
-    return _value(top) / _value(bottom)
-
-
 def _is_quotient(y, top, bottom) -> bool:
-    """y == top / bottom, cross-multiplied where y is rational and the
-    products are integer pairs."""
-    if isinstance(top, tuple) and isinstance(y, RATIONAL) and bottom[0] != 0:
-        p, q = y.as_integer_ratio()
-        return p * top[1] * bottom[0] == q * top[0] * bottom[1]
-    return y == _quotient(top, bottom)
+    """y == top / bottom for two ring pairs, cross-multiplied."""
+    if bottom[0] == 0:
+        return y == pair_quotient(top, bottom)
+    p, q = ring_pair(y)
+    return p * top[1] * bottom[0] == q * top[0] * bottom[1]
 
 
 def _mapped_relations(t_table: ValueTable):
@@ -358,16 +311,9 @@ def _mapped_sides(t_table: ValueTable):
     return (_sides(t_table, rel) for rel in _mapped_relations(t_table))
 
 
-def _mapped_y(t_table: ValueTable):
-    """(rel, Y, inner, coupling) with Y = coupling / inner and the products
-    as values, at every point of _mapped_sides."""
-    for rel, inner, coupling, _ in _mapped_sides(t_table):
-        yield rel, _quotient(coupling, inner), _value(inner), _value(coupling)
-
-
 def t_to_y_table(t_table: ValueTable) -> ValueTable:
     """The Y-family of t_to_y, without its identity checks."""
-    values = {rel.center: _quotient(coupling, inner)
+    values = {rel.center: pair_quotient(coupling, inner)
               for rel, inner, coupling, _ in _mapped_sides(t_table)}
     return ValueTable("Y", t_table.system, t_table.window, values)
 
@@ -377,15 +323,13 @@ def companions_hold(pair, inner, coupling) -> bool:
 
     1 + Y = pair / inner and 1 + Y^-1 = pair / coupling hold exactly when
     coupling is nonzero and inner + coupling == pair: one sum and one
-    comparison, no division and no successor.  For integer pairs (N, D) of
+    comparison, no division and no successor.  On the ring pairs (N, D) of
     _sides the sum is cross-multiplied,
     (N_i D_c + N_c D_i) D_p == N_p D_i D_c.  Sound only where Y is
     coupling / inner with inner nonzero; where it fails,
     companion_identities builds the violation records."""
-    if isinstance(inner, tuple):
-        (pn, pd), (i_n, i_d), (cn, cd) = pair, inner, coupling
-        return cn != 0 and (i_n * cd + cn * i_d) * pd == pn * i_d * cd
-    return coupling != 0 and inner + coupling == pair
+    (pn, pd), (i_n, i_d), (cn, cd) = pair, inner, coupling
+    return cn != 0 and (i_n * cd + cn * i_d) * pd == pn * i_d * cd
 
 
 def companion_identities(label: str, y, pair, inner, coupling) -> List[dict]:
@@ -433,10 +377,10 @@ def t_to_y(t_table: ValueTable):
     values: Dict[LatticeVar, Fraction] = {}
     violations: List[dict] = []
     for rel, inner, coupling, pair in _mapped_sides(t_table):
-        y = values[rel.center] = _quotient(coupling, inner)
+        y = values[rel.center] = pair_quotient(coupling, inner)
         if pair is not None and not companions_hold(pair, inner, coupling):
-            violations += companion_identities(rel.center.label("Y"), y, _value(pair),
-                                               _value(inner), _value(coupling))
+            violations += companion_identities(rel.center.label("Y"), y, pair_value(*pair),
+                                               pair_value(*inner), pair_value(*coupling))
     lo, hi = t_table.window
     if sys.restricted:
         for a in range(sys.cm.r):
@@ -509,28 +453,22 @@ def y_to_t(y_table: ValueTable, rng=None,
                 far = value(opposite)
                 if y1 == 0 or far == 0:
                     raise ZeroDivisor(f"degenerate extension at {var.label()}")
-                if pairs is None or not isinstance(far, RATIONAL) \
-                        or not isinstance(y1, RATIONAL):
-                    return (1 + 1 / y1) * factor_product(value, coupling) / far
-                return reduced_quotient([_one_plus_inverse(*y1.as_integer_ratio()),
-                                         *pairs, far.as_integer_ratio()[::-1]])
+                p, q = ring_pair(far)
+                return reduced_quotient([_one_plus_inverse(*ring_pair(y1)), *pairs, (q, p)])
         else:
             ym = y_vals.get(LatticeVar(a, m - 1, k))
             if ym is None:
                 return None
 
             def solve(value):
-                left = value(LatticeVar(a, m - 1, k - da))
-                right = value(LatticeVar(a, m - 1, k + da))
-                below = Fraction(1) if m == 2 else value(LatticeVar(a, m - 2, k))
+                left = ring_pair(value(LatticeVar(a, m - 1, k - da)))
+                right = ring_pair(value(LatticeVar(a, m - 1, k + da)))
+                p, q = (1, 1) if m == 2 else ring_pair(value(LatticeVar(a, m - 2, k)))
                 # after the dependencies: an undetermined variable must not raise
                 if ym == -1:
                     raise ZeroDivisor(f"1 + Y vanishes under {var.label()}")
-                if not all(isinstance(x, RATIONAL) for x in (left, right, below, ym)):
-                    return left * right / ((1 + ym) * below)
-                succ, den = _one_plus(*ym.as_integer_ratio())
-                return reduced_quotient((left.as_integer_ratio(), right.as_integer_ratio(),
-                                         (den, succ), below.as_integer_ratio()[::-1]))
+                succ, den = _one_plus(*ring_pair(ym))
+                return reduced_quotient((left, right, (den, succ), (q, p)))
 
         return solve
 
@@ -575,17 +513,17 @@ def _compare_to_t(t_table: ValueTable, y_table: ValueTable, region=()):
         if var in region:
             _, inner, coupling, _ = sides
             if not _is_quotient(y, coupling, inner):
-                mismatches.append(violation(var.label("Y"), _quotient(coupling, inner), y))
+                mismatches.append(violation(var.label("Y"), pair_quotient(coupling, inner), y))
         if sides is None or sides[3] is None:
             continue
         _, inner, coupling, pair = sides
         if not _is_quotient(y, coupling, inner):
             violations.append(violation(f"value {var.label('Y')}", y,
-                                        _quotient(coupling, inner)))
+                                        pair_quotient(coupling, inner)))
         elif companions_hold(pair, inner, coupling):
             continue
-        violations += companion_identities(var.label("Y"), y, _value(pair),
-                                           _value(inner), _value(coupling))
+        violations += companion_identities(var.label("Y"), y, pair_value(*pair),
+                                           pair_value(*inner), pair_value(*coupling))
     return mismatches, violations
 
 

@@ -239,6 +239,11 @@ def test_verify_all_smoke(capsys):
     assert "criterion" in captured.err
 
 
+def test_period_scan_negative_retries_is_a_usage_error(a2_file, capsys):
+    line = usage_error(capsys, "period", "scan", a2_file, "--level", "2", "--retries", "-1")
+    assert line == "tysys: max_retries must be >= 0, got -1"
+
+
 def test_negative_retries_is_a_usage_error(a2_file, capsys):
     code = main(["sys", "solve-y", a2_file, "--level", "2", "--retries", "-1"])
     captured = capsys.readouterr()
@@ -464,3 +469,29 @@ def test_solve_and_map_reports_golden(tmp_path, monkeypatch, capsys, name):
     (tmp_path / "m44.txt").write_text(MIXED44_TEXT)
     assert _pipeline_digests(SOLVE_PIPELINES[name], capsys) \
         == SOLVE_PIPELINE_DIGESTS[name]
+
+
+# sha256 of stdout, and of the table solve-t writes, recorded while numeric
+# mode still ran the value comparison on tables without a rational function
+NUMERIC_PIPELINE = [
+    (["sys", "solve-t", *B3_SYSTEM, "--window", "0..24", "--seed", "7",
+      "--mode", "numeric"], None),
+    (["sys", "solve-t", *B3_SYSTEM, "--window", "0..24", "--seed", "7",
+      "--out", "t.json"], "t.json"),
+    (["sys", "t2y", *B3_SYSTEM, "--in", "t_bad.json", "--mode", "numeric"],
+     ("t.json", "t_bad.json", 40)),
+]
+NUMERIC_PIPELINE_DIGESTS = [
+    "89465ea16e6bfc74e85b889c5b3bb85857105f655deee96ec0a2f522ba89cc30",
+    "8e01134d17288d902094c076f4e2d17db998b4a0ccbb04658336d66f184f9ade",
+    "21097d484dbebe64f96dd6d818f0805eaa7edc6e6f9cf9b594fd9b8c22dbac92",
+    "9da0703cf219ae05236970810bd6fef8ec413413f55900d250e22985adf3cf8b",
+]
+
+
+def test_numeric_mode_reports_golden(tmp_path, monkeypatch, capsys):
+    # rational tables are checked exactly in numeric mode too, with the
+    # same reports and records
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b3.txt").write_text(B3_TEXT)
+    assert _pipeline_digests(NUMERIC_PIPELINE, capsys) == NUMERIC_PIPELINE_DIGESTS

@@ -1,22 +1,22 @@
-"""Differential tests of the rational route: relation checks, solves and the
-T -> Y map on integer numerator/denominator pairs, against the Fraction
-value route.
+"""Differential tests of the pair route: relation checks, solves and the
+T -> Y map on numerator/denominator pairs, against the Fraction value
+route.
 
-The value route is the oracle.  value_route() makes every value count as
-symbolic, so that each caller takes its Fraction route; the check and the
-Y-solve also have independent oracles written out here, as the Fraction
-formulas they replace.  Outcomes are compared with their types: a result,
-or the type and message of what was raised.
+The oracles are the value formulas the pair route replaced, written out
+here: the check, the T- and Y-solves, the Y -> T reconstruction and the
+roundtrip, and (in test_ysystem and test_cluster) the T -> Y maps and the
+claim identities.  Outcomes are compared with their types: a result, or the
+type and message of what was raised.
 """
 
 import random
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_ysystem import value_route_claim
+from test_cluster import value_route_t_to_y_b
+from test_ysystem import value_route_claim, value_route_mapped_y, value_route_t_to_y
 
 from tysys import cluster, tsystem, ysystem
 from tysys.acceptance import FINITE_TYPE, MIXED44_ROWS
@@ -31,8 +31,11 @@ from tysys.tsystem import (
     _propagate,
     check_relations,
     enumerate_relations,
+    factor_product,
+    fill_lattice,
     propagate_t,
     reduced_quotient,
+    t_relation,
     violation,
 )
 from tysys.ysystem import (
@@ -50,17 +53,6 @@ from tysys.ysystem import (
 A3 = new_cartan(FINITE_TYPE["A3"])
 B2 = new_cartan(FINITE_TYPE["B2"])
 MIXED44 = new_cartan(MIXED44_ROWS)
-
-
-@contextmanager
-def value_route():
-    """Every value counts as symbolic: each caller takes its Fraction route."""
-    saved = tsystem.RATIONAL, ysystem.RATIONAL
-    tsystem.RATIONAL = ysystem.RATIONAL = ()
-    try:
-        yield
-    finally:
-        tsystem.RATIONAL, ysystem.RATIONAL = saved
 
 
 def _typed(value):
@@ -85,14 +77,6 @@ def outcome(call):
         return "raises", type(exc).__name__, str(exc)
 
 
-def both_routes(call):
-    """outcome(call) on the rational route, checked against the value route."""
-    got = outcome(call)
-    with value_route():
-        assert outcome(call) == got
-    return got
-
-
 def oracle_check(relations, value, label):
     """The check as Fraction values: the record of every failing relation."""
     out = []
@@ -106,12 +90,12 @@ def oracle_check(relations, value, label):
 
 def assert_checks_agree(relations, values, kind):
     """Per relation: the same verdict, the same records, or the same error,
-    on the rational route and on both oracles.  Returns the failures."""
+    on the pair route and on the oracle.  Returns the failures."""
     get = values.__getitem__
     label = lambda rel: rel.center.label(kind)  # noqa: E731
     failures = 0
     for rel in relations:
-        got = both_routes(lambda: check_relations([rel], get, label))
+        got = outcome(lambda: check_relations([rel], get, label))
         assert got == outcome(lambda: oracle_check([rel], get, label))
         if got[0] == "returns":
             verdict = rel.holds(get(rel.lhs[0]) * get(rel.lhs[1]), rel.rhs(get))
@@ -187,9 +171,18 @@ def test_exchange_matrix_checks_with_exponent_two_match_value_route():
         for table in perturbations(as_lattice, random.Random(str(family))):
             # Y(B) holds on one parity class only, so both verdicts occur
             assert_checks_agree(relations[family], table, "Y")
-    for check in (lambda: cluster.check_tb(seq), lambda: cluster.check_yb(seq, 1),
-                  lambda: cluster.t_to_y_b(seq.x, em, -1)):
-        both_routes(check)
+    lo, hi = seq.u_range
+    tb = [rel.shift(u) for rel in cluster._tb_relations(em) for u in range(lo + 1, hi)]
+    yb = [rel.shift(u) for i, rel in enumerate(cluster._yb_relations(em, 1))
+          for u in range(lo + 1, hi) if cluster._parity_sign(em, i, u) == -1]
+    for check, oracle in (
+            (lambda: cluster.check_tb(seq),
+             lambda: oracle_check(tb, cluster._reader(seq.x), cluster._label(em, "T(B)"))),
+            (lambda: cluster.check_yb(seq, 1),
+             lambda: oracle_check(yb, cluster._reader(seq.y), cluster._label(em, "Y+(B)"))),
+            (lambda: cluster.t_to_y_b(seq.x, em, -1),
+             lambda: value_route_t_to_y_b(seq.x, em, -1))):
+        assert outcome(check) == outcome(oracle)
 
 
 def _y_table_with(var_of, replacement):
@@ -212,7 +205,7 @@ def test_special_values_in_each_factor_list(where, replacement):
             "denominator": lambda rel: rel.denominator[1][0]}[where]
     rel, values = _y_table_with(pick, replacement)
     assert_checks_agree([rel], values, "Y")
-    got = both_routes(lambda: check_relations([rel], values.__getitem__, str))
+    got = outcome(lambda: check_relations([rel], values.__getitem__, str))
     if where == "denominator" and replacement == 0:
         assert got == ("raises", "InverseOfZero", "inverse of zero")
     elif where != "lhs" or replacement != 0:
@@ -267,6 +260,15 @@ def oracle_propagate_y(sys, window, initial):
     return _propagate("Y", sys, window, solver, initial, None, SolvePolicy())
 
 
+def oracle_propagate_t(sys, window, initial):
+    """propagate_t with the T-solve written as Fraction values."""
+    def solver(var):
+        rel = t_relation(sys, var.a, var.m, var.k - sys.cm.d[var.a])
+        return lambda value: rel.rhs(value) / value(rel.lhs[0])
+
+    return _propagate("T", sys, window, solver, initial, None, SolvePolicy())
+
+
 def slab(sys, kind, window, draw):
     """Initial data for the free slab of width 2 d_a, value by value."""
     top = sys.max_m_t if kind == "T" else sys.max_m_y
@@ -292,24 +294,97 @@ def test_solves_match_value_route(name, rng, specials):
         return Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4))
 
     y_initial = slab(sys, "Y", window, draw)
-    got = both_routes(lambda: propagate_y(sys, window, initial=y_initial))
+    got = outcome(lambda: propagate_y(sys, window, initial=y_initial))
     assert got == outcome(lambda: oracle_propagate_y(sys, window, y_initial))
     if max(cm.d) < 3:
         t_initial = slab(sys, "T", window, draw)
-        both_routes(lambda: propagate_t(sys, window, initial=t_initial))
+        assert outcome(lambda: propagate_t(sys, window, initial=t_initial)) \
+            == outcome(lambda: oracle_propagate_t(sys, window, t_initial))
 
 
 def test_degenerate_and_zero_solves_name_their_variable():
     sys = SystemSpec(A3, 3)
     y_initial = slab(sys, "Y", (0, 6), lambda: Fraction(2))
     y_initial[LatticeVar(1, 1, 1)] = Fraction(-1)
-    got = both_routes(lambda: propagate_y(sys, (0, 6), initial=y_initial))
+    got = outcome(lambda: propagate_y(sys, (0, 6), initial=y_initial))
+    assert got == outcome(lambda: oracle_propagate_y(sys, (0, 6), y_initial))
     assert got == ("raises", "ZeroDivisor", "degenerate side at Y[a=1,m=1,k=1]")
     # T(a=1, m=1, k=2) = (T_2(1) + T_1(1)^0 T(a=2, m=1, k=1)) / T(a=1, m=1, k=0) = 0
     t_initial = slab(sys, "T", (0, 6), lambda: Fraction(1))
     t_initial[LatticeVar(1, 1, 1)] = Fraction(-1)
-    got = both_routes(lambda: propagate_t(sys, (0, 6), initial=t_initial))
+    got = outcome(lambda: propagate_t(sys, (0, 6), initial=t_initial))
+    assert got == outcome(lambda: oracle_propagate_t(sys, (0, 6), t_initial))
     assert got == ("raises", "ZeroDivisor", "solved zero at T[a=1,m=1,k=2]")
+
+
+def oracle_y_to_t(y_table, rng, policy):
+    """y_to_t about the default centre, with both rules written as Fraction
+    values."""
+    sys = y_table.system
+    cm = sys.cm
+    lo, hi = y_table.window
+    center = (lo + hi) // 2
+    caps = {a: sys.max_m_y(a) + 1 for a in range(cm.r)}
+    span = range(lo - max(cm.d), hi + max(cm.d) + 1)
+    y_vals = y_table.values
+
+    def rule(var):
+        a, m, k = var
+        if k not in span or not 1 <= m <= caps[a]:
+            return None
+        da = cm.d[a]
+        if m == 1:
+            sign = 1 if k >= center + da else -1
+            kc = k - sign * da
+            y1 = y_vals.get(LatticeVar(a, 1, kc))
+            if y1 is None:
+                return None
+            coupling = t_relation(sys, a, 1, kc).term_m
+            opposite = LatticeVar(a, 1, k - 2 * sign * da)
+
+            def solve(value):
+                product = factor_product(value, coupling)
+                far = value(opposite)
+                if y1 == 0 or far == 0:
+                    raise ZeroDivisor(f"degenerate extension at {var.label()}")
+                return (1 + 1 / y1) * product / far
+        else:
+            ym = y_vals.get(LatticeVar(a, m - 1, k))
+            if ym is None:
+                return None
+
+            def solve(value):
+                left = value(LatticeVar(a, m - 1, k - da))
+                right = value(LatticeVar(a, m - 1, k + da))
+                below = Fraction(1) if m == 2 else value(LatticeVar(a, m - 2, k))
+                if ym == -1:
+                    raise ZeroDivisor(f"1 + Y vanishes under {var.label()}")
+                return left * right / ((1 + ym) * below)
+
+        return solve
+
+    free = [LatticeVar(a, 1, k) for a in range(cm.r)
+            for k in range(center - cm.d[a], center + cm.d[a])]
+    initial = {var: Fraction(1) for var in free} if policy.kind == "unit" else None
+    targets = [LatticeVar(a, m, k) for a in range(cm.r)
+               for m in range(1, caps[a] + 1) for k in span]
+    values = fill_lattice("T", free, targets, rule, rng, policy, initial, partial=True)
+    ks = [v.k for v in values]
+    meta = {"free_choice": policy.kind, "center": center}
+    return ValueTable("T", sys, (min(ks), max(ks)), values, meta)
+
+
+def oracle_roundtrip(y_table, rng, policy):
+    """roundtrip_check on oracle_y_to_t, with the mapped Y-values and the
+    claim identities compared as values."""
+    t_table = oracle_y_to_t(y_table, rng, policy)
+    mapped = {rel.center: y for rel, y, _, _ in value_route_mapped_y(t_table)}
+    region = ysystem.recoverable_region(y_table, list(mapped))
+    mismatches = [violation(var.label("Y"), mapped[var], y_table.values[var])
+                  for var in region if mapped[var] != y_table.values[var]]
+    claim = value_route_claim(t_table, y_table)
+    return {"compared": len(region), "mismatches": mismatches, "claim_violations": claim,
+            "pass": bool(region) and not mismatches and not claim}, t_table
 
 
 @settings(max_examples=30, deadline=None)
@@ -326,25 +401,25 @@ def test_y_to_t_and_roundtrip_match_value_route(case, seed, free, changes):
     for index, replacement in changes:
         y_table.values[keys[index % len(keys)]] = replacement
     policy = ysystem.FreeChoicePolicy(free)
-    got = both_routes(lambda: y_to_t(y_table, rng=random.Random(seed), policy=policy))
-    both_routes(lambda: roundtrip_check(y_table, rng=random.Random(seed), policy=policy))
+    got = outcome(lambda: y_to_t(y_table, rng=random.Random(seed), policy=policy))
+    assert got == outcome(lambda: oracle_y_to_t(y_table, random.Random(seed), policy))
+    assert outcome(lambda: roundtrip_check(y_table, rng=random.Random(seed), policy=policy)) \
+        == outcome(lambda: oracle_roundtrip(y_table, random.Random(seed), policy))
     if got[0] == "returns":
         t_table = y_to_t(y_table, rng=random.Random(seed), policy=policy)
-        both_routes(lambda: claim_identities_check(t_table, y_table))
+        assert outcome(lambda: claim_identities_check(t_table, y_table)) \
+            == outcome(lambda: value_route_claim(t_table, y_table))
 
 
 def test_y_to_t_int_entries_stay_exact():
-    # on the value route 1 + 1/Y is a float for an int Y; the rational route
-    # keeps every reconstructed value an exact Fraction
+    # 1 + 1/Y with an int Y is a float; the pair route keeps every
+    # reconstructed value an exact Fraction
     y_table = propagate_y(SystemSpec(A3, 4, restricted=False), (0, 12),
                           rng=random.Random(21))
     as_ints = {var: 2 * (var.a + 1) for var in y_table.values}
     ints = ValueTable("Y", y_table.system, y_table.window, as_ints)
     t_table = y_to_t(ints, policy=ysystem.FreeChoicePolicy("unit"))
     assert all(type(v) is Fraction for v in t_table.values.values())
-    with value_route():
-        floats = y_to_t(ints, policy=ysystem.FreeChoicePolicy("unit"))
-    assert any(type(v) is float for v in floats.values.values())
 
 
 @settings(max_examples=80, deadline=None)
@@ -361,6 +436,15 @@ def test_reduced_quotient_is_the_fraction_product(pairs):
 
 
 # --- T -> Y ---------------------------------------------------------------------------
+
+
+def oracle_t_to_y(t_table):
+    """t_to_y as values: Y = coupling / inner and the companion records of
+    value_route_t_to_y; the boundary quantity collapses to 1 on every
+    tamely laced system, so it adds no record."""
+    values = {rel.center: y for rel, y, _, _ in value_route_mapped_y(t_table)}
+    y_table = ValueTable("Y", t_table.system, t_table.window, values)
+    return y_table, value_route_t_to_y(t_table)
 
 
 def _t_table(cm, level, window, seed, restricted=True):
@@ -387,9 +471,10 @@ def test_t_to_y_and_claims_match_value_route(name, changes):
     for index, replacement in changes:
         values[keys[index % len(keys)]] = replacement
     broken = ValueTable("T", t_table.system, t_table.window, values)
-    both_routes(lambda: t_to_y(broken))
-    both_routes(lambda: claim_identities_check(broken, y_table))
-    both_routes(lambda: claim_identities_check(t_table, y_table))
+    assert outcome(lambda: t_to_y(broken)) == outcome(lambda: oracle_t_to_y(broken))
+    for table in (broken, t_table):
+        assert outcome(lambda: claim_identities_check(table, y_table)) \
+            == outcome(lambda: value_route_claim(table, y_table))
 
 
 def test_zero_inner_raises_alike():
@@ -398,9 +483,11 @@ def test_zero_inner_raises_alike():
     values[LatticeVar(0, 2, 5)] = 0
     broken = ValueTable("T", t_table.system, t_table.window, values)
     y_table, _ = t_to_y(t_table)
-    assert both_routes(lambda: t_to_y(broken)) == (
+    got = outcome(lambda: t_to_y(broken))
+    assert got == outcome(lambda: oracle_t_to_y(broken)) == (
         "raises", "ZeroDivisor", "vanishing T pair under Y[a=1,m=1,k=5]")
-    got = both_routes(lambda: claim_identities_check(broken, y_table))
+    got = outcome(lambda: claim_identities_check(broken, y_table))
+    assert got == outcome(lambda: value_route_claim(broken, y_table))
     assert got[:2] == ("raises", "ZeroDivisionError")
 
 
@@ -420,9 +507,10 @@ def test_companions_hold_on_pairs_is_the_value_identities(inner, coupling, offse
     # companion 1 + Y^-1 = pair / coupling
     pair = inner + coupling + offset
     found = companion_identities("at p", coupling / inner, pair, inner, coupling)
-    as_pairs = [_unreduced(Fraction(v), s) for v, s in zip((pair, inner, coupling), scales)]
-    assert companions_hold(*as_pairs) == companions_hold(pair, inner, coupling) \
-        == (found == [])
+    values = [Fraction(v) for v in (pair, inner, coupling)]
+    as_pairs = [_unreduced(v, s) for v, s in zip(values, scales)]
+    reduced = [v.as_integer_ratio() for v in values]
+    assert companions_hold(*as_pairs) == companions_hold(*reduced) == (found == [])
 
 
 def test_roundtrip_mismatches_match_value_route(monkeypatch):

@@ -193,6 +193,43 @@ def test_check_all_ones_fails():
     assert 0 < len(check_t_solution(table, rels)) == len(rels)
 
 
+@pytest.mark.parametrize("kind", ["T", "Y"])
+def test_numeric_mode_needs_a_sample(kind):
+    from tysys.ysystem import check_y_solution, enumerate_y_relations, propagate_y
+
+    sys = SystemSpec(new_cartan([[2, -1, 0], [-1, 2, -1], [0, -2, 2]]), 4)
+    if kind == "T":
+        solve, enumerate_kind, check = propagate_t, enumerate_relations, check_t_solution
+    else:
+        solve, enumerate_kind, check = propagate_y, enumerate_y_relations, check_y_solution
+    table = solve(sys, (0, 20), rng=random.Random(3))
+    var = sorted(table.values)[len(table.values) // 2]
+    table.values[var] = 3 * table.values[var]
+    rels = enumerate_kind(sys, table.window)
+    exact = check(table, rels)
+    assert exact and check(table, rels, mode="numeric", rng=random.Random(1)) == exact
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match=f"samples >= 1, got {samples}"):
+            check(table, rels, mode="numeric", rng=random.Random(1), samples=samples)
+
+
+def test_numeric_mode_samples_symbolic_tables():
+    from tysys.exactmath import RationalFunction
+    from tysys.tsystem import ValueTable
+
+    sys = SystemSpec(A2, 2)
+    initial = {V(a, 1, k): RationalFunction.gen(f"x{a}{k}") for a in range(2) for k in range(2)}
+    table = propagate_t(sys, (0, 8), initial=initial)
+    rels = enumerate_relations(sys, table.window)
+    assert check_t_solution(table, rels, mode="numeric", rng=random.Random(1)) == []
+    values = dict(table.values)
+    values[V(1, 1, 4)] = 3 * values[V(1, 1, 4)]
+    broken = ValueTable("T", sys, table.window, values)
+    exact = check_t_solution(broken, rels)
+    assert exact and check_t_solution(broken, rels, mode="numeric",
+                                      rng=random.Random(1)) == exact
+
+
 def test_check_missing_value():
     table = table_a1()
     del table.values[V(0, 1, 3)]

@@ -289,15 +289,46 @@ def test_companions_hold_is_the_value_identities(inner, coupling, offset):
     # value route reports nothing; offset 0 makes the relation hold
     pair = inner + coupling + offset
     found = companion_identities("at p", coupling / inner, pair, inner, coupling)
-    assert companions_hold(pair, inner, coupling) == (found == [])
+    pairs = (Fraction(v).as_integer_ratio() for v in (pair, inner, coupling))
+    assert companions_hold(*pairs) == (found == [])
+
+
+def _t_sides(table, var):
+    """(rel, inner, coupling): the T-relation centred at var and its products
+    T_{m-1} T_{m+1} and M as values, or None where the table does not cover
+    a factor."""
+    from tysys.errors import MissingValue
+    from tysys.tsystem import factor_product, t_relation
+
+    rel = t_relation(table.system, *var)
+    try:
+        inner = factor_product(table.get, rel.term_a)
+        return rel, inner, factor_product(table.get, rel.term_m)
+    except MissingValue:
+        return None
+
+
+def _t_pair(table, rel):
+    """T(k-d) T(k+d), the product of rel's left-hand side, or None."""
+    if rel.lhs[0] in table.values and rel.lhs[1] in table.values:
+        return table.values[rel.lhs[0]] * table.values[rel.lhs[1]]
+    return None
+
+
+def value_route_mapped_y(t_table):
+    """(rel, Y, inner, coupling) with Y = coupling / inner and the products
+    as values, at every point t_to_y maps."""
+    from tysys.ysystem import _mapped_relations
+
+    for rel in _mapped_relations(t_table):
+        _, inner, coupling = _t_sides(t_table, rel.center)
+        yield rel, coupling / inner, inner, coupling
 
 
 def value_route_t_to_y(t_table):
     """The companion records of t_to_y, every point compared as values."""
-    from tysys.ysystem import _mapped_y, _t_pair
-
     violations = []
-    for rel, y, inner, coupling in _mapped_y(t_table):
+    for rel, y, inner, coupling in value_route_mapped_y(t_table):
         pair = _t_pair(t_table, rel)
         if pair is not None:
             violations += companion_identities(rel.center.label("Y"), y, pair, inner,
@@ -308,7 +339,6 @@ def value_route_t_to_y(t_table):
 def value_route_claim(t_table, y_table):
     """claim_identities_check with every companion compared as values."""
     from tysys.tsystem import violation
-    from tysys.ysystem import _t_pair, _t_sides
 
     violations = []
     for var, y in sorted(y_table.values.items()):
