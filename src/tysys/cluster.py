@@ -576,12 +576,11 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
     held = set()
     for i, stencil in enumerate(stencils):
         for u in range(lo, hi + 1):
-            rel = stencil.shift(u)
-            coupling = pair_product(factor_pairs(t, rel.numerator))
-            inner = pair_product(factor_pairs(t, rel.denominator))
+            coupling = pair_product(factor_pairs(t, stencil.numerator, k=u))
+            inner = pair_product(factor_pairs(t, stencil.denominator, k=u))
             y = y_values[(i, u)] = pair_quotient(coupling, inner)
             if lo < u < hi:
-                pair = lhs_pair(t, rel)
+                pair = lhs_pair(t, stencil.lhs, u)
                 if companions_hold(pair, inner, coupling):
                     held.add((i, u))
                 else:
@@ -591,11 +590,10 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
     agree = _mapped_exponents_agree(stencils)
     rels = []
     for i, stencil in enumerate(stencils):
+        factors = stencil.numerator + stencil.denominator
         for u in range(lo + 1, hi):
-            rel = stencil.shift(u)
-            if not (agree[i] and all((var.a, var.k) in held for var, _
-                                     in rel.numerator + rel.denominator)):
-                rels.append(rel)
+            if not (agree[i] and all((var.a, var.k + u) in held for var, _ in factors)):
+                rels.append(stencil.shift(u))
     violations += check_relations(
         rels, _reader(y_values), _label(em, f"mapped Y{'+' if eps > 0 else '-'}(B)"))
     return y_values, violations

@@ -114,7 +114,8 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(): Fraction(1)}
+        # without generators the only possible monomial is ()
+        return not self.vars and self.terms.get(()) == 1
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -176,9 +177,17 @@ class LaurentPoly:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other):
+        # a unit factor: polynomials are immutable and canonical, so the
+        # product is the other factor itself
+        if type(other) is int and other == 1:
+            return self
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
         names, a, b = self._aligned(other)
         out = {}
         for ma, ca in a.items():

@@ -1,7 +1,12 @@
-"""T-system lattice: relations compiled once per system and shifted in k,
-unit boundary substitution, solution checking, the one lattice scheduler
-(used for Cauchy propagation here and by ysystem), and the telescoping
-identities used everywhere for cross-verification.
+"""T-system lattice: relations compiled once per system and read at an
+offset k, unit boundary substitution, solution checking, the one lattice
+scheduler (used for Cauchy propagation here and by ysystem), and the
+telescoping identities used everywhere for cross-verification.
+
+Relations do not change under k -> k + 1, so each one is compiled once per
+(kind, a, m) as a stencil centred at k = 0.  The relation centred at
+(a, m, k) is that stencil read at offset k: it keeps the stencil's tuples,
+and every reader adds k to the variables as it reads them.
 
 The spectral parameter u = k/t is kept as the integer k throughout.  A shift
 of d_a/t is the integer shift d_a, and a shift of 1/t is 1.  Levels m are per
@@ -15,7 +20,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .cartan import CartanMatrix
 from .errors import (
@@ -51,10 +57,6 @@ class LatticeVar(NamedTuple):
 
 
 Factor = Tuple[LatticeVar, int]
-
-
-def _shift(factors: Iterable[Factor], k: int) -> Tuple[Factor, ...]:
-    return tuple((LatticeVar(a, m, kv + k), e) for (a, m, kv), e in factors)
 
 
 @dataclass(frozen=True)
@@ -116,31 +118,119 @@ class SystemSpec:
         }
 
 
-@dataclass(frozen=True)
-class TRelation:
+class Relation:
+    """One relation: a stencil's centre, left-hand side and two factor lists,
+    compiled once, read at an offset k.
+
+    The relation centred k slices after the stencil's centre keeps the
+    stencil's tuples and adds k as it reads them, so shift is O(1) and
+    nothing per centre is built: variables, to_json and the checks and
+    solvers (through factor_pairs and lhs_pair) read the stored tuples with
+    the offset.  The named factor lists of the subclasses are the stored
+    tuples at k = 0 and new tuples otherwise, for equality and for callers
+    that keep the list.  Treated as immutable; equal relations (same kind,
+    centre, left-hand side and factor lists) hash alike whatever their
+    offsets."""
+
+    __slots__ = ("_center", "_lhs", "_lists", "k")
+    # JSON keys of the two factor lists, and how ring pairs read each one
+    keys: Tuple[str, str]
+    forms: Tuple[Optional[Callable], Optional[Callable]] = (None, None)
+
+    def __init__(self, center: LatticeVar, lhs: Tuple[LatticeVar, LatticeVar],
+                 first: Tuple[Factor, ...], second: Tuple[Factor, ...], k: int = 0):
+        self._center, self._lhs, self._lists, self.k = center, lhs, (first, second), k
+
+    def shift(self, k: int) -> "Relation":
+        """The same relation centred k slices later, sharing the tuples."""
+        return type(self)(self._center, self._lhs, *self._lists, self.k + k)
+
+    @property
+    def center(self) -> LatticeVar:
+        return self._center.shifted(self.k) if self.k else self._center
+
+    @property
+    def lhs(self) -> Tuple[LatticeVar, LatticeVar]:
+        k = self.k
+        if not k:
+            return self._lhs
+        (a0, m0, k0), (a1, m1, k1) = self._lhs
+        return LatticeVar(a0, m0, k0 + k), LatticeVar(a1, m1, k1 + k)
+
+    def factors(self, i: int) -> Iterator[Factor]:
+        """Factor list i, one (variable, exponent) at a time, offset added."""
+        k = self.k
+        for (a, m, kv), exp in self._lists[i]:
+            yield LatticeVar(a, m, kv + k), exp
+
+    def _factor_tuple(self, i: int) -> Tuple[Factor, ...]:
+        """Factor list i as a tuple: the stored one at k = 0, else built."""
+        return tuple(self.factors(i)) if self.k else self._lists[i]
+
+    def variables(self) -> Iterator[LatticeVar]:
+        yield from self.lhs
+        for i in (0, 1):
+            for var, _ in self.factors(i):
+                yield var
+
+    def rhs_pairs(self, value) -> Optional[tuple]:
+        """The ring pairs of both factor lists, each factor read through its
+        list's form (factor_pairs) with the offset added.  None where a value
+        has no ring pair."""
+        first = factor_pairs(value, self._lists[0], self.forms[0], self.k)
+        second = None if first is None else factor_pairs(value, self._lists[1],
+                                                         self.forms[1], self.k)
+        return None if second is None else (first, second)
+
+    def lhs_pair(self, value) -> Optional[tuple]:
+        """lhs_pair of the left-hand side, read with the offset added."""
+        return lhs_pair(value, self._lhs, self.k)
+
+    def to_json(self) -> dict:
+        """Centre, left-hand side and both factor lists, 1-based."""
+        c, k = self.center, self.k
+        out = {"center": {"a": c.a + 1, "m": c.m, "k": c.k},
+               "lhs": [[v.a + 1, v.m, v.k] for v in self.lhs]}
+        for key, factors in zip(self.keys, self._lists):
+            out[key] = [[v.a + 1, v.m, v.k + k, e] for v, e in factors]
+        return out
+
+    def _key(self) -> tuple:
+        return (self.center, self.lhs, self._factor_tuple(0), self._factor_tuple(1))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        center, lhs, first, second = self._key()
+        return (f"{type(self).__name__}(center={center!r}, lhs={lhs!r}, "
+                f"{self.keys[0]}={first!r}, {self.keys[1]}={second!r})")
+
+
+class TRelation(Relation):
     """One instantiated T-system equation:
     lhs[0] * lhs[1] = prod(term_a) + prod(term_m), units already substituted."""
 
-    center: LatticeVar
-    lhs: Tuple[LatticeVar, LatticeVar]
-    term_a: Tuple[Factor, ...]
-    term_m: Tuple[Factor, ...]
+    __slots__ = ()
+    keys = ("termA", "termM")
 
-    def variables(self) -> Iterable[LatticeVar]:
-        yield from self.lhs
-        for var, _ in self.term_a:
-            yield var
-        for var, _ in self.term_m:
-            yield var
+    @property
+    def term_a(self) -> Tuple[Factor, ...]:
+        return self._factor_tuple(0)
 
-    def shift(self, k: int) -> "TRelation":
-        """The same relation centred k slices later."""
-        return TRelation(self.center.shifted(k), tuple(v.shifted(k) for v in self.lhs),
-                         _shift(self.term_a, k), _shift(self.term_m, k))
+    @property
+    def term_m(self) -> Tuple[Factor, ...]:
+        return self._factor_tuple(1)
 
     def rhs(self, value):
         """prod(term_a) + prod(term_m), reading each variable through value(var)."""
-        return factor_product(value, self.term_a) + factor_product(value, self.term_m)
+        return (factor_product(value, self._lists[0], self.k)
+                + factor_product(value, self._lists[1], self.k))
 
     @staticmethod
     def holds(lhs, rhs) -> bool:
@@ -150,26 +240,12 @@ class TRelation:
         """The relation as one identity in the values' ring, without a gcd:
         p0 p1 Q_a Q_m == q0 q1 (P_a Q_m + P_m Q_a), with P_a / Q_a and
         P_m / Q_m the two products.  None where a value has no ring pair."""
-        lhs = lhs_pair(value, self)
-        term_a = None if lhs is None else factor_pairs(value, self.term_a)
-        term_m = None if term_a is None else factor_pairs(value, self.term_m)
-        if term_m is None:
+        lhs = self.lhs_pair(value)
+        sides = None if lhs is None else self.rhs_pairs(value)
+        if sides is None:
             return None
-        (ln, ld), (an, ad), (mn, md) = lhs, pair_product(term_a), pair_product(term_m)
+        (ln, ld), (an, ad), (mn, md) = lhs, *map(pair_product, sides)
         return ln * ad * md == ld * (an * md + mn * ad)
-
-    def to_json(self) -> dict:
-        return _relation_json(self, termA=self.term_a, termM=self.term_m)
-
-
-def _relation_json(rel, **factor_lists) -> dict:
-    """A relation's centre, left-hand side and named factor lists, 1-based."""
-    c = rel.center
-    out = {"center": {"a": c.a + 1, "m": c.m, "k": c.k},
-           "lhs": [[v.a + 1, v.m, v.k] for v in rel.lhs]}
-    for key, factors in factor_lists.items():
-        out[key] = [[v.a + 1, v.m, v.k, e] for v, e in factors]
-    return out
 
 
 def _aggregate(factors: Iterable[Factor]) -> Tuple[Factor, ...]:
@@ -268,7 +344,7 @@ def _boundary_filter(sys: SystemSpec, factors: Iterable[Factor]) -> Tuple[Factor
 def stencil(sys: SystemSpec, kind: str, a: int, m: int, build: Callable):
     """The kind relation centred at (a, m, 0), built by build(sys, a, m) once
     per system.  Relations do not change when k is shifted: the one centred
-    at (a, m, k) is this stencil shifted by k."""
+    at (a, m, k) is this stencil read at offset k."""
     key = (kind, a, m)
     rel = sys._stencils.get(key)
     if rel is None:
@@ -304,9 +380,10 @@ def _check_window(window) -> Tuple[int, int]:
 def enumerate_relations(sys: SystemSpec, window, kind: str = "T",
                         build: Callable = _compile_t) -> List:
     """All relations whose variables (after unit substitution) lie in the
-    window, ordered by node, level and centre, shifted from the stencils
-    that build compiles.  Unrestricted windows additionally exclude centers
-    whose m+1 factor would exceed the level cap."""
+    window, ordered by node, level and centre: the stencils that build
+    compiles, each read at every offset that fits.  Unrestricted windows
+    additionally exclude centers whose m+1 factor would exceed the level
+    cap."""
     lo, hi = _check_window(window)
     if sys.level is None:
         raise LevelOutOfRange("enumeration needs a level or an m-cap")
@@ -532,11 +609,12 @@ class SolvePolicy:
     bits: int = 8
 
 
-def factor_product(value: Callable, factors: Iterable[Factor]):
-    """prod value(var) ** exp over the factors."""
+def factor_product(value: Callable, factors: Iterable[Factor], k: int = 0):
+    """prod value(var) ** exp over the factors, each variable read k slices
+    later."""
     result = Fraction(1)
-    for var, exp in factors:
-        result = result * value(var) ** exp
+    for (a, m, kv), exp in factors:
+        result = result * value(LatticeVar(a, m, kv + k)) ** exp
     return result
 
 
@@ -559,13 +637,13 @@ def ring_pair(v):
 
 
 def factor_pairs(value: Callable, factors: Iterable[Factor],
-                 form: Optional[Callable] = None) -> Optional[list]:
+                 form: Optional[Callable] = None, k: int = 0) -> Optional[list]:
     """[(a ** exp, b ** exp)] over the factors, where (a, b) is (p, q), or
-    form(p, q), for the ring pair (p, q) of value(var); a / b is the factor.
-    None if a value has no ring pair."""
+    form(p, q), for the ring pair (p, q) of value(var) at var read k slices
+    later; a / b is the factor.  None if a value has no ring pair."""
     pairs = []
-    for var, exp in factors:
-        pair = ring_pair(value(var))
+    for (a, m, kv), exp in factors:
+        pair = ring_pair(value(LatticeVar(a, m, kv + k)))
         if pair is None:
             return None
         if form is not None:
@@ -583,11 +661,13 @@ def pair_product(pairs: Iterable[tuple]) -> tuple:
     return n, d
 
 
-def lhs_pair(value: Callable, rel) -> Optional[tuple]:
-    """(p0 p1, q0 q1) for rel's left-hand side p0/q0 * p1/q1, or None where
-    a value has no ring pair."""
-    x = ring_pair(value(rel.lhs[0]))
-    y = None if x is None else ring_pair(value(rel.lhs[1]))
+def lhs_pair(value: Callable, lhs: Tuple[LatticeVar, LatticeVar],
+             k: int = 0) -> Optional[tuple]:
+    """(p0 p1, q0 q1) for the left-hand side p0/q0 * p1/q1, its two
+    variables read k slices later, or None where a value has no ring pair."""
+    (a0, m0, k0), (a1, m1, k1) = lhs
+    x = ring_pair(value(LatticeVar(a0, m0, k0 + k)))
+    y = None if x is None else ring_pair(value(LatticeVar(a1, m1, k1 + k)))
     return None if y is None else (x[0] * y[0], x[1] * y[1])
 
 
@@ -749,8 +829,7 @@ def propagate_t(sys: SystemSpec, window, initial: Optional[dict] = None,
         rel = t_relation(sys, var.a, var.m, var.k - sys.cm.d[var.a])
 
         def solve(value):
-            an, ad = pair_product(factor_pairs(value, rel.term_a))
-            mn, md = pair_product(factor_pairs(value, rel.term_m))
+            (an, ad), (mn, md) = map(pair_product, rel.rhs_pairs(value))
             p, q = ring_pair(value(rel.lhs[0]))
             return reduced_quotient(((an * md + mn * ad, ad * md), (q, p)))
 

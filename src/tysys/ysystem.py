@@ -25,7 +25,6 @@ from .cartan import CartanMatrix
 from .errors import (
     InverseOfZero,
     LevelOutOfRange,
-    MissingValue,
     NotTamelyLaced,
     WindowTooNarrow,
     ZeroDivisor,
@@ -35,6 +34,7 @@ from .tsystem import (
     SAMPLE,
     Factor,
     LatticeVar,
+    Relation,
     SolvePolicy,
     SystemSpec,
     ValueTable,
@@ -42,14 +42,11 @@ from .tsystem import (
     _boundary_filter,
     _check_table,
     _propagate,
-    _relation_json,
-    _shift,
     check_relations,
     enumerate_relations,
     factor_pairs,
     fill_lattice,
     g_exponents,
-    lhs_pair,
     m_term,
     pair_product,
     pair_quotient,
@@ -75,36 +72,32 @@ def _one_plus_inverse(p, q) -> tuple:
     return p + q, p
 
 
-@dataclass(frozen=True)
-class YRelation:
+class YRelation(Relation):
     """One instantiated Y-system equation.  numerator lists (1+Y) factors,
-    denominator lists (1+Y^-1) factors; boundary factors are already gone."""
+    denominator lists (1+Y^-1) factors; boundary factors are already gone.
+    rhs_pairs reads a factor of Y = p / q as the ring pair (p + q, q) in the
+    numerator and (p + q, p) in the denominator."""
 
-    center: LatticeVar
-    lhs: Tuple[LatticeVar, LatticeVar]
-    numerator: Tuple[Factor, ...]
-    denominator: Tuple[Factor, ...]
+    __slots__ = ()
+    keys = ("numerator", "denominator")
+    forms = (_one_plus, _one_plus_inverse)
 
-    def variables(self) -> Iterable[LatticeVar]:
-        yield from self.lhs
-        for var, _ in self.numerator:
-            yield var
-        for var, _ in self.denominator:
-            yield var
+    @property
+    def numerator(self) -> Tuple[Factor, ...]:
+        return self._factor_tuple(0)
 
-    def shift(self, k: int) -> "YRelation":
-        """The same relation centred k slices later."""
-        return YRelation(self.center.shifted(k), tuple(v.shifted(k) for v in self.lhs),
-                         _shift(self.numerator, k), _shift(self.denominator, k))
+    @property
+    def denominator(self) -> Tuple[Factor, ...]:
+        return self._factor_tuple(1)
 
     def rhs(self, value):
         """(numerator, denominator) of the right-hand side, reading each
         variable through value(var)."""
         num = Fraction(1)
-        for var, exp in self.numerator:
+        for var, exp in self.factors(0):
             num = num * one_plus(value(var)) ** exp
         den = Fraction(1)
-        for var, exp in self.denominator:
+        for var, exp in self.factors(1):
             den = den * one_plus(inverse(value(var))) ** exp
         return num, den
 
@@ -114,31 +107,19 @@ class YRelation:
         num, den = rhs
         return lhs * den == num
 
-    def rhs_pairs(self, value):
-        """(numerator, denominator) factors of rhs as ring pairs (a, b),
-        a / b the factor: (p + q, q) for 1 + Y and (p + q, p) for 1 + Y^-1,
-        with (p, q) the ring pair of Y, each to its exponent.  None where a
-        value has no ring pair; read, and raising, as rhs reads and raises."""
-        num = factor_pairs(value, self.numerator, _one_plus)
-        den = None if num is None else factor_pairs(value, self.denominator,
-                                                    _one_plus_inverse)
-        return None if den is None else (num, den)
-
     def holds_exactly(self, value) -> Optional[bool]:
         """The relation as one identity in the values' ring, without a gcd:
         p0 p1 prod (p_j + q_j)^e prod q_i^e == q0 q1 prod p_j^e prod (p_i + q_i)^e,
         with i over the 1 + Y factors and j over the 1 + Y^-1 factors.  Each
         side's numerator and denominator are built apart and cross-multiplied
-        once.  None where a value has no ring pair."""
-        lhs = lhs_pair(value, self)
+        once.  None where a value has no ring pair; read, and raising, as rhs
+        reads and raises."""
+        lhs = self.lhs_pair(value)
         sides = None if lhs is None else self.rhs_pairs(value)
         if sides is None:
             return None
-        (ln, ld), (nn, nd), (dn, dd) = lhs, pair_product(sides[0]), pair_product(sides[1])
+        (ln, ld), (nn, nd), (dn, dd) = lhs, *map(pair_product, sides)
         return ln * dn * nd == ld * dd * nn
-
-    def to_json(self) -> dict:
-        return _relation_json(self, numerator=self.numerator, denominator=self.denominator)
 
 
 def z_term(cm: CartanMatrix, b: int, p: int, m: int, k: int) -> List[Factor]:
@@ -266,15 +247,13 @@ def _sides(table: ValueTable, rel):
     Y-variable, and its products T_{m-1} T_{m+1}, M and T(k-d) T(k+d) as
     ring pairs (N, D), N / D the product, multiplied out without a gcd.
     pair is None where the table lacks a left-hand value; the whole is None
-    where it lacks a factor of inner or coupling."""
-    try:
-        inner = factor_pairs(table.get, rel.term_a)
-        coupling = factor_pairs(table.get, rel.term_m)
-    except MissingValue:
+    where it lacks a factor of inner or coupling (a missing value reads as
+    None, which has no ring pair)."""
+    sides = rel.rhs_pairs(table.values.get)
+    if sides is None:
         return None
-    covered = rel.lhs[0] in table.values and rel.lhs[1] in table.values
-    pair = lhs_pair(table.get, rel) if covered else None
-    return rel, pair_product(inner), pair_product(coupling), pair
+    inner, coupling = map(pair_product, sides)
+    return rel, inner, coupling, rel.lhs_pair(table.values.get)
 
 
 def _is_quotient(y, top, bottom) -> bool:
@@ -285,30 +264,43 @@ def _is_quotient(y, top, bottom) -> bool:
     return p * top[1] * bottom[0] == q * top[0] * bottom[1]
 
 
-def _mapped_relations(t_table: ValueTable):
-    """The T-relation centred at every Y-variable whose inner and coupling
-    factors the T-table covers, in (a, m, k) order.  A vanishing inner
-    raises."""
+def _centred_relations(t_table: ValueTable):
+    """The T-relation centred at every Y-variable of the T-table's system on
+    its window, in (a, m, k) order."""
     sys = t_table.system
-    values = t_table.values
     lo, hi = t_table.window
     for a in range(sys.cm.r):
         top = sys.max_m_y(a)
         if top is None:
-            top = max((v.m for v in values if v.a == a), default=0)
-        for var in (LatticeVar(a, m, k) for m in range(1, top + 1)
-                    for k in range(lo, hi + 1)):
-            rel = t_relation(sys, *var)
-            if any(v not in values for v, _ in rel.term_a + rel.term_m):
-                continue
-            if any(values[v] == 0 for v, _ in rel.term_a):
-                raise ZeroDivisor(f"vanishing T pair under {var.label('Y')}")
-            yield rel
+            top = max((v.m for v in t_table.values if v.a == a), default=0)
+        for m in range(1, top + 1):
+            stencil = t_relation(sys, a, m, 0)
+            for k in range(lo, hi + 1):
+                yield stencil.shift(k)
+
+
+def _mapped_relations(t_table: ValueTable):
+    """The relations of _centred_relations whose inner and coupling factors
+    the T-table covers.  A vanishing inner raises."""
+    values = t_table.values
+    for rel in _centred_relations(t_table):
+        if any(v not in values for i in (0, 1) for v, _ in rel.factors(i)):
+            continue
+        if any(values[v] == 0 for v, _ in rel.factors(0)):
+            raise ZeroDivisor(f"vanishing T pair under {rel.center.label('Y')}")
+        yield rel
 
 
 def _mapped_sides(t_table: ValueTable):
-    """_sides at every point of _mapped_relations."""
-    return (_sides(t_table, rel) for rel in _mapped_relations(t_table))
+    """_sides at every point of _mapped_relations, each factor read once.
+    A vanishing inner raises: its numerator is 0 exactly when a factor is."""
+    for rel in _centred_relations(t_table):
+        sides = _sides(t_table, rel)
+        if sides is None:
+            continue
+        if sides[1][0] == 0:
+            raise ZeroDivisor(f"vanishing T pair under {rel.center.label('Y')}")
+        yield sides
 
 
 def t_to_y_table(t_table: ValueTable) -> ValueTable:
@@ -445,11 +437,11 @@ def y_to_t(y_table: ValueTable, rng=None,
             y1 = y_vals.get(LatticeVar(a, 1, kc))
             if y1 is None:
                 return None
-            coupling = t_relation(sys, a, 1, kc).term_m
+            coupling = t_relation(sys, a, 1, 0).term_m
             opposite = LatticeVar(a, 1, k - 2 * sign * da)
 
             def solve(value):
-                pairs = factor_pairs(value, coupling)
+                pairs = factor_pairs(value, coupling, k=kc)
                 far = value(opposite)
                 if y1 == 0 or far == 0:
                     raise ZeroDivisor(f"degenerate extension at {var.label()}")
@@ -536,7 +528,7 @@ def _relation_holds(y_table: ValueTable, a: int, m: int, k: int) -> bool:
     if any(v not in vals for v in rel.variables()):
         return False
     # a factor 1 + Y^-1 that vanishes leaves the relation undefined
-    if any(vals[v] == -1 for v, _ in rel.denominator):
+    if any(vals[v] == -1 for v, _ in rel.factors(1)):
         return False
     return not check_relations([rel], vals.__getitem__, lambda r: r.center.label("Y"))
 

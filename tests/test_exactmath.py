@@ -82,6 +82,29 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
 
 
+def term_walk_product(a, b):
+    """a * b by the full walk over both term sets, with no unit shortcut."""
+    names, ta, tb = a._aligned(b)
+    out = {}
+    for ma, ca in ta.items():
+        for mb, cb in tb.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, Fraction(0)) + ca * cb
+    return LaurentPoly(names, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), st.sampled_from(["one", "int", "fraction"]), st.booleans())
+def test_products_match_term_walk(p, q, unit, left):
+    """A unit factor, on either side and as a polynomial, an int or a
+    Fraction, returns the other factor; other products walk both term sets."""
+    unit = {"one": LaurentPoly.one(), "int": 1, "fraction": Fraction(1)}[unit]
+    for got, want in ((unit * p if left else p * unit, term_walk_product(p, one)),
+                      (p * q, term_walk_product(p, q))):
+        assert (got.vars, got.terms, hash(got)) == (want.vars, want.terms, hash(want))
+    assert (unit * p if left else p * unit) is p
+
+
 @settings(max_examples=40, deadline=None)
 @given(polys(), polys())
 def test_evaluate_is_a_homomorphism(a, b):
