@@ -171,7 +171,7 @@ def criterion_5_y_to_t_roundtrip(seed=0):
         common = set(t_table.values) & set(other.values)
         if not any(t_table.values[v] != other.values[v] for v in common):
             failures.append(f"{name}: distinct free choices gave identical T")
-        recovered = ysystem.t_to_y_table(other)
+        recovered = ysystem.t_to_y(other)[0]
         region = ysystem.recoverable_region(y_table, recovered)
         if any(recovered.values[v] != y_table.values[v] for v in region):
             failures.append(f"{name}: second reconstruction broke the Y image")
@@ -242,17 +242,7 @@ def criterion_8_bipartite_belt(seed=0):
              ("B(A2)xB(A2)", cluster.square_product(a2, a2))]
     for name, em in belts:
         seq = cluster.run_sequence(em, (-1, 11), mode="symbolic")
-        checks = {
-            "x parity": cluster.check_x_parity(seq),
-            "y parity": cluster.check_y_parity(seq),
-            "T(B)": cluster.check_tb(seq),
-            "Y+(B)": cluster.check_yb(seq, 1),
-            "Y-(B)": cluster.check_yb(seq, -1),
-            "Laurent": cluster.laurent_check(seq),
-            "T-to-Y +": cluster.t_to_y_b(seq.x, em, 1)[1],
-            "T-to-Y -": cluster.t_to_y_b(seq.x, em, -1)[1],
-        }
-        for label, bad in checks.items():
+        for label, bad in cluster.sequence_checks(seq).items():
             if bad:
                 failures.append(f"{name}: {label} ({len(bad)})")
     return _verdict(8, "Bipartite mutation belt", 120.0, start, failures)

@@ -222,15 +222,7 @@ def cmd_cluster_verify(args) -> int:
     mode = "numeric" if args.numeric else "auto"
     seq = cluster.run_sequence(em, (0, args.steps), mode=mode,
                                rng=derive_rng(args.seed, "cluster-verify"))
-    violations = []
-    violations += cluster.check_x_parity(seq)
-    violations += cluster.check_y_parity(seq)
-    violations += cluster.check_tb(seq)
-    violations += cluster.check_yb(seq, 1)
-    violations += cluster.check_yb(seq, -1)
-    violations += cluster.laurent_check(seq)
-    violations += cluster.t_to_y_b(seq.x, em, 1, seq.u_range)[1]
-    violations += cluster.t_to_y_b(seq.x, em, -1, seq.u_range)[1]
+    violations = [v for bad in cluster.sequence_checks(seq).values() for v in bad]
     lo, hi = seq.u_range  # T(B) is centred at every node and interior u
     return _emit({**_checked(violations, em.n * max(hi - lo - 1, 0)),
                   "config": _config(args), "mode": seq.mode})

@@ -41,19 +41,8 @@ from .exactmath import (
     one_plus,
     random_positive_rational,
 )
-from .tsystem import (
-    LatticeVar,
-    SystemSpec,
-    TRelation,
-    check_relations,
-    factor_pairs,
-    lhs_pair,
-    pair_product,
-    pair_quotient,
-    pair_value,
-    t_relation,
-)
-from .ysystem import YRelation, companion_identities, companions_hold
+from .tsystem import LatticeVar, SystemSpec, TRelation, check_relations, t_relation
+from .ysystem import YRelation, map_t_to_y, mapped_points
 
 SYMBOLIC_STEP_LIMIT = 14
 SYMBOLIC_RANK_LIMIT = 10
@@ -547,13 +536,17 @@ def _mapped_exponents_agree(stencils: List[YRelation]) -> List[bool]:
 
 
 def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
-             eps: int = 1, u_range: Optional[Tuple[int, int]] = None):
+             eps: int = 1):
     """Map a T(B) solution to Y_i(u) = prod_j T_j(u)^{+-B_ji} (sign from the
     parity of i, flipped for eps = -1) and verify both companion identities
     and the resulting sign-eps Y-system.
 
-    Y = coupling / inner is computed at every point.  At each interior point
-    the companion identities are checked exactly in their T(B) form,
+    This is the lattice map ysystem.map_t_to_y read through the level-2
+    identification: each node's Y(B) stencil is a T-relation with its
+    denominator list first (inner) and its numerator list second
+    (coupling), shifted over the u range of t_values.  Y = coupling / inner
+    is computed at every point.  At each interior point the companion
+    identities are checked exactly in their T(B) form,
     inner + coupling == pair (ysystem.companions_hold), and compared as
     values only where that fails.  A shifted mapped Y(B) relation is
     established without values when its stencil's exponent vectors agree
@@ -566,33 +559,25 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
     Returns (y_values, violations).
     """
     stencils = _yb_relations(em, eps)
-    if u_range is None:
-        us = [u for _, u in t_values]
-        u_range = (min(us), max(us))
-    lo, hi = u_range
-    t = _reader(t_values)
-    y_values: Dict[Tuple[int, int], object] = {}
-    violations: List[dict] = []
-    held = set()
-    for i, stencil in enumerate(stencils):
-        for u in range(lo, hi + 1):
-            coupling = pair_product(factor_pairs(t, stencil.numerator, k=u))
-            inner = pair_product(factor_pairs(t, stencil.denominator, k=u))
-            y = y_values[(i, u)] = pair_quotient(coupling, inner)
-            if lo < u < hi:
-                pair = lhs_pair(t, stencil.lhs, u)
-                if companions_hold(pair, inner, coupling):
-                    held.add((i, u))
-                else:
-                    violations += companion_identities(
-                        f"at ({em.label(i)},{u})", y, pair_value(*pair),
-                        pair_value(*inner), pair_value(*coupling))
+    us = [u for _, u in t_values]
+    lo, hi = min(us), max(us)
+
+    def t(var):
+        """T_i(u) inside the u range (a hole raises KeyError), None outside."""
+        return t_values[(var.a, var.k)] if lo <= var.k <= hi else None
+
+    forms = [TRelation(rel.center, rel.lhs, rel.denominator, rel.numerator)
+             for rel in stencils]
+    points = mapped_points((rel.shift(u) for rel in forms for u in range(lo, hi + 1)), t)
+    values, violations, held = map_t_to_y(
+        points, lambda rel: f"at ({em.label(rel.center.a)},{rel.center.k})")
+    y_values = {(var.a, var.k): y for var, y in values.items()}
     agree = _mapped_exponents_agree(stencils)
     rels = []
     for i, stencil in enumerate(stencils):
         factors = stencil.numerator + stencil.denominator
         for u in range(lo + 1, hi):
-            if not (agree[i] and all((var.a, var.k + u) in held for var, _ in factors)):
+            if not (agree[i] and all(var.shifted(u) in held for var, _ in factors)):
                 rels.append(stencil.shift(u))
     violations += check_relations(
         rels, _reader(y_values), _label(em, f"mapped Y{'+' if eps > 0 else '-'}(B)"))
@@ -611,6 +596,23 @@ def laurent_check(seq: SequenceResult) -> List[dict]:
         if laurent_divide_exact(val.num, val.den) is None:
             violations.append({"relation": f"x[{seq.matrix.label(i)}]({u}) not Laurent"})
     return violations
+
+
+def sequence_checks(seq: SequenceResult) -> Dict[str, List[dict]]:
+    """The eight checks of an alternating sequence, by label, in order: both
+    parities, T(B), Y+(B), Y-(B), the Laurent certificates and the T -> Y(B)
+    map of both signs."""
+    em = seq.matrix
+    return {
+        "x parity": check_x_parity(seq),
+        "y parity": check_y_parity(seq),
+        "T(B)": check_tb(seq),
+        "Y+(B)": check_yb(seq, 1),
+        "Y-(B)": check_yb(seq, -1),
+        "Laurent": laurent_check(seq),
+        "T-to-Y +": t_to_y_b(seq.x, em, 1)[1],
+        "T-to-Y -": t_to_y_b(seq.x, em, -1)[1],
+    }
 
 
 # ---------------------------------------------------------------------------

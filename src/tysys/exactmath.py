@@ -396,7 +396,7 @@ class RationalFunction:
     of the Laurent ring), so fully Laurent values always carry denominator 1.
     """
 
-    __slots__ = ("num", "den", "_inv", "_one_plus")
+    __slots__ = ("num", "den", "_inv")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly = None, _reduced=False):
         if den is None:
@@ -408,7 +408,6 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_inv", None)
-        object.__setattr__(self, "_one_plus", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -467,12 +466,6 @@ class RationalFunction:
             object.__setattr__(twin, "_inv", self)
             object.__setattr__(self, "_inv", twin)
         return self._inv
-
-    def one_plus(self) -> "RationalFunction":
-        """1 + self, built once."""
-        if self._one_plus is None:
-            object.__setattr__(self, "_one_plus", 1 + self)
-        return self._one_plus
 
     def __truediv__(self, other):
         other = _as_rf(other)
@@ -826,7 +819,7 @@ def _as_sf(value):
 
 def one_plus(value):
     """1 + value in the appropriate structure (semifield, rational, function)."""
-    if isinstance(value, (SemifieldElement, RationalFunction)):
+    if isinstance(value, SemifieldElement):
         return value.one_plus()
     return 1 + value
 

@@ -606,7 +606,6 @@ def check_t_solution(table: ValueTable, relations: Iterable[TRelation],
 @dataclass(frozen=True)
 class SolvePolicy:
     max_retries: int = 16
-    bits: int = 8
 
 
 def factor_product(value: Callable, factors: Iterable[Factor], k: int = 0):
@@ -740,7 +739,7 @@ def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
         def sample():
             nonlocal sampled
             sampled = True
-            return random_nonzero_rational(rng, policy.bits)
+            return random_nonzero_rational(rng)
 
         def value(var):
             got = values.get(var)

@@ -242,18 +242,18 @@ def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
 # ---------------------------------------------------------------------------
 
 
-def _sides(table: ValueTable, rel):
-    """(rel, inner, coupling, pair): the T-relation rel, centred at a
-    Y-variable, and its products T_{m-1} T_{m+1}, M and T(k-d) T(k+d) as
-    ring pairs (N, D), N / D the product, multiplied out without a gcd.
-    pair is None where the table lacks a left-hand value; the whole is None
-    where it lacks a factor of inner or coupling (a missing value reads as
-    None, which has no ring pair)."""
-    sides = rel.rhs_pairs(table.values.get)
-    if sides is None:
-        return None
-    inner, coupling = map(pair_product, sides)
-    return rel, inner, coupling, rel.lhs_pair(table.values.get)
+def mapped_points(relations, value):
+    """(rel, inner, coupling, pair) for every T-relation of relations whose
+    two factor lists value covers: the products of its first list (inner),
+    its second list (coupling) and its left-hand side (pair) as ring pairs
+    (N, D), N / D the product, multiplied out without a gcd.  pair is None
+    where value lacks a left-hand value.  A value read as None has no ring
+    pair, so a reader leaves a variable out by returning None."""
+    for rel in relations:
+        sides = rel.rhs_pairs(value)
+        if sides is not None:
+            inner, coupling = map(pair_product, sides)
+            yield rel, inner, coupling, rel.lhs_pair(value)
 
 
 def _is_quotient(y, top, bottom) -> bool:
@@ -291,32 +291,13 @@ def _mapped_relations(t_table: ValueTable):
         yield rel
 
 
-def _mapped_sides(t_table: ValueTable):
-    """_sides at every point of _mapped_relations, each factor read once.
-    A vanishing inner raises: its numerator is 0 exactly when a factor is."""
-    for rel in _centred_relations(t_table):
-        sides = _sides(t_table, rel)
-        if sides is None:
-            continue
-        if sides[1][0] == 0:
-            raise ZeroDivisor(f"vanishing T pair under {rel.center.label('Y')}")
-        yield sides
-
-
-def t_to_y_table(t_table: ValueTable) -> ValueTable:
-    """The Y-family of t_to_y, without its identity checks."""
-    values = {rel.center: pair_quotient(coupling, inner)
-              for rel, inner, coupling, _ in _mapped_sides(t_table)}
-    return ValueTable("Y", t_table.system, t_table.window, values)
-
-
 def companions_hold(pair, inner, coupling) -> bool:
     """Both companion identities of Y = coupling / inner, in T-relation form.
 
     1 + Y = pair / inner and 1 + Y^-1 = pair / coupling hold exactly when
     coupling is nonzero and inner + coupling == pair: one sum and one
     comparison, no division and no successor.  On the ring pairs (N, D) of
-    _sides the sum is cross-multiplied,
+    mapped_points the sum is cross-multiplied,
     (N_i D_c + N_c D_i) D_p == N_p D_i D_c.  Sound only where Y is
     coupling / inner with inner nonzero; where it fails,
     companion_identities builds the violation records."""
@@ -350,6 +331,29 @@ def companion_identities(label: str, y, pair, inner, coupling) -> List[dict]:
     return violations
 
 
+def map_t_to_y(points, label):
+    """The one T -> Y map, of the lattice and of the exchange-matrix
+    systems: Y = coupling / inner at every point of mapped_points, keyed by
+    centre.  Where a point has a pair, the companion identities are checked
+    in the exact form of companions_hold, and compared as values by
+    companion_identities, labelled label(rel), only where that fails.
+
+    Returns (values, violations, held), held the centres where the
+    companions held."""
+    values, violations, held = {}, [], set()
+    for rel, inner, coupling, pair in points:
+        centre = rel.center
+        y = values[centre] = pair_quotient(coupling, inner)
+        if pair is None:
+            continue
+        if companions_hold(pair, inner, coupling):
+            held.add(centre)
+        else:
+            violations += companion_identities(label(rel), y, pair_value(*pair),
+                                               pair_value(*inner), pair_value(*coupling))
+    return values, violations, held
+
+
 def t_to_y(t_table: ValueTable):
     """Map a T-solution to the Y-family Y = M / (T_{m-1} T_{m+1}) on the
     sub-window where the formula's factors exist.
@@ -366,13 +370,15 @@ def t_to_y(t_table: ValueTable):
     where that fails are the identities compared as values.
     """
     sys = t_table.system
-    values: Dict[LatticeVar, Fraction] = {}
-    violations: List[dict] = []
-    for rel, inner, coupling, pair in _mapped_sides(t_table):
-        y = values[rel.center] = pair_quotient(coupling, inner)
-        if pair is not None and not companions_hold(pair, inner, coupling):
-            violations += companion_identities(rel.center.label("Y"), y, pair_value(*pair),
-                                               pair_value(*inner), pair_value(*coupling))
+
+    def nonvanishing(points):
+        for point in points:
+            if point[1][0] == 0:
+                raise ZeroDivisor(f"vanishing T pair under {point[0].center.label('Y')}")
+            yield point
+
+    points = mapped_points(_centred_relations(t_table), t_table.values.get)
+    values, violations, _ = map_t_to_y(nonvanishing(points), lambda rel: rel.center.label("Y"))
     lo, hi = t_table.window
     if sys.restricted:
         for a in range(sys.cm.r):
@@ -393,7 +399,6 @@ def t_to_y(t_table: ValueTable):
 class FreeChoicePolicy:
     kind: str = "random"  # "random" or "unit"
     max_retries: int = 16
-    bits: int = 8
 
 
 def y_to_t(y_table: ValueTable, rng=None,
@@ -487,7 +492,7 @@ def claim_identities_check(t_table: ValueTable, y_table: ValueTable) -> List[dic
         1+Y = T(k-d) T(k+d) / (T_{m-1} T_{m+1})
         1+Y^-1 = T(k-d) T(k+d) / M
 
-    on the integer pairs of _sides, cross-multiplied.  Where the first
+    on the ring pairs of mapped_points, cross-multiplied.  Where the first
     holds, the other two are checked in the T-relation form of
     companions_hold, and compared as values only where that fails.
     """
@@ -497,18 +502,17 @@ def claim_identities_check(t_table: ValueTable, y_table: ValueTable) -> List[dic
 def _compare_to_t(t_table: ValueTable, y_table: ValueTable, region=()):
     """(mismatches, claim violations): Y == coupling / inner at the
     variables of region, and the claim identities of claim_identities_check
-    at every covered variable.  Each variable's products are built once, by
-    _sides, for both; records are built from values."""
+    at every covered variable.  Each variable's products are read once, by
+    mapped_points, for both; records are built from values."""
     mismatches, violations = [], []
-    for var, y in sorted(y_table.values.items()):
-        sides = _sides(t_table, t_relation(t_table.system, *var))
-        if var in region:
-            _, inner, coupling, _ = sides
-            if not _is_quotient(y, coupling, inner):
-                mismatches.append(violation(var.label("Y"), pair_quotient(coupling, inner), y))
-        if sides is None or sides[3] is None:
+    relations = (t_relation(t_table.system, *var) for var in sorted(y_table.values))
+    for rel, inner, coupling, pair in mapped_points(relations, t_table.values.get):
+        var = rel.center
+        y = y_table.values[var]
+        if var in region and not _is_quotient(y, coupling, inner):
+            mismatches.append(violation(var.label("Y"), pair_quotient(coupling, inner), y))
+        if pair is None:
             continue
-        _, inner, coupling, pair = sides
         if not _is_quotient(y, coupling, inner):
             violations.append(violation(f"value {var.label('Y')}", y,
                                         pair_quotient(coupling, inner)))

@@ -107,7 +107,8 @@ def test_solve_t_a1_constant_relation(tmp_path, capsys):
     code, report = run_cli(capsys, "sys", "solve-t", str(path), "--level", "2",
                            "--window", "0..8", "--seed", "7", "--out", table_path)
     assert code == 0 and report["pass"]
-    data = json.loads(open(table_path).read())
+    with open(table_path) as fh:
+        data = json.load(fh)
     from fractions import Fraction
 
     values = {row["k"]: Fraction(row["value"]) for row in data["entries"]}
@@ -149,7 +150,8 @@ def test_cluster_run_and_verify(tmp_path, capsys):
     code, report = run_cli(capsys, "cluster", "run", str(path),
                            "--steps", "6", "--out", out)
     assert code == 0
-    dumped = json.loads(open(out).read())
+    with open(out) as fh:
+        dumped = json.load(fh)
     assert "(1,0)" in dumped["x"]
     code, report = run_cli(capsys, "cluster", "verify", str(path), "--steps", "12")
     assert code == 0 and report["pass"]

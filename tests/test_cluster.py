@@ -32,7 +32,7 @@ from tysys.cluster import (
 )
 from tysys.errors import ConditionsViolated, LevelOutOfRange, NoParity, NotSymmetrizable
 from tysys.exactmath import LaurentPoly, RationalFunction, SemifieldElement
-from tysys.tsystem import check_relations, factor_product
+from tysys.tsystem import SystemSpec, check_relations, factor_product, propagate_t
 from tysys.ysystem import companion_identities
 
 A2 = new_cartan([[2, -1], [-1, 2]])
@@ -324,9 +324,9 @@ def assert_routes_agree(t_values, em, u_range=None):
             oracle_y, oracle = value_route_t_to_y_b(t_values, em, eps, u_range)
         except ZeroDivisionError as exc:
             with pytest.raises(type(exc)):
-                t_to_y_b(t_values, em, eps, u_range)
+                t_to_y_b(t_values, em, eps)
             continue
-        y_values, violations = t_to_y_b(t_values, em, eps, u_range)
+        y_values, violations = t_to_y_b(t_values, em, eps)
         assert violations == oracle
         assert y_values.keys() == oracle_y.keys()
         assert all(y_values[key] == oracle_y[key] for key in oracle_y)
@@ -442,6 +442,39 @@ def test_t_to_y_b_on_the_doubled_three_cycle():
         y_values, violations = t_to_y_b(seq.x, em, eps)
         assert violations == []
         assert len(y_values) == em.n * 11
+
+
+def test_t_to_y_b_raises_on_a_hole_inside_the_family():
+    # outside the family's u range a T-value is absent; inside it, a missing
+    # one is an error, not a point to skip
+    em = exchange_matrix_for_level(A3, 2)
+    x = dict(run_sequence(em, (-1, 6), mode="symbolic", coefficients=False).x)
+    del x[(1, 3)]
+    for eps in (1, -1):
+        with pytest.raises(KeyError) as caught:
+            t_to_y_b(x, em, eps)
+        assert caught.value.args == ((1, 3),)
+
+
+def test_both_t_to_y_maps_read_the_one_generator(monkeypatch, ba2_seq):
+    # the lattice map, the claim check and the exchange-matrix map all read
+    # their products through ysystem.mapped_points
+    from tysys import cluster, ysystem
+
+    t_table = propagate_t(SystemSpec(A2, 2), (0, 12), rng=random.Random(3))
+    y_table = ysystem.t_to_y(t_table)[0]
+
+    def broken(relations, value):
+        raise RuntimeError("mapped_points")
+
+    monkeypatch.setattr(ysystem, "mapped_points", broken)
+    monkeypatch.setattr(cluster, "mapped_points", broken)
+    calls = [lambda: ysystem.t_to_y(t_table),
+             lambda: ysystem.claim_identities_check(t_table, y_table),
+             lambda: t_to_y_b(ba2_seq.x, BA2)]
+    for call in calls:
+        with pytest.raises(RuntimeError, match="mapped_points"):
+            call()
 
 
 def test_y_coefficients_stay_subtraction_free(ba2_seq):

@@ -525,7 +525,7 @@ def test_roundtrip_mismatches_match_value_route(monkeypatch):
     broken = ValueTable("T", t_table.system, t_table.window, values, t_table.meta)
     monkeypatch.setattr(ysystem, "y_to_t", lambda *args, **kwargs: broken)
     report, _ = roundtrip_check(y_table)
-    recovered = ysystem.t_to_y_table(broken).values
+    recovered = ysystem.t_to_y(broken)[0].values
     region = ysystem.recoverable_region(y_table, list(recovered))
     assert report["compared"] == len(region)
     assert report["mismatches"] == [
