@@ -196,7 +196,12 @@ def square_product(cm: CartanMatrix, cm2: CartanMatrix,
     """Square product of two bipartite Cartan matrices on the pair index set,
     with the alternating orientation around every unit square.  Pairs are
     flattened first-index-major; the pair (i, i') is in the + class when the
-    two parities agree."""
+    two parities agree.  The orientation is two sign rules, for C_ij < 0
+    with p_i != p_j and C'_i'j' < 0 with p'_i' != p'_j':
+
+        B[(i,i'), (j,i')] =  p_i p'_i' C_ij
+        B[(i,i'), (i,j')] = -p_i p'_i' C'_i'j'
+    """
     if parity is None:
         parity = bipartition(cm)
     if parity2 is None:
@@ -212,22 +217,13 @@ def square_product(cm: CartanMatrix, cm2: CartanMatrix,
     rows = [[0] * n for _ in range(n)]
     for i in range(r):
         for ip in range(r2):
-            si, sip = parity[i], parity2[ip]
+            sign, row = parity[i] * parity2[ip], rows[flat(i, ip)]
             for j in range(r):
-                for jp in range(r2):
-                    sj, sjp = parity[j], parity2[jp]
-                    value = 0
-                    if ip == jp and cm[i, j] < 0:
-                        if (si, sip, sj, sjp) in (((-1), 1, 1, 1), (1, -1, -1, -1)):
-                            value = -cm[i, j]
-                        elif (si, sip, sj, sjp) in ((1, 1, -1, 1), (-1, -1, 1, -1)):
-                            value = cm[i, j]
-                    elif i == j and cm2[ip, jp] < 0:
-                        if (si, sip, sj, sjp) in ((1, 1, 1, -1), (-1, -1, -1, 1)):
-                            value = -cm2[ip, jp]
-                        elif (si, sip, sj, sjp) in ((1, -1, 1, 1), (-1, 1, -1, -1)):
-                            value = cm2[ip, jp]
-                    rows[flat(i, ip)][flat(j, jp)] = value
+                if cm[i, j] < 0 and parity[i] != parity[j]:
+                    row[flat(j, ip)] = sign * cm[i, j]
+            for jp in range(r2):
+                if cm2[ip, jp] < 0 and parity2[ip] != parity2[jp]:
+                    row[flat(i, jp)] = -sign * cm2[ip, jp]
     pair_parity = tuple(parity[i] * parity2[ip]
                         for i in range(r) for ip in range(r2))
     labels = tuple(f"{i + 1}.{ip + 1}" for i in range(r) for ip in range(r2))
@@ -332,18 +328,13 @@ class SequenceResult:
         return self.y
 
     def to_json(self) -> dict:
-        from .exactmath import expr_to_json
+        from .exactmath import expr_to_json, fraction_to_text
 
         y = self.require_y("to_json")
+        text = fraction_to_text if self.mode == "numeric" else expr_to_json
 
         def dump(values):
-            out = {}
-            for (i, u), val in sorted(values.items()):
-                if self.mode == "numeric":
-                    out[f"({i + 1},{u})"] = str(val)
-                else:
-                    out[f"({i + 1},{u})"] = expr_to_json(val)
-            return out
+            return {f"({i + 1},{u})": text(val) for (i, u), val in sorted(values.items())}
 
         return {
             "matrix": self.matrix.rows(),
@@ -554,7 +545,7 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
     denominator point.  Both sides are then the same Laurent monomial in the
     T-atoms, and its denominators, the inner and coupling products, are
     nonzero there, so the relation holds.  Every other mapped relation goes
-    through check_relations, with the same records as before.
+    through check_relations.
 
     Returns (y_values, violations).
     """

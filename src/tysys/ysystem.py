@@ -42,7 +42,6 @@ from .tsystem import (
     _boundary_filter,
     _check_table,
     _propagate,
-    check_relations,
     enumerate_relations,
     factor_pairs,
     fill_lattice,
@@ -279,18 +278,6 @@ def _centred_relations(t_table: ValueTable):
                 yield stencil.shift(k)
 
 
-def _mapped_relations(t_table: ValueTable):
-    """The relations of _centred_relations whose inner and coupling factors
-    the T-table covers.  A vanishing inner raises."""
-    values = t_table.values
-    for rel in _centred_relations(t_table):
-        if any(v not in values for i in (0, 1) for v, _ in rel.factors(i)):
-            continue
-        if any(values[v] == 0 for v, _ in rel.factors(0)):
-            raise ZeroDivisor(f"vanishing T pair under {rel.center.label('Y')}")
-        yield rel
-
-
 def companions_hold(pair, inner, coupling) -> bool:
     """Both companion identities of Y = coupling / inner, in T-relation form.
 
@@ -496,34 +483,41 @@ def claim_identities_check(t_table: ValueTable, y_table: ValueTable) -> List[dic
     holds, the other two are checked in the T-relation form of
     companions_hold, and compared as values only where that fails.
     """
-    return _compare_to_t(t_table, y_table)[1]
+    return _compare_to_t(t_table, y_table)[2]
 
 
-def _compare_to_t(t_table: ValueTable, y_table: ValueTable, region=()):
-    """(mismatches, claim violations): Y == coupling / inner at the
-    variables of region, and the claim identities of claim_identities_check
-    at every covered variable.  Each variable's products are read once, by
-    mapped_points, for both; records are built from values."""
-    mismatches, violations = [], []
+def _compare_to_t(t_table: ValueTable, y_table: ValueTable):
+    """(covered, differing, claim violations) from one walk over the
+    Y-table's variables in sorted order: the variables whose T-relation
+    factors the T-table holds, each tested once for Y == coupling / inner;
+    coupling / inner at those where that fails; and the records of
+    claim_identities_check.  A vanishing inner is left out without a pair,
+    and raises as the division of values does with one.  Records are built
+    from values."""
+    covered, differing, violations = [], {}, []
     relations = (t_relation(t_table.system, *var) for var in sorted(y_table.values))
     for rel, inner, coupling, pair in mapped_points(relations, t_table.values.get):
+        if pair is None and inner[0] == 0:
+            continue
         var = rel.center
+        covered.append(var)
         y = y_table.values[var]
-        if var in region and not _is_quotient(y, coupling, inner):
-            mismatches.append(violation(var.label("Y"), pair_quotient(coupling, inner), y))
+        if not _is_quotient(y, coupling, inner):
+            differing[var] = pair_quotient(coupling, inner)
         if pair is None:
             continue
-        if not _is_quotient(y, coupling, inner):
-            violations.append(violation(f"value {var.label('Y')}", y,
-                                        pair_quotient(coupling, inner)))
+        if var in differing:
+            violations.append(violation(f"value {var.label('Y')}", y, differing[var]))
         elif companions_hold(pair, inner, coupling):
             continue
         violations += companion_identities(var.label("Y"), y, pair_value(*pair),
                                            pair_value(*inner), pair_value(*coupling))
-    return mismatches, violations
+    return covered, differing, violations
 
 
 def _relation_holds(y_table: ValueTable, a: int, m: int, k: int) -> bool:
+    """Whether the Y-relation centred at (a, m, k) is defined on the table
+    and holds exactly (holds_exactly); a value without a ring pair fails."""
     try:
         rel = y_relation(y_table.system, a, m, k)
     except LevelOutOfRange:
@@ -534,7 +528,7 @@ def _relation_holds(y_table: ValueTable, a: int, m: int, k: int) -> bool:
     # a factor 1 + Y^-1 that vanishes leaves the relation undefined
     if any(vals[v] == -1 for v, _ in rel.factors(1)):
         return False
-    return not check_relations([rel], vals.__getitem__, lambda r: r.center.label("Y"))
+    return bool(rel.holds_exactly(vals.__getitem__))
 
 
 def recoverable_region(y_table: ValueTable, recovered) -> List[LatticeVar]:
@@ -564,17 +558,17 @@ def recoverable_region(y_table: ValueTable, recovered) -> List[LatticeVar]:
 
 
 def roundtrip_check(y_table: ValueTable, rng=None,
-                    policy: FreeChoicePolicy = FreeChoicePolicy(),
-                    center: Optional[int] = None):
+                    policy: FreeChoicePolicy = FreeChoicePolicy()):
     """y_to_t followed by t_to_y, compared exactly on the recoverable region.
 
     Returns (report dict, t_table).  The report counts the compared variables
     and lists mismatches (none expected) plus any claim-identity violations.
     """
-    t_table = y_to_t(y_table, rng=rng, policy=policy, center=center)
-    region = recoverable_region(y_table, [rel.center for rel
-                                          in _mapped_relations(t_table)])
-    mismatches, claim = _compare_to_t(t_table, y_table, set(region))
+    t_table = y_to_t(y_table, rng=rng, policy=policy)
+    covered, differing, claim = _compare_to_t(t_table, y_table)
+    region = recoverable_region(y_table, covered)
+    mismatches = [violation(var.label("Y"), differing[var], y_table.values[var])
+                  for var in region if var in differing]
     report = {
         "compared": len(region),
         "mismatches": mismatches,

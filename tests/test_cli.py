@@ -222,6 +222,39 @@ def test_cluster_reports_golden(tmp_path, capsys, command, text, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_cluster_run_numeric_golden(tmp_path, capsys):
+    # sha256 of stdout, recorded while numeric values were written by str()
+    path = tmp_path / "ba3.txt"
+    path.write_text(BA3_TEXT)
+    assert main(["cluster", "run", str(path), "--numeric", "--steps", "8"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == "ac6e757e0b863f7457213d646e636d58ac9a37e0e45382127db629acad260e26"
+
+
+def test_cluster_run_numeric_past_the_digit_limit(tmp_path, capsys):
+    # 16 steps on the seven-node matrix give values past 4300 digits, which
+    # str() refuses to write
+    from tysys import cluster
+    from tysys.cartan import format_matrix_text
+    from tysys.cli import derive_rng
+    from tysys.exactmath import fraction_from_text
+
+    em = cluster.seven_node_example()
+    path = tmp_path / "seven.txt"
+    path.write_text(format_matrix_text(em.rows(), em.parity))
+    code, report = run_cli(capsys, "cluster", "run", str(path), "--numeric", "--steps", "16")
+    assert code == 0
+    seq = cluster.run_sequence(em, (0, 16), mode="numeric",
+                               rng=derive_rng(0, "cluster-run"))
+    for key, values in (("x", seq.x), ("y", seq.y)):
+        written = report["sequence"][key]
+        assert {k: fraction_from_text(v) for k, v in written.items()} \
+            == {f"({i + 1},{u})": v for (i, u), v in values.items()}
+    assert max(len(part) for v in report["sequence"]["y"].values()
+               for part in v.split("/")) > 4300
+
+
 def test_reports_are_reproducible(a2_file, capsys):
     args = ("sys", "solve-t", a2_file, "--level", "3", "--window", "0..16",
             "--seed", "42")

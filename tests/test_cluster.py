@@ -146,6 +146,59 @@ def test_square_product_symmetrizer_multiplies():
     assert check_b1(em) and check_b2(em)
 
 
+def tabled_square_product(cm, cm2, parity, parity2):
+    """square_product with each edge's orientation spelled out as parity
+    4-tuples (p_i, p'_i', p_j, p'_j')."""
+    r, r2 = cm.r, cm2.r
+    n = r * r2
+    rows = [[0] * n for _ in range(n)]
+    for i in range(r):
+        for ip in range(r2):
+            for j in range(r):
+                for jp in range(r2):
+                    signs = (parity[i], parity2[ip], parity[j], parity2[jp])
+                    value = 0
+                    if ip == jp and cm[i, j] < 0:
+                        if signs in ((-1, 1, 1, 1), (1, -1, -1, -1)):
+                            value = -cm[i, j]
+                        elif signs in ((1, 1, -1, 1), (-1, -1, 1, -1)):
+                            value = cm[i, j]
+                    elif i == j and cm2[ip, jp] < 0:
+                        if signs in ((1, 1, 1, -1), (-1, -1, -1, 1)):
+                            value = -cm2[ip, jp]
+                        elif signs in ((1, -1, 1, 1), (-1, 1, -1, -1)):
+                            value = cm2[ip, jp]
+                    rows[i * r2 + ip][j * r2 + jp] = value
+    pair_parity = tuple(p * p2 for p in parity for p2 in parity2)
+    labels = tuple(f"{i + 1}.{ip + 1}" for i in range(r) for ip in range(r2))
+    em = new_exchange_matrix(rows, pair_parity, labels)
+    if not (check_b1(em) and check_bb(em)):
+        raise ConditionsViolated("square product failed its own conditions")
+    return em
+
+
+def test_square_product_sign_rules_match_the_parity_table():
+    # every pair of finite types, with the default parities and six random
+    # parity pairs each: the same matrix, or both rejected alike
+    from test_rational_route import outcome
+    from tysys.acceptance import FINITE_TYPE
+    from tysys.cartan import bipartition
+
+    rng = random.Random(11)
+    matrices = [new_cartan(rows) for rows in FINITE_TYPE.values()]
+    cases = 0
+    for cm in matrices:
+        for cm2 in matrices:
+            parities = [(bipartition(cm), bipartition(cm2))] + [
+                (tuple(rng.choice((1, -1)) for _ in range(cm.r)),
+                 tuple(rng.choice((1, -1)) for _ in range(cm2.r))) for _ in range(6)]
+            for p, p2 in parities:
+                got = outcome(lambda: square_product(cm, cm2, p, p2))
+                assert got == outcome(lambda: tabled_square_product(cm, cm2, p, p2))
+                cases += 1
+    assert cases == 1183
+
+
 # --- seeds ---------------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tysys.acceptance import FINITE_TYPE
 from tysys.cartan import new_cartan
-from tysys.errors import LevelOutOfRange, WindowTooNarrow
+from tysys.errors import LevelOutOfRange, WindowTooNarrow, ZeroDivisor
 from tysys.tsystem import LatticeVar, SystemSpec, ValueTable, propagate_t
 from tysys.ysystem import (
     FreeChoicePolicy,
@@ -213,6 +213,26 @@ def test_y_to_t_roundtrip_mixed44():
     assert report["compared"] > 100
 
 
+def test_roundtrip_tests_each_covered_variable_once(monkeypatch):
+    # one Y == coupling / inner test per Y-variable whose T-relation factors
+    # the reconstructed table covers, for the region and the claims alike
+    from tysys import ysystem
+
+    calls = []
+    real = ysystem._is_quotient
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ysystem, "_is_quotient", counted)
+    y_table = unrestricted_y(A3, 4, 16, 21)
+    report, t_table = roundtrip_check(y_table, rng=random.Random(5))
+    covered = [var for var in y_table.values if _t_sides(t_table, var) is not None]
+    assert report["pass"] and report["compared"] > 100
+    assert len(calls) == len(covered)
+
+
 def test_y_to_t_unit_policy():
     y_table = unrestricted_y(A2, 3, 14, 31)
     report, t_table = roundtrip_check(y_table, policy=FreeChoicePolicy("unit"))
@@ -317,11 +337,18 @@ def _t_pair(table, rel):
 
 def value_route_mapped_y(t_table):
     """(rel, Y, inner, coupling) with Y = coupling / inner and the products
-    as values, at every point t_to_y maps."""
-    from tysys.ysystem import _mapped_relations
+    as values, at every point t_to_y maps: the T-relations centred at the
+    Y-variables whose inner and coupling factors the table covers.  A
+    vanishing inner raises."""
+    from tysys.ysystem import _centred_relations
 
-    for rel in _mapped_relations(t_table):
-        _, inner, coupling = _t_sides(t_table, rel.center)
+    for rel in _centred_relations(t_table):
+        sides = _t_sides(t_table, rel.center)
+        if sides is None:
+            continue
+        _, inner, coupling = sides
+        if inner == 0:
+            raise ZeroDivisor(f"vanishing T pair under {rel.center.label('Y')}")
         yield rel, coupling / inner, inner, coupling
 
 
