@@ -169,24 +169,34 @@ def check_bb(em: ExchangeMatrix) -> bool:
     return True
 
 
-def b_of_c(cm: CartanMatrix, parity: Optional[tuple] = None) -> ExchangeMatrix:
-    """Exchange matrix of a bipartite Cartan matrix: -C on (+,-) entries,
-    +C on (-,+) entries, zero elsewhere."""
+def _bipartition_of(cm: CartanMatrix, parity: Optional[tuple]) -> tuple:
+    """The given parity when it is a bipartition of cm, one +1/-1 per node
+    with unlike parities across every edge, or cm's own bipartition when no
+    parity is given; NotBipartite otherwise."""
     if parity is None:
         parity = bipartition(cm)
         if parity is None:
             raise NotBipartite("adjacency graph has an odd cycle")
-    rows = []
+        return parity
+    parity = tuple(parity)
+    if len(parity) != cm.r or any(s not in (1, -1) for s in parity):
+        raise NotBipartite(f"parity {list(parity)} does not give +1/-1 to each of "
+                           f"the {cm.r} nodes")
     for i in range(cm.r):
-        row = []
-        for j in range(cm.r):
-            if cm[i, j] < 0 and parity[i] > 0 > parity[j]:
-                row.append(-cm[i, j])
-            elif cm[i, j] < 0 and parity[i] < 0 < parity[j]:
-                row.append(cm[i, j])
-            else:
-                row.append(0)
-        rows.append(row)
+        for j in cm.neighbors(i):
+            if parity[i] == parity[j]:
+                raise NotBipartite(f"parity {list(parity)} puts the joined nodes "
+                                   f"{i + 1} and {j + 1} in one class")
+    return parity
+
+
+def b_of_c(cm: CartanMatrix, parity: Optional[tuple] = None) -> ExchangeMatrix:
+    """Exchange matrix of a bipartite Cartan matrix: -C on (+,-) entries,
+    +C on (-,+) entries, zero elsewhere.  Every edge joins unlike parities,
+    so the entry at an edge is -p_i C_ij."""
+    parity = _bipartition_of(cm, parity)
+    rows = [[-parity[i] * cm[i, j] if cm[i, j] < 0 else 0 for j in range(cm.r)]
+            for i in range(cm.r)]
     return new_exchange_matrix(rows, parity)
 
 
@@ -197,17 +207,12 @@ def square_product(cm: CartanMatrix, cm2: CartanMatrix,
     with the alternating orientation around every unit square.  Pairs are
     flattened first-index-major; the pair (i, i') is in the + class when the
     two parities agree.  The orientation is two sign rules, for C_ij < 0
-    with p_i != p_j and C'_i'j' < 0 with p'_i' != p'_j':
+    and C'_i'j' < 0 (edges, which join unlike parities):
 
         B[(i,i'), (j,i')] =  p_i p'_i' C_ij
         B[(i,i'), (i,j')] = -p_i p'_i' C'_i'j'
     """
-    if parity is None:
-        parity = bipartition(cm)
-    if parity2 is None:
-        parity2 = bipartition(cm2)
-    if parity is None or parity2 is None:
-        raise NotBipartite("square product needs two bipartite matrices")
+    parity, parity2 = _bipartition_of(cm, parity), _bipartition_of(cm2, parity2)
     r, r2 = cm.r, cm2.r
 
     def flat(i, ip):
@@ -219,10 +224,10 @@ def square_product(cm: CartanMatrix, cm2: CartanMatrix,
         for ip in range(r2):
             sign, row = parity[i] * parity2[ip], rows[flat(i, ip)]
             for j in range(r):
-                if cm[i, j] < 0 and parity[i] != parity[j]:
+                if cm[i, j] < 0:
                     row[flat(j, ip)] = sign * cm[i, j]
             for jp in range(r2):
-                if cm2[ip, jp] < 0 and parity2[ip] != parity2[jp]:
+                if cm2[ip, jp] < 0:
                     row[flat(i, jp)] = -sign * cm2[ip, jp]
     pair_parity = tuple(parity[i] * parity2[ip]
                         for i in range(r) for ip in range(r2))

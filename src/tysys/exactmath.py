@@ -4,6 +4,13 @@ Arbitrary-precision rationals (``fractions.Fraction``), sparse multivariate
 Laurent polynomials, rational functions, and subtraction-free semifield
 elements, together with evaluation homomorphisms and a JSON expression format.
 
+Coefficient rule: a Laurent polynomial stores an integral coefficient as a
+Python ``int`` and any other as a ``Fraction`` with denominator > 1, so the
+integer coefficients of cluster variables and F-polynomials never pay for
+``Fraction`` construction and its gcd.  Coefficients are divided only through
+``exact_div``, which gives an int when the divisor divides, else a Fraction;
+``/`` on two ints would give a float.
+
 Reduction policy: rational functions and semifield elements are reduced by
 integer content and by a common monomial factor only.  Full polynomial gcd is
 deliberately not implemented; equality is decided by cross-multiplication,
@@ -55,12 +62,34 @@ def _heap_entry(mono: tuple) -> tuple:
     return (-sum(mono), tuple(-e for e in mono), mono)
 
 
+def _coefficient(value: Rational) -> Rational:
+    """The canonical coefficient of value: an int when it is integral, else
+    a Fraction with denominator > 1."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def exact_div(a: Rational, b: Rational) -> Rational:
+    """a / b as a canonical coefficient: int divmod when b divides a, else a
+    Fraction.  The one division of coefficients; a / b of two ints would
+    give a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coefficient(a / b)
+
+
 class LaurentPoly:
-    """Sparse multivariate Laurent polynomial over Fraction coefficients.
+    """Sparse multivariate Laurent polynomial over rational coefficients.
 
     Instances are immutable and canonical: unused generators are pruned,
     generators are kept in natural name order, and zero coefficients are never
-    stored, so ``==`` and ``hash`` are structural.
+    stored, so ``==`` and ``hash`` are structural.  A coefficient is an
+    ``int`` when it is integral and a ``Fraction`` with denominator > 1
+    otherwise, never a float and never an integral ``Fraction``; coefficients
+    are divided only through ``exact_div``.
     """
 
     __slots__ = ("vars", "terms", "_hash")
@@ -68,7 +97,7 @@ class LaurentPoly:
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Rational]):
         clean = {}
         for mono, coeff in terms.items():
-            c = Fraction(coeff)
+            c = _coefficient(coeff)
             if c:
                 clean[tuple(mono)] = c
         variables = tuple(variables)
@@ -89,7 +118,7 @@ class LaurentPoly:
 
     @staticmethod
     def constant(value: Rational) -> "LaurentPoly":
-        return LaurentPoly((), {(): Fraction(value)})
+        return LaurentPoly((), {(): value})
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -101,12 +130,12 @@ class LaurentPoly:
 
     @staticmethod
     def gen(name: str) -> "LaurentPoly":
-        return LaurentPoly((name,), {(1,): Fraction(1)})
+        return LaurentPoly((name,), {(1,): 1})
 
     @staticmethod
     def monomial(coeff: Rational, powers: Mapping[str, int]) -> "LaurentPoly":
         names = tuple(sorted(powers, key=_natural_key))
-        return LaurentPoly(names, {tuple(powers[n] for n in names): Fraction(coeff)})
+        return LaurentPoly(names, {tuple(powers[n] for n in names): coeff})
 
     # -- predicates --------------------------------------------------------
 
@@ -159,7 +188,7 @@ class LaurentPoly:
         names, a, b = self._aligned(other)
         out = dict(a)
         for m, c in b.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return LaurentPoly(names, out)
 
     __radd__ = __add__
@@ -193,7 +222,7 @@ class LaurentPoly:
         for ma, ca in a.items():
             for mb, cb in b.items():
                 m = tuple(x + y for x, y in zip(ma, mb))
-                out[m] = out.get(m, Fraction(0)) + ca * cb
+                out[m] = out.get(m, 0) + ca * cb
         return LaurentPoly(names, out)
 
     __rmul__ = __mul__
@@ -205,7 +234,7 @@ class LaurentPoly:
             if not self.is_monomial():
                 raise ValueError("negative power of a non-monomial Laurent polynomial")
             ((m, c),) = self.terms.items()
-            inv = LaurentPoly(self.vars, {tuple(-e for e in m): 1 / c})
+            inv = LaurentPoly(self.vars, {tuple(-e for e in m): exact_div(1, c)})
             return inv ** (-n)
         result = LaurentPoly.one()
         base = self
@@ -238,7 +267,7 @@ class LaurentPoly:
     def mul_monomial(self, coeff: Rational, powers: Mapping[str, int]) -> "LaurentPoly":
         """self * coeff * prod v^e: every exponent is shifted, so no two terms
         can merge and no product is formed."""
-        coeff = Fraction(coeff)
+        coeff = _coefficient(coeff)
         names = sorted(set(self.vars) | {v for v, e in powers.items() if e},
                        key=_natural_key)
         pos = {v: i for i, v in enumerate(names)}
@@ -369,7 +398,7 @@ def laurent_divide_exact(p: LaurentPoly, q: LaurentPoly) -> Optional[LaurentPoly
         diff = tuple(x - y for x, y in zip(lead, lead_b))
         if any(e < 0 for e in diff):
             return None
-        coeff = rem[lead] / cb
+        coeff = exact_div(rem[lead], cb)
         quotient[diff] = coeff
         for mb, c in b.items():
             m = tuple(x + y for x, y in zip(diff, mb))
@@ -530,14 +559,14 @@ def _reduce_pair(num: LaurentPoly, den: LaurentPoly):
     if den.is_monomial():
         ((mono, coeff),) = den.terms.items()
         powers = {v: -e for v, e in zip(den.vars, mono) if e}
-        return num.mul_monomial(1 / coeff, powers), LaurentPoly.one()
+        return num.mul_monomial(exact_div(1, coeff), powers), LaurentPoly.one()
     c_num, c_den = num.content(), den.content()
     g = Fraction(math.gcd(c_num.numerator * c_den.denominator,
                           c_den.numerator * c_num.denominator),
                  c_num.denominator * c_den.denominator)
     if g not in (0, 1):
-        num = num * LaurentPoly.constant(1 / g)
-        den = den * LaurentPoly.constant(1 / g)
+        scale = LaurentPoly.constant(exact_div(1, g))
+        num, den = num * scale, den * scale
     mins_n = num.min_exponents()
     mins_d = den.min_exponents()
     shared = {}
@@ -569,7 +598,7 @@ def _atomize(poly: LaurentPoly):
     coeff = poly.content()
     powers = {v: e for v, e in poly.min_exponents().items() if e}
     if coeff != 1 or powers:
-        poly = poly.mul_monomial(1 / coeff, {v: -e for v, e in powers.items()})
+        poly = poly.mul_monomial(exact_div(1, coeff), {v: -e for v, e in powers.items()})
     if poly.is_one():
         return coeff, powers, None
     return coeff, powers, poly

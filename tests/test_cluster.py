@@ -30,7 +30,13 @@ from tysys.cluster import (
     square_product,
     t_to_y_b,
 )
-from tysys.errors import ConditionsViolated, LevelOutOfRange, NoParity, NotSymmetrizable
+from tysys.errors import (
+    ConditionsViolated,
+    LevelOutOfRange,
+    NoParity,
+    NotBipartite,
+    NotSymmetrizable,
+)
 from tysys.exactmath import LaurentPoly, RationalFunction, SemifieldElement
 from tysys.tsystem import SystemSpec, check_relations, factor_product, propagate_t
 from tysys.ysystem import companion_identities
@@ -177,26 +183,49 @@ def tabled_square_product(cm, cm2, parity, parity2):
     return em
 
 
+def is_bipartition(cm, parity):
+    return all(parity[i] != parity[j] for i in range(cm.r) for j in range(cm.r)
+               if cm[i, j] < 0)
+
+
 def test_square_product_sign_rules_match_the_parity_table():
     # every pair of finite types, with the default parities and six random
-    # parity pairs each: the same matrix, or both rejected alike
+    # parity pairs each: on bipartitions the same matrix as the table, and
+    # any other parity rejected, by square_product and by b_of_c alike
     from test_rational_route import outcome
     from tysys.acceptance import FINITE_TYPE
     from tysys.cartan import bipartition
 
     rng = random.Random(11)
     matrices = [new_cartan(rows) for rows in FINITE_TYPE.values()]
-    cases = 0
+    accepted = rejected = 0
     for cm in matrices:
         for cm2 in matrices:
             parities = [(bipartition(cm), bipartition(cm2))] + [
                 (tuple(rng.choice((1, -1)) for _ in range(cm.r)),
                  tuple(rng.choice((1, -1)) for _ in range(cm2.r))) for _ in range(6)]
             for p, p2 in parities:
-                got = outcome(lambda: square_product(cm, cm2, p, p2))
-                assert got == outcome(lambda: tabled_square_product(cm, cm2, p, p2))
-                cases += 1
-    assert cases == 1183
+                if is_bipartition(cm, p) and is_bipartition(cm2, p2):
+                    got = outcome(lambda: square_product(cm, cm2, p, p2))
+                    assert got == outcome(lambda: tabled_square_product(cm, cm2, p, p2))
+                    accepted += 1
+                else:
+                    with pytest.raises(NotBipartite):
+                        square_product(cm, cm2, p, p2)
+                    rejected += 1
+                if not is_bipartition(cm, p):
+                    with pytest.raises(NotBipartite):
+                        b_of_c(cm, p)
+    assert (accepted, rejected) == (292, 891)
+
+
+def test_parities_of_the_wrong_length_are_rejected():
+    for call in (lambda: b_of_c(A3, (1, -1)), lambda: b_of_c(A2, (1, -1, 1)),
+                 lambda: square_product(A2, A3, (1, -1), (1, -1)),
+                 lambda: square_product(A2, A2, (1, -1, 1), (1, -1))):
+        with pytest.raises(NotBipartite):
+            call()
+    assert b_of_c(A3, (-1, 1, -1)).rows() == [[0, -1, 0], [1, 0, 1], [0, -1, 0]]
 
 
 # --- seeds ---------------------------------------------------------------------

@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tysys.errors import DivisionByZeroPoly, EvalDivisionByZero, InverseOfZero
@@ -166,7 +167,7 @@ def rescanning_divide_exact(p, q):
         diff = tuple(x - y for x, y in zip(lead, lead_b))
         if any(e < 0 for e in diff):
             return None
-        coeff = rem[lead] / b[lead_b]
+        coeff = Fraction(rem[lead]) / b[lead_b]
         quotient[diff] = coeff
         for mb, c in b.items():
             m = tuple(x + y for x, y in zip(diff, mb))
@@ -188,6 +189,7 @@ def polys3(min_terms=0, max_terms=5):
 
 @settings(max_examples=50, deadline=None)
 @given(polys3(), polys3(min_terms=1))
+@example(LaurentPoly(("z",), {(1,): Fraction(1, 3), (0,): 1}), LaurentPoly.constant(3))
 def test_heap_division_matches_rescanning_on_products(p, q):
     got = laurent_divide_exact(p * q, q)
     assert got == rescanning_divide_exact(p * q, q) == p
@@ -201,6 +203,130 @@ def test_heap_division_matches_rescanning_on_nondivisible_pairs(p, q, unit):
     a = p * q + unit
     assert laurent_divide_exact(a, q) is None
     assert rescanning_divide_exact(a, q) is None
+
+
+# --- the kernel against a route that keeps every coefficient a Fraction -------
+
+XYZ = ("x", "y", "z")
+
+
+def assert_canonical(poly):
+    """Each stored coefficient is a nonzero int, or a Fraction whose
+    denominator is > 1."""
+    for c in poly.terms.values():
+        assert (type(c) is int and c) or (type(c) is Fraction and c.denominator > 1), c
+    return poly
+
+
+def fraction_terms(poly):
+    """poly as {exponents over x, y, z: Fraction}."""
+    pos = [XYZ.index(v) for v in poly.vars]
+    out = {}
+    for mono, c in poly.terms.items():
+        full = [0, 0, 0]
+        for i, e in zip(pos, mono):
+            full[i] = e
+        out[tuple(full)] = Fraction(c)
+    return out
+
+
+def route_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def route_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, Fraction(0)) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def route_pow(a, n):
+    if n < 0:
+        ((m, c),) = a.items()
+        a, n = {tuple(-e for e in m): Fraction(1) / c}, -n
+    out = {(0, 0, 0): Fraction(1)}
+    for _ in range(n):
+        out = route_mul(out, a)
+    return out
+
+
+def route_content(coeffs):
+    """gcd of the numerators over lcm of the denominators."""
+    num, den = 0, 1
+    for c in coeffs:
+        num, den = math.gcd(num, c.numerator), math.lcm(den, c.denominator)
+    return Fraction(num, den)
+
+
+def route_reduce(num, den):
+    """RationalFunction's reduction: fold a monomial denominator; else divide
+    both sides by the content of all their coefficients and by the common
+    monomial of the generators both use, with den's leading coefficient
+    made positive."""
+    one = {(0, 0, 0): Fraction(1)}
+    if not num:
+        return {}, one
+    if len(den) == 1:
+        return route_mul(num, route_pow(den, -1)), one
+    lead = max(den, key=lambda m: (sum(m), m))
+    g = route_content([*num.values(), *den.values()]) * (1 if den[lead] > 0 else -1)
+    shared = tuple(min(m[i] for m in (*num, *den))
+                   if any(m[i] for m in num) and any(m[i] for m in den) else 0
+                   for i in range(3))
+    scale = {tuple(-e for e in shared): 1 / g}
+    return route_mul(num, scale), route_mul(den, scale)
+
+
+mixed_coeffs = st.one_of(st.integers(-6, 6), st.fractions(-5, 5, max_denominator=4)) \
+    .filter(bool)
+mixed_polys = st.dictionaries(st.tuples(*[st.integers(-2, 3)] * 3), mixed_coeffs,
+                              max_size=5).map(lambda terms: LaurentPoly(XYZ, terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_polys, mixed_polys, mixed_coeffs,
+       st.tuples(*[st.integers(-2, 2)] * 3), st.integers(-3, 3), st.booleans())
+def test_kernel_matches_the_fraction_route(a, b, coeff, shift, n, make_divisible):
+    fa, fb = fraction_terms(assert_canonical(a)), fraction_terms(assert_canonical(b))
+    assert fraction_terms(assert_canonical(a + b)) == route_add(fa, fb)
+    assert fraction_terms(assert_canonical(a * b)) == route_mul(fa, fb)
+    assert fraction_terms(assert_canonical(a ** abs(n))) == route_pow(fa, abs(n))
+    if len(fa) == 1:
+        assert fraction_terms(assert_canonical(a ** n)) == route_pow(fa, n)
+    moved = a.mul_monomial(coeff, dict(zip(XYZ, shift)))
+    assert fraction_terms(assert_canonical(moved)) == route_mul(fa, {shift: Fraction(coeff)})
+    assert a.content() == route_content(fa.values())
+    if not b:
+        return
+    top = a * b if make_divisible else a
+    got = laurent_divide_exact(top, b)
+    want = rescanning_divide_exact(top, b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert fraction_terms(assert_canonical(got)) == fraction_terms(want)
+    f = RationalFunction(a, b)
+    want_num, want_den = route_reduce(fa, fb)
+    assert fraction_terms(assert_canonical(f.num)) == want_num
+    assert fraction_terms(assert_canonical(f.den)) == want_den
+    reduced = f.reduced()
+    assert_canonical(reduced.num), assert_canonical(reduced.den)
+    assert reduced == f
+
+
+def test_integral_coefficients_are_ints():
+    assert [type(c) for c in (3 * x * x ** -1 + Fraction(4, 2) * y).terms.values()] == [int, int]
+    assert (3 * x) ** -1 == LaurentPoly.monomial(Fraction(1, 3), {"x": -1})
+    assert LaurentPoly.constant(Fraction(6, 3)).terms == {(): 2}
+    assert type(LaurentPoly.constant(Fraction(6, 3)).terms[()]) is int
+    assert str(3 * x + Fraction(1, 2)) == "3*x + 1/2"
+    assert expr_to_json(rf(3 * x, 2 * y))["num"] == [["3/2", [1, -1]]]
+    assert type((3 * x).evaluate({"x": 1})) is Fraction
 
 
 # --- rational functions ------------------------------------------------------
