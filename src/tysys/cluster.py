@@ -41,7 +41,14 @@ from .exactmath import (
     one_plus,
     random_positive_rational,
 )
-from .tsystem import LatticeVar, SystemSpec, TRelation, check_relations, t_relation
+from .tsystem import (
+    LatticeVar,
+    SystemSpec,
+    TRelation,
+    check_relations,
+    pair_reader,
+    t_relation,
+)
 from .ysystem import YRelation, map_t_to_y, mapped_points
 
 SYMBOLIC_STEP_LIMIT = 14
@@ -466,8 +473,10 @@ def _yb_relations(em: ExchangeMatrix, eps: int) -> List[YRelation]:
 
 
 def _reader(values: dict):
-    """value(var) for the relations: node var.a at time var.k."""
-    return lambda var: values[(var.a, var.k)]
+    """value(var) for the relations: node var[0] at time var[2], var an
+    (a, m, k) key; check_relations reads ring pairs through its
+    pair_reader."""
+    return lambda var: values[var[0], var[2]]
 
 
 def _label(em: ExchangeMatrix, prefix: str):
@@ -559,12 +568,15 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
     lo, hi = min(us), max(us)
 
     def t(var):
-        """T_i(u) inside the u range (a hole raises KeyError), None outside."""
-        return t_values[(var.a, var.k)] if lo <= var.k <= hi else None
+        """T_i(u) at the (a, m, k) key var inside the u range (a hole raises
+        KeyError), None outside."""
+        a, _, u = var
+        return t_values[a, u] if lo <= u <= hi else None
 
     forms = [TRelation(rel.center, rel.lhs, rel.denominator, rel.numerator)
              for rel in stencils]
-    points = mapped_points((rel.shift(u) for rel in forms for u in range(lo, hi + 1)), t)
+    points = mapped_points((rel.shift(u) for rel in forms for u in range(lo, hi + 1)),
+                           pair_reader(t))
     values, violations, held = map_t_to_y(
         points, lambda rel: f"at ({em.label(rel.center.a)},{rel.center.k})")
     y_values = {(var.a, var.k): y for var, y in values.items()}
@@ -727,7 +739,7 @@ def correspondence_check(cm: CartanMatrix, level: int,
         checked = [rel for rel in rels if in_class(*rel.center, -eps)
                    and all(in_class(*v, eps) for v in rel.variables())]
         violations += check_relations(
-            checked, lambda v: seq.x[(flat(v.a, v.m), v.k)],
+            checked, lambda v: seq.x[flat(v[0], v[1]), v[2]],
             lambda rel: f"value mismatch at (a={rel.center.a + 1},m={rel.center.m},"
                         f"u={rel.center.k},eps={eps})")
     return {

@@ -76,6 +76,11 @@ class ZeroDivisor(TysysError, ArithmeticError):
     """An exact zero appeared where a unit is required while solving."""
 
 
+class DegenerateData(ZeroDivisor):
+    """A given value leaves a solved value zero or undefined whatever the
+    free data: resampling cannot help, so the solve raises at once."""
+
+
 class UnschedulableDependency(TysysError, RuntimeError):
     """Slice-major propagation needs a value at a not-yet-filled slice."""
 

@@ -11,6 +11,15 @@ integer coefficients of cluster variables and F-polynomials never pay for
 ``exact_div``, which gives an int when the divisor divides, else a Fraction;
 ``/`` on two ints would give a float.
 
+Lowest terms without a gcd: ``coprime_fraction(n, d)`` builds the Fraction
+n / d of two coprime ints through ``Fraction(rational)``, the public
+one-argument constructor, which copies the numerator and denominator of a
+``numbers.Rational`` as they are (the ``numbers.Rational`` contract has them
+in lowest terms, the denominator positive).  The lattice solves build their
+values this way, since their factors cross-cancel into lowest terms by
+construction; ``Fraction(n, d)`` would run a second full gcd on values of
+up to 170k bits.
+
 Reduction policy: rational functions and semifield elements are reduced by
 integer content and by a common monomial factor only.  Full polynomial gcd is
 deliberately not implemented; equality is decided by cross-multiplication,
@@ -33,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+import numbers
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -79,6 +89,29 @@ def exact_div(a: Rational, b: Rational) -> Rational:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     return _coefficient(a / b)
+
+
+class _LowestTerms:
+    """A numerator and a positive denominator already in lowest terms, as a
+    numbers.Rational for Fraction(rational) to copy."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
+
+
+numbers.Rational.register(_LowestTerms)
+
+
+def coprime_fraction(n: int, d: int) -> Fraction:
+    """n / d as a Fraction without a gcd, for coprime ints n and d (d
+    nonzero): the sign is moved to the numerator, and Fraction(rational)
+    copies the pair.  Coprime inputs are the caller's promise; nothing here
+    checks them."""
+    if d < 0:
+        n, d = -n, -d
+    return Fraction(_LowestTerms(n, d))
 
 
 class LaurentPoly:

@@ -8,6 +8,22 @@ Relations do not change under k -> k + 1, so each one is compiled once per
 (a, m, k) is that stencil read at offset k: it keeps the stencil's tuples,
 and every reader adds k to the variables as it reads them.
 
+Checks and solves read values as ring pairs (numerator, denominator) through
+a pair reader, a callable from a plain (a, m, k) key to the pair or None.
+Each value's pair is read once: fill_lattice keeps {var: pair} beside the
+values it solves, and the checks and the T -> Y map build a pair index once
+per call from the table's values (pair_index).  Readers of values kept
+elsewhere go through pair_reader.
+
+Solves build their values from coprime factor pairs (reduced_quotient):
+cross-cancelling each factor against the running product keeps it in lowest
+terms, so Fraction(rational) copies the result without a second gcd
+(exactmath.coprime_fraction).  The Y-solve and both Y -> T rules are reduced
+by construction, since 1 + p/q = (p + q)/q and 1 + q/p = (p + q)/p are
+coprime for a reduced p/q, as is every value read and its inverse; the
+T-solve reduces its one sum pair with one gcd first.  Products that are not
+reduced go through pair_value, which normalises.
+
 The spectral parameter u = k/t is kept as the integer k throughout.  A shift
 of d_a/t is the integer shift d_a, and a shift of 1/t is 1.  Levels m are per
 node; node a of a level-L system carries m = 1 .. t_a*L - 1 (restricted) with
@@ -25,6 +41,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Option
 
 from .cartan import CartanMatrix
 from .errors import (
+    DegenerateData,
     EmptyWindow,
     LevelOutOfRange,
     MissingValue,
@@ -34,6 +51,7 @@ from .errors import (
 )
 from .exactmath import (
     RationalFunction,
+    coprime_fraction,
     evaluate,
     fraction_from_text,
     fraction_to_text,
@@ -125,10 +143,10 @@ class Relation:
     The relation centred k slices after the stencil's centre keeps the
     stencil's tuples and adds k as it reads them, so shift is O(1) and
     nothing per centre is built: variables, to_json and the checks and
-    solvers (through factor_pairs and lhs_pair) read the stored tuples with
-    the offset.  The named factor lists of the subclasses are the stored
-    tuples at k = 0 and new tuples otherwise, for equality and for callers
-    that keep the list.  Treated as immutable; equal relations (same kind,
+    solvers (through factor_pairs and lhs_pair, by plain (a, m, k) keys)
+    read the stored tuples with the offset.  The named factor lists of the
+    subclasses are the stored tuples at k = 0 and new tuples otherwise, for
+    equality and for callers that keep the list.  Treated as immutable; equal relations (same kind,
     centre, left-hand side and factor lists) hash alike whatever their
     offsets."""
 
@@ -173,18 +191,18 @@ class Relation:
             for var, _ in self.factors(i):
                 yield var
 
-    def rhs_pairs(self, value) -> Optional[tuple]:
-        """The ring pairs of both factor lists, each factor read through its
-        list's form (factor_pairs) with the offset added.  None where a value
-        has no ring pair."""
-        first = factor_pairs(value, self._lists[0], self.forms[0], self.k)
-        second = None if first is None else factor_pairs(value, self._lists[1],
+    def rhs_pairs(self, pair) -> Optional[tuple]:
+        """The ring pairs of both factor lists, each factor read through the
+        pair reader pair and its list's form (factor_pairs) with the offset
+        added.  None where a value has no ring pair."""
+        first = factor_pairs(pair, self._lists[0], self.forms[0], self.k)
+        second = None if first is None else factor_pairs(pair, self._lists[1],
                                                          self.forms[1], self.k)
         return None if second is None else (first, second)
 
-    def lhs_pair(self, value) -> Optional[tuple]:
+    def lhs_pair(self, pair) -> Optional[tuple]:
         """lhs_pair of the left-hand side, read with the offset added."""
-        return lhs_pair(value, self._lhs, self.k)
+        return lhs_pair(pair, self._lhs, self.k)
 
     def to_json(self) -> dict:
         """Centre, left-hand side and both factor lists, 1-based."""
@@ -236,12 +254,13 @@ class TRelation(Relation):
     def holds(lhs, rhs) -> bool:
         return lhs == rhs
 
-    def holds_exactly(self, value) -> Optional[bool]:
+    def holds_exactly(self, pair) -> Optional[bool]:
         """The relation as one identity in the values' ring, without a gcd:
         p0 p1 Q_a Q_m == q0 q1 (P_a Q_m + P_m Q_a), with P_a / Q_a and
-        P_m / Q_m the two products.  None where a value has no ring pair."""
-        lhs = self.lhs_pair(value)
-        sides = None if lhs is None else self.rhs_pairs(value)
+        P_m / Q_m the two products, read through the pair reader pair.  None
+        where a value has no ring pair."""
+        lhs = self.lhs_pair(pair)
+        sides = None if lhs is None else self.rhs_pairs(pair)
         if sides is None:
             return None
         (ln, ld), (an, ad), (mn, md) = lhs, *map(pair_product, sides)
@@ -545,17 +564,22 @@ def _evaluated(side, at):
 
 
 def check_relations(relations: Iterable, value: Callable, label: Callable,
-                    assignments: Optional[list] = None) -> List[dict]:
+                    assignments: Optional[list] = None,
+                    pair: Optional[Callable] = None) -> List[dict]:
     """The one check of T- and Y-relations, lattice or exchange-matrix.
 
-    Where every value has a ring pair, rel.holds_exactly decides the exact
-    check as one identity of integers or of Laurent polynomials.  Otherwise
-    (semifield values), and at each assignment given, the sides, read
-    through value(var), are compared by rel.holds.  Each failure is recorded
-    as violation(label(rel), lhs, rhs), from the sides as values."""
+    Where every value has a ring pair, read through the pair reader pair
+    (pair_reader(value) when none is given), rel.holds_exactly decides the
+    exact check as one identity of integers or of Laurent polynomials.
+    Otherwise (semifield values, or a value the reader lacks), and at each
+    assignment given, the sides, read through value(var), are compared by
+    rel.holds.  Each failure is recorded as violation(label(rel), lhs, rhs),
+    from the sides as values."""
+    if assignments is None and pair is None:
+        pair = pair_reader(value)
     violations = []
     for rel in relations:
-        ok = rel.holds_exactly(value) if assignments is None else None
+        ok = rel.holds_exactly(pair) if assignments is None else None
         if ok:
             continue
         lhs = value(rel.lhs[0]) * value(rel.lhs[1])
@@ -571,9 +595,10 @@ def check_relations(relations: Iterable, value: Callable, label: Callable,
 
 def _check_table(table: ValueTable, relations: Iterable, kind: str, mode: str,
                  rng, samples: int) -> List[dict]:
-    """check_relations on a table; numeric mode draws `samples` random
-    assignments of the symbols of the table's rational functions, and checks
-    a table without one exactly."""
+    """check_relations on a table, its ring pairs read from one pair_index
+    of the values; numeric mode draws `samples` random assignments of the
+    symbols of the table's rational functions, and checks a table without
+    one exactly."""
     assignments = None
     if mode == "numeric":
         if samples < 1:
@@ -584,8 +609,9 @@ def _check_table(table: ValueTable, relations: Iterable, kind: str, mode: str,
             names = sorted({n for val in symbolic for n in val.num.vars + val.den.vars})
             assignments = [{n: random_nonzero_rational(rng) for n in names}
                            for _ in range(samples)]
+    pair = pair_index(table.values).get if assignments is None else None
     return check_relations(relations, table.get, lambda rel: rel.center.label(kind),
-                           assignments)
+                           assignments, pair)
 
 
 def check_t_solution(table: ValueTable, relations: Iterable[TRelation],
@@ -621,33 +647,46 @@ def factor_product(value: Callable, factors: Iterable[Factor], k: int = 0):
 # ring pairs: every value as numerator / denominator in its own ring
 # ---------------------------------------------------------------------------
 
-RATIONAL = (int, Fraction)
-
 
 def ring_pair(v):
     """v as (numerator, denominator) in its ring: integers in lowest terms
     for an int or a Fraction, the Laurent polynomials of a RationalFunction.
-    None for a value without one (a semifield element)."""
-    if isinstance(v, RATIONAL):
+    None for a value without one (a semifield element, or None)."""
+    if isinstance(v, (int, Fraction)):
         return v.as_integer_ratio()
     if isinstance(v, RationalFunction):
         return v.num, v.den
     return None
 
 
-def factor_pairs(value: Callable, factors: Iterable[Factor],
+def pair_index(values: dict) -> dict:
+    """{var: ring pair or None} of a table's values, each value read once.
+    Its get is the pair reader of the table; it is built per call and never
+    kept on the table, so an entry changed since is read afresh."""
+    return {var: ring_pair(v) for var, v in values.items()}
+
+
+def pair_reader(value: Callable) -> Callable:
+    """The pair reader of a value getter: key -> ring_pair(value(key)), for
+    values kept outside a table (the cluster's, or a test's getter).  value
+    is called with plain (a, m, k) tuples."""
+    return lambda key: ring_pair(value(key))
+
+
+def factor_pairs(pair: Callable, factors: Iterable[Factor],
                  form: Optional[Callable] = None, k: int = 0) -> Optional[list]:
     """[(a ** exp, b ** exp)] over the factors, where (a, b) is (p, q), or
-    form(p, q), for the ring pair (p, q) of value(var) at var read k slices
-    later; a / b is the factor.  None if a value has no ring pair."""
+    form(p, q), for the ring pair (p, q) = pair((a, m, k')) of the variable
+    read k slices later; a / b is the factor.  None if a value has no ring
+    pair."""
     pairs = []
     for (a, m, kv), exp in factors:
-        pair = ring_pair(value(LatticeVar(a, m, kv + k)))
-        if pair is None:
+        got = pair((a, m, kv + k))
+        if got is None:
             return None
         if form is not None:
-            pair = form(*pair)
-        pairs.append(pair if exp == 1 else (pair[0] ** exp, pair[1] ** exp))
+            got = form(*got)
+        pairs.append(got if exp == 1 else (got[0] ** exp, got[1] ** exp))
     return pairs
 
 
@@ -660,19 +699,21 @@ def pair_product(pairs: Iterable[tuple]) -> tuple:
     return n, d
 
 
-def lhs_pair(value: Callable, lhs: Tuple[LatticeVar, LatticeVar],
+def lhs_pair(pair: Callable, lhs: Tuple[LatticeVar, LatticeVar],
              k: int = 0) -> Optional[tuple]:
     """(p0 p1, q0 q1) for the left-hand side p0/q0 * p1/q1, its two
-    variables read k slices later, or None where a value has no ring pair."""
+    variables read through pair k slices later, or None where a value has
+    no ring pair."""
     (a0, m0, k0), (a1, m1, k1) = lhs
-    x = ring_pair(value(LatticeVar(a0, m0, k0 + k)))
-    y = None if x is None else ring_pair(value(LatticeVar(a1, m1, k1 + k)))
+    x = pair((a0, m0, k0 + k))
+    y = None if x is None else pair((a1, m1, k1 + k))
     return None if y is None else (x[0] * y[0], x[1] * y[1])
 
 
 def pair_value(n, d):
-    """The value n / d of a ring pair (d nonzero): a Fraction for integers,
-    a RationalFunction, reduced as every one is, for Laurent polynomials."""
+    """The value n / d of a ring pair (d nonzero), normalised: a Fraction
+    for integers, a RationalFunction, reduced as every one is, for Laurent
+    polynomials.  For products that are not reduced by construction."""
     return Fraction(n, d) if isinstance(n, int) else RationalFunction(n, d)
 
 
@@ -684,16 +725,24 @@ def pair_quotient(top, bottom):
     return pair_value(top[0] * bottom[1], top[1] * bottom[0])
 
 
+def _pair_bits(pair: tuple) -> int:
+    return pair[0].bit_length() + pair[1].bit_length()
+
+
 def reduced_quotient(pairs: Sequence[tuple]):
-    """prod a / b over the ring pairs (every b nonzero) as one value: one
-    pair_value of the product unless every pair is of integers.  Integer
-    factors are cross-cancelled against the running product, as a Fraction
-    product does (two gcds), so that a product of reduced factors stays
-    reduced; Fraction(n, d) then normalises once, sign included."""
+    """prod a / b over coprime ring pairs (every b nonzero) as one value.
+
+    Integer pairs are cross-cancelled against the running product n / d,
+    gcd(n, b) and gcd(a, d) (Henrici's product rule; Knuth, TAOCP vol. 2,
+    4.5.1), smallest pair first: the gcds and products then meet the
+    largest factors only at the end, when they meet them once.  With every
+    pair coprime the product stays in lowest terms, so coprime_fraction
+    builds the Fraction without a further gcd.  Laurent polynomial pairs are
+    multiplied out and reduced once by pair_value."""
     if not all(isinstance(a, int) for a, _ in pairs):
         return pair_value(*pair_product(pairs))
     n = d = 1
-    for a, b in pairs:
+    for a, b in sorted(pairs, key=_pair_bits):
         g, h = gcd(n, b), gcd(a, d)
         if g > 1:
             n //= g
@@ -703,7 +752,7 @@ def reduced_quotient(pairs: Sequence[tuple]):
             d //= h
         n *= a
         d *= b
-    return Fraction(n, d)
+    return coprime_fraction(n, d)
 
 
 # rule(var) result for a free value drawn when the visit reaches var
@@ -720,18 +769,21 @@ def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
     in their order; then the targets are visited in order.  rule(var) is
     None when no rule determines var, SAMPLE for a free value drawn when it
     is reached, or solve(value), which computes var through the memoised
-    getter value; value computes a missing dependency on demand.  A
-    dependency that no rule determines raises UnschedulableDependency; with
-    partial, the target that needs it is left out instead.  A ZeroDivisor
-    redraws every sample, up to policy.max_retries times, when there is an
-    rng and something was sampled.
+    getter value; value computes a missing dependency on demand, and
+    value.pair is the pair reader of the same values: {var: ring pair} is
+    kept beside {var: value}, so each value's pair is read once, and a
+    LatticeVar is built only when a key misses.  A dependency that no rule
+    determines raises UnschedulableDependency; with partial, the target that
+    needs it is left out instead.  A ZeroDivisor redraws every sample, up to
+    policy.max_retries times, when there is an rng and something was
+    sampled; a DegenerateData, which no sample changes, raises at once.
     """
     if policy.max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {policy.max_retries}")
     initial = initial or {}
     last_error = None
     for _ in range(policy.max_retries + 1):
-        values = {}
+        values, pairs = {}, {}
         undetermined = set()
         active = {}  # variables being solved, innermost last
         sampled = False
@@ -766,14 +818,24 @@ def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
                 if got == 0:
                     raise ZeroDivisor(f"solved zero at {var.label(kind)}")
             values[var] = got
+            pairs[var] = ring_pair(got)
             return got
 
+        def pair(key):
+            got = pairs.get(key)
+            if got is None:
+                value(LatticeVar(*key))
+                got = pairs[key]
+            return got
+
+        value.pair = pair
         for var in free:
             given = initial.get(var)
             got = given if given is not None else sample()
             if got == 0:
                 raise ZeroDivisor(f"initial value for {var.label(kind)} is zero")
             values[var] = got
+            pairs[var] = ring_pair(got)
         try:
             for var in targets:
                 try:
@@ -784,7 +846,7 @@ def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
             return values
         except ZeroDivisor as err:
             last_error = err
-            if rng is None or not sampled:
+            if rng is None or not sampled or isinstance(err, DegenerateData):
                 raise
     raise ZeroDivisor(f"retries exhausted: {last_error}")
 
@@ -825,12 +887,21 @@ def propagate_t(sys: SystemSpec, window, initial: Optional[dict] = None,
                               "unrestricted T-solutions come from y_to_t")
 
     def solver(var):
-        rel = t_relation(sys, var.a, var.m, var.k - sys.cm.d[var.a])
+        a, m, k = var
+        da = sys.cm.d[a]
+        rel = t_relation(sys, a, m, k - da)
+        below = (a, m, k - 2 * da)
 
         def solve(value):
-            (an, ad), (mn, md) = map(pair_product, rel.rhs_pairs(value))
-            p, q = ring_pair(value(rel.lhs[0]))
-            return reduced_quotient(((an * md + mn * ad, ad * md), (q, p)))
+            pair = value.pair
+            (an, ad), (mn, md) = map(pair_product, rel.rhs_pairs(pair))
+            n, d = an * md + mn * ad, ad * md
+            if isinstance(n, int):
+                # the sum is the one factor not reduced by construction
+                g = gcd(n, d)
+                n, d = n // g, d // g
+            p, q = pair(below)
+            return reduced_quotient(((n, d), (q, p)))
 
         return solve
 

@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .cartan import CartanMatrix
 from .errors import (
+    DegenerateData,
     InverseOfZero,
     LevelOutOfRange,
     NotTamelyLaced,
@@ -47,6 +48,7 @@ from .tsystem import (
     fill_lattice,
     g_exponents,
     m_term,
+    pair_index,
     pair_product,
     pair_quotient,
     pair_value,
@@ -59,7 +61,8 @@ from .tsystem import (
 
 
 def _one_plus(p, q) -> tuple:
-    """1 + p/q as the ring pair (p + q, q), reduced when p/q is."""
+    """1 + p/q as the ring pair (p + q, q), reduced when p/q is, since
+    gcd(p + q, q) = gcd(p, q)."""
     return p + q, q
 
 
@@ -106,15 +109,15 @@ class YRelation(Relation):
         num, den = rhs
         return lhs * den == num
 
-    def holds_exactly(self, value) -> Optional[bool]:
+    def holds_exactly(self, pair) -> Optional[bool]:
         """The relation as one identity in the values' ring, without a gcd:
         p0 p1 prod (p_j + q_j)^e prod q_i^e == q0 q1 prod p_j^e prod (p_i + q_i)^e,
         with i over the 1 + Y factors and j over the 1 + Y^-1 factors.  Each
         side's numerator and denominator are built apart and cross-multiplied
-        once.  None where a value has no ring pair; read, and raising, as rhs
-        reads and raises."""
-        lhs = self.lhs_pair(value)
-        sides = None if lhs is None else self.rhs_pairs(value)
+        once, read through the pair reader pair.  None where a value has no
+        ring pair; read, and raising, as rhs reads and raises."""
+        lhs = self.lhs_pair(pair)
+        sides = None if lhs is None else self.rhs_pairs(pair)
         if sides is None:
             return None
         (ln, ld), (nn, nd), (dn, dd) = lhs, *map(pair_product, sides)
@@ -214,6 +217,10 @@ def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
     top level t_a*level - 1 of each node has no relation inside the cap and
     is extended with sampled values instead; relations centered below it hold
     exactly either way.
+
+    Every factor of a Y-solve is coprime: (p + q, q) and (p, p + q) for a
+    reduced Y = p / q, and the inverted left-hand value, so reduced_quotient
+    builds the solved value without a gcd beyond its cross-cancelling.
     """
     if sys.level is None:
         raise LevelOutOfRange("propagation needs a level or an m-cap")
@@ -222,13 +229,16 @@ def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
         a, m, k = var
         if m > sys.max_center_m(a, "Y"):
             return SAMPLE
-        rel = y_relation(sys, a, m, k - sys.cm.d[a])
+        da = sys.cm.d[a]
+        rel = y_relation(sys, a, m, k - da)
+        below = (a, m, k - 2 * da)
 
         def solve(value):
-            num, den = rel.rhs_pairs(value)
+            pair = value.pair
+            num, den = rel.rhs_pairs(pair)
             if any(x == 0 for x, _ in den) or any(x == 0 for x, _ in num):
                 raise ZeroDivisor(f"degenerate side at {rel.center.label('Y')}")
-            p, q = ring_pair(value(rel.lhs[0]))
+            p, q = pair(below)
             return reduced_quotient([*num, *((b, a) for a, b in den), (q, p)])
 
         return solve
@@ -241,18 +251,18 @@ def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
 # ---------------------------------------------------------------------------
 
 
-def mapped_points(relations, value):
-    """(rel, inner, coupling, pair) for every T-relation of relations whose
-    two factor lists value covers: the products of its first list (inner),
-    its second list (coupling) and its left-hand side (pair) as ring pairs
-    (N, D), N / D the product, multiplied out without a gcd.  pair is None
-    where value lacks a left-hand value.  A value read as None has no ring
-    pair, so a reader leaves a variable out by returning None."""
+def mapped_points(relations, pair):
+    """(rel, inner, coupling, lhs) for every T-relation of relations whose
+    two factor lists the pair reader pair covers: the products of its first
+    list (inner), its second list (coupling) and its left-hand side as ring
+    pairs (N, D), N / D the product, multiplied out without a gcd.  lhs is
+    None where the reader lacks a left-hand value; a reader leaves a
+    variable out by returning None."""
     for rel in relations:
-        sides = rel.rhs_pairs(value)
+        sides = rel.rhs_pairs(pair)
         if sides is not None:
             inner, coupling = map(pair_product, sides)
-            yield rel, inner, coupling, rel.lhs_pair(value)
+            yield rel, inner, coupling, rel.lhs_pair(pair)
 
 
 def _is_quotient(y, top, bottom) -> bool:
@@ -364,7 +374,7 @@ def t_to_y(t_table: ValueTable):
                 raise ZeroDivisor(f"vanishing T pair under {point[0].center.label('Y')}")
             yield point
 
-    points = mapped_points(_centred_relations(t_table), t_table.values.get)
+    points = mapped_points(_centred_relations(t_table), pair_index(t_table.values).get)
     values, violations, _ = map_t_to_y(nonvanishing(points), lambda rel: rel.center.label("Y"))
     lo, hi = t_table.window
     if sys.restricted:
@@ -401,6 +411,16 @@ def y_to_t(y_table: ValueTable, rng=None,
     determined when its rule's Y-value lies in the table and its
     dependencies are determined; the returned table covers exactly these,
     within d_max slices of the Y window.
+
+    Both rules multiply coprime factors, so reduced_quotient builds each
+    value without a gcd beyond its cross-cancelling: the level-1 extension
+    (p + q, p) for 1 + Y^-1 with Y = p / q, the coupling T-pairs and the
+    inverted opposite T; the level-raising rule the two T-pairs, (q, p + q)
+    for the inverse of 1 + Y, and the inverted T two levels down.  A given
+    Y = 0 or -1 under the extension (1 + Y^-1 undefined or zero), or -1
+    under the level-raising rule (1 + Y zero), leaves T zero or undefined
+    whatever the free T data: it raises DegenerateData, naming the Y
+    variable, without a resample.
     """
     sys = y_table.system
     if sys.restricted:
@@ -426,31 +446,38 @@ def y_to_t(y_table: ValueTable, rng=None,
         if m == 1:
             sign = 1 if k >= center + da else -1
             kc = k - sign * da
-            y1 = y_vals.get(LatticeVar(a, 1, kc))
+            yvar = LatticeVar(a, 1, kc)
+            y1 = y_vals.get(yvar)
             if y1 is None:
                 return None
             coupling = t_relation(sys, a, 1, 0).term_m
-            opposite = LatticeVar(a, 1, k - 2 * sign * da)
+            opposite = (a, 1, k - 2 * sign * da)
 
             def solve(value):
-                pairs = factor_pairs(value, coupling, k=kc)
-                far = value(opposite)
-                if y1 == 0 or far == 0:
-                    raise ZeroDivisor(f"degenerate extension at {var.label()}")
-                p, q = ring_pair(far)
+                pair = value.pair
+                pairs = factor_pairs(pair, coupling, k=kc)
+                p, q = pair(opposite)
+                # after the dependencies: an undetermined variable must not raise
+                if y1 == 0 or y1 == -1:
+                    raise DegenerateData(f"{yvar.label('Y')} = {y1} leaves 1 + Y^-1 "
+                                         f"{'undefined' if y1 == 0 else 'zero'} under "
+                                         f"{var.label()}")
                 return reduced_quotient([_one_plus_inverse(*ring_pair(y1)), *pairs, (q, p)])
         else:
-            ym = y_vals.get(LatticeVar(a, m - 1, k))
+            yvar = LatticeVar(a, m - 1, k)
+            ym = y_vals.get(yvar)
             if ym is None:
                 return None
 
             def solve(value):
-                left = ring_pair(value(LatticeVar(a, m - 1, k - da)))
-                right = ring_pair(value(LatticeVar(a, m - 1, k + da)))
-                p, q = (1, 1) if m == 2 else ring_pair(value(LatticeVar(a, m - 2, k)))
+                pair = value.pair
+                left = pair((a, m - 1, k - da))
+                right = pair((a, m - 1, k + da))
+                p, q = (1, 1) if m == 2 else pair((a, m - 2, k))
                 # after the dependencies: an undetermined variable must not raise
                 if ym == -1:
-                    raise ZeroDivisor(f"1 + Y vanishes under {var.label()}")
+                    raise DegenerateData(f"{yvar.label('Y')} = -1 leaves 1 + Y zero "
+                                         f"under {var.label()}")
                 succ, den = _one_plus(*ring_pair(ym))
                 return reduced_quotient((left, right, (den, succ), (q, p)))
 
@@ -496,7 +523,8 @@ def _compare_to_t(t_table: ValueTable, y_table: ValueTable):
     from values."""
     covered, differing, violations = [], {}, []
     relations = (t_relation(t_table.system, *var) for var in sorted(y_table.values))
-    for rel, inner, coupling, pair in mapped_points(relations, t_table.values.get):
+    pairs = pair_index(t_table.values).get
+    for rel, inner, coupling, pair in mapped_points(relations, pairs):
         if pair is None and inner[0] == 0:
             continue
         var = rel.center
@@ -515,9 +543,10 @@ def _compare_to_t(t_table: ValueTable, y_table: ValueTable):
     return covered, differing, violations
 
 
-def _relation_holds(y_table: ValueTable, a: int, m: int, k: int) -> bool:
+def _relation_holds(y_table: ValueTable, pairs, a: int, m: int, k: int) -> bool:
     """Whether the Y-relation centred at (a, m, k) is defined on the table
-    and holds exactly (holds_exactly); a value without a ring pair fails."""
+    and holds exactly (holds_exactly, read through the pair reader pairs of
+    the table); a value without a ring pair fails."""
     try:
         rel = y_relation(y_table.system, a, m, k)
     except LevelOutOfRange:
@@ -528,7 +557,7 @@ def _relation_holds(y_table: ValueTable, a: int, m: int, k: int) -> bool:
     # a factor 1 + Y^-1 that vanishes leaves the relation undefined
     if any(vals[v] == -1 for v, _ in rel.factors(1)):
         return False
-    return bool(rel.holds_exactly(vals.__getitem__))
+    return bool(rel.holds_exactly(pairs))
 
 
 def recoverable_region(y_table: ValueTable, recovered) -> List[LatticeVar]:
@@ -538,6 +567,7 @@ def recoverable_region(y_table: ValueTable, recovered) -> List[LatticeVar]:
     level below all cooperate.  recovered is the recovered Y-table or the
     collection of its variables."""
     cm = y_table.system.cm
+    pairs = pair_index(y_table.values).get
     good: set = set()
     if isinstance(recovered, ValueTable):
         recovered = recovered.values
@@ -552,7 +582,7 @@ def recoverable_region(y_table: ValueTable, recovered) -> List[LatticeVar]:
         if (LatticeVar(a, m - 1, k - da) in good
                 and LatticeVar(a, m - 1, k + da) in good
                 and (m == 2 or LatticeVar(a, m - 2, k) in good)
-                and _relation_holds(y_table, a, m - 1, k)):
+                and _relation_holds(y_table, pairs, a, m - 1, k)):
             good.add(var)
     return sorted(good)
 

@@ -10,7 +10,9 @@ type and message of what was raised.
 """
 
 import random
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from test_ysystem import value_route_claim, value_route_mapped_y, value_route_t_
 from tysys import cluster, tsystem, ysystem
 from tysys.acceptance import FINITE_TYPE, MIXED44_ROWS
 from tysys.cartan import new_cartan
-from tysys.errors import ZeroDivisor
+from tysys.errors import DegenerateData, ZeroDivisor
 from tysys.exactmath import RationalFunction, evaluate
 from tysys.tsystem import (
     LatticeVar,
@@ -33,6 +35,7 @@ from tysys.tsystem import (
     enumerate_relations,
     factor_product,
     fill_lattice,
+    pair_reader,
     propagate_t,
     reduced_quotient,
     t_relation,
@@ -99,7 +102,7 @@ def assert_checks_agree(relations, values, kind):
         assert got == outcome(lambda: oracle_check([rel], get, label))
         if got[0] == "returns":
             verdict = rel.holds(get(rel.lhs[0]) * get(rel.lhs[1]), rel.rhs(get))
-            assert rel.holds_exactly(get) is verdict
+            assert rel.holds_exactly(pair_reader(get)) is verdict
             failures += not verdict
     return failures
 
@@ -402,7 +405,15 @@ def test_y_to_t_and_roundtrip_match_value_route(case, seed, free, changes):
         y_table.values[keys[index % len(keys)]] = replacement
     policy = ysystem.FreeChoicePolicy(free)
     got = outcome(lambda: y_to_t(y_table, rng=random.Random(seed), policy=policy))
-    assert got == outcome(lambda: oracle_y_to_t(y_table, random.Random(seed), policy))
+    want = outcome(lambda: oracle_y_to_t(y_table, random.Random(seed), policy))
+    if got[:2] == ("raises", "DegenerateData"):
+        # the reconstruction stops at the given Y; the oracle solves the same
+        # zero, or meets the same vanishing 1 + Y, and fails after its retries
+        assert want[:2] == ("raises", "ZeroDivisor"), want
+        with pytest.raises(DegenerateData, match=re.escape(got[2])):
+            roundtrip_check(y_table, rng=random.Random(seed), policy=policy)
+        return
+    assert got == want
     assert outcome(lambda: roundtrip_check(y_table, rng=random.Random(seed), policy=policy)) \
         == outcome(lambda: oracle_roundtrip(y_table, random.Random(seed), policy))
     if got[0] == "returns":
@@ -424,15 +435,17 @@ def test_y_to_t_int_entries_stay_exact():
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.integers(-10 ** 40, 10 ** 40),
-                          st.integers(-10 ** 40, 10 ** 40).filter(bool)),
-                max_size=6))
+                          st.integers(-10 ** 40, 10 ** 40).filter(bool))
+                .filter(lambda pair: gcd(*pair) == 1), max_size=6))
 def test_reduced_quotient_is_the_fraction_product(pairs):
+    # coprime pairs, of either sign, are the precondition
     want = Fraction(1)
     for a, b in pairs:
         want *= Fraction(a, b)
     got = reduced_quotient(pairs)
     assert type(got) is Fraction and got == want
     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert gcd(got.numerator, got.denominator) == 1 and got.denominator > 0
 
 
 # --- T -> Y ---------------------------------------------------------------------------

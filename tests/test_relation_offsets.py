@@ -21,6 +21,7 @@ from tysys.tsystem import (
     TRelation,
     check_t_solution,
     enumerate_relations,
+    pair_reader,
     propagate_t,
     t_relation,
 )
@@ -81,17 +82,24 @@ def _values(sys, kind, window, rng):
 
 
 def _read(reader, values):
-    """reader(get), or the name of the exception it raises."""
+    """reader(get), or the name of the exception it raises; get takes a
+    LatticeVar or a plain (a, m, k) key."""
     def get(var):
         try:
             return values[var]
         except KeyError:
-            raise MissingValue(var.label()) from None
+            raise MissingValue(LatticeVar(*var).label()) from None
 
     try:
         return reader(get)
     except MissingValue as err:
         return f"missing {err}"
+
+
+def _paired(rel, reader):
+    """get -> rel.reader(pair_reader(get)): a pair-route reader of rel on a
+    value getter."""
+    return lambda get: getattr(rel, reader)(pair_reader(get))
 
 
 def _compare(rel, ref, tables):
@@ -103,8 +111,8 @@ def _compare(rel, ref, tables):
     assert rel == ref and ref == rel and not rel != ref
     assert hash(rel) == hash(ref)
     for values in tables:
-        assert _read(rel.holds_exactly, values) == _read(ref.holds_exactly, values)
-        assert _read(rel.rhs_pairs, values) == _read(ref.rhs_pairs, values)
+        for reader in ("holds_exactly", "rhs_pairs"):
+            assert _read(_paired(rel, reader), values) == _read(_paired(ref, reader), values)
         assert _read(rel.rhs, values) == _read(ref.rhs, values)
 
 
@@ -130,11 +138,11 @@ def test_offset_reads_match_written_out_relations(name):
                 assert rel != at_centre(sys, c.a, c.m, c.k + 1)
                 negative += c.k < 0
                 solved = kind == "Y" or sys.restricted and max(cm.d) < 3
-                verdict = _read(rel.holds_exactly, values)
+                verdict = _read(_paired(rel, "holds_exactly"), values)
                 if solved:
                     assert verdict is True
                 held += verdict is True
-                failed += _read(rel.holds_exactly, tripled) is False
+                failed += _read(_paired(rel, "holds_exactly"), tripled) is False
     assert held and failed and negative
 
 
