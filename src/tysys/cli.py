@@ -10,6 +10,7 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -285,7 +286,9 @@ def _common(p, window_default=None, level=True):
                        help="slice range, e.g. 0..24")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     top = argparse.ArgumentParser(prog="tysys", description=__doc__)
     sub = top.add_subparsers(dest="group", required=True)
 

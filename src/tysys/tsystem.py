@@ -8,16 +8,17 @@ Relations do not change under k -> k + 1, so each one is compiled once per
 (a, m, k) is that stencil read at offset k: it keeps the stencil's tuples,
 and every reader adds k to the variables as it reads them.
 
-Checks and solves read values as ring pairs (numerator, denominator) through
-a pair reader, a callable from a plain (a, m, k) key to the pair or None.
-Each value's pair is read once: fill_lattice keeps {var: pair} beside the
-values it solves, and the checks and the T -> Y map build a pair index once
-per call from the table's values (pair_index).  Readers of values kept
-elsewhere go through pair_reader.
+The scheduler, the solves and the checks pass ring pairs (numerator,
+denominator) around, read through a pair reader, a callable from a plain
+(a, m, k) key to the pair or None; values are built only for tables and
+violation records.  fill_lattice keeps one {var: pair} store, solves return
+reduced pairs, and the checks and the T -> Y map index a table's pairs once
+per call (pair_index); values kept elsewhere go through pair_reader.  Each
+relation is one identity on pairs (holds_exactly), and numeric mode checks
+it on the table evaluated at random points, then exactly where it fails.
 
-Solves build their values from coprime factor pairs (reduced_quotient):
-cross-cancelling each factor against the running product keeps it in lowest
-terms, so Fraction(rational) copies the result without a second gcd
+Solves cross-cancel coprime factor pairs (reduced_quotient), which keeps
+the product in lowest terms, so no second gcd builds the value
 (exactmath.coprime_fraction).  The Y-solve and both Y -> T rules are reduced
 by construction, since 1 + p/q = (p + q)/q and 1 + q/p = (p + q)/p are
 coprime for a reduced p/q, as is every value read and its inverse; the
@@ -143,7 +144,7 @@ class Relation:
     The relation centred k slices after the stencil's centre keeps the
     stencil's tuples and adds k as it reads them, so shift is O(1) and
     nothing per centre is built: variables, to_json and the checks and
-    solvers (through factor_pairs and lhs_pair, by plain (a, m, k) keys)
+    solvers (through rhs_pairs and lhs_pair, by plain (a, m, k) keys)
     read the stored tuples with the offset.  The named factor lists of the
     subclasses are the stored tuples at k = 0 and new tuples otherwise, for
     equality and for callers that keep the list.  Treated as immutable; equal relations (same kind,
@@ -201,8 +202,24 @@ class Relation:
         return None if second is None else (first, second)
 
     def lhs_pair(self, pair) -> Optional[tuple]:
-        """lhs_pair of the left-hand side, read with the offset added."""
-        return lhs_pair(pair, self._lhs, self.k)
+        """(p0 p1, q0 q1) for the left-hand side p0/q0 * p1/q1, its two
+        variables read through pair with the offset added, or None where a
+        value has no ring pair."""
+        (a0, m0, k0), (a1, m1, k1) = self._lhs
+        x = pair((a0, m0, k0 + self.k))
+        y = None if x is None else pair((a1, m1, k1 + self.k))
+        return None if y is None else (x[0] * y[0], x[1] * y[1])
+
+    def holds_exactly(self, pair) -> Optional[bool]:
+        """The relation as one identity in the values' ring, without a gcd:
+        the kind's identity(lhs, first, second) on the pairs of the left-hand
+        side and of the two factor products, read through the pair reader
+        pair.  None where a value has no ring pair."""
+        lhs = self.lhs_pair(pair)
+        sides = None if lhs is None else self.rhs_pairs(pair)
+        if sides is None:
+            return None
+        return self.identity(lhs, *map(pair_product, sides))
 
     def to_json(self) -> dict:
         """Centre, left-hand side and both factor lists, 1-based."""
@@ -254,17 +271,18 @@ class TRelation(Relation):
     def holds(lhs, rhs) -> bool:
         return lhs == rhs
 
-    def holds_exactly(self, pair) -> Optional[bool]:
-        """The relation as one identity in the values' ring, without a gcd:
-        p0 p1 Q_a Q_m == q0 q1 (P_a Q_m + P_m Q_a), with P_a / Q_a and
-        P_m / Q_m the two products, read through the pair reader pair.  None
-        where a value has no ring pair."""
-        lhs = self.lhs_pair(pair)
-        sides = None if lhs is None else self.rhs_pairs(pair)
-        if sides is None:
-            return None
-        (ln, ld), (an, ad), (mn, md) = lhs, *map(pair_product, sides)
-        return ln * ad * md == ld * (an * md + mn * ad)
+    @staticmethod
+    def sum_pair(first, second) -> tuple:
+        """P_a / Q_a + P_m / Q_m as the pair (P_a Q_m + P_m Q_a, Q_a Q_m),
+        no gcd: the right-hand side of the T-identity, written once."""
+        (an, ad), (mn, md) = first, second
+        return an * md + mn * ad, ad * md
+
+    @staticmethod
+    def identity(lhs, first, second) -> bool:
+        """p0 p1 / q0 q1 == P_a / Q_a + P_m / Q_m, cross-multiplied."""
+        n, d = TRelation.sum_pair(first, second)
+        return lhs[0] * d == lhs[1] * n
 
 
 def _aggregate(factors: Iterable[Factor]) -> Tuple[Factor, ...]:
@@ -286,16 +304,16 @@ def s_term(cm: CartanMatrix, b: int, m: int, k: int,
         raise NotTamelyLaced("s_term requires a tamely laced matrix")
     if m < 0:
         raise LevelOutOfRange("s_term needs m >= 0")
-    db = cm.d[b]
-    out = []
+    return [(LatticeVar(b, level, k + shift), 1) for level, shift in _s_offsets(cm.d[b], m)
+            if level or not drop_units]
+
+
+def _s_offsets(db: int, m: int) -> Iterator[Tuple[int, int]]:
+    """(level, shift) of the d_b factors of s_term at composite level m >= 0,
+    level 0 included."""
     for kp in range(1, db + 1):
         e = (m - kp) // db
-        level = 1 + e
-        if level == 0 and drop_units:
-            continue
-        shift = 2 * kp - 1 - m + e * db
-        out.append((LatticeVar(b, level, k + shift), 1))
-    return out
+        yield 1 + e, 2 * kp - 1 - m + e * db
 
 
 def m_term(cm: CartanMatrix, a: int, m: int, k: int) -> Tuple[Factor, ...]:
@@ -557,37 +575,27 @@ def violation(relation: str, lhs, rhs) -> dict:
     return {"relation": relation, "lhs": value_text(lhs), "rhs": value_text(rhs)}
 
 
-def _evaluated(side, at):
-    if isinstance(side, tuple):
-        return tuple(evaluate(part, at) for part in side)
-    return evaluate(side, at)
-
-
 def check_relations(relations: Iterable, value: Callable, label: Callable,
-                    assignments: Optional[list] = None,
                     pair: Optional[Callable] = None) -> List[dict]:
     """The one check of T- and Y-relations, lattice or exchange-matrix.
 
     Where every value has a ring pair, read through the pair reader pair
     (pair_reader(value) when none is given), rel.holds_exactly decides the
     exact check as one identity of integers or of Laurent polynomials.
-    Otherwise (semifield values, or a value the reader lacks), and at each
-    assignment given, the sides, read through value(var), are compared by
-    rel.holds.  Each failure is recorded as violation(label(rel), lhs, rhs),
-    from the sides as values."""
-    if assignments is None and pair is None:
+    Otherwise (semifield values, or a value the reader lacks), the sides,
+    read through value(var), are compared by rel.holds.  Each failure is
+    recorded as violation(label(rel), lhs, rhs), from the sides as values."""
+    if pair is None:
         pair = pair_reader(value)
     violations = []
     for rel in relations:
-        ok = rel.holds_exactly(pair) if assignments is None else None
+        ok = rel.holds_exactly(pair)
         if ok:
             continue
         lhs = value(rel.lhs[0]) * value(rel.lhs[1])
         rhs = rel.rhs(value)
         if ok is None:
-            ok = (rel.holds(lhs, rhs) if assignments is None else
-                  all(rel.holds(evaluate(lhs, at), _evaluated(rhs, at))
-                      for at in assignments))
+            ok = rel.holds(lhs, rhs)
         if not ok:
             violations.append(violation(label(rel), lhs, rhs))
     return violations
@@ -596,10 +604,11 @@ def check_relations(relations: Iterable, value: Callable, label: Callable,
 def _check_table(table: ValueTable, relations: Iterable, kind: str, mode: str,
                  rng, samples: int) -> List[dict]:
     """check_relations on a table, its ring pairs read from one pair_index
-    of the values; numeric mode draws `samples` random assignments of the
-    symbols of the table's rational functions, and checks a table without
-    one exactly."""
-    assignments = None
+    of the values.  Numeric mode evaluates the table at `samples` random
+    assignments of the symbols of its rational functions and checks each
+    relation's exact identity on the evaluated pairs; only a relation that
+    fails at a point goes on to the exact check, which writes its record.
+    A table without rational functions is checked exactly."""
     if mode == "numeric":
         if samples < 1:
             raise ValueError(f"numeric mode needs samples >= 1, got {samples}")
@@ -607,19 +616,25 @@ def _check_table(table: ValueTable, relations: Iterable, kind: str, mode: str,
                     if isinstance(val, RationalFunction)]
         if symbolic:
             names = sorted({n for val in symbolic for n in val.num.vars + val.den.vars})
-            assignments = [{n: random_nonzero_rational(rng) for n in names}
-                           for _ in range(samples)]
-    pair = pair_index(table.values).get if assignments is None else None
+            relations, failed = list(relations), set()
+            for _ in range(samples):
+                at = {n: random_nonzero_rational(rng) for n in names}
+                pair = pair_index({var: evaluate(v, at) for var, v in table.values.items()}).get
+                failed.update(i for i, rel in enumerate(relations)
+                              if i not in failed and not rel.holds_exactly(pair))
+            relations = [rel for i, rel in enumerate(relations) if i in failed]
     return check_relations(relations, table.get, lambda rel: rel.center.label(kind),
-                           assignments, pair)
+                           pair_index(table.values).get)
 
 
 def check_t_solution(table: ValueTable, relations: Iterable[TRelation],
                      mode: str = "exact", rng=None, samples: int = 3) -> List[dict]:
     """Violation report for a T-value table; empty list means pass.
 
-    exact mode compares exactly (cross-multiplied for symbolic values);
-    numeric mode evaluates symbolic entries at random assignments instead.
+    exact mode checks each relation's identity on the values' ring pairs
+    (cross-multiplied, Laurent polynomials for symbolic values); numeric mode
+    evaluates symbolic entries at random assignments, checks the same
+    identity there, and checks exactly only the relations that fail.
     """
     return _check_table(table, relations, table.kind, mode, rng, samples)
 
@@ -699,17 +714,6 @@ def pair_product(pairs: Iterable[tuple]) -> tuple:
     return n, d
 
 
-def lhs_pair(pair: Callable, lhs: Tuple[LatticeVar, LatticeVar],
-             k: int = 0) -> Optional[tuple]:
-    """(p0 p1, q0 q1) for the left-hand side p0/q0 * p1/q1, its two
-    variables read through pair k slices later, or None where a value has
-    no ring pair."""
-    (a0, m0, k0), (a1, m1, k1) = lhs
-    x = pair((a0, m0, k0 + k))
-    y = None if x is None else pair((a1, m1, k1 + k))
-    return None if y is None else (x[0] * y[0], x[1] * y[1])
-
-
 def pair_value(n, d):
     """The value n / d of a ring pair (d nonzero), normalised: a Fraction
     for integers, a RationalFunction, reduced as every one is, for Laurent
@@ -729,18 +733,21 @@ def _pair_bits(pair: tuple) -> int:
     return pair[0].bit_length() + pair[1].bit_length()
 
 
-def reduced_quotient(pairs: Sequence[tuple]):
-    """prod a / b over coprime ring pairs (every b nonzero) as one value.
+def reduced_quotient(pairs: Sequence[tuple]) -> tuple:
+    """prod a / b over coprime ring pairs (every b nonzero) as one reduced
+    pair (n, d), the sign on the numerator.
 
     Integer pairs are cross-cancelled against the running product n / d,
     gcd(n, b) and gcd(a, d) (Henrici's product rule; Knuth, TAOCP vol. 2,
     4.5.1), smallest pair first: the gcds and products then meet the
     largest factors only at the end, when they meet them once.  With every
-    pair coprime the product stays in lowest terms, so coprime_fraction
-    builds the Fraction without a further gcd.  Laurent polynomial pairs are
-    multiplied out and reduced once by pair_value."""
+    pair coprime the product stays in lowest terms, so no further gcd is
+    taken, and reduced_value builds the Fraction from it.  Laurent
+    polynomial pairs are multiplied out and reduced once, as a
+    RationalFunction reduces."""
     if not all(isinstance(a, int) for a, _ in pairs):
-        return pair_value(*pair_product(pairs))
+        value = RationalFunction(*pair_product(pairs))
+        return value.num, value.den
     n = d = 1
     for a, b in sorted(pairs, key=_pair_bits):
         g, h = gcd(n, b), gcd(a, d)
@@ -752,7 +759,13 @@ def reduced_quotient(pairs: Sequence[tuple]):
             d //= h
         n *= a
         d *= b
-    return coprime_fraction(n, d)
+    return (-n, -d) if d < 0 else (n, d)
+
+
+def reduced_value(n, d):
+    """The value n / d of a reduced ring pair, built without a second
+    reduction."""
+    return coprime_fraction(n, d) if isinstance(n, int) else RationalFunction(n, d, _reduced=True)
 
 
 # rule(var) result for a free value drawn when the visit reaches var
@@ -768,13 +781,14 @@ def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
     The free variables take initial[var] where given, else a random sample,
     in their order; then the targets are visited in order.  rule(var) is
     None when no rule determines var, SAMPLE for a free value drawn when it
-    is reached, or solve(value), which computes var through the memoised
-    getter value; value computes a missing dependency on demand, and
-    value.pair is the pair reader of the same values: {var: ring pair} is
-    kept beside {var: value}, so each value's pair is read once, and a
-    LatticeVar is built only when a key misses.  A dependency that no rule
-    determines raises UnschedulableDependency; with partial, the target that
-    needs it is left out instead.  A ZeroDivisor redraws every sample, up to
+    is reached, or solve(pair), which returns the reduced ring pair of var,
+    sign on the numerator, from the pair reader pair; pair solves a missing
+    dependency on demand, and builds a LatticeVar only when a key misses.
+    One {var: pair} store is kept, and each value is built once, when the
+    fill returns: given and drawn values as they are, solved pairs by
+    reduced_value.  A dependency that no rule determines raises
+    UnschedulableDependency; with partial, the target that needs it is left
+    out instead.  A ZeroDivisor redraws every sample, up to
     policy.max_retries times, when there is an rng and something was
     sampled; a DegenerateData, which no sample changes, raises at once.
     """
@@ -783,20 +797,25 @@ def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
     initial = initial or {}
     last_error = None
     for _ in range(policy.max_retries + 1):
-        values, pairs = {}, {}
+        pairs, given = {}, {}
         undetermined = set()
         active = {}  # variables being solved, innermost last
         sampled = False
 
-        def sample():
+        def take(var, value=None):
+            """The pair of a free value: value, or a sample where it is None."""
             nonlocal sampled
-            sampled = True
-            return random_nonzero_rational(rng)
+            if value is None:
+                sampled, value = True, random_nonzero_rational(rng)
+            given[var] = value
+            pairs[var] = got = ring_pair(value)
+            return got
 
-        def value(var):
-            got = values.get(var)
+        def pair(key):
+            got = pairs.get(key)
             if got is not None:
                 return got
+            var = LatticeVar(*key)
             how = None if var in undetermined or var in active else rule(var)
             if how is None:
                 undetermined.add(var)
@@ -805,45 +824,32 @@ def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
                     var.label(kind), f"solving {needer.label(kind)} needs "
                     f"{var.label(kind)} at a not-yet-filled slice")
             if how is SAMPLE:
-                got = sample()
-            else:
-                active[var] = True
-                try:
-                    got = how(value)
-                except UnschedulableDependency:
-                    undetermined.add(var)
-                    raise
-                finally:
-                    del active[var]
-                if got == 0:
-                    raise ZeroDivisor(f"solved zero at {var.label(kind)}")
-            values[var] = got
-            pairs[var] = ring_pair(got)
+                return take(var)
+            active[var] = True
+            try:
+                got = how(pair)
+            except UnschedulableDependency:
+                undetermined.add(var)
+                raise
+            finally:
+                del active[var]
+            if not got[0]:
+                raise ZeroDivisor(f"solved zero at {var.label(kind)}")
+            pairs[var] = got
             return got
 
-        def pair(key):
-            got = pairs.get(key)
-            if got is None:
-                value(LatticeVar(*key))
-                got = pairs[key]
-            return got
-
-        value.pair = pair
         for var in free:
-            given = initial.get(var)
-            got = given if given is not None else sample()
-            if got == 0:
+            if not take(var, initial.get(var))[0]:
                 raise ZeroDivisor(f"initial value for {var.label(kind)} is zero")
-            values[var] = got
-            pairs[var] = ring_pair(got)
         try:
             for var in targets:
                 try:
-                    value(var)
+                    pair(var)
                 except UnschedulableDependency:
                     if not partial:
                         raise
-            return values
+            return {var: given[var] if var in given else reduced_value(*got)
+                    for var, got in pairs.items()}
         except ZeroDivisor as err:
             last_error = err
             if rng is None or not sampled or isinstance(err, DegenerateData):
@@ -892,10 +898,8 @@ def propagate_t(sys: SystemSpec, window, initial: Optional[dict] = None,
         rel = t_relation(sys, a, m, k - da)
         below = (a, m, k - 2 * da)
 
-        def solve(value):
-            pair = value.pair
-            (an, ad), (mn, md) = map(pair_product, rel.rhs_pairs(pair))
-            n, d = an * md + mn * ad, ad * md
+        def solve(pair):
+            n, d = rel.sum_pair(*map(pair_product, rel.rhs_pairs(pair)))
             if isinstance(n, int):
                 # the sum is the one factor not reduced by construction
                 g = gcd(n, d)
@@ -923,6 +927,8 @@ def identity_check_1(p: int, window, values: Dict[Tuple[int, int], Fraction]) ->
     with kt = k + p - |j| + 1 - 2k'.  values maps (m, k) -> Fraction; the
     identity is checked exactly at every center the table covers.
     """
+    from .ysystem import z_term  # ysystem imports this module
+
     lo, hi = _check_window(window)
 
     def val(m, k):
@@ -933,23 +939,15 @@ def identity_check_1(p: int, window, values: Dict[Tuple[int, int], Fraction]) ->
 
     checked = False
     for (m, k) in sorted(values):
-        if m % p or m == 0:
-            continue
-        mm = m // p
-        needed = [(p * (mm - 1), k), (p * (mm + 1), k)]
-        if not all(n in values for n in needed) or not (lo <= k - p and k + p <= hi):
-            continue
-        if (p * mm, k - p) not in values or (p * mm, k + p) not in values:
+        if m % p or m == 0 or not lo <= k - p <= k + p <= hi:
             continue
         try:
-            lhs = (val(p * mm, k - p) * val(p * mm, k + p)
-                   / (val(p * (mm - 1), k) * val(p * (mm + 1), k)))
+            lhs = val(m, k - p) * val(m, k + p) / (val(m - p, k) * val(m + p, k))
             rhs = Fraction(1)
-            for j in range(-p + 1, p):
-                for kp in range(1, p - abs(j) + 1):
-                    kt = k + p - abs(j) + 1 - 2 * kp
-                    rhs *= (val(p * mm + j, kt - 1) * val(p * mm + j, kt + 1)
-                            / (val(p * mm + j - 1, kt) * val(p * mm + j + 1, kt)))
+            # the coupling factors of the Y-relations; z_term reads no matrix
+            for (_, level, kt), _ in z_term(None, 0, p, m // p, k):
+                rhs *= (val(level, kt - 1) * val(level, kt + 1)
+                        / (val(level - 1, kt) * val(level + 1, kt)))
         except MissingValue:
             continue
         checked = True
@@ -964,12 +962,10 @@ def _s_value(values, db: int, m: int, k: int) -> Fraction:
     """Composite-level product at (m, k) built from single-node values, with
     level-0 factors treated as units."""
     result = Fraction(1)
-    for kp in range(1, db + 1):
-        e = (m - kp) // db
-        level = 1 + e
-        if level == 0:
+    for level, shift in _s_offsets(db, m):
+        if not level:
             continue
-        key = (level, k + 2 * kp - 1 - m + e * db)
+        key = (level, k + shift)
         if key not in values:
             raise MissingValue(f"(m={key[0]},k={key[1]})")
         result *= values[key]

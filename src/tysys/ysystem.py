@@ -38,6 +38,7 @@ from .tsystem import (
     Relation,
     SolvePolicy,
     SystemSpec,
+    TRelation,
     ValueTable,
     _aggregate,
     _boundary_filter,
@@ -109,18 +110,12 @@ class YRelation(Relation):
         num, den = rhs
         return lhs * den == num
 
-    def holds_exactly(self, pair) -> Optional[bool]:
-        """The relation as one identity in the values' ring, without a gcd:
-        p0 p1 prod (p_j + q_j)^e prod q_i^e == q0 q1 prod p_j^e prod (p_i + q_i)^e,
-        with i over the 1 + Y factors and j over the 1 + Y^-1 factors.  Each
-        side's numerator and denominator are built apart and cross-multiplied
-        once, read through the pair reader pair.  None where a value has no
-        ring pair; read, and raising, as rhs reads and raises."""
-        lhs = self.lhs_pair(pair)
-        sides = None if lhs is None else self.rhs_pairs(pair)
-        if sides is None:
-            return None
-        (ln, ld), (nn, nd), (dn, dd) = lhs, *map(pair_product, sides)
+    @staticmethod
+    def identity(lhs, num, den) -> bool:
+        """p0 p1 / q0 q1 == (N_n / N_d) / (D_n / D_d), cross-multiplied once,
+        with N_n / N_d the product of the 1 + Y factors and D_n / D_d that of
+        the 1 + Y^-1 factors; rhs_pairs reads, and raises, as rhs does."""
+        (ln, ld), (nn, nd), (dn, dd) = lhs, num, den
         return ln * dn * nd == ld * dd * nn
 
 
@@ -233,8 +228,7 @@ def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
         rel = y_relation(sys, a, m, k - da)
         below = (a, m, k - 2 * da)
 
-        def solve(value):
-            pair = value.pair
+        def solve(pair):
             num, den = rel.rhs_pairs(pair)
             if any(x == 0 for x, _ in den) or any(x == 0 for x, _ in num):
                 raise ZeroDivisor(f"degenerate side at {rel.center.label('Y')}")
@@ -292,14 +286,12 @@ def companions_hold(pair, inner, coupling) -> bool:
     """Both companion identities of Y = coupling / inner, in T-relation form.
 
     1 + Y = pair / inner and 1 + Y^-1 = pair / coupling hold exactly when
-    coupling is nonzero and inner + coupling == pair: one sum and one
-    comparison, no division and no successor.  On the ring pairs (N, D) of
-    mapped_points the sum is cross-multiplied,
-    (N_i D_c + N_c D_i) D_p == N_p D_i D_c.  Sound only where Y is
-    coupling / inner with inner nonzero; where it fails,
-    companion_identities builds the violation records."""
-    (pn, pd), (i_n, i_d), (cn, cd) = pair, inner, coupling
-    return cn != 0 and (i_n * cd + cn * i_d) * pd == pn * i_d * cd
+    coupling is nonzero and pair == inner + coupling: the T-identity
+    (TRelation.identity) on the ring pairs (N, D) of mapped_points, no
+    division and no successor.  Sound only where Y is coupling / inner with
+    inner nonzero; where it fails, companion_identities builds the
+    violation records."""
+    return coupling[0] != 0 and TRelation.identity(pair, inner, coupling)
 
 
 def companion_identities(label: str, y, pair, inner, coupling) -> List[dict]:
@@ -453,8 +445,7 @@ def y_to_t(y_table: ValueTable, rng=None,
             coupling = t_relation(sys, a, 1, 0).term_m
             opposite = (a, 1, k - 2 * sign * da)
 
-            def solve(value):
-                pair = value.pair
+            def solve(pair):
                 pairs = factor_pairs(pair, coupling, k=kc)
                 p, q = pair(opposite)
                 # after the dependencies: an undetermined variable must not raise
@@ -469,8 +460,7 @@ def y_to_t(y_table: ValueTable, rng=None,
             if ym is None:
                 return None
 
-            def solve(value):
-                pair = value.pair
+            def solve(pair):
                 left = pair((a, m - 1, k - da))
                 right = pair((a, m - 1, k + da))
                 p, q = (1, 1) if m == 2 else pair((a, m - 2, k))

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from tysys.cli import main, parse_window
+from tysys.cli import build_parser, main, parse_window
 
 A2_TEXT = "2\n2 -1\n-1 2\n"
 A1_TEXT = "1\n2\n"
@@ -31,6 +31,14 @@ def run_cli(capsys, *argv):
 def test_parse_window():
     assert parse_window("0..8") == (0, 8)
     assert parse_window("-4..12") == (-4, 12)
+
+
+def test_parser_is_built_once(a2_file, capsys):
+    # main reuses the parser; a parse leaves nothing behind for the next one
+    assert build_parser() is build_parser()
+    assert run_cli(capsys, "sys", "gen-t", a2_file, "--level", "2")[0] == 0
+    assert run_cli(capsys, "sys", "gen-y", a2_file, "--level", "2", "--window", "0..3")[0] == 0
+    assert build_parser().parse_args(["cartan", "check", a2_file]).seed == 0
 
 
 def usage_error(capsys, *argv):

@@ -96,14 +96,20 @@ def term_walk_product(a, b):
 
 @settings(max_examples=60, deadline=None)
 @given(polys(), polys(), st.sampled_from(["one", "int", "fraction"]), st.booleans())
+@example(LaurentPoly(("x", "y"), {(0, 0): Fraction(1)}), one, "one", True)
 def test_products_match_term_walk(p, q, unit, left):
     """A unit factor, on either side and as a polynomial, an int or a
-    Fraction, returns the other factor; other products walk both term sets."""
+    Fraction, returns the other factor; other products walk both term sets.
+    Where p is the unit too, the product is a unit, but either factor."""
     unit = {"one": LaurentPoly.one(), "int": 1, "fraction": Fraction(1)}[unit]
     for got, want in ((unit * p if left else p * unit, term_walk_product(p, one)),
                       (p * q, term_walk_product(p, q))):
         assert (got.vars, got.terms, hash(got)) == (want.vars, want.terms, hash(want))
-    assert (unit * p if left else p * unit) is p
+    product = unit * p if left else p * unit
+    if p.is_one():
+        assert product.is_one()
+    else:
+        assert product is p
 
 
 @settings(max_examples=40, deadline=None)

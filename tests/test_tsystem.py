@@ -213,21 +213,60 @@ def test_numeric_mode_needs_a_sample(kind):
             check(table, rels, mode="numeric", rng=random.Random(1), samples=samples)
 
 
-def test_numeric_mode_samples_symbolic_tables():
+def _symbolic_a2_tables():
+    """(kind, table, relations, check) for the T- and the Y-table of A2 at
+    level 2 on 0..8, propagated from four symbols."""
     from tysys.exactmath import RationalFunction
-    from tysys.tsystem import ValueTable
+    from tysys.ysystem import check_y_solution, enumerate_y_relations, propagate_y
 
     sys = SystemSpec(A2, 2)
     initial = {V(a, 1, k): RationalFunction.gen(f"x{a}{k}") for a in range(2) for k in range(2)}
-    table = propagate_t(sys, (0, 8), initial=initial)
-    rels = enumerate_relations(sys, table.window)
-    assert check_t_solution(table, rels, mode="numeric", rng=random.Random(1)) == []
-    values = dict(table.values)
-    values[V(1, 1, 4)] = 3 * values[V(1, 1, 4)]
-    broken = ValueTable("T", sys, table.window, values)
-    exact = check_t_solution(broken, rels)
-    assert exact and check_t_solution(broken, rels, mode="numeric",
-                                      rng=random.Random(1)) == exact
+    for kind, solve, enumerate_kind, check in (
+            ("T", propagate_t, enumerate_relations, check_t_solution),
+            ("Y", propagate_y, enumerate_y_relations, check_y_solution)):
+        table = solve(sys, (0, 8), initial=initial)
+        yield kind, table, enumerate_kind(sys, table.window), check
+
+
+def test_numeric_mode_samples_symbolic_tables():
+    # a relation that fails at a sample point is checked exactly, so the
+    # records are those of exact mode
+    from tysys.tsystem import ValueTable
+
+    for kind, table, rels, check in _symbolic_a2_tables():
+        assert check(table, rels, mode="numeric", rng=random.Random(1)) == []
+        values = dict(table.values)
+        values[V(1, 1, 4)] = 3 * values[V(1, 1, 4)]
+        broken = ValueTable(kind, table.system, table.window, values)
+        exact = check(broken, rels)
+        assert exact and check(broken, rels, mode="numeric", rng=random.Random(1)) == exact
+
+
+def test_numeric_mode_evaluates_before_it_multiplies(monkeypatch):
+    # relations that hold at every point build no product of rational
+    # functions, and the rng gives one value per symbol and sample
+    from tysys import tsystem
+    from tysys.exactmath import RationalFunction
+
+    counts = {"mul": 0, "draws": 0}
+    mul, draw = RationalFunction.__mul__, tsystem.random_nonzero_rational
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counted_draw(rng):
+        counts["draws"] += 1
+        return draw(rng)
+
+    for kind, table, rels, check in _symbolic_a2_tables():
+        counts.update(mul=0, draws=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(RationalFunction, "__mul__", counted_mul)
+            patch.setattr(RationalFunction, "__rmul__", counted_mul)
+            patch.setattr(tsystem, "random_nonzero_rational", counted_draw)
+            assert check(table, rels, mode="numeric", rng=random.Random(7), samples=5) == []
+        assert counts == {"mul": 0, "draws": 5 * 4}, kind
 
 
 def test_check_missing_value():
