@@ -48,7 +48,6 @@ from .tsystem import (
     ValueTable,
     check_t_solution,
     enumerate_relations,
-    g_exponents,
     identity_check_1,
     identity_check_2,
     m_term,

@@ -21,15 +21,19 @@ construction; ``Fraction(n, d)`` would run a second full gcd on values of
 up to 170k bits.
 
 Reduction policy: rational functions and semifield elements are reduced by
-integer content and by a common monomial factor only.  Full polynomial gcd is
-deliberately not implemented; equality is decided by cross-multiplication,
-which is exact for any choice of representatives.  Semifield elements keep an
-internal factored form so that long mutation sequences cancel repeated factors
+integer content and by a common monomial factor.  Solved lattice values and
+cluster entries are further reduced by exact division
+(``RationalFunction.reduced``), so a quotient that is a Laurent polynomial
+is stored as one, with denominator 1.  Full polynomial gcd is deliberately
+not implemented; equality is decided by cross-multiplication, which is exact
+for any choice of representatives.  Semifield elements keep an internal
+factored form so that long mutation sequences cancel repeated factors
 syntactically instead of snowballing.
 
-Derived values are built once and kept on the value, never in a table keyed
-by value.  ``inv()`` of a rational function or semifield element returns a
-twin whose own ``inv()`` is the original.  Semifield twins share their
+Derived semifield values are built once and kept on the value, never in a
+table keyed by value.  ``inv()`` of a semifield element returns a twin whose
+own ``inv()`` is the original; a rational function builds its inverse
+afresh on every call.  Semifield twins share their
 expansions (the twin's num is the original's den) and the split of
 N + D into candidate factors, from which the successors
 1 + y = (N + D)/D and 1 + 1/y = (N + D)/N are built; ``one_plus()`` keeps
@@ -407,11 +411,18 @@ def laurent_divide_exact(p: LaurentPoly, q: LaurentPoly) -> Optional[LaurentPoly
     an entry whose monomial has left the remainder is skipped.  Each step
     only touches monomials below the one it cancels, so a cancelled leading
     monomial never returns.
+
+    A quotient that cannot exist is mostly rejected before any division:
+    by Gauss's lemma, q | p makes the primitive part of q, evaluated at 1,
+    divide that of p.
     """
     if q.is_zero():
         raise DivisionByZeroPoly("division by the zero polynomial")
     if p.is_zero():
         return LaurentPoly.zero()
+    at_p, at_q = (Fraction(sum(f.terms.values())) / f.content() for f in (p, q))
+    if (at_p % at_q if at_q else at_p) != 0:
+        return None
     names, a, b = p._aligned(q)
     n = len(names)
     shift_a = [min(m[i] for m in a) for i in range(n)]
@@ -458,7 +469,7 @@ class RationalFunction:
     of the Laurent ring), so fully Laurent values always carry denominator 1.
     """
 
-    __slots__ = ("num", "den", "_inv")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly = None, _reduced=False):
         if den is None:
@@ -469,7 +480,6 @@ class RationalFunction:
             num, den = _reduce_pair(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_inv", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -520,14 +530,9 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def inv(self) -> "RationalFunction":
-        """den/num, built once; its own inv() is self."""
-        if self._inv is None:
-            if self.is_zero():
-                raise InverseOfZero("inverse of the zero rational function")
-            twin = RationalFunction(self.den, self.num)
-            object.__setattr__(twin, "_inv", self)
-            object.__setattr__(self, "_inv", twin)
-        return self._inv
+        if self.is_zero():
+            raise InverseOfZero("inverse of the zero rational function")
+        return RationalFunction(self.den, self.num)
 
     def __truediv__(self, other):
         other = _as_rf(other)

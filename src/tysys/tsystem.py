@@ -17,13 +17,16 @@ per call (pair_index); values kept elsewhere go through pair_reader.  Each
 relation is one identity on pairs (holds_exactly), and numeric mode checks
 it on the table evaluated at random points, then exactly where it fails.
 
-Solves cross-cancel coprime factor pairs (reduced_quotient), which keeps
-the product in lowest terms, so no second gcd builds the value
-(exactmath.coprime_fraction).  The Y-solve and both Y -> T rules are reduced
-by construction, since 1 + p/q = (p + q)/q and 1 + q/p = (p + q)/p are
-coprime for a reduced p/q, as is every value read and its inverse; the
-T-solve reduces its one sum pair with one gcd first.  Products that are not
-reduced go through pair_value, which normalises.
+Propagation takes one Cauchy step for both kinds, Relation.solve: lhs[1]
+is the kind's solve_factors times the inverted lhs[0].  Solves
+cross-cancel coprime factor pairs (reduced_quotient), which keeps the
+product in lowest terms, so no second gcd builds the value
+(exactmath.coprime_fraction); a Laurent quotient is reduced by exact
+division.  The Y-solve and both Y -> T rules are reduced by construction,
+since 1 + p/q = (p + q)/q and 1 + q/p = (p + q)/p are coprime for a reduced
+p/q, as is every value read and its inverse; the T-solve reduces its one sum
+pair with one gcd first.  Products that are not reduced go through
+pair_value, which normalises.
 
 The spectral parameter u = k/t is kept as the integer k throughout.  A shift
 of d_a/t is the integer shift d_a, and a shift of 1/t is 1.  Levels m are per
@@ -143,13 +146,13 @@ class Relation:
 
     The relation centred k slices after the stencil's centre keeps the
     stencil's tuples and adds k as it reads them, so shift is O(1) and
-    nothing per centre is built: variables, to_json and the checks and
-    solvers (through rhs_pairs and lhs_pair, by plain (a, m, k) keys)
-    read the stored tuples with the offset.  The named factor lists of the
-    subclasses are the stored tuples at k = 0 and new tuples otherwise, for
-    equality and for callers that keep the list.  Treated as immutable; equal relations (same kind,
-    centre, left-hand side and factor lists) hash alike whatever their
-    offsets."""
+    nothing per centre is built: variables, to_json, the checks and the
+    Cauchy step (through rhs_pairs, lhs_pair and solve, by plain (a, m, k)
+    keys) read the stored tuples with the offset.  The named factor lists
+    of the subclasses are the stored tuples at k = 0 and new tuples
+    otherwise, for equality and for callers that keep the list.  Treated as
+    immutable; equal relations (same kind, centre, left-hand side and factor
+    lists) hash alike whatever their offsets."""
 
     __slots__ = ("_center", "_lhs", "_lists", "k")
     # JSON keys of the two factor lists, and how ring pairs read each one
@@ -221,6 +224,17 @@ class Relation:
             return None
         return self.identity(lhs, *map(pair_product, sides))
 
+    def solve(self, pair) -> tuple:
+        """The Cauchy step, written once: lhs[1] as a reduced ring pair, sign
+        on the numerator, from the pair reader pair.  The kind's
+        solve_factors (coprime pairs whose product is the right-hand side)
+        are read first, then the pair (p, q) of lhs[0], which enters
+        inverted as (q, p); reduced_quotient builds the product."""
+        factors = self.solve_factors(pair)
+        (a, m, k), _ = self._lhs
+        p, q = pair((a, m, k + self.k))
+        return reduced_quotient((*factors, (q, p)))
+
     def to_json(self) -> dict:
         """Centre, left-hand side and both factor lists, 1-based."""
         c, k = self.center, self.k
@@ -283,6 +297,15 @@ class TRelation(Relation):
         """p0 p1 / q0 q1 == P_a / Q_a + P_m / Q_m, cross-multiplied."""
         n, d = TRelation.sum_pair(first, second)
         return lhs[0] * d == lhs[1] * n
+
+    def solve_factors(self, pair) -> tuple:
+        """The sum pair of the two factor products, reduced by its one
+        integer gcd: the one factor of a solve not reduced by construction."""
+        n, d = self.sum_pair(*map(pair_product, self.rhs_pairs(pair)))
+        if isinstance(n, int):
+            g = gcd(n, d)
+            n, d = n // g, d // g
+        return ((n, d),)
 
 
 def _aggregate(factors: Iterable[Factor]) -> Tuple[Factor, ...]:
@@ -354,11 +377,6 @@ def m_term_unified(cm: CartanMatrix, a: int, m: int, k: int) -> Tuple[Factor, ..
             shift = num // cab + db * (-cba + e - 1) - da * m
             factors.append((LatticeVar(b, level, k + shift), 1))
     return _aggregate(factors)
-
-
-def g_exponents(cm: CartanMatrix, a: int, m: int, k: int) -> Dict[LatticeVar, int]:
-    """Exponent map of the unified coupling product (same data as m_term)."""
-    return dict(m_term_unified(cm, a, m, k))
 
 
 def _boundary_filter(sys: SystemSpec, factors: Iterable[Factor]) -> Tuple[Factor, ...]:
@@ -601,8 +619,8 @@ def check_relations(relations: Iterable, value: Callable, label: Callable,
     return violations
 
 
-def _check_table(table: ValueTable, relations: Iterable, kind: str, mode: str,
-                 rng, samples: int) -> List[dict]:
+def _check_table(table: ValueTable, relations: Iterable, mode: str, rng,
+                 samples: int) -> List[dict]:
     """check_relations on a table, its ring pairs read from one pair_index
     of the values.  Numeric mode evaluates the table at `samples` random
     assignments of the symbols of its rational functions and checks each
@@ -623,7 +641,7 @@ def _check_table(table: ValueTable, relations: Iterable, kind: str, mode: str,
                 failed.update(i for i, rel in enumerate(relations)
                               if i not in failed and not rel.holds_exactly(pair))
             relations = [rel for i, rel in enumerate(relations) if i in failed]
-    return check_relations(relations, table.get, lambda rel: rel.center.label(kind),
+    return check_relations(relations, table.get, lambda rel: rel.center.label(table.kind),
                            pair_index(table.values).get)
 
 
@@ -636,7 +654,7 @@ def check_t_solution(table: ValueTable, relations: Iterable[TRelation],
     evaluates symbolic entries at random assignments, checks the same
     identity there, and checks exactly only the relations that fail.
     """
-    return _check_table(table, relations, table.kind, mode, rng, samples)
+    return _check_table(table, relations, mode, rng, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -743,10 +761,11 @@ def reduced_quotient(pairs: Sequence[tuple]) -> tuple:
     largest factors only at the end, when they meet them once.  With every
     pair coprime the product stays in lowest terms, so no further gcd is
     taken, and reduced_value builds the Fraction from it.  Laurent
-    polynomial pairs are multiplied out and reduced once, as a
-    RationalFunction reduces."""
+    polynomial pairs are multiplied out, reduced once as a RationalFunction
+    reduces, and then by exact division (RationalFunction.reduced), so a
+    quotient that is a Laurent polynomial is returned with denominator 1."""
     if not all(isinstance(a, int) for a, _ in pairs):
-        value = RationalFunction(*pair_product(pairs))
+        value = RationalFunction(*pair_product(pairs)).reduced()
         return value.num, value.den
     n = d = 1
     for a, b in sorted(pairs, key=_pair_bits):
@@ -784,11 +803,10 @@ def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
     is reached, or solve(pair), which returns the reduced ring pair of var,
     sign on the numerator, from the pair reader pair; pair solves a missing
     dependency on demand, and builds a LatticeVar only when a key misses.
-    One {var: pair} store is kept, and each value is built once, when the
-    fill returns: given and drawn values as they are, solved pairs by
-    reduced_value.  A dependency that no rule determines raises
-    UnschedulableDependency; with partial, the target that needs it is left
-    out instead.  A ZeroDivisor redraws every sample, up to
+    One {var: pair} store is kept, free values included, and every value
+    is built once, by reduced_value, when the fill returns.  A dependency
+    that no rule determines raises UnschedulableDependency; with partial,
+    the target that needs it is left out instead.  A ZeroDivisor redraws every sample, up to
     policy.max_retries times, when there is an rng and something was
     sampled; a DegenerateData, which no sample changes, raises at once.
     """
@@ -797,7 +815,7 @@ def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
     initial = initial or {}
     last_error = None
     for _ in range(policy.max_retries + 1):
-        pairs, given = {}, {}
+        pairs = {}
         undetermined = set()
         active = {}  # variables being solved, innermost last
         sampled = False
@@ -807,7 +825,6 @@ def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
             nonlocal sampled
             if value is None:
                 sampled, value = True, random_nonzero_rational(rng)
-            given[var] = value
             pairs[var] = got = ring_pair(value)
             return got
 
@@ -848,8 +865,7 @@ def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
                 except UnschedulableDependency:
                     if not partial:
                         raise
-            return {var: given[var] if var in given else reduced_value(*got)
-                    for var, got in pairs.items()}
+            return {var: reduced_value(*got) for var, got in pairs.items()}
         except ZeroDivisor as err:
             last_error = err
             if rng is None or not sampled or isinstance(err, DegenerateData):
@@ -857,12 +873,14 @@ def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
     raise ZeroDivisor(f"retries exhausted: {last_error}")
 
 
-def _propagate(kind: str, sys: SystemSpec, window, solver: Callable,
+def _propagate(kind: str, sys: SystemSpec, window, relation: Callable,
                initial: Optional[dict], rng, policy: SolvePolicy) -> ValueTable:
     """Cauchy propagation of a kind table on the window: the first 2*d_a
     slices of each node are free (drawn node by node, level by level), and
-    every later variable, visited slice by slice, gets its rule from
-    solver(var)."""
+    every later variable, visited slice by slice, is lhs[1] of the relation
+    centred d_a slices below it, relation(sys, a, m, k - d_a), and solved by
+    its Cauchy step (Relation.solve).  A level above every relation centre
+    (sys.max_center_m) is sampled instead."""
     lo, hi = _check_window(window)
     top = sys.max_m_t if kind == "T" else sys.max_m_y
     inside = [LatticeVar(a, m, k) for k in range(lo, hi + 1)
@@ -871,7 +889,12 @@ def _propagate(kind: str, sys: SystemSpec, window, solver: Callable,
     in_window = set(inside)
 
     def rule(var):
-        return solver(var) if var in in_window else None
+        if var not in in_window:
+            return None
+        a, m, k = var
+        if m > sys.max_center_m(a, kind):
+            return SAMPLE
+        return relation(sys, a, m, k - sys.cm.d[a]).solve
 
     values = fill_lattice(kind, slab, inside, rule, rng, policy, initial)
     return ValueTable(kind, sys, (lo, hi), values)
@@ -880,36 +903,20 @@ def _propagate(kind: str, sys: SystemSpec, window, solver: Callable,
 def propagate_t(sys: SystemSpec, window, initial: Optional[dict] = None,
                 rng=None, policy: SolvePolicy = SolvePolicy()) -> ValueTable:
     """Fill the window from an initial slab of width 2*d_a per node, solving
-    T(a, m, k) from the relation centered d_a slices earlier.
+    T(a, m, k) from the relation centered d_a slices earlier through its
+    Cauchy step (TRelation.solve_factors: the sum pair, one gcd).
 
     A coupling factor that is not ready yet is solved first; that resolves
     every dependency when max d <= 2.  A factor outside the window (which
     happens for max d >= 3) raises UnschedulableDependency naming it.  A
     vanishing right-hand side resamples the free initial data up to
-    max_retries times.
+    max_retries times.  Symbolic values that are Laurent polynomials are
+    stored with denominator 1 (reduced_quotient).
     """
     if not sys.restricted:
         raise LevelOutOfRange("propagate_t handles restricted systems only; "
                               "unrestricted T-solutions come from y_to_t")
-
-    def solver(var):
-        a, m, k = var
-        da = sys.cm.d[a]
-        rel = t_relation(sys, a, m, k - da)
-        below = (a, m, k - 2 * da)
-
-        def solve(pair):
-            n, d = rel.sum_pair(*map(pair_product, rel.rhs_pairs(pair)))
-            if isinstance(n, int):
-                # the sum is the one factor not reduced by construction
-                g = gcd(n, d)
-                n, d = n // g, d // g
-            p, q = pair(below)
-            return reduced_quotient(((n, d), (q, p)))
-
-        return solve
-
-    return _propagate("T", sys, window, solver, initial, rng, policy)
+    return _propagate("T", sys, window, t_relation, initial, rng, policy)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .exactmath import inverse, one_plus
 from .tsystem import (
-    SAMPLE,
     Factor,
     LatticeVar,
     Relation,
@@ -47,8 +46,8 @@ from .tsystem import (
     enumerate_relations,
     factor_pairs,
     fill_lattice,
-    g_exponents,
     m_term,
+    m_term_unified,
     pair_index,
     pair_product,
     pair_quotient,
@@ -118,6 +117,15 @@ class YRelation(Relation):
         (ln, ld), (nn, nd), (dn, dd) = lhs, num, den
         return ln * dn * nd == ld * dd * nn
 
+    def solve_factors(self, pair) -> list:
+        """The coprime pairs (p + q, q) of the 1 + Y factors and the inverted
+        pairs (p, p + q) of the 1 + Y^-1 factors; a vanishing factor on
+        either side raises ZeroDivisor naming the centre."""
+        num, den = self.rhs_pairs(pair)
+        if any(x == 0 for x, _ in den) or any(x == 0 for x, _ in num):
+            raise ZeroDivisor(f"degenerate side at {self.center.label('Y')}")
+        return [*num, *((b, a) for a, b in den)]
+
 
 def z_term(cm: CartanMatrix, b: int, p: int, m: int, k: int) -> List[Factor]:
     """The p^2 coupling factors (1 + Y(b, pm+j, k + p - |j| + 1 - 2k')) for
@@ -171,7 +179,7 @@ def y_relation_via_transpose(cm: CartanMatrix, a: int, m: int, k: int) -> YRelat
         # lighter one anywhere in [d_a(m-1)+1, d_a m + d_a - 1]
         for level in range(1, da * (m + 1) + 1):
             for v in range(k - reach, k + reach + 1):
-                exp = g_exponents(cm, b, level, v).get(target, 0)
+                exp = dict(m_term_unified(cm, b, level, v)).get(target, 0)
                 if exp:
                     var = LatticeVar(b, level, v)
                     agg[var] = agg.get(var, 0) + exp
@@ -194,7 +202,7 @@ def enumerate_y_relations(sys: SystemSpec, window) -> List[YRelation]:
 def check_y_solution(table: ValueTable, relations: Iterable[YRelation],
                      mode: str = "exact", rng=None, samples: int = 3) -> List[dict]:
     """Violation report for a Y-value table; empty list means pass."""
-    return _check_table(table, relations, "Y", mode, rng, samples)
+    return _check_table(table, relations, mode, rng, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -213,31 +221,15 @@ def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
     is extended with sampled values instead; relations centered below it hold
     exactly either way.
 
-    Every factor of a Y-solve is coprime: (p + q, q) and (p, p + q) for a
-    reduced Y = p / q, and the inverted left-hand value, so reduced_quotient
-    builds the solved value without a gcd beyond its cross-cancelling.
+    Each variable is solved by the Cauchy step of the relation centred d_a
+    slices earlier (Relation.solve).  Every factor of a Y-solve is coprime:
+    (p + q, q) and (p, p + q) for a reduced Y = p / q, and the inverted
+    left-hand value (YRelation.solve_factors), so reduced_quotient builds
+    the solved value without a gcd beyond its cross-cancelling.
     """
     if sys.level is None:
         raise LevelOutOfRange("propagation needs a level or an m-cap")
-
-    def solver(var):
-        a, m, k = var
-        if m > sys.max_center_m(a, "Y"):
-            return SAMPLE
-        da = sys.cm.d[a]
-        rel = y_relation(sys, a, m, k - da)
-        below = (a, m, k - 2 * da)
-
-        def solve(pair):
-            num, den = rel.rhs_pairs(pair)
-            if any(x == 0 for x, _ in den) or any(x == 0 for x, _ in num):
-                raise ZeroDivisor(f"degenerate side at {rel.center.label('Y')}")
-            p, q = pair(below)
-            return reduced_quotient([*num, *((b, a) for a, b in den), (q, p)])
-
-        return solve
-
-    return _propagate("Y", sys, window, solver, initial, rng, policy)
+    return _propagate("Y", sys, window, y_relation, initial, rng, policy)
 
 
 # ---------------------------------------------------------------------------

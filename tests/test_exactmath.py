@@ -211,6 +211,18 @@ def test_heap_division_matches_rescanning_on_nondivisible_pairs(p, q, unit):
     assert rescanning_divide_exact(a, q) is None
 
 
+@settings(max_examples=80, deadline=None)
+@given(polys3(max_terms=4), polys3(min_terms=1, max_terms=3), st.booleans())
+@example(x + 2, x - 1, True)
+@example(x + 2, x - 1, False)
+def test_division_matches_rescanning(a, b, make_divisible):
+    # the rejection by values at 1 (Gauss's lemma) refuses only quotients
+    # that the division refuses too, also where the divisor vanishes at 1
+    if make_divisible:
+        a = a * b
+    assert laurent_divide_exact(a, b) == rescanning_divide_exact(a, b)
+
+
 # --- the kernel against a route that keeps every coefficient a Fraction -------
 
 XYZ = ("x", "y", "z")
@@ -640,7 +652,6 @@ def test_rf_one_plus_and_inv_match_fresh_construction(a, b):
     twin = f.inv()
     want = RationalFunction(f.den, f.num)
     assert (twin.num, twin.den) == (want.num, want.den)
-    assert twin.inv() is f and f.inv() is twin
 
 
 MONOMIAL_NAMES = ("x", "y", "z", "w", "x2", "x10")

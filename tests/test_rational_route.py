@@ -13,6 +13,7 @@ import random
 import re
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from test_cluster import value_route_t_to_y_b
 from test_ysystem import value_route_claim, value_route_mapped_y, value_route_t_to_y
 
-from tysys import cluster, tsystem, ysystem
+from tysys import cluster, ysystem
 from tysys.acceptance import FINITE_TYPE, MIXED44_ROWS
 from tysys.cartan import new_cartan
 from tysys.errors import DegenerateData, ZeroDivisor
@@ -254,11 +255,8 @@ def paired(solve):
 
 def oracle_propagate_y(sys, window, initial):
     """propagate_y with the Y-solve written as Fraction values."""
-    def solver(var):
-        a, m, k = var
-        if m > sys.max_center_m(a, "Y"):
-            return tsystem.SAMPLE
-        rel = y_relation(sys, a, m, k - sys.cm.d[a])
+    def relation(sys, a, m, k):
+        rel = y_relation(sys, a, m, k)
 
         def solve(value):
             num, den = rel.rhs(value)
@@ -266,18 +264,18 @@ def oracle_propagate_y(sys, window, initial):
                 raise ZeroDivisor(f"degenerate side at {rel.center.label('Y')}")
             return num / (den * value(rel.lhs[0]))
 
-        return paired(solve)
+        return SimpleNamespace(solve=paired(solve))
 
-    return _propagate("Y", sys, window, solver, initial, None, SolvePolicy())
+    return _propagate("Y", sys, window, relation, initial, None, SolvePolicy())
 
 
 def oracle_propagate_t(sys, window, initial):
     """propagate_t with the T-solve written as Fraction values."""
-    def solver(var):
-        rel = t_relation(sys, var.a, var.m, var.k - sys.cm.d[var.a])
-        return paired(lambda value: rel.rhs(value) / value(rel.lhs[0]))
+    def relation(sys, a, m, k):
+        rel = t_relation(sys, a, m, k)
+        return SimpleNamespace(solve=paired(lambda value: rel.rhs(value) / value(rel.lhs[0])))
 
-    return _propagate("T", sys, window, solver, initial, None, SolvePolicy())
+    return _propagate("T", sys, window, relation, initial, None, SolvePolicy())
 
 
 def slab(sys, kind, window, draw):

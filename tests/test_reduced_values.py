@@ -12,8 +12,8 @@ from tysys import tsystem
 from tysys.acceptance import FINITE_TYPE, MIXED44_ROWS
 from tysys.cartan import new_cartan
 from tysys.cli import main
-from tysys.errors import DegenerateData
-from tysys.exactmath import coprime_fraction
+from tysys.errors import DegenerateData, ZeroDivisor
+from tysys.exactmath import LaurentPoly, coprime_fraction
 from tysys.tsystem import (
     LatticeVar,
     SystemSpec,
@@ -21,6 +21,7 @@ from tysys.tsystem import (
     check_t_solution,
     enumerate_relations,
     propagate_t,
+    t_relation,
 )
 from tysys.ysystem import (
     FreeChoicePolicy,
@@ -28,6 +29,7 @@ from tysys.ysystem import (
     enumerate_y_relations,
     propagate_y,
     t_to_y,
+    y_relation,
     y_to_t,
 )
 
@@ -84,6 +86,59 @@ def test_coprime_fraction_is_the_fraction(n, d):
     assert type(got) is Fraction and got == want
     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
     assert hash(got) == hash(want) and str(got) == str(want)
+
+
+# --- the Cauchy step ----------------------------------------------------------------
+
+
+def _solve_cases():
+    """(kind, relation) for every relation centre of both kinds on every
+    finite type at levels 2-4, and of the Y-kind on MIXED44 unrestricted at
+    cap 2."""
+    systems = [SystemSpec(new_cartan(FINITE_TYPE[name]), level)
+               for name in sorted(FINITE_TYPE) for level in (2, 3, 4)]
+    mixed = SystemSpec(new_cartan(MIXED44_ROWS), 2, restricted=False)
+    for sys, kinds in [(sys, ("T", "Y")) for sys in systems] + [(mixed, ("Y",))]:
+        for kind in kinds:
+            build = t_relation if kind == "T" else y_relation
+            for a in range(sys.cm.r):
+                for m in range(1, sys.max_center_m(a, kind) + 1):
+                    yield kind, build(sys, a, m, 3)
+
+
+def test_solve_makes_its_relation_hold():
+    rng = random.Random(15)
+    for kind, rel in _solve_cases():
+        pairs = {}
+
+        def pair(key):
+            # a random reduced pair, never Y = -1, so no side vanishes
+            while key not in pairs:
+                n, d = rng.randint(-30, 30) or 1, rng.randint(1, 30)
+                if n != -d:
+                    pairs[key] = (n // gcd(n, d), d // gcd(n, d))
+            return pairs[key]
+
+        n, d = pairs[tuple(rel.lhs[1])] = rel.solve(pair)
+        assert d > 0 and gcd(n, d) == 1, (kind, rel)
+        assert rel.holds_exactly(pairs.get) is True, (kind, rel)
+
+
+def test_laurent_solve_is_reduced_by_exact_division():
+    # A2 level 2: T(1, 1, 1) T(1, 1, -1) = 1 + T(2, 1, 0); with
+    # T(1, 1, -1) = (1 + y) / x and T(2, 1, 0) = y the solve is x / 1
+    x, y = LaurentPoly.gen("x"), LaurentPoly.gen("y")
+    one = LaurentPoly.one()
+    rel = t_relation(SystemSpec(new_cartan(FINITE_TYPE["A2"]), 2), 0, 1, 0)
+    pairs = {(0, 1, -1): (1 + y, x), (1, 1, 0): (y, one)}
+    assert rel.solve(pairs.__getitem__) == (x, one)
+
+
+def test_vanishing_y_side_names_the_centre():
+    rel = y_relation(SystemSpec(new_cartan(FINITE_TYPE["A2"]), 2), 0, 1, 5)
+    pairs = {(0, 1, 4): (2, 1), (1, 1, 5): (-1, 1)}
+    with pytest.raises(ZeroDivisor, match=r"^degenerate side at Y\[a=1,m=1,k=5\]$"):
+        rel.solve(pairs.__getitem__)
 
 
 # --- pair indexes are built per call ---------------------------------------------------
