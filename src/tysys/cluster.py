@@ -34,6 +34,7 @@ from .errors import (
     NotSymmetrizable,
 )
 from .exactmath import (
+    LaurentPoly,
     RationalFunction,
     SemifieldElement,
     inverse,
@@ -252,30 +253,47 @@ def square_product(cm: CartanMatrix, cm2: CartanMatrix,
 
 @dataclass(frozen=True)
 class Seed:
-    """Exchange matrix with a cluster x and a coefficient tuple y.  Symbolic
-    seeds carry rational functions and semifield elements; numeric seeds carry
-    plain Fractions (positive for y).  A cluster-only seed has y = None."""
+    """Exchange matrix with a cluster x, a coefficient tuple y and the
+    F-polynomials f of the coefficients.  Symbolic seeds carry rational
+    functions, semifield elements and one F-polynomial (a LaurentPoly) per
+    node, so that y_j = y^{c_j} prod_i F_i^{B_ij} (Fomin-Zelevinsky IV,
+    Prop. 3.13) is each coefficient's factored form.  Numeric seeds carry
+    plain Fractions (positive for y) and f = None.  A cluster-only seed has
+    y = None and f = None."""
 
     matrix: ExchangeMatrix
     x: tuple
     y: Optional[tuple]
+    f: Optional[tuple] = None
 
 
 def initial_seed(em: ExchangeMatrix, numeric=False, rng=None) -> Seed:
+    """The seed of generators x_i, y_i and F_i = 1, or, when numeric, of
+    random positive Fractions drawn from rng."""
     if numeric:
+        if rng is None:
+            raise ValueError("a numeric seed draws its values from rng, but rng is None")
         x = tuple(random_positive_rational(rng) for _ in range(em.n))
         y = tuple(random_positive_rational(rng) for _ in range(em.n))
-    else:
-        x = tuple(RationalFunction.gen(f"x{i + 1}") for i in range(em.n))
-        y = tuple(SemifieldElement.gen(f"y{i + 1}") for i in range(em.n))
-    return Seed(em, x, y)
+        return Seed(em, x, y)
+    x = tuple(RationalFunction.gen(f"x{i + 1}") for i in range(em.n))
+    y = tuple(SemifieldElement.gen(f"y{i + 1}") for i in range(em.n))
+    return Seed(em, x, y, tuple(LaurentPoly.one() for _ in range(em.n)))
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
     """Seed mutation at node k: the standard exchange relations for the
     cluster entry and the coefficient tuple, then the matrix flips.  The two
     exchange relations never read each other, so a cluster-only seed
-    (y = None) skips the coefficients."""
+    (y = None) skips the coefficients.
+
+    A seed with F-polynomials first takes the new F_k' = (num(y_k) +
+    den(y_k)) / F_k, an exact division (Fomin-Zelevinsky IV, Prop. 5.1),
+    and hands y_k the atoms F_k, F_k' of its successors
+    (SemifieldElement.set_one_plus).  The coefficient rule then writes every
+    new y_i over the new F-polynomials, and F_k cancels.  A seed without
+    them (f = None) mutates its semifield y through the generic
+    SemifieldElement.one_plus."""
     em = seed.matrix
     n = em.n
     if not 0 <= k < n:
@@ -298,9 +316,16 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     if seed.y is None:
         return Seed(mutate_matrix(em, k), x, None)
 
+    yk, f = seed.y[k], seed.f
+    if f is not None:
+        fk = laurent_divide_exact(yk.num + yk.den, f[k])
+        if fk is None:
+            raise ArithmeticError(f"F-polynomial of node {em.label(k)} does not divide "
+                                  "num + den of its coefficient")
+        yk.set_one_plus((f[k], fk))
+        f = tuple(fk if i == k else v for i, v in enumerate(f))
     # an unchanged coefficient is kept as the same object, so the inverse and
     # successor it has built travel with it
-    yk = seed.y[k]
     y = []
     for i, yi in enumerate(seed.y):
         bki = em[k, i]
@@ -312,7 +337,7 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
             y.append(yi * one_plus(yk) ** (-bki))
         else:
             y.append(yi)
-    return Seed(mutate_matrix(em, k), x, tuple(y))
+    return Seed(mutate_matrix(em, k), x, tuple(y), f)
 
 
 def mutate_seed_composed(seed: Seed, nodes: Sequence[int]) -> Seed:
@@ -392,7 +417,7 @@ def run_sequence(em: ExchangeMatrix, u_range, mode: str = "auto",
     result = SequenceResult(em, (lo, hi), y={} if coefficients else None,
                             mode=mode)
     if not coefficients:
-        start = replace(start, y=None)
+        start = replace(start, y=None, f=None)
 
     def record(u, seed):
         for i in range(em.n):

@@ -28,17 +28,17 @@ is stored as one, with denominator 1.  Full polynomial gcd is deliberately
 not implemented; equality is decided by cross-multiplication, which is exact
 for any choice of representatives.  Semifield elements keep an internal
 factored form so that long mutation sequences cancel repeated factors
-syntactically instead of snowballing.
+syntactically instead of snowballing.  Nothing here discovers factors: the
+coefficients of a mutation sequence get their factored form from the
+seed's F-polynomials (``cluster.mutate_seed`` hands each mutated
+coefficient its atoms through ``set_one_plus``), and any other successor is
+the generic ``one_plus()``, (N + D)/D with N + D kept whole.
 
 Derived semifield values are built once and kept on the value, never in a
 table keyed by value.  ``inv()`` of a semifield element returns a twin whose
-own ``inv()`` is the original; a rational function builds its inverse
-afresh on every call.  Semifield twins share their
-expansions (the twin's num is the original's den) and the split of
-N + D into candidate factors, from which the successors
-1 + y = (N + D)/D and 1 + 1/y = (N + D)/N are built; ``one_plus()`` keeps
-its result.  Each successor splits its own denominator against the
-candidates, which is where factors shared with N + D cancel.
+own ``inv()`` is the original, and the twins share their expansions (the
+twin's num is the original's den); a rational function builds its inverse
+afresh on every call.  ``one_plus()`` keeps its result.
 """
 
 from __future__ import annotations
@@ -625,68 +625,17 @@ def _reduce_pair(num: LaurentPoly, den: LaurentPoly):
 # ---------------------------------------------------------------------------
 
 
-def _atomize(poly: LaurentPoly):
-    """Split a positive-coefficient polynomial into (coeff, powers, atom).
-
-    The atom is content-free, has per-variable minimum exponent 0, and is None
-    when the polynomial is a pure monomial.
-    """
+def _split_side(poly: LaurentPoly):
+    """(coeff, powers, factors) of one side of a semifield quotient: the
+    positive content, the monomial part, and what is left as one factor
+    (none when that is 1)."""
     if poly.is_zero() or not poly.has_positive_coeffs():
         raise ValueError("semifield polynomials must be nonzero with positive coefficients")
     coeff = poly.content()
     powers = {v: e for v, e in poly.min_exponents().items() if e}
     if coeff != 1 or powers:
         poly = poly.mul_monomial(exact_div(1, coeff), {v: -e for v, e in powers.items()})
-    if poly.is_one():
-        return coeff, powers, None
-    return coeff, powers, poly
-
-
-def _split_positive_quotient(poly: LaurentPoly, candidates: Iterable[LaurentPoly]):
-    """Peel exact positive-coefficient factors of `poly` off the candidate list.
-
-    Quotients with any negative coefficient are rejected so that every stored
-    factor stays inside the semifield.
-    """
-    factors = {}
-    residual = poly
-    for cand in sorted(set(candidates), key=lambda f: (len(f.terms), _natural_key(str(f)))):
-        if cand == residual:
-            factors[cand] = factors.get(cand, 0) + 1
-            residual = LaurentPoly.one()
-            continue
-        while not residual.is_one():
-            q = laurent_divide_exact(residual, cand)
-            if q is None or not q.has_positive_coeffs():
-                break
-            factors[cand] = factors.get(cand, 0) + 1
-            residual = q
-    return factors, residual
-
-
-def _split_side(poly: LaurentPoly, candidates: Iterable[LaurentPoly]):
-    """(coeff, powers, factors) of one side of a semifield quotient: the
-    polynomial atomized, its atom peeled against the candidates, and any
-    residual atom kept as one more factor."""
-    coeff, powers, atom = _atomize(poly)
-    factors = {}
-    if atom is not None:
-        factors, residual = _split_positive_quotient(atom, candidates)
-        if not residual.is_one():
-            factors[residual] = factors.get(residual, 0) + 1
-    return coeff, powers, factors
-
-
-def _quotient(top, bottom) -> "SemifieldElement":
-    """The semifield element top/bottom of two sides from _split_side."""
-    (cn, pn, fn), (cd, pd, fd) = top, bottom
-    factors = dict(fn)
-    for f, e in fd.items():
-        factors[f] = factors.get(f, 0) - e
-    powers = dict(pn)
-    for v, e in pd.items():
-        powers[v] = powers.get(v, 0) - e
-    return SemifieldElement(cn / cd, powers, factors)
+    return coeff, powers, {} if poly.is_one() else {poly: 1}
 
 
 class SemifieldElement:
@@ -698,13 +647,12 @@ class SemifieldElement:
     view expands it back to the contract shape (positive coefficients,
     nonnegative exponents).
 
-    An element keeps what it derives: its expansions, its inverse twin, its
-    successor 1 + self, and the split of num + den that it shares with the
-    twin.
+    An element keeps what it derives: its expansions, its inverse twin and
+    its successor 1 + self.
     """
 
     __slots__ = ("_coeff", "_powers", "_factors", "_num", "_den", "_inv",
-                 "_one_plus", "_sum")
+                 "_one_plus")
 
     def __init__(self, coeff: Fraction, powers: Mapping[str, int],
                  factors: Mapping[LaurentPoly, int]):
@@ -714,7 +662,7 @@ class SemifieldElement:
         object.__setattr__(self, "_coeff", coeff)
         object.__setattr__(self, "_powers", {v: e for v, e in powers.items() if e})
         object.__setattr__(self, "_factors", {f: e for f, e in factors.items() if e})
-        for slot in ("_num", "_den", "_inv", "_one_plus", "_sum"):
+        for slot in ("_num", "_den", "_inv", "_one_plus"):
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
@@ -739,12 +687,15 @@ class SemifieldElement:
         return SemifieldElement(Fraction(value), {}, {})
 
     @staticmethod
-    def from_num_den(num: LaurentPoly, den: LaurentPoly,
-                     candidates: Iterable[LaurentPoly] = ()) -> "SemifieldElement":
+    def from_num_den(num: LaurentPoly, den: LaurentPoly) -> "SemifieldElement":
         if not (num.has_nonnegative_exponents() and den.has_nonnegative_exponents()):
             raise ValueError("semifield num/den require nonnegative exponents")
-        candidates = tuple(candidates)
-        return _quotient(_split_side(num, candidates), _split_side(den, candidates))
+        (coeff, powers, factors), (cd, pd, fd) = _split_side(num), _split_side(den)
+        for v, e in pd.items():
+            powers[v] = powers.get(v, 0) - e
+        for f, e in fd.items():
+            factors[f] = factors.get(f, 0) - e
+        return SemifieldElement(coeff / cd, powers, factors)
 
     # -- expansion ---------------------------------------------------------
 
@@ -794,7 +745,7 @@ class SemifieldElement:
                                     {v: -e for v, e in self._powers.items()},
                                     {f: -e for f, e in self._factors.items()})
             for slot, value in (("_inv", self), ("_num", self._den),
-                                ("_den", self._num), ("_sum", self._sum)):
+                                ("_den", self._num)):
                 object.__setattr__(twin, slot, value)
             object.__setattr__(self, "_inv", twin)
         return self._inv
@@ -816,26 +767,34 @@ class SemifieldElement:
                                 {f: n * e for f, e in self._factors.items()})
 
     def one_plus(self) -> "SemifieldElement":
-        """1 + self, i.e. (num + den) / den, both sides refined against own
-        factors; built once.  The twins y and 1/y share the split of num + den,
-        and each splits its own denominator (den for y, num for 1/y), which is
-        where factors shared with num + den cancel."""
+        """1 + self = (num + den) / den, built once unless set_one_plus gave
+        it."""
         if self._one_plus is None:
-            candidates = tuple(self._factors)
-            if self._sum is None:
-                self._keep("_sum", _split_side(self.num + self.den, candidates), "_sum")
             object.__setattr__(self, "_one_plus",
-                               _quotient(self._sum, _split_side(self.den, candidates)))
+                               SemifieldElement.from_num_den(self.num + self.den, self.den))
         return self._one_plus
+
+    def set_one_plus(self, atoms: Iterable[LaurentPoly]) -> None:
+        """Give 1 + self as the product of atoms over den, and 1 + 1/self as
+        (1 + self) / self on the inverse twin, replacing any successor either
+        holds.  The atoms' product must be num + den; that is the caller's
+        promise, and nothing here divides or checks it.  den is read off the
+        negative part of the factored form, and unit atoms are dropped."""
+        factors = {f: e for f, e in self._factors.items() if e < 0}
+        for atom in atoms:
+            if not atom.is_one():
+                factors[atom] = factors.get(atom, 0) + 1
+        succ = SemifieldElement(Fraction(1, self._coeff.denominator),
+                                {v: e for v, e in self._powers.items() if e < 0}, factors)
+        object.__setattr__(self, "_one_plus", succ)
+        object.__setattr__(self.inv(), "_one_plus", succ * self.inv())
 
     def __add__(self, other):
         other = _as_sf(other)
         if other is NotImplemented:
             return NotImplemented
         num = self.num * other.den + other.num * self.den
-        den = self.den * other.den
-        cands = set(self._factors) | set(other._factors)
-        return SemifieldElement.from_num_den(num, den, candidates=cands)
+        return SemifieldElement.from_num_den(num, self.den * other.den)
 
     __radd__ = __add__
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tysys.cartan import bipartite_double, new_cartan
 from tysys.cluster import (
+    Seed,
     b_of_c,
     check_b1,
     check_b2,
@@ -26,6 +27,7 @@ from tysys.cluster import (
     new_exchange_matrix,
     random_parity_exchange,
     run_sequence,
+    sequence_checks,
     seven_node_example,
     square_product,
     t_to_y_b,
@@ -43,6 +45,7 @@ from tysys.ysystem import companion_identities
 
 A2 = new_cartan([[2, -1], [-1, 2]])
 A3 = new_cartan([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+D4 = new_cartan([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
 CYCLE3 = new_cartan([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 
 BA2 = new_exchange_matrix([[0, 1], [-1, 0]], parity=(1, -1))
@@ -594,6 +597,17 @@ def test_auto_mode_switches_to_numeric():
     assert check_tb(seq) == []
 
 
+def test_numeric_seed_needs_an_rng():
+    em = exchange_matrix_for_level(A3, 2)
+    with pytest.raises(ValueError, match="rng"):
+        initial_seed(em, numeric=True)
+    with pytest.raises(ValueError, match="rng"):
+        run_sequence(em, (0, 4), mode="numeric")
+    # the auto budget switches to numeric mode, which needs the rng too
+    with pytest.warns(UserWarning), pytest.raises(ValueError, match="rng"):
+        run_sequence(em, (0, 20))
+
+
 # --- correspondence ----------------------------------------------------------------
 
 
@@ -698,3 +712,134 @@ def test_cluster_only_numeric_run_keeps_the_draws():
     alone = run_sequence(em, (-3, 6), mode="numeric", rng=random.Random(12),
                          coefficients=False)
     assert alone.x == full.x
+
+
+# --- coefficients from F-polynomials --------------------------------------------
+
+BELT_U = (-1, 11)
+
+
+def f_walks():
+    """The criterion-8 belts and B(D4)."""
+    return {"B(A2)": exchange_matrix_for_level(A2, 2), "B(A3)": exchange_matrix_for_level(A3, 2),
+            "B(A2)xB(A2)": square_product(A2, A2), "B(D4)": exchange_matrix_for_level(D4, 2)}
+
+
+def walk_seeds(start, u_range):
+    """{u: seed} along the alternating walk of run_sequence from start."""
+    em = start.matrix
+    plus, minus = em.plus_nodes(), em.minus_nodes()
+    seeds = {0: start}
+    for u in range(0, u_range[1]):
+        seeds[u + 1] = mutate_seed_composed(seeds[u], plus if u % 2 == 0 else minus)
+    for u in range(0, u_range[0], -1):
+        seeds[u - 1] = mutate_seed_composed(seeds[u], minus if u % 2 == 0 else plus)
+    return seeds
+
+
+@pytest.mark.parametrize("name", list(f_walks()))
+def test_f_polynomials_are_positive_with_constant_term_one(name):
+    for seed in walk_seeds(initial_seed(f_walks()[name]), BELT_U).values():
+        for f in seed.f:
+            assert f.terms.get((0,) * len(f.vars)) == 1
+            assert all(type(c) is int and c > 0 for c in f.terms.values())
+            assert f.has_nonnegative_exponents()
+
+
+@pytest.mark.parametrize("name", list(f_walks()))
+def test_coefficients_are_factored_over_the_f_polynomials(name):
+    # y_j = y^{c_j} prod_i F_i^{B_ij}: the factors are given by the seed, and
+    # the old F_k of each mutation has cancelled
+    for seed in walk_seeds(initial_seed(f_walks()[name]), BELT_U).values():
+        for j, yj in enumerate(seed.y):
+            want = {}
+            for i, f in enumerate(seed.f):
+                if not f.is_one():
+                    want[f] = want.get(f, 0) + seed.matrix[i, j]
+            assert yj._factors == {f: e for f, e in want.items() if e}
+
+
+def test_coefficient_terms_stay_small():
+    seq = run_sequence(square_product(A2, A2), BELT_U, mode="symbolic")
+    assert max(len(p.terms) for y in seq.y.values() for p in (y.num, y.den)) <= 8
+
+
+def test_belts_build_no_generic_successor(monkeypatch):
+    calls = []
+    generic = SemifieldElement.from_num_den
+
+    def counted(num, den):
+        calls.append(1)
+        return generic(num, den)
+
+    monkeypatch.setattr(SemifieldElement, "from_num_den", staticmethod(counted))
+    for em in criterion_8_belts():
+        checks = sequence_checks(run_sequence(em, BELT_U, mode="symbolic"))
+        assert not any(checks.values())
+    assert calls == []
+
+
+def test_seed_without_f_mutates_through_the_generic_successor():
+    em = exchange_matrix_for_level(A3, 2)
+    start = initial_seed(em)
+    given = walk_seeds(start, (-2, 6))
+    # fresh generators, so that no successor the F-route gave is shared
+    generic = walk_seeds(Seed(em, start.x, tuple(y_gen(i + 1) for i in range(em.n))), (-2, 6))
+    assert all(seed.f is None for seed in generic.values())
+    for u, seed in given.items():
+        assert all(a == b for a, b in zip(generic[u].y, seed.y))
+
+
+def test_f_division_that_is_not_exact_raises():
+    seed = initial_seed(BA2)
+    bad = Seed(BA2, seed.x, seed.y, (LaurentPoly.gen("y1") + 2, LaurentPoly.one()))
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        mutate_seed(bad, 0)
+
+
+def _sympy_poly(poly, sympy):
+    symbols = [sympy.Symbol(v) for v in poly.vars]
+    return sympy.Add(*(c * sympy.Mul(*(s ** e for s, e in zip(symbols, mono)))
+                       for mono, c in poly.terms.items()))
+
+
+def _sympy_coefficients(em, u_range, sympy):
+    """{(i, u): y_i(u)} by the coefficient rule in sympy, cancelled after
+    every mutation: an independent route to run_sequence's y."""
+
+    def mutate(b, y, k):
+        out = []
+        for i, yi in enumerate(y):
+            if i == k:
+                out.append(1 / yi)
+            elif b[k][i] > 0:
+                out.append(yi * (1 + 1 / y[k]) ** -b[k][i])
+            else:
+                out.append(yi * (1 + y[k]) ** -b[k][i])
+        return [sympy.cancel(v) for v in out]
+
+    plus, minus = em.plus_nodes(), em.minus_nodes()
+    start = sympy.symbols(f"y1:{em.n + 1}")
+    values = {(i, 0): v for i, v in enumerate(start)}
+    # rightwards from even u mutate the + class, leftwards the - class
+    for step, last in ((1, u_range[1]), (-1, u_range[0])):
+        m, y = em, start
+        for u in range(0, last, step):
+            for k in (plus if (u % 2 == 0) == (step > 0) else minus):
+                y, m = mutate(m.b, y, k), mutate_matrix(m, k)
+            values.update(((i, u + step), v) for i, v in enumerate(y))
+    return values
+
+
+@pytest.mark.parametrize("name", list(f_walks()))
+def test_coefficients_match_sympy_in_lowest_terms(name):
+    sympy = pytest.importorskip("sympy")
+    em = f_walks()[name]
+    seq = run_sequence(em, BELT_U, mode="symbolic")
+    oracle = _sympy_coefficients(em, BELT_U, sympy)
+    assert oracle.keys() == seq.y.keys()
+    for key, y in seq.y.items():
+        num, den = _sympy_poly(y.num, sympy), _sympy_poly(y.den, sympy)
+        top, bottom = sympy.fraction(oracle[key])
+        assert sympy.expand(num * bottom - den * top) == 0, key
+        assert sympy.gcd(num, den) == 1, key

@@ -610,18 +610,34 @@ def same_form(a, b):
 @given(semifield_elements(), st.booleans(), st.booleans())
 def test_sf_one_plus_twins_match_from_num_den(a, twin_first, expand_first):
     fresh = uncached(a)
-    want = SemifieldElement.from_num_den(fresh.num + fresh.den, fresh.den, fresh._factors)
-    want_inv = SemifieldElement.from_num_den(fresh.num + fresh.den, fresh.num, fresh._factors)
+    want = SemifieldElement.from_num_den(fresh.num + fresh.den, fresh.den)
+    want_inv = SemifieldElement.from_num_den(fresh.num + fresh.den, fresh.num)
     if expand_first:
         a.num, a.den
     twin = a.inv()
-    # either twin may split num + den first; the other reuses it
     if twin_first:
         got_inv, got = twin.one_plus(), a.one_plus()
     else:
         got, got_inv = a.one_plus(), twin.one_plus()
     assert same_form(got, want) and same_form(got_inv, want_inv)
     assert a.one_plus() is got and twin.one_plus() is got_inv
+
+
+@settings(max_examples=60, deadline=None)
+@given(semifield_elements(), st.booleans())
+def test_sf_set_one_plus_gives_both_successors(a, built_first):
+    fresh = uncached(a)
+    if built_first:
+        a.one_plus(), a.inv().one_plus()
+    atom = a.num + a.den
+    a.set_one_plus([LaurentPoly.one(), atom])
+    # any successor built before is replaced: the atoms over the negative
+    # part of the factored form, with the unit atom dropped
+    want = {f: e for f, e in fresh._factors.items() if e < 0}
+    want[atom] = want.get(atom, 0) + 1
+    assert a.one_plus()._factors == {f: e for f, e in want.items() if e}
+    assert a.one_plus() == fresh.one_plus()
+    assert a.inv().one_plus() == fresh.inv().one_plus()
 
 
 @settings(max_examples=60, deadline=None)
