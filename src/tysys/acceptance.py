@@ -143,7 +143,7 @@ def criterion_4_t_to_y(seed=0):
                             f"{len(violations)}")
         yrels = ysystem.enumerate_y_relations(sys, y_table.window)
         yrels = [r for r in yrels
-                 if all(v in y_table.values for v in r.variables())]
+                 if all(v in y_table for v in r.variables())]
         bad = ysystem.check_y_solution(y_table, yrels)
         if not yrels or bad:
             failures.append(f"{name} level {level}: mapped Y-system "

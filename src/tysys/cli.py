@@ -136,7 +136,7 @@ def cmd_sys_solve(args) -> int:
     return _emit({
         **_checked(violations, len(rels)),
         "config": _config(args),
-        "values": len(table.values),
+        "values": len(table),
         **({"written": args.out} if args.out else {}),
     })
 
@@ -148,7 +148,7 @@ def cmd_sys_t2y(args) -> int:
         t_table = table_from_json(json.load(fh), sys=sys_, kind="T")
     y_table, violations = ysystem.t_to_y(t_table)
     yrels = ysystem.enumerate_y_relations(sys_, y_table.window)
-    yrels = [r for r in yrels if all(v in y_table.values for v in r.variables())]
+    yrels = [r for r in yrels if all(v in y_table for v in r.variables())]
     violations += ysystem.check_y_solution(y_table, yrels, mode=args.mode,
                                            rng=derive_rng(args.seed, "t2y"))
     if args.out:
@@ -156,7 +156,7 @@ def cmd_sys_t2y(args) -> int:
     return _emit({
         **_checked(violations, len(yrels)),
         "config": _config(args),
-        "values": len(y_table.values),
+        "values": len(y_table),
         **({"written": args.out} if args.out else {}),
     })
 
@@ -188,7 +188,7 @@ def cmd_sys_y2t(args) -> int:
         "pass": passed,
         "violations": violations,
         "config": _config(args),
-        "values": len(t_table.values),
+        "values": len(t_table),
         **extra,
         **({"written": args.out} if args.out else {}),
     })

@@ -911,15 +911,30 @@ def value_text(value) -> str:
     return str(value)
 
 
-def fraction_from_text(text) -> Fraction:
-    """Inverse of fraction_to_text; ValueError for anything else."""
+def pair_from_text(text) -> tuple:
+    """The reduced pair (n, d), d > 0, of a text that fraction_to_text
+    writes, with one gcd; ValueError for anything else.
+
+    The pattern admits ASCII digits only, so int() reads every group it
+    matches; it refuses a group past the interpreter's digit limit, which
+    Decimal reads instead."""
     match = _FRACTION_TEXT.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise ValueError(f"{_clipped(text)} is not an integer or a fraction n/d")
-    num, den = (int(Decimal(group or "1")) for group in match.groups())
+    groups = [group or "1" for group in match.groups()]
+    try:
+        num, den = map(int, groups)
+    except ValueError:  # past the digit limit
+        num, den = (int(Decimal(group)) for group in groups)
     if den == 0:
         raise ValueError(f"{_clipped(text)} has a zero denominator")
-    return Fraction(num, den)
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def fraction_from_text(text) -> Fraction:
+    """Inverse of fraction_to_text; ValueError for anything else."""
+    return coprime_fraction(*pair_from_text(text))
 
 
 def _clipped(value) -> str:

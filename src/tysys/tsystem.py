@@ -10,12 +10,15 @@ and every reader adds k to the variables as it reads them.
 
 The scheduler, the solves and the checks pass ring pairs (numerator,
 denominator) around, read through a pair reader, a callable from a plain
-(a, m, k) key to the pair or None; values are built only for tables and
-violation records.  fill_lattice keeps one {var: pair} store, solves return
-reduced pairs, and the checks and the T -> Y map index a table's pairs once
-per call (pair_index); values kept elsewhere go through pair_reader.  Each
-relation is one identity on pairs (holds_exactly), and numeric mode checks
-it on the table evaluated at random points, then exactly where it fails.
+(a, m, k) key to the pair or None.  fill_lattice keeps one {var: pair}
+store, solves return reduced pairs, and a ValueTable keeps that store: the
+checks, the maps, the period scan, dump and the loader work on a table's
+pairs (ValueTable.pairs), and Fractions or RationalFunctions are built only
+where something reads its values, and for violation records.  Once a
+table's values have been read, its pairs are indexed from them per call
+(pair_index); values kept elsewhere go through pair_reader.  Each relation
+is one identity on pairs (holds_exactly), and numeric mode checks it on the
+table evaluated at random points, then exactly where it fails.
 
 Propagation takes one Cauchy step for both kinds, Relation.solve: lhs[1]
 is the kind's solve_factors times the inverted lhs[0].  Solves
@@ -36,6 +39,7 @@ unit values placed structurally at m = 0 and m = t_a*L.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,8 +61,8 @@ from .exactmath import (
     RationalFunction,
     coprime_fraction,
     evaluate,
-    fraction_from_text,
     fraction_to_text,
+    pair_from_text,
     random_nonzero_rational,
     value_text,
 )
@@ -456,17 +460,61 @@ def enumerate_relations(sys: SystemSpec, window, kind: str = "T",
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ValueTable:
     """Concrete values (Fractions, or rational functions in symbolic mode)
     for the lattice variables of one system on one window.  Unit boundary
-    variables are never stored; relations substitute them structurally."""
+    variables are never stored; relations substitute them structurally.
 
-    kind: str
-    system: SystemSpec
-    window: Tuple[int, int]
-    values: Dict[LatticeVar, object] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    A table keeps one store.  A solved or loaded table is built from its
+    reduced ring pairs (pairs=), and the checks, the maps, len, `in` and
+    dump read them (pairs).  The first read of values builds the values
+    from the pairs (reduced_value), one per distinct pair; from then on the
+    values are the only store, so whatever is written into them is what
+    the next reader sees."""
+
+    def __init__(self, kind: str, system: SystemSpec, window: Tuple[int, int],
+                 values: Optional[dict] = None, meta: Optional[dict] = None,
+                 pairs: Optional[dict] = None):
+        self.kind, self.system, self.window = kind, system, window
+        self.meta = {} if meta is None else meta
+        # the one store: {var: pair} until values is first read, then {var: value}
+        self._has_values = pairs is None
+        if self._has_values:
+            self._store = {} if values is None else values
+        else:
+            self._store = pairs
+
+    @property
+    def values(self) -> Dict[LatticeVar, object]:
+        if not self._has_values:
+            # equal pairs share one value: a periodic table repeats each of
+            # its values once per period
+            shared, values = {}, {}
+            for var, got in self._store.items():
+                if got not in shared:
+                    shared[got] = reduced_value(*got)
+                values[var] = shared[got]
+            self._store, self._has_values = values, True
+        return self._store
+
+    @values.setter
+    def values(self, values: dict):
+        self._store, self._has_values = values, True
+
+    def pairs(self) -> dict:
+        """{var: ring pair or None}, not to be changed: the stored pairs, or
+        pair_index of the values once they have been read, built per call.
+        Its get is the table's pair reader."""
+        return pair_index(self._store) if self._has_values else self._store
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def __contains__(self, var) -> bool:
+        return var in self._store
+
+    def __iter__(self) -> Iterator[LatticeVar]:
+        return iter(self._store)
 
     def get(self, var: LatticeVar):
         try:
@@ -474,26 +522,50 @@ class ValueTable:
         except KeyError:
             raise MissingValue(var.label(self.kind)) from None
 
+    def _header(self) -> dict:
+        """Every key of to_json but "entries"."""
+        return {"kind": self.kind, "system": self.system.describe(),
+                "window": list(self.window), "meta": self.meta}
+
     def to_json(self) -> dict:
         entries = [
             {"a": v.a + 1, "m": v.m, "k": v.k, "kind": self.kind,
              "value": fraction_to_text(val)}
             for v, val in sorted(self.values.items())
         ]
-        return {
-            "kind": self.kind,
-            "system": self.system.describe(),
-            "window": list(self.window),
-            "meta": self.meta,
-            "entries": entries,
-        }
+        return {**self._header(), "entries": entries}
 
     def dump(self, path):
-        # serialise first, so that a value that cannot be written leaves no
-        # empty file behind
-        text = json.dumps(self.to_json(), sort_keys=True, indent=1) + "\n"
+        """Write json.dumps(to_json(), sort_keys=True, indent=1) and a
+        newline, byte for byte, from the ring pairs: "entries", the first
+        key in sorted order, is written entry by entry from one template,
+        and json writes the other keys.  A value is written by str(), or
+        by fraction_to_text past the interpreter's digit limit.  The whole
+        text is built first, so that a value that cannot be written (one
+        that is not a rational) leaves no file behind."""
+        text = io.StringIO()
+        text.write('{\n "entries": [')
+        pairs, kind, sep = self.pairs(), self.kind, ""
+        for var in sorted(pairs):
+            got = pairs[var]
+            if got is None or not isinstance(got[0], int):
+                raise TypeError(f"{var.label(kind)} is not a rational")
+            n, d = got
+            try:
+                value = str(n) if d == 1 else f"{n}/{d}"
+            except ValueError:  # past the digit limit
+                value = fraction_to_text(coprime_fraction(n, d))
+            text.write(_ENTRY % (sep, var.a + 1, var.k, kind, var.m, value))
+            sep = ","
+        rest = json.dumps(self._header(), sort_keys=True, indent=1)
+        text.write(("\n ],\n" if sep else "],\n") + rest[2:] + "\n")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(text.getvalue())
+
+
+# one entry of ValueTable.dump: separator, a (1-based), k, kind, m, value
+_ENTRY = ('%s\n  {\n   "a": %d,\n   "k": %d,\n   "kind": "%s",\n   "m": %d,\n'
+          '   "value": "%s"\n  }')
 
 
 def table_from_json(data, sys: Optional[SystemSpec] = None,
@@ -518,6 +590,8 @@ def table_from_json(data, sys: Optional[SystemSpec] = None,
             raise ValueError(f"table window must be two integers, got {window!r}")
         window = tuple(window)
         meta = data.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError(f"table meta must be an object, got {meta!r:.40}")
         if sys is None:
             sdesc = data["system"]
             from .cartan import new_cartan
@@ -538,45 +612,51 @@ def table_from_json(data, sys: Optional[SystemSpec] = None,
         raise ValueError(f"table kind must be 'T' or 'Y', got {kind!r}")
     if not isinstance(entries, list):
         raise ValueError("table entries must be an array")
-    values = {}
+    top = sys.max_m_t if kind == "T" else sys.max_m_y
+    tops = [top(a) for a in range(sys.cm.r)]
+    pairs = {}
     for row in entries:
-        var = _entry_var(row, sys, kind)
+        var = _entry_var(row, kind, tops, window)
         try:
-            value = fraction_from_text(row.get("value"))
+            got = pair_from_text(row.get("value"))
         except ValueError as err:
             raise ValueError(f"{var.label(kind)}: {err}") from None
-        if value == 0:
+        if not got[0]:
             raise ValueError(f"{var.label(kind)}: zero value")
-        if var in values:
+        if var in pairs:
             raise ValueError(f"{var.label(kind)} appears twice")
-        values[var] = value
+        pairs[var] = got
     if window is None:
-        ks = [v.k for v in values]
+        ks = [v.k for v in pairs]
         window = (min(ks), max(ks)) if ks else (0, 0)
-    return ValueTable(kind, sys, window, values, meta)
+    return ValueTable(kind, sys, window, meta=meta, pairs=pairs)
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _entry_var(row, sys: SystemSpec, kind: str) -> LatticeVar:
-    """The variable of one table entry, checked against the system."""
+def _entry_var(row, kind: str, tops: list, window) -> LatticeVar:
+    """The variable of one table entry, checked against the highest level
+    tops[a] of each node (None for no cap) and the window, if there is one."""
     if not isinstance(row, dict):
         raise ValueError(f"table entry {row!r:.40} is not an object")
     if row.get("kind", kind) != kind:
         raise ValueError(f"table mixes kinds {row['kind']!r} and {kind!r}")
-    if not all(_is_int(row.get(key)) for key in ("a", "m", "k")):
+    a, m, k = row.get("a"), row.get("m"), row.get("k")
+    if not (_is_int(a) and _is_int(m) and _is_int(k)):
         raise ValueError(f"table entry needs integers a, m and k: "
-                         f"{ {key: row.get(key) for key in ('a', 'm', 'k')} }")
-    var = LatticeVar(row["a"] - 1, row["m"], row["k"])
-    if not 0 <= var.a < sys.cm.r:
-        raise ValueError(f"{var.label(kind)}: node {row['a']} is outside "
-                         f"1..{sys.cm.r}")
-    top = sys.max_m_t(var.a) if kind == "T" else sys.max_m_y(var.a)
-    if var.m < 1 or (top is not None and var.m > top):
+                         f"{ {'a': a, 'm': m, 'k': k} }")
+    var = LatticeVar(a - 1, m, k)
+    if not 1 <= a <= len(tops):
+        raise ValueError(f"{var.label(kind)}: node {a} is outside 1..{len(tops)}")
+    top = tops[a - 1]
+    if m < 1 or (top is not None and m > top):
         allowed = "m >= 1" if top is None else f"1..{top}"
-        raise ValueError(f"{var.label(kind)}: level m={var.m} is outside {allowed}")
+        raise ValueError(f"{var.label(kind)}: level m={m} is outside {allowed}")
+    if window is not None and not window[0] <= k <= window[1]:
+        raise ValueError(f"{var.label(kind)}: k={k} is outside the window "
+                         f"{window[0]}..{window[1]}")
     return var
 
 
@@ -621,19 +701,20 @@ def check_relations(relations: Iterable, value: Callable, label: Callable,
 
 def _check_table(table: ValueTable, relations: Iterable, mode: str, rng,
                  samples: int) -> List[dict]:
-    """check_relations on a table, its ring pairs read from one pair_index
-    of the values.  Numeric mode evaluates the table at `samples` random
+    """check_relations on a table, its ring pairs read through the table's
+    pair reader.  Numeric mode evaluates the table at `samples` random
     assignments of the symbols of its rational functions and checks each
     relation's exact identity on the evaluated pairs; only a relation that
     fails at a point goes on to the exact check, which writes its record.
     A table without rational functions is checked exactly."""
+    pairs = table.pairs()
     if mode == "numeric":
         if samples < 1:
             raise ValueError(f"numeric mode needs samples >= 1, got {samples}")
-        symbolic = [val for val in table.values.values()
-                    if isinstance(val, RationalFunction)]
+        symbolic = [got for got in pairs.values() if got is not None
+                    and not isinstance(got[0], int)]
         if symbolic:
-            names = sorted({n for val in symbolic for n in val.num.vars + val.den.vars})
+            names = sorted({n for num, den in symbolic for n in num.vars + den.vars})
             relations, failed = list(relations), set()
             for _ in range(samples):
                 at = {n: random_nonzero_rational(rng) for n in names}
@@ -642,7 +723,7 @@ def _check_table(table: ValueTable, relations: Iterable, mode: str, rng,
                               if i not in failed and not rel.holds_exactly(pair))
             relations = [rel for i, rel in enumerate(relations) if i in failed]
     return check_relations(relations, table.get, lambda rel: rel.center.label(table.kind),
-                           pair_index(table.values).get)
+                           pairs.get)
 
 
 def check_t_solution(table: ValueTable, relations: Iterable[TRelation],
@@ -795,18 +876,19 @@ def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
                  rule: Callable, rng, policy, initial: Optional[dict] = None,
                  partial: bool = False) -> dict:
     """The one scheduler and resample loop behind propagate_t, propagate_y
-    and y_to_t; returns the filled {var: value}.
+    and y_to_t; returns the filled {var: pair}, reduced ring pairs with the
+    sign on the numerator, which the caller's ValueTable keeps as its store.
 
     The free variables take initial[var] where given, else a random sample,
     in their order; then the targets are visited in order.  rule(var) is
     None when no rule determines var, SAMPLE for a free value drawn when it
     is reached, or solve(pair), which returns the reduced ring pair of var,
     sign on the numerator, from the pair reader pair; pair solves a missing
-    dependency on demand, and builds a LatticeVar only when a key misses.
-    One {var: pair} store is kept, free values included, and every value
-    is built once, by reduced_value, when the fill returns.  A dependency
-    that no rule determines raises UnschedulableDependency; with partial,
-    the target that needs it is left out instead.  A ZeroDivisor redraws every sample, up to
+    dependency on demand, and builds a LatticeVar only when a plain
+    (a, m, k) key misses.  One {var: pair} store is kept, free values
+    included; no value is built.  A dependency that no rule determines
+    raises UnschedulableDependency; with partial, the target that needs it
+    is left out instead.  A ZeroDivisor redraws every sample, up to
     policy.max_retries times, when there is an rng and something was
     sampled; a DegenerateData, which no sample changes, raises at once.
     """
@@ -832,7 +914,7 @@ def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
             got = pairs.get(key)
             if got is not None:
                 return got
-            var = LatticeVar(*key)
+            var = key if type(key) is LatticeVar else LatticeVar(*key)
             how = None if var in undetermined or var in active else rule(var)
             if how is None:
                 undetermined.add(var)
@@ -865,7 +947,7 @@ def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
                 except UnschedulableDependency:
                     if not partial:
                         raise
-            return {var: reduced_value(*got) for var, got in pairs.items()}
+            return pairs
         except ZeroDivisor as err:
             last_error = err
             if rng is None or not sampled or isinstance(err, DegenerateData):
@@ -896,8 +978,8 @@ def _propagate(kind: str, sys: SystemSpec, window, relation: Callable,
             return SAMPLE
         return relation(sys, a, m, k - sys.cm.d[a]).solve
 
-    values = fill_lattice(kind, slab, inside, rule, rng, policy, initial)
-    return ValueTable(kind, sys, (lo, hi), values)
+    pairs = fill_lattice(kind, slab, inside, rule, rng, policy, initial)
+    return ValueTable(kind, sys, (lo, hi), pairs=pairs)
 
 
 def propagate_t(sys: SystemSpec, window, initial: Optional[dict] = None,

@@ -48,12 +48,10 @@ from .tsystem import (
     fill_lattice,
     m_term,
     m_term_unified,
-    pair_index,
     pair_product,
     pair_quotient,
     pair_value,
     reduced_quotient,
-    ring_pair,
     stencil,
     t_relation,
     violation,
@@ -252,10 +250,11 @@ def mapped_points(relations, pair):
 
 
 def _is_quotient(y, top, bottom) -> bool:
-    """y == top / bottom for two ring pairs, cross-multiplied."""
+    """p / q == top / bottom for the ring pairs y = (p, q), top and bottom,
+    cross-multiplied; a zero bottom raises as the division of values does."""
     if bottom[0] == 0:
-        return y == pair_quotient(top, bottom)
-    p, q = ring_pair(y)
+        pair_quotient(top, bottom)
+    p, q = y
     return p * top[1] * bottom[0] == q * top[0] * bottom[1]
 
 
@@ -267,7 +266,7 @@ def _centred_relations(t_table: ValueTable):
     for a in range(sys.cm.r):
         top = sys.max_m_y(a)
         if top is None:
-            top = max((v.m for v in t_table.values if v.a == a), default=0)
+            top = max((v.m for v in t_table if v.a == a), default=0)
         for m in range(1, top + 1):
             stencil = t_relation(sys, a, m, 0)
             for k in range(lo, hi + 1):
@@ -358,7 +357,7 @@ def t_to_y(t_table: ValueTable):
                 raise ZeroDivisor(f"vanishing T pair under {point[0].center.label('Y')}")
             yield point
 
-    points = mapped_points(_centred_relations(t_table), pair_index(t_table.values).get)
+    points = mapped_points(_centred_relations(t_table), t_table.pairs().get)
     values, violations, _ = map_t_to_y(nonvanishing(points), lambda rel: rel.center.label("Y"))
     lo, hi = t_table.window
     if sys.restricted:
@@ -415,12 +414,12 @@ def y_to_t(y_table: ValueTable, rng=None,
         center = (lo + hi) // 2
     for a in range(cm.r):
         probe = LatticeVar(a, 1, center)
-        if probe not in y_table.values:
+        if probe not in y_table:
             raise WindowTooNarrow(probe.label("Y"))
     caps = {a: (sys.max_m_y(a) + 1 if sys.level is not None else
                 max(cm.d) + 1) for a in range(cm.r)}
     span = range(lo - max(cm.d), hi + max(cm.d) + 1)
-    y_vals = y_table.values
+    y_pair = y_table.pairs().get
 
     def rule(var):
         a, m, k = var
@@ -431,7 +430,7 @@ def y_to_t(y_table: ValueTable, rng=None,
             sign = 1 if k >= center + da else -1
             kc = k - sign * da
             yvar = LatticeVar(a, 1, kc)
-            y1 = y_vals.get(yvar)
+            y1 = y_pair(yvar)
             if y1 is None:
                 return None
             coupling = t_relation(sys, a, 1, 0).term_m
@@ -441,14 +440,15 @@ def y_to_t(y_table: ValueTable, rng=None,
                 pairs = factor_pairs(pair, coupling, k=kc)
                 p, q = pair(opposite)
                 # after the dependencies: an undetermined variable must not raise
-                if y1 == 0 or y1 == -1:
-                    raise DegenerateData(f"{yvar.label('Y')} = {y1} leaves 1 + Y^-1 "
-                                         f"{'undefined' if y1 == 0 else 'zero'} under "
+                yp, yq = y1
+                if not yp or not yp + yq:
+                    raise DegenerateData(f"{yvar.label('Y')} = {-1 if yp else 0} leaves "
+                                         f"1 + Y^-1 {'zero' if yp else 'undefined'} under "
                                          f"{var.label()}")
-                return reduced_quotient([_one_plus_inverse(*ring_pair(y1)), *pairs, (q, p)])
+                return reduced_quotient([_one_plus_inverse(yp, yq), *pairs, (q, p)])
         else:
             yvar = LatticeVar(a, m - 1, k)
-            ym = y_vals.get(yvar)
+            ym = y_pair(yvar)
             if ym is None:
                 return None
 
@@ -457,10 +457,10 @@ def y_to_t(y_table: ValueTable, rng=None,
                 right = pair((a, m - 1, k + da))
                 p, q = (1, 1) if m == 2 else pair((a, m - 2, k))
                 # after the dependencies: an undetermined variable must not raise
-                if ym == -1:
+                succ, den = _one_plus(*ym)
+                if not succ:
                     raise DegenerateData(f"{yvar.label('Y')} = -1 leaves 1 + Y zero "
                                          f"under {var.label()}")
-                succ, den = _one_plus(*ring_pair(ym))
                 return reduced_quotient((left, right, (den, succ), (q, p)))
 
         return solve
@@ -470,10 +470,10 @@ def y_to_t(y_table: ValueTable, rng=None,
     initial = {var: Fraction(1) for var in free} if policy.kind == "unit" else None
     targets = [LatticeVar(a, m, k) for a in range(cm.r)
                for m in range(1, caps[a] + 1) for k in span]
-    values = fill_lattice("T", free, targets, rule, rng, policy, initial, partial=True)
-    ks = [v.k for v in values]
+    pairs = fill_lattice("T", free, targets, rule, rng, policy, initial, partial=True)
+    ks = [v.k for v in pairs]
     meta = {"free_choice": policy.kind, "center": center}
-    return ValueTable("T", sys, (min(ks), max(ks)), values, meta)
+    return ValueTable("T", sys, (min(ks), max(ks)), meta=meta, pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -504,23 +504,23 @@ def _compare_to_t(t_table: ValueTable, y_table: ValueTable):
     and raises as the division of values does with one.  Records are built
     from values."""
     covered, differing, violations = [], {}, []
-    relations = (t_relation(t_table.system, *var) for var in sorted(y_table.values))
-    pairs = pair_index(t_table.values).get
-    for rel, inner, coupling, pair in mapped_points(relations, pairs):
+    y_pairs = y_table.pairs()
+    relations = (t_relation(t_table.system, *var) for var in sorted(y_pairs))
+    for rel, inner, coupling, pair in mapped_points(relations, t_table.pairs().get):
         if pair is None and inner[0] == 0:
             continue
         var = rel.center
         covered.append(var)
-        y = y_table.values[var]
-        if not _is_quotient(y, coupling, inner):
+        if not _is_quotient(y_pairs[var], coupling, inner):
             differing[var] = pair_quotient(coupling, inner)
         if pair is None:
             continue
         if var in differing:
-            violations.append(violation(f"value {var.label('Y')}", y, differing[var]))
+            violations.append(violation(f"value {var.label('Y')}", y_table.get(var),
+                                        differing[var]))
         elif companions_hold(pair, inner, coupling):
             continue
-        violations += companion_identities(var.label("Y"), y, pair_value(*pair),
+        violations += companion_identities(var.label("Y"), y_table.get(var), pair_value(*pair),
                                            pair_value(*inner), pair_value(*coupling))
     return covered, differing, violations
 
@@ -533,12 +533,13 @@ def _relation_holds(y_table: ValueTable, pairs, a: int, m: int, k: int) -> bool:
         rel = y_relation(y_table.system, a, m, k)
     except LevelOutOfRange:
         return False
-    vals = y_table.values
-    if any(v not in vals for v in rel.variables()):
+    if any(pairs(v) is None for v in rel.variables()):
         return False
     # a factor 1 + Y^-1 that vanishes leaves the relation undefined
-    if any(vals[v] == -1 for v, _ in rel.factors(1)):
-        return False
+    for v, _ in rel.factors(1):
+        p, q = pairs(v)
+        if p + q == 0:
+            return False
     return bool(rel.holds_exactly(pairs))
 
 
@@ -549,13 +550,11 @@ def recoverable_region(y_table: ValueTable, recovered) -> List[LatticeVar]:
     level below all cooperate.  recovered is the recovered Y-table or the
     collection of its variables."""
     cm = y_table.system.cm
-    pairs = pair_index(y_table.values).get
+    pairs = y_table.pairs().get
     good: set = set()
-    if isinstance(recovered, ValueTable):
-        recovered = recovered.values
     for var in sorted(recovered, key=lambda v: (v.m, v.a, v.k)):
         a, m, k = var
-        if var not in y_table.values:
+        if var not in y_table:
             continue
         if m == 1:
             good.add(var)
@@ -597,19 +596,20 @@ def roundtrip_check(y_table: ValueTable, rng=None,
 
 def detect_period(table: ValueTable, max_period: int) -> Optional[int]:
     """Smallest p <= max_period with value(a,m,k) == value(a,m,k+p) for every
-    stored pair, or None.  Purely empirical."""
+    stored pair of values, or None.  Purely empirical; values are compared
+    as the table's ring pairs, cross-multiplied."""
     if max_period < 1:
         raise ValueError(f"max_period must be >= 1, got {max_period}")
-    lo, hi = table.window
+    pairs = table.pairs()
     for p in range(1, max_period + 1):
         compared = 0
         ok = True
-        for var, val in table.values.items():
-            other = table.values.get(LatticeVar(var.a, var.m, var.k + p))
+        for (a, m, k), (n, d) in pairs.items():
+            other = pairs.get((a, m, k + p))
             if other is None:
                 continue
             compared += 1
-            if other != val:
+            if n * other[1] != d * other[0]:
                 ok = False
                 break
         if ok and compared:

@@ -409,12 +409,25 @@ def _set_entry(key, value):
     return edit
 
 
+def _one_entry_outside_the_window(data):
+    data["window"] = [0, 3]
+    data["entries"] = [dict(data["entries"][0], k=9)]
+
+
+def _set_meta(data):
+    data["meta"] = 5
+
+
 @pytest.mark.parametrize("edit,message", [
     (_drop_entries, "tysys: table has no 'entries' field"),
     (_set_entry("value", "1/0"), "tysys: T[a=1,m=1,k=0]: '1/0' has a zero denominator"),
     (_set_entry("a", 9), "tysys: T[a=9,m=1,k=0]: node 9 is outside 1..2"),
     (_set_entry("m", 7), "tysys: T[a=1,m=7,k=0]: level m=7 is outside 1..1"),
-], ids=["no entries", "zero denominator", "node out of range", "level out of range"])
+    (_one_entry_outside_the_window,
+     "tysys: T[a=1,m=1,k=9]: k=9 is outside the window 0..3"),
+    (_set_meta, "tysys: table meta must be an object, got 5"),
+], ids=["no entries", "zero denominator", "node out of range", "level out of range",
+        "k outside the window", "meta not an object"])
 def test_malformed_table_is_a_usage_error(a2_file, tmp_path, capsys, edit, message):
     table_path = tmp_path / "table.json"
     run_cli(capsys, "sys", "solve-t", a2_file, "--level", "2",

@@ -377,10 +377,10 @@ def oracle_y_to_t(y_table, rng, policy):
     initial = {var: Fraction(1) for var in free} if policy.kind == "unit" else None
     targets = [LatticeVar(a, m, k) for a in range(cm.r)
                for m in range(1, caps[a] + 1) for k in span]
-    values = fill_lattice("T", free, targets, rule, rng, policy, initial, partial=True)
-    ks = [v.k for v in values]
+    pairs = fill_lattice("T", free, targets, rule, rng, policy, initial, partial=True)
+    ks = [v.k for v in pairs]
     meta = {"free_choice": policy.kind, "center": center}
-    return ValueTable("T", sys, (min(ks), max(ks)), values, meta)
+    return ValueTable("T", sys, (min(ks), max(ks)), meta=meta, pairs=pairs)
 
 
 def oracle_roundtrip(y_table, rng, policy):
