@@ -42,7 +42,6 @@ from .exactmath import (
 )
 from .tsystem import (
     LatticeVar,
-    SolvePolicy,
     SystemSpec,
     TRelation,
     ValueTable,
@@ -58,7 +57,6 @@ from .tsystem import (
     table_from_json,
 )
 from .ysystem import (
-    FreeChoicePolicy,
     YRelation,
     check_y_solution,
     claim_identities_check,

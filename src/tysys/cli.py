@@ -118,16 +118,15 @@ def cmd_sys_solve(args) -> int:
     cm = cartan.read_cartan_file(args.file)
     sys_ = build_system(cm, args.level, args.mcap)
     window = parse_window(args.window)
-    policy = tsystem.SolvePolicy(max_retries=args.retries)
     if args.solve_kind == "T":
         rng = derive_rng(args.seed, "solve-t")
-        table = tsystem.propagate_t(sys_, window, rng=rng, policy=policy)
+        table = tsystem.propagate_t(sys_, window, rng=rng, retries=args.retries)
         rels = tsystem.enumerate_relations(sys_, window)
         violations = tsystem.check_t_solution(table, rels, mode=args.mode,
                                               rng=derive_rng(args.seed, "check-t"))
     else:
         rng = derive_rng(args.seed, "solve-y")
-        table = ysystem.propagate_y(sys_, window, rng=rng, policy=policy)
+        table = ysystem.propagate_y(sys_, window, rng=rng, retries=args.retries)
         rels = ysystem.enumerate_y_relations(sys_, window)
         violations = ysystem.check_y_solution(table, rels, mode=args.mode,
                                               rng=derive_rng(args.seed, "check-y"))
@@ -170,15 +169,15 @@ def cmd_sys_y2t(args) -> int:
     sys_ = build_system(cm, args.level, args.mcap)
     with open(args.infile, "r", encoding="utf-8") as fh:
         y_table = table_from_json(json.load(fh), sys=sys_, kind="Y")
-    policy = ysystem.FreeChoicePolicy(kind=args.free, max_retries=args.retries)
     rng = derive_rng(args.seed, "y2t")
     if args.roundtrip:
-        report, t_table = ysystem.roundtrip_check(y_table, rng=rng, policy=policy)
+        report, t_table = ysystem.roundtrip_check(y_table, rng=rng, free=args.free,
+                                                  retries=args.retries)
         violations = report["mismatches"] + report["claim_violations"]
         extra = {"compared": report["compared"]}
         passed = report["pass"]
     else:
-        t_table = ysystem.y_to_t(y_table, rng=rng, policy=policy)
+        t_table = ysystem.y_to_t(y_table, rng=rng, free=args.free, retries=args.retries)
         violations = ysystem.claim_identities_check(t_table, y_table)
         extra = {}
         passed = not violations
@@ -242,7 +241,7 @@ def cmd_period_scan(args) -> int:
     sys_ = build_system(cm, args.level, args.mcap)
     window = parse_window(args.window)
     table = ysystem.propagate_y(sys_, window, rng=derive_rng(args.seed, "period"),
-                                policy=tsystem.SolvePolicy(max_retries=args.retries))
+                                retries=args.retries)
     period = ysystem.detect_period(table, args.max_period)
     return _emit({
         "pass": period is not None,

@@ -508,22 +508,21 @@ def _label(em: ExchangeMatrix, prefix: str):
     return lambda rel: f"{prefix} at ({em.label(rel.center.a)},{rel.center.k})"
 
 
-def check_tb(seq: SequenceResult, em: Optional[ExchangeMatrix] = None) -> List[dict]:
-    """The cluster family satisfies the exchange-matrix T-system at every
-    interior point: x_i(u-1) x_i(u+1) = prod_{B_ji>0} x_j(u)^{B_ji}
-    + prod_{B_ji<0} x_j(u)^{-B_ji}."""
-    em = em or seq.matrix
+def check_tb(seq: SequenceResult) -> List[dict]:
+    """The cluster family satisfies the exchange-matrix T-system of
+    seq.matrix at every interior point: x_i(u-1) x_i(u+1) =
+    prod_{B_ji>0} x_j(u)^{B_ji} + prod_{B_ji<0} x_j(u)^{-B_ji}."""
+    em = seq.matrix
     lo, hi = seq.u_range
     rels = [rel.shift(u) for rel in _tb_relations(em) for u in range(lo + 1, hi)]
     return check_relations(rels, _reader(seq.x), _label(em, "T(B)"))
 
 
-def check_yb(seq: SequenceResult, eps: int,
-             em: Optional[ExchangeMatrix] = None) -> List[dict]:
-    """The coefficient family satisfies the sign-eps Y-system on its parity
-    class: centers are the (i, u) of the opposite class, so that every
-    variable in the relation lies in the class being checked."""
-    em = em or seq.matrix
+def check_yb(seq: SequenceResult, eps: int) -> List[dict]:
+    """The coefficient family satisfies the sign-eps Y-system of seq.matrix
+    on its parity class: centers are the (i, u) of the opposite class, so
+    that every variable in the relation lies in the class being checked."""
+    em = seq.matrix
     lo, hi = seq.u_range
     y = seq.require_y("check_yb")
     rels = [rel.shift(u) for i, rel in enumerate(_yb_relations(em, eps))
@@ -704,20 +703,22 @@ def _double_relation_bijection(cm: CartanMatrix, doubled: CartanMatrix,
     return violations
 
 
-def correspondence_check(cm: CartanMatrix, level: int,
-                         u_window: Tuple[int, int] = (-4, 4),
-                         rng=None) -> dict:
+# the slices u at which correspondence_check compares relations and values
+CORRESPONDENCE_WINDOW = (-4, 4)
+
+
+def correspondence_check(cm: CartanMatrix, level: int, rng=None) -> dict:
     """Both halves of the restricted-system / cluster-sequence dictionary for
-    a simply laced matrix.
+    a simply laced matrix, on the slices of CORRESPONDENCE_WINDOW.
 
     Relation level: under the index identification (a, m) -> pair node, the
     restricted T-system relations on one parity class coincide with the
     exchange-matrix T-system relations.  Value level: the cluster family of a
     cluster-only run_sequence (the check never reads y), pulled back through
     the identification, solves the restricted T-system relations of that
-    class, in exact symbolic arithmetic.  Nonbipartite input is routed
-    through the bipartite double first (with the extra relation-level
-    bijection check).
+    class, in exact symbolic arithmetic; a symbolic run draws nothing from
+    rng.  Nonbipartite input is routed through the bipartite double first
+    (with the extra relation-level bijection check).
     """
     from .errors import NotSimplyLaced
 
@@ -732,13 +733,14 @@ def correspondence_check(cm: CartanMatrix, level: int,
         parity = bipartition(cm)
     em = exchange_matrix_for_level(cm, level, parity)
     if routed:
-        violations += _double_relation_bijection(original, cm, level, u_window)
+        violations += _double_relation_bijection(original, cm, level,
+                                                 CORRESPONDENCE_WINDOW)
     sys_c = SystemSpec(cm, level)
 
     def flat(a, m):
         return a if level == 2 else a * (level - 1) + (m - 1)
 
-    lo, hi = u_window
+    lo, hi = CORRESPONDENCE_WINDOW
 
     def in_class(a, m, u, eps):
         return parity[a] * (-1) ** ((m + 1 + u) % 2) == eps

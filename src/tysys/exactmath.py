@@ -186,9 +186,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def is_constant(self) -> bool:
-        return not self.vars
-
     def has_positive_coeffs(self) -> bool:
         return all(c > 0 for c in self.terms.values())
 
@@ -494,9 +491,6 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_laurent(self) -> bool:
-        return self.den.is_one()
 
     # -- arithmetic --------------------------------------------------------
 
@@ -866,18 +860,21 @@ def evaluate(expr, assignment: Mapping[str, Rational]) -> Fraction:
     return expr.evaluate(assignment)
 
 
-def random_nonzero_rational(rng, bits: int = 8) -> Fraction:
-    """Uniform num in [-2^bits, 2^bits] without 0, den in [1, 2^bits]."""
-    top = 1 << bits
+# the bound 2^8 of random numerators and denominators
+_RANDOM_TOP = 1 << 8
+
+
+def random_nonzero_rational(rng) -> Fraction:
+    """Uniform num in [-2^8, 2^8] without 0, den in [1, 2^8]."""
     num = 0
     while num == 0:
-        num = rng.randint(-top, top)
-    return Fraction(num, rng.randint(1, top))
+        num = rng.randint(-_RANDOM_TOP, _RANDOM_TOP)
+    return Fraction(num, rng.randint(1, _RANDOM_TOP))
 
 
-def random_positive_rational(rng, bits: int = 8) -> Fraction:
-    top = 1 << bits
-    return Fraction(rng.randint(1, top), rng.randint(1, top))
+def random_positive_rational(rng) -> Fraction:
+    """Uniform num and den in [1, 2^8]."""
+    return Fraction(rng.randint(1, _RANDOM_TOP), rng.randint(1, _RANDOM_TOP))
 
 
 # ---------------------------------------------------------------------------
@@ -963,15 +960,3 @@ def expr_to_json(expr) -> dict:
         "vars": list(names),
     }
 
-
-def _poly_from_json(rows, names) -> LaurentPoly:
-    return LaurentPoly(names, {tuple(mono): Fraction(coeff) for coeff, mono in rows})
-
-
-def expr_from_json(data: dict, semifield: bool = False):
-    names = list(data["vars"])
-    num = _poly_from_json(data["num"], names)
-    den = _poly_from_json(data["den"], names)
-    if semifield:
-        return SemifieldElement.from_num_den(num, den)
-    return RationalFunction(num, den)

@@ -319,20 +319,19 @@ def _aggregate(factors: Iterable[Factor]) -> Tuple[Factor, ...]:
     return tuple(sorted(agg.items()))
 
 
-def s_term(cm: CartanMatrix, b: int, m: int, k: int,
-           drop_units: bool = True) -> List[Factor]:
-    """The d_b coupling factors of node b at composite level m, centered at k.
+def s_term(cm: CartanMatrix, b: int, m: int, k: int) -> List[Factor]:
+    """The coupling factors of node b at composite level m, centered at k.
 
     Factor number k' = 1..d_b sits at level 1 + floor((m-k')/d_b) and scaled
     shift 2k' - 1 - m + floor((m-k')/d_b)*d_b.  Level-0 factors are units and
-    are dropped unless drop_units is False.
+    are dropped.
     """
     if not cm.tamely_laced:
         raise NotTamelyLaced("s_term requires a tamely laced matrix")
     if m < 0:
         raise LevelOutOfRange("s_term needs m >= 0")
     return [(LatticeVar(b, level, k + shift), 1) for level, shift in _s_offsets(cm.d[b], m)
-            if level or not drop_units]
+            if level]
 
 
 def _s_offsets(db: int, m: int) -> Iterator[Tuple[int, int]]:
@@ -570,44 +569,41 @@ _ENTRY = ('%s\n  {\n   "a": %d,\n   "k": %d,\n   "kind": "%s",\n   "m": %d,\n'
 
 def table_from_json(data, sys: Optional[SystemSpec] = None,
                     kind: Optional[str] = None) -> ValueTable:
-    """Load a table dump; also accepts a bare entry array when the system
-    descriptor is supplied by the caller.  Every entry is checked against
-    the system: malformed input raises ValueError with a one-line message."""
-    if isinstance(data, list):
-        entries = data
-        window = None
-        meta = {}
-    elif isinstance(data, dict):
-        required = ["entries", "window"] + ["system"] * (sys is None) \
-            + ["kind"] * (kind is None)
-        missing = [key for key in required if key not in data]
-        if missing:
-            raise ValueError(f"table has no {', '.join(map(repr, missing))} field")
-        entries = data["entries"]
-        window = data["window"]
-        if not (isinstance(window, list) and len(window) == 2
-                and all(_is_int(k) for k in window)):
-            raise ValueError(f"table window must be two integers, got {window!r}")
-        window = tuple(window)
-        meta = data.get("meta", {})
-        if not isinstance(meta, dict):
-            raise ValueError(f"table meta must be an object, got {meta!r:.40}")
-        if sys is None:
-            sdesc = data["system"]
-            from .cartan import new_cartan
+    """Load a table dump, which names its system and kind.  A caller that
+    expects a system (sys) or a kind gets a ValueError naming what differs
+    when the file names another.  Every entry is checked against the
+    system: malformed input raises ValueError with a one-line message."""
+    if not isinstance(data, dict):
+        raise ValueError("a table is a JSON object")
+    missing = [key for key in ("entries", "window", "system", "kind") if key not in data]
+    if missing:
+        raise ValueError(f"table has no {', '.join(map(repr, missing))} field")
+    entries, window, sdesc = data["entries"], data["window"], data["system"]
+    if not (isinstance(window, list) and len(window) == 2
+            and all(_is_int(k) for k in window)):
+        raise ValueError(f"table window must be two integers, got {window!r}")
+    window = tuple(window)
+    meta = data.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"table meta must be an object, got {meta!r:.40}")
+    if not isinstance(sdesc, dict):
+        raise ValueError(f"table system descriptor is malformed: {sdesc!r:.40}")
+    if sys is None:
+        from .cartan import new_cartan
 
-            try:
-                sys = SystemSpec(new_cartan(sdesc["matrix"]), sdesc["level"],
-                                 sdesc["restricted"])
-            except (KeyError, TypeError) as err:
-                raise ValueError(f"table system descriptor is malformed: "
-                                 f"{err!r}") from None
-        if kind is None:
-            kind = data["kind"]
-    else:
-        raise ValueError("a table is a JSON object or an array of entries")
-    if sys is None or kind is None:
-        raise ValueError("bare entry arrays need an explicit system and kind")
+        try:
+            sys = SystemSpec(new_cartan(sdesc["matrix"]), sdesc["level"],
+                             sdesc["restricted"])
+        except (KeyError, TypeError) as err:
+            raise ValueError(f"table system descriptor is malformed: "
+                             f"{err!r}") from None
+    differ = [f"{key} {sdesc.get(key)!r}, not {want!r}"
+              for key, want in sys.describe().items() if sdesc.get(key) != want]
+    if differ:
+        raise ValueError(f"table is for another system: {'; '.join(differ)}")
+    if kind is not None and data["kind"] != kind:
+        raise ValueError(f"table holds {data['kind']!r} values, not {kind!r}")
+    kind = data["kind"]
     if kind not in ("T", "Y"):
         raise ValueError(f"table kind must be 'T' or 'Y', got {kind!r}")
     if not isinstance(entries, list):
@@ -626,9 +622,6 @@ def table_from_json(data, sys: Optional[SystemSpec] = None,
         if var in pairs:
             raise ValueError(f"{var.label(kind)} appears twice")
         pairs[var] = got
-    if window is None:
-        ks = [v.k for v in pairs]
-        window = (min(ks), max(ks)) if ks else (0, 0)
     return ValueTable(kind, sys, window, meta=meta, pairs=pairs)
 
 
@@ -638,7 +631,7 @@ def _is_int(value) -> bool:
 
 def _entry_var(row, kind: str, tops: list, window) -> LatticeVar:
     """The variable of one table entry, checked against the highest level
-    tops[a] of each node (None for no cap) and the window, if there is one."""
+    tops[a] of each node (None for no cap) and the window."""
     if not isinstance(row, dict):
         raise ValueError(f"table entry {row!r:.40} is not an object")
     if row.get("kind", kind) != kind:
@@ -654,7 +647,7 @@ def _entry_var(row, kind: str, tops: list, window) -> LatticeVar:
     if m < 1 or (top is not None and m > top):
         allowed = "m >= 1" if top is None else f"1..{top}"
         raise ValueError(f"{var.label(kind)}: level m={m} is outside {allowed}")
-    if window is not None and not window[0] <= k <= window[1]:
+    if not window[0] <= k <= window[1]:
         raise ValueError(f"{var.label(kind)}: k={k} is outside the window "
                          f"{window[0]}..{window[1]}")
     return var
@@ -699,24 +692,26 @@ def check_relations(relations: Iterable, value: Callable, label: Callable,
     return violations
 
 
-def _check_table(table: ValueTable, relations: Iterable, mode: str, rng,
-                 samples: int) -> List[dict]:
+# random points at which numeric mode evaluates a symbolic table
+SAMPLES = 3
+
+
+def _check_table(table: ValueTable, relations: Iterable, mode: str, rng) -> List[dict]:
     """check_relations on a table, its ring pairs read through the table's
-    pair reader.  Numeric mode evaluates the table at `samples` random
-    assignments of the symbols of its rational functions and checks each
-    relation's exact identity on the evaluated pairs; only a relation that
-    fails at a point goes on to the exact check, which writes its record.
-    A table without rational functions is checked exactly."""
+    pair reader.  Numeric mode evaluates the table at SAMPLES random
+    assignments of the symbols of its rational functions, drawn from rng,
+    and checks each relation's exact identity on the evaluated pairs; only
+    a relation that fails at a point goes on to the exact check, which
+    writes its record.  A table without rational functions is checked
+    exactly."""
     pairs = table.pairs()
     if mode == "numeric":
-        if samples < 1:
-            raise ValueError(f"numeric mode needs samples >= 1, got {samples}")
         symbolic = [got for got in pairs.values() if got is not None
                     and not isinstance(got[0], int)]
         if symbolic:
             names = sorted({n for num, den in symbolic for n in num.vars + den.vars})
             relations, failed = list(relations), set()
-            for _ in range(samples):
+            for _ in range(SAMPLES):
                 at = {n: random_nonzero_rational(rng) for n in names}
                 pair = pair_index({var: evaluate(v, at) for var, v in table.values.items()}).get
                 failed.update(i for i, rel in enumerate(relations)
@@ -727,7 +722,7 @@ def _check_table(table: ValueTable, relations: Iterable, mode: str, rng,
 
 
 def check_t_solution(table: ValueTable, relations: Iterable[TRelation],
-                     mode: str = "exact", rng=None, samples: int = 3) -> List[dict]:
+                     mode: str = "exact", rng=None) -> List[dict]:
     """Violation report for a T-value table; empty list means pass.
 
     exact mode checks each relation's identity on the values' ring pairs
@@ -735,17 +730,12 @@ def check_t_solution(table: ValueTable, relations: Iterable[TRelation],
     evaluates symbolic entries at random assignments, checks the same
     identity there, and checks exactly only the relations that fail.
     """
-    return _check_table(table, relations, mode, rng, samples)
+    return _check_table(table, relations, mode, rng)
 
 
 # ---------------------------------------------------------------------------
 # propagation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SolvePolicy:
-    max_retries: int = 16
 
 
 def factor_product(value: Callable, factors: Iterable[Factor], k: int = 0):
@@ -873,8 +863,8 @@ SAMPLE = "sample"
 
 
 def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
-                 rule: Callable, rng, policy, initial: Optional[dict] = None,
-                 partial: bool = False) -> dict:
+                 rule: Callable, rng, initial: Optional[dict] = None,
+                 partial: bool = False, retries: int = 16) -> dict:
     """The one scheduler and resample loop behind propagate_t, propagate_y
     and y_to_t; returns the filled {var: pair}, reduced ring pairs with the
     sign on the numerator, which the caller's ValueTable keeps as its store.
@@ -889,14 +879,14 @@ def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
     included; no value is built.  A dependency that no rule determines
     raises UnschedulableDependency; with partial, the target that needs it
     is left out instead.  A ZeroDivisor redraws every sample, up to
-    policy.max_retries times, when there is an rng and something was
-    sampled; a DegenerateData, which no sample changes, raises at once.
+    retries (>= 0) times, when there is an rng and something was sampled; a
+    DegenerateData, which no sample changes, raises at once.
     """
-    if policy.max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {policy.max_retries}")
+    if retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {retries}")
     initial = initial or {}
     last_error = None
-    for _ in range(policy.max_retries + 1):
+    for _ in range(retries + 1):
         pairs = {}
         undetermined = set()
         active = {}  # variables being solved, innermost last
@@ -956,7 +946,7 @@ def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
 
 
 def _propagate(kind: str, sys: SystemSpec, window, relation: Callable,
-               initial: Optional[dict], rng, policy: SolvePolicy) -> ValueTable:
+               initial: Optional[dict], rng, retries: int = 16) -> ValueTable:
     """Cauchy propagation of a kind table on the window: the first 2*d_a
     slices of each node are free (drawn node by node, level by level), and
     every later variable, visited slice by slice, is lhs[1] of the relation
@@ -978,12 +968,12 @@ def _propagate(kind: str, sys: SystemSpec, window, relation: Callable,
             return SAMPLE
         return relation(sys, a, m, k - sys.cm.d[a]).solve
 
-    pairs = fill_lattice(kind, slab, inside, rule, rng, policy, initial)
+    pairs = fill_lattice(kind, slab, inside, rule, rng, initial, retries=retries)
     return ValueTable(kind, sys, (lo, hi), pairs=pairs)
 
 
 def propagate_t(sys: SystemSpec, window, initial: Optional[dict] = None,
-                rng=None, policy: SolvePolicy = SolvePolicy()) -> ValueTable:
+                rng=None, retries: int = 16) -> ValueTable:
     """Fill the window from an initial slab of width 2*d_a per node, solving
     T(a, m, k) from the relation centered d_a slices earlier through its
     Cauchy step (TRelation.solve_factors: the sum pair, one gcd).
@@ -992,13 +982,13 @@ def propagate_t(sys: SystemSpec, window, initial: Optional[dict] = None,
     every dependency when max d <= 2.  A factor outside the window (which
     happens for max d >= 3) raises UnschedulableDependency naming it.  A
     vanishing right-hand side resamples the free initial data up to
-    max_retries times.  Symbolic values that are Laurent polynomials are
+    retries times.  Symbolic values that are Laurent polynomials are
     stored with denominator 1 (reduced_quotient).
     """
     if not sys.restricted:
         raise LevelOutOfRange("propagate_t handles restricted systems only; "
                               "unrestricted T-solutions come from y_to_t")
-    return _propagate("T", sys, window, t_relation, initial, rng, policy)
+    return _propagate("T", sys, window, t_relation, initial, rng, retries)
 
 
 # ---------------------------------------------------------------------------

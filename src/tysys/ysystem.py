@@ -17,7 +17,6 @@ d_a = 1 coupling factor whose neighbor level m/d_b is not integral is 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -35,7 +34,6 @@ from .tsystem import (
     Factor,
     LatticeVar,
     Relation,
-    SolvePolicy,
     SystemSpec,
     TRelation,
     ValueTable,
@@ -198,9 +196,9 @@ def enumerate_y_relations(sys: SystemSpec, window) -> List[YRelation]:
 
 
 def check_y_solution(table: ValueTable, relations: Iterable[YRelation],
-                     mode: str = "exact", rng=None, samples: int = 3) -> List[dict]:
+                     mode: str = "exact", rng=None) -> List[dict]:
     """Violation report for a Y-value table; empty list means pass."""
-    return _check_table(table, relations, mode, rng, samples)
+    return _check_table(table, relations, mode, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +207,7 @@ def check_y_solution(table: ValueTable, relations: Iterable[YRelation],
 
 
 def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
-                rng=None, policy: SolvePolicy = SolvePolicy()) -> ValueTable:
+                rng=None, retries: int = 16) -> ValueTable:
     """Fill the window from an initial slab of width 2*d_a per node.
 
     Every right-hand side factor of a Y-relation sits strictly below the
@@ -227,7 +225,7 @@ def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
     """
     if sys.level is None:
         raise LevelOutOfRange("propagation needs a level or an m-cap")
-    return _propagate("Y", sys, window, y_relation, initial, rng, policy)
+    return _propagate("Y", sys, window, y_relation, initial, rng, retries)
 
 
 # ---------------------------------------------------------------------------
@@ -375,22 +373,19 @@ def t_to_y(t_table: ValueTable):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FreeChoicePolicy:
-    kind: str = "random"  # "random" or "unit"
-    max_retries: int = 16
-
-
-def y_to_t(y_table: ValueTable, rng=None,
-           policy: FreeChoicePolicy = FreeChoicePolicy(),
-           center: Optional[int] = None) -> ValueTable:
+def y_to_t(y_table: ValueTable, rng=None, free: str = "random",
+           retries: int = 16) -> ValueTable:
     """Reconstruct an unrestricted T-solution whose image under t_to_y is the
     given Y-solution.
 
-    Free data: T(a, 1, k) on the 2*d_a slices around the chosen center slice.
-    Level 1 is extended outward (the extension of a node consumes the d_a-fold
-    levels of its lighter neighbors, which the level-raising rule supplies on
-    demand); levels m >= 2 come from the level-raising rule.  A variable is
+    Free data: T(a, 1, k) on the 2*d_a slices around the centre slice
+    (lo + hi) // 2 of the Y window; a Y-table without a value there raises
+    WindowTooNarrow.  With free = "random" they are drawn from rng, and a
+    solved zero redraws them up to retries times; with free = "unit" they
+    are all 1.  meta records free and the centre.  Level 1 is extended
+    outward (the extension of a node consumes the d_a-fold levels of its
+    lighter neighbors, which the level-raising rule supplies on demand);
+    levels m >= 2 come from the level-raising rule.  A variable is
     determined when its rule's Y-value lies in the table and its
     dependencies are determined; the returned table covers exactly these,
     within d_max slices of the Y window.
@@ -410,8 +405,7 @@ def y_to_t(y_table: ValueTable, rng=None,
         raise LevelOutOfRange("reconstruction applies to unrestricted Y-solutions only")
     cm = sys.cm
     lo, hi = y_table.window
-    if center is None:
-        center = (lo + hi) // 2
+    center = (lo + hi) // 2
     for a in range(cm.r):
         probe = LatticeVar(a, 1, center)
         if probe not in y_table:
@@ -465,14 +459,15 @@ def y_to_t(y_table: ValueTable, rng=None,
 
         return solve
 
-    free = [LatticeVar(a, 1, k) for a in range(cm.r)
+    slab = [LatticeVar(a, 1, k) for a in range(cm.r)
             for k in range(center - cm.d[a], center + cm.d[a])]
-    initial = {var: Fraction(1) for var in free} if policy.kind == "unit" else None
+    initial = {var: Fraction(1) for var in slab} if free == "unit" else None
     targets = [LatticeVar(a, m, k) for a in range(cm.r)
                for m in range(1, caps[a] + 1) for k in span]
-    pairs = fill_lattice("T", free, targets, rule, rng, policy, initial, partial=True)
+    pairs = fill_lattice("T", slab, targets, rule, rng, initial, partial=True,
+                         retries=retries)
     ks = [v.k for v in pairs]
-    meta = {"free_choice": policy.kind, "center": center}
+    meta = {"free_choice": free, "center": center}
     return ValueTable("T", sys, (min(ks), max(ks)), meta=meta, pairs=pairs)
 
 
@@ -568,14 +563,15 @@ def recoverable_region(y_table: ValueTable, recovered) -> List[LatticeVar]:
     return sorted(good)
 
 
-def roundtrip_check(y_table: ValueTable, rng=None,
-                    policy: FreeChoicePolicy = FreeChoicePolicy()):
-    """y_to_t followed by t_to_y, compared exactly on the recoverable region.
+def roundtrip_check(y_table: ValueTable, rng=None, free: str = "random",
+                    retries: int = 16):
+    """y_to_t (with rng, free and retries) followed by t_to_y, compared
+    exactly on the recoverable region.
 
     Returns (report dict, t_table).  The report counts the compared variables
     and lists mismatches (none expected) plus any claim-identity violations.
     """
-    t_table = y_to_t(y_table, rng=rng, policy=policy)
+    t_table = y_to_t(y_table, rng=rng, free=free, retries=retries)
     covered, differing, claim = _compare_to_t(t_table, y_table)
     region = recoverable_region(y_table, covered)
     mismatches = [violation(var.label("Y"), differing[var], y_table.values[var])

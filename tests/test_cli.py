@@ -418,27 +418,59 @@ def _set_meta(data):
     data["meta"] = 5
 
 
-@pytest.mark.parametrize("edit,message", [
-    (_drop_entries, "tysys: table has no 'entries' field"),
-    (_set_entry("value", "1/0"), "tysys: T[a=1,m=1,k=0]: '1/0' has a zero denominator"),
-    (_set_entry("a", 9), "tysys: T[a=9,m=1,k=0]: node 9 is outside 1..2"),
-    (_set_entry("m", 7), "tysys: T[a=1,m=7,k=0]: level m=7 is outside 1..1"),
-    (_one_entry_outside_the_window,
+def _set_matrix(data):
+    data["system"]["matrix"] = [[2, -1], [-2, 2]]
+
+
+def _unchanged(data):
+    pass
+
+
+# (command that writes the table, command that reads it), each without the
+# A2 matrix file and the table file
+SOLVE_T_THEN_T2Y = (["sys", "solve-t", "--level", "2", "--window", "0..6"],
+                    ["sys", "t2y", "--level", "2"])
+UNRESTRICTED = ["--level", "unrestricted"]
+
+
+@pytest.mark.parametrize("steps,edit,message", [
+    (SOLVE_T_THEN_T2Y, _drop_entries, "tysys: table has no 'entries' field"),
+    (SOLVE_T_THEN_T2Y, _set_entry("value", "1/0"),
+     "tysys: T[a=1,m=1,k=0]: '1/0' has a zero denominator"),
+    (SOLVE_T_THEN_T2Y, _set_entry("a", 9), "tysys: T[a=9,m=1,k=0]: node 9 is outside 1..2"),
+    (SOLVE_T_THEN_T2Y, _set_entry("m", 7),
+     "tysys: T[a=1,m=7,k=0]: level m=7 is outside 1..1"),
+    (SOLVE_T_THEN_T2Y, _one_entry_outside_the_window,
      "tysys: T[a=1,m=1,k=9]: k=9 is outside the window 0..3"),
-    (_set_meta, "tysys: table meta must be an object, got 5"),
+    (SOLVE_T_THEN_T2Y, _set_meta, "tysys: table meta must be an object, got 5"),
+    (SOLVE_T_THEN_T2Y, _set_matrix, "tysys: table is for another system: "
+                                    "matrix [[2, -1], [-2, 2]], not [[2, -1], [-1, 2]]"),
+    ((SOLVE_T_THEN_T2Y[0], ["sys", "t2y", "--level", "3"]), _unchanged,
+     "tysys: table is for another system: level 2, not 3"),
+    ((["sys", "solve-y", *UNRESTRICTED, "--mcap", "3", "--window", "0..6"],
+      ["sys", "y2t", *UNRESTRICTED, "--mcap", "4", "--roundtrip"]), _unchanged,
+     "tysys: table is for another system: level 3, not 4"),
 ], ids=["no entries", "zero denominator", "node out of range", "level out of range",
-        "k outside the window", "meta not an object"])
-def test_malformed_table_is_a_usage_error(a2_file, tmp_path, capsys, edit, message):
+        "k outside the window", "meta not an object", "another matrix", "another level",
+        "another mcap"])
+def test_malformed_table_is_a_usage_error(a2_file, tmp_path, capsys, steps, edit, message):
+    write, read = steps
     table_path = tmp_path / "table.json"
-    run_cli(capsys, "sys", "solve-t", a2_file, "--level", "2",
-            "--window", "0..6", "--out", str(table_path))
+    run_cli(capsys, *write, a2_file, "--out", str(table_path))
     data = json.loads(table_path.read_text())
     edit(data)
     table_path.write_text(json.dumps(data))
-    code = main(["sys", "t2y", a2_file, "--level", "2", "--in", str(table_path)])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.strip().splitlines() == [message]
+    assert usage_error(capsys, *read, a2_file, "--in", str(table_path)) == message
+
+
+@pytest.mark.parametrize("roundtrip", [[], ["--roundtrip"]], ids=["y2t", "roundtrip"])
+def test_y2t_negative_retries_is_a_usage_error(a2_file, tmp_path, capsys, roundtrip):
+    system = [a2_file, "--level", "unrestricted", "--mcap", "3"]
+    table_path = tmp_path / "y.json"
+    run_cli(capsys, "sys", "solve-y", *system, "--out", str(table_path))
+    line = usage_error(capsys, "sys", "y2t", *system, "--in", str(table_path),
+                       "--retries", "-1", *roundtrip)
+    assert line == "tysys: max_retries must be >= 0, got -1"
 
 
 def _perturbed(src, dst, index):

@@ -665,7 +665,7 @@ def test_tb_invariant_under_negation_and_parity_swap(ba2_seq):
 
     negated = replace(BA2, b=tuple(tuple(-v for v in row) for row in BA2.b),
                       parity=tuple(-s for s in BA2.parity))
-    assert check_tb(ba2_seq, negated) == []
+    assert check_tb(replace(ba2_seq, matrix=negated)) == []
 
 
 def test_sequence_json_dump(ba2_seq):

@@ -12,7 +12,6 @@ from tysys.exactmath import (
     RationalFunction,
     SemifieldElement,
     evaluate,
-    expr_from_json,
     expr_to_json,
     fraction_from_text,
     fraction_to_text,
@@ -381,7 +380,7 @@ def test_rf_evaluate():
 
 def test_monomial_denominator_is_folded():
     f = RationalFunction(x + y, x)
-    assert f.is_laurent()
+    assert f.den.is_one()
     assert f.num == 1 + x ** -1 * y
 
 
@@ -456,14 +455,6 @@ def test_random_nonzero_rational_deterministic():
     assert a == b
     rng = random.Random(0)
     assert all(random_nonzero_rational(rng) != 0 for _ in range(200))
-
-
-def test_expr_json_roundtrip():
-    f = RationalFunction(x * x + y, 1 + x)
-    assert expr_from_json(expr_to_json(f)) == f
-    e = one_plus(sf_gen("y1")) / sf_gen("y2")
-    back = expr_from_json(expr_to_json(e), semifield=True)
-    assert back == e
 
 
 @settings(max_examples=60, deadline=None)

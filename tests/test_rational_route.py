@@ -28,7 +28,6 @@ from tysys.errors import DegenerateData, ZeroDivisor
 from tysys.exactmath import RationalFunction, evaluate
 from tysys.tsystem import (
     LatticeVar,
-    SolvePolicy,
     SystemSpec,
     ValueTable,
     _propagate,
@@ -266,7 +265,7 @@ def oracle_propagate_y(sys, window, initial):
 
         return SimpleNamespace(solve=paired(solve))
 
-    return _propagate("Y", sys, window, relation, initial, None, SolvePolicy())
+    return _propagate("Y", sys, window, relation, initial, None)
 
 
 def oracle_propagate_t(sys, window, initial):
@@ -275,7 +274,7 @@ def oracle_propagate_t(sys, window, initial):
         rel = t_relation(sys, a, m, k)
         return SimpleNamespace(solve=paired(lambda value: rel.rhs(value) / value(rel.lhs[0])))
 
-    return _propagate("T", sys, window, relation, initial, None, SolvePolicy())
+    return _propagate("T", sys, window, relation, initial, None)
 
 
 def slab(sys, kind, window, draw):
@@ -326,7 +325,7 @@ def test_degenerate_and_zero_solves_name_their_variable():
     assert got == ("raises", "ZeroDivisor", "solved zero at T[a=1,m=1,k=2]")
 
 
-def oracle_y_to_t(y_table, rng, policy):
+def oracle_y_to_t(y_table, rng, free):
     """y_to_t about the default centre, with both rules written as Fraction
     values."""
     sys = y_table.system
@@ -372,21 +371,21 @@ def oracle_y_to_t(y_table, rng, policy):
 
         return paired(solve)
 
-    free = [LatticeVar(a, 1, k) for a in range(cm.r)
+    slab = [LatticeVar(a, 1, k) for a in range(cm.r)
             for k in range(center - cm.d[a], center + cm.d[a])]
-    initial = {var: Fraction(1) for var in free} if policy.kind == "unit" else None
+    initial = {var: Fraction(1) for var in slab} if free == "unit" else None
     targets = [LatticeVar(a, m, k) for a in range(cm.r)
                for m in range(1, caps[a] + 1) for k in span]
-    pairs = fill_lattice("T", free, targets, rule, rng, policy, initial, partial=True)
+    pairs = fill_lattice("T", slab, targets, rule, rng, initial, partial=True)
     ks = [v.k for v in pairs]
-    meta = {"free_choice": policy.kind, "center": center}
+    meta = {"free_choice": free, "center": center}
     return ValueTable("T", sys, (min(ks), max(ks)), meta=meta, pairs=pairs)
 
 
-def oracle_roundtrip(y_table, rng, policy):
+def oracle_roundtrip(y_table, rng, free):
     """roundtrip_check on oracle_y_to_t, with the mapped Y-values and the
     claim identities compared as values."""
-    t_table = oracle_y_to_t(y_table, rng, policy)
+    t_table = oracle_y_to_t(y_table, rng, free)
     mapped = {rel.center: y for rel, y, _, _ in value_route_mapped_y(t_table)}
     region = ysystem.recoverable_region(y_table, list(mapped))
     mismatches = [violation(var.label("Y"), mapped[var], y_table.values[var])
@@ -409,21 +408,20 @@ def test_y_to_t_and_roundtrip_match_value_route(case, seed, free, changes):
     keys = sorted(y_table.values)
     for index, replacement in changes:
         y_table.values[keys[index % len(keys)]] = replacement
-    policy = ysystem.FreeChoicePolicy(free)
-    got = outcome(lambda: y_to_t(y_table, rng=random.Random(seed), policy=policy))
-    want = outcome(lambda: oracle_y_to_t(y_table, random.Random(seed), policy))
+    got = outcome(lambda: y_to_t(y_table, rng=random.Random(seed), free=free))
+    want = outcome(lambda: oracle_y_to_t(y_table, random.Random(seed), free))
     if got[:2] == ("raises", "DegenerateData"):
         # the reconstruction stops at the given Y; the oracle solves the same
         # zero, or meets the same vanishing 1 + Y, and fails after its retries
         assert want[:2] == ("raises", "ZeroDivisor"), want
         with pytest.raises(DegenerateData, match=re.escape(got[2])):
-            roundtrip_check(y_table, rng=random.Random(seed), policy=policy)
+            roundtrip_check(y_table, rng=random.Random(seed), free=free)
         return
     assert got == want
-    assert outcome(lambda: roundtrip_check(y_table, rng=random.Random(seed), policy=policy)) \
-        == outcome(lambda: oracle_roundtrip(y_table, random.Random(seed), policy))
+    assert outcome(lambda: roundtrip_check(y_table, rng=random.Random(seed), free=free)) \
+        == outcome(lambda: oracle_roundtrip(y_table, random.Random(seed), free))
     if got[0] == "returns":
-        t_table = y_to_t(y_table, rng=random.Random(seed), policy=policy)
+        t_table = y_to_t(y_table, rng=random.Random(seed), free=free)
         assert outcome(lambda: claim_identities_check(t_table, y_table)) \
             == outcome(lambda: value_route_claim(t_table, y_table))
 
@@ -435,7 +433,7 @@ def test_y_to_t_int_entries_stay_exact():
                           rng=random.Random(21))
     as_ints = {var: 2 * (var.a + 1) for var in y_table.values}
     ints = ValueTable("Y", y_table.system, y_table.window, as_ints)
-    t_table = y_to_t(ints, policy=ysystem.FreeChoicePolicy("unit"))
+    t_table = y_to_t(ints, free="unit")
     assert all(type(v) is Fraction for v in t_table.values.values())
 
 

@@ -24,7 +24,6 @@ from tysys.tsystem import (
     t_relation,
 )
 from tysys.ysystem import (
-    FreeChoicePolicy,
     check_y_solution,
     enumerate_y_relations,
     propagate_y,
@@ -43,7 +42,7 @@ def assert_lowest_terms(table: ValueTable):
 def assert_maps_in_lowest_terms(y_table: ValueTable, seed):
     """y_to_t with both free choices, and t_to_y of each result."""
     for free in ("random", "unit"):
-        t_table = y_to_t(y_table, rng=random.Random(seed), policy=FreeChoicePolicy(free))
+        t_table = y_to_t(y_table, rng=random.Random(seed), free=free)
         assert t_table.values
         assert_lowest_terms(t_table)
         mapped, violations = t_to_y(t_table)
@@ -220,7 +219,7 @@ def test_degenerate_y_raises_without_resampling(draws, var, value, message):
     # one attempt: the six free T(a, 1, k) of A3 (2 d_a slices per node)
     assert draws[0] == 6
     with pytest.raises(DegenerateData) as err:
-        y_to_t(y_table, policy=FreeChoicePolicy("unit"))
+        y_to_t(y_table, free="unit")
     assert str(err.value) == message
 
 

@@ -14,7 +14,6 @@ from tysys.errors import (
 from tysys.exactmath import random_nonzero_rational
 from tysys.tsystem import (
     LatticeVar,
-    SolvePolicy,
     SystemSpec,
     check_t_solution,
     enumerate_relations,
@@ -24,6 +23,7 @@ from tysys.tsystem import (
     m_term_unified,
     propagate_t,
     s_term,
+    _s_offsets,
     t_relation,
     table_from_json,
 )
@@ -66,7 +66,9 @@ def test_s_term_unit_drop_and_raw_count():
     assert s_term(B2_LIKE, 0, 1, 0) == [(V(0, 1, 0), 1)]
     for b, cm in ((0, B2_LIKE), (0, G2_LIKE), (1, A2)):
         for m in range(1, 8):
-            assert len(s_term(cm, b, m, 0, drop_units=False)) == cm.d[b]
+            offsets = list(_s_offsets(cm.d[b], m))
+            assert len(offsets) == cm.d[b]
+            assert len(s_term(cm, b, m, 0)) == sum(1 for level, _ in offsets if level)
 
 
 def test_m_term_simple_cases():
@@ -206,9 +208,6 @@ def test_numeric_mode_needs_a_sample(kind):
     rels = enumerate_kind(sys, table.window)
     exact = check(table, rels)
     assert exact and check(table, rels, mode="numeric", rng=random.Random(1)) == exact
-    for samples in (0, -1):
-        with pytest.raises(ValueError, match=f"samples >= 1, got {samples}"):
-            check(table, rels, mode="numeric", rng=random.Random(1), samples=samples)
 
 
 def _symbolic_a2_tables():
@@ -251,7 +250,8 @@ def test_numeric_mode_samples_symbolic_tables():
 
 def test_numeric_mode_evaluates_before_it_multiplies(monkeypatch):
     # relations that hold at every point build no product of rational
-    # functions, and the rng gives one value per symbol and sample
+    # functions, and the rng gives one value per symbol at each of the three
+    # sample points
     from tysys import tsystem
     from tysys.exactmath import RationalFunction
 
@@ -272,8 +272,8 @@ def test_numeric_mode_evaluates_before_it_multiplies(monkeypatch):
             patch.setattr(RationalFunction, "__mul__", counted_mul)
             patch.setattr(RationalFunction, "__rmul__", counted_mul)
             patch.setattr(tsystem, "random_nonzero_rational", counted_draw)
-            assert check(table, rels, mode="numeric", rng=random.Random(7), samples=5) == []
-        assert counts == {"mul": 0, "draws": 5 * 4}, kind
+            assert check(table, rels, mode="numeric", rng=random.Random(7)) == []
+        assert counts == {"mul": 0, "draws": 3 * 4}, kind
 
 
 def test_check_missing_value():
@@ -325,9 +325,14 @@ def test_table_json_roundtrip():
     back = table_from_json(table.to_json())
     assert back.values == table.values
     assert back.window == table.window
-    bare = [dict(e) for e in table.to_json()["entries"]]
-    again = table_from_json(bare, sys=sys, kind="T")
+    again = table_from_json(table.to_json(), sys=sys, kind="T")
     assert again.values == table.values
+    with pytest.raises(ValueError, match="not 'Y'"):
+        table_from_json(table.to_json(), sys=sys, kind="Y")
+    with pytest.raises(ValueError, match="another system: level 2, not 3"):
+        table_from_json(table.to_json(), sys=SystemSpec(B2_LIKE, 3), kind="T")
+    with pytest.raises(ValueError, match="a table is a JSON object"):
+        table_from_json(table.to_json()["entries"], sys=sys, kind="T")
 
 
 def test_failed_dump_leaves_no_file(tmp_path):
@@ -394,7 +399,7 @@ def test_identity_2_non_multiple_is_one():
 def test_propagate_rejects_negative_retries():
     sys = SystemSpec(A2, 2)
     with pytest.raises(ValueError, match="-1"):
-        propagate_t(sys, (0, 10), rng=random.Random(0), policy=SolvePolicy(max_retries=-1))
+        propagate_t(sys, (0, 10), rng=random.Random(0), retries=-1)
 
 
 # --- compiled stencils against the independent routes ----------------------------

@@ -11,7 +11,6 @@ from tysys.cartan import new_cartan
 from tysys.errors import LevelOutOfRange, WindowTooNarrow, ZeroDivisor
 from tysys.tsystem import LatticeVar, SystemSpec, ValueTable, propagate_t
 from tysys.ysystem import (
-    FreeChoicePolicy,
     check_y_solution,
     claim_identities_check,
     companion_identities,
@@ -235,7 +234,7 @@ def test_roundtrip_tests_each_covered_variable_once(monkeypatch):
 
 def test_y_to_t_unit_policy():
     y_table = unrestricted_y(A2, 3, 14, 31)
-    report, t_table = roundtrip_check(y_table, policy=FreeChoicePolicy("unit"))
+    report, t_table = roundtrip_check(y_table, free="unit")
     assert report["pass"]
     assert t_table.meta["free_choice"] == "unit"
     assert t_table.values[V(0, 1, t_table.meta["center"])] == 1
@@ -263,11 +262,11 @@ def test_y_to_t_rejects_restricted():
 
 
 def test_y_to_t_window_too_narrow():
+    # the free data sit around the middle slice 10 of the window 0..20
     y_table = unrestricted_y(A2, 2, 20, 4)
-    y_table.values = {v: x for v, x in y_table.values.items() if v.k < 3}
-    y_table.window = (0, 2)
-    with pytest.raises(WindowTooNarrow):
-        y_to_t(y_table, rng=random.Random(0), center=10)
+    y_table.values = {v: x for v, x in y_table.values.items() if v.k != 10}
+    with pytest.raises(WindowTooNarrow, match="k=10"):
+        y_to_t(y_table, rng=random.Random(0))
 
 
 def test_one_plus_identities_equivalent_given_value_identity():
