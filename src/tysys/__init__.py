@@ -60,6 +60,7 @@ from .ysystem import (
     YRelation,
     check_y_solution,
     claim_identities_check,
+    covered_y_relations,
     detect_period,
     enumerate_y_relations,
     propagate_y,

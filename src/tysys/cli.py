@@ -2,7 +2,8 @@
 
 Every command prints one JSON report to stdout with a "pass" flag, a
 "violations" array, and an echo of its configuration.  Exit codes: 0 when all
-checks pass, 1 when a check fails, 2 for usage or input errors.  All
+checks pass, 1 when a check fails, 2 for usage or input errors, and 141
+(128 + SIGPIPE), with no message, when stdout is closed early.  All
 randomness is derived from the single --seed value, so identical invocations
 produce byte-identical reports.
 """
@@ -13,6 +14,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import random
 import sys as _sys
 
@@ -146,8 +148,7 @@ def cmd_sys_t2y(args) -> int:
     with open(args.infile, "r", encoding="utf-8") as fh:
         t_table = table_from_json(json.load(fh), sys=sys_, kind="T")
     y_table, violations = ysystem.t_to_y(t_table)
-    yrels = ysystem.enumerate_y_relations(sys_, y_table.window)
-    yrels = [r for r in yrels if all(v in y_table for v in r.variables())]
+    yrels = ysystem.covered_y_relations(y_table)
     violations += ysystem.check_y_solution(y_table, yrels, mode=args.mode,
                                            rng=derive_rng(args.seed, "t2y"))
     if args.out:
@@ -367,7 +368,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        _sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: end quietly with the status a
+        # SIGPIPE gives, 128 + 13, and send what is still buffered, which
+        # the interpreter flushes at exit, to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (TysysError, ValueError, OSError, json.JSONDecodeError) as err:
         print(f"tysys: {err}", file=_sys.stderr)
         return 2

@@ -9,10 +9,13 @@ Relations do not change under k -> k + 1, so each one is compiled once per
 and every reader adds k to the variables as it reads them.
 
 The scheduler, the solves and the checks pass ring pairs (numerator,
-denominator) around, read through a pair reader, a callable from a plain
-(a, m, k) key to the pair or None.  fill_lattice keeps one {var: pair}
-store, solves return reduced pairs, and a ValueTable keeps that store: the
-checks, the maps, the period scan, dump and the loader work on a table's
+denominator) around.  fill_lattice keeps them in one flat store, a list
+indexed by the slots of a Layout, where a stencil compiled to slot offsets
+(Relation.compile) reads the variables of each solve; it returns the
+{var: pair} dict of the store, built once.  The checks and maps read pairs
+through a pair reader, a callable from a plain (a, m, k) key to the pair or
+None.  Solves return reduced pairs, and a ValueTable keeps the filled dict:
+the checks, the maps, the period scan, dump and the loader work on a table's
 pairs (ValueTable.pairs), and Fractions or RationalFunctions are built only
 where something reads its values, and for violation records.  Once a
 table's values have been read, its pairs are indexed from them per call
@@ -21,10 +24,10 @@ is one identity on pairs (holds_exactly), and numeric mode checks it on the
 table evaluated at random points, then exactly where it fails.
 
 Propagation takes one Cauchy step for both kinds, Relation.solve: lhs[1]
-is the kind's solve_factors times the inverted lhs[0].  Solves
-cross-cancel coprime factor pairs (reduced_quotient), which keeps the
-product in lowest terms, so no second gcd builds the value
-(exactmath.coprime_fraction); a Laurent quotient is reduced by exact
+is the kind's solve_factors times the inverted lhs[0].  Solves reduce the
+product of coprime factor pairs once (reduced_quotient: one gcd for small
+integers, cross-cancelling for large ones), so no second gcd builds the
+value (exactmath.coprime_fraction); a Laurent quotient is reduced by exact
 division.  The Y-solve and both Y -> T rules are reduced by construction,
 since 1 + p/q = (p + q)/q and 1 + q/p = (p + q)/p are coprime for a reduced
 p/q, as is every value read and its inverse; the T-solve reduces its one sum
@@ -39,8 +42,10 @@ unit values placed structurally at m = 0 and m = t_a*L.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -150,16 +155,19 @@ class Relation:
 
     The relation centred k slices after the stencil's centre keeps the
     stencil's tuples and adds k as it reads them, so shift is O(1) and
-    nothing per centre is built: variables, to_json, the checks and the
-    Cauchy step (through rhs_pairs, lhs_pair and solve, by plain (a, m, k)
-    keys) read the stored tuples with the offset.  The named factor lists
+    nothing per centre is built: variables, to_json and the checks (through
+    rhs_pairs and lhs_pair, by plain (a, m, k) keys) read the stored tuples
+    with the offset.  The Cauchy step (solve) reads a fill's slots at the
+    stencil's compiled offsets (compile) instead.  The named factor lists
     of the subclasses are the stored tuples at k = 0 and new tuples
     otherwise, for equality and for callers that keep the list.  Treated as
     immutable; equal relations (same kind, centre, left-hand side and factor
     lists) hash alike whatever their offsets."""
 
     __slots__ = ("_center", "_lhs", "_lists", "k")
-    # JSON keys of the two factor lists, and how ring pairs read each one
+    # the letter of the kind's labels, the JSON keys of the two factor
+    # lists, and how ring pairs read each one
+    kind: str
     keys: Tuple[str, str]
     forms: Tuple[Optional[Callable], Optional[Callable]] = (None, None)
 
@@ -228,15 +236,30 @@ class Relation:
             return None
         return self.identity(lhs, *map(pair_product, sides))
 
-    def solve(self, pair) -> tuple:
-        """The Cauchy step, written once: lhs[1] as a reduced ring pair, sign
-        on the numerator, from the pair reader pair.  The kind's
-        solve_factors (coprime pairs whose product is the right-hand side)
-        are read first, then the pair (p, q) of lhs[0], which enters
-        inverted as (q, p); reduced_quotient builds the product."""
-        factors = self.solve_factors(pair)
-        (a, m, k), _ = self._lhs
-        p, q = pair((a, m, k + self.k))
+    def compile(self, layout: "Layout") -> "Compiled":
+        """The stencil compiled to layout: lhs[0] and both factor lists as
+        slot offsets from lhs[1], the variable that solve solves; the lists
+        as (offset, exponent) pairs.  Offsets do not change under a shift."""
+        lhs0, target = self._lhs
+        return Compiled(layout, layout.offset(lhs0, target),
+                        *(layout.offsets(target, factors) for factors in self._lists))
+
+    def solve(self, store, demand, i: int, at: "Compiled") -> tuple:
+        """The Cauchy step, written once: lhs[1] at slot i of a fill's store,
+        as a reduced ring pair with the sign on the numerator.  Every
+        variable is read as store[i + offset] at the offsets of at (compile),
+        and solved on demand (demand(slot)) where that slot is empty.  The
+        kind's solve_factors (coprime pairs whose product is the right-hand
+        side, None where a side vanishes) are read first, then the pair
+        (p, q) of lhs[0], which enters inverted as (q, p); reduced_quotient
+        builds the product."""
+        first = slot_pairs(store, demand, i, at.first, self.forms[0])
+        factors = self.solve_factors(first, slot_pairs(store, demand, i, at.second,
+                                                        self.forms[1]))
+        if factors is None:
+            centre = at.layout.var(i).shifted(self._center.k - self._lhs[1].k)
+            raise ZeroDivisor(f"degenerate side at {centre.label(self.kind)}")
+        p, q = store[i + at.lhs] or demand(i + at.lhs)
         return reduced_quotient((*factors, (q, p)))
 
     def to_json(self) -> dict:
@@ -270,6 +293,7 @@ class TRelation(Relation):
     lhs[0] * lhs[1] = prod(term_a) + prod(term_m), units already substituted."""
 
     __slots__ = ()
+    kind = "T"
     keys = ("termA", "termM")
 
     @property
@@ -302,10 +326,10 @@ class TRelation(Relation):
         n, d = TRelation.sum_pair(first, second)
         return lhs[0] * d == lhs[1] * n
 
-    def solve_factors(self, pair) -> tuple:
+    def solve_factors(self, first, second) -> tuple:
         """The sum pair of the two factor products, reduced by its one
         integer gcd: the one factor of a solve not reduced by construction."""
-        n, d = self.sum_pair(*map(pair_product, self.rhs_pairs(pair)))
+        n, d = self.sum_pair(pair_product(first), pair_product(second))
         if isinstance(n, int):
             g = gcd(n, d)
             n, d = n // g, d // g
@@ -436,22 +460,43 @@ def _check_window(window) -> Tuple[int, int]:
 
 
 def enumerate_relations(sys: SystemSpec, window, kind: str = "T",
-                        build: Callable = _compile_t) -> List:
+                        build: Callable = _compile_t, table=None) -> List:
     """All relations whose variables (after unit substitution) lie in the
     window, ordered by node, level and centre: the stencils that build
     compiles, each read at every offset that fits.  Unrestricted windows
     additionally exclude centers whose m+1 factor would exceed the level
-    cap."""
+    cap.  With a table, only those whose variables the table holds, in the
+    same order: each variable must also lie in the k-span of its (a, m) in
+    the table, and membership is tested only where that span has a hole."""
     lo, hi = _check_window(window)
     if sys.level is None:
         raise LevelOutOfRange("enumeration needs a level or an m-cap")
+    if table is None:
+        spans, holes = defaultdict(lambda: (lo, hi)), set()
+    else:
+        spans, holes = _k_spans(table)
     out = []
     for a in range(sys.cm.r):
         for m in range(1, sys.max_center_m(a, kind) + 1):
             rel = stencil(sys, kind, a, m, build)
-            ks = [v.k for v in rel.variables()]
-            out += [rel.shift(k) for k in range(lo - min(ks), hi - max(ks) + 1)]
+            ranges = [(v.k, spans[v.a, v.m]) for v in rel.variables()]
+            first = max(max(lo, start) - k for k, (start, _) in ranges)
+            last = min(min(hi, end) - k for k, (_, end) in ranges)
+            holed = [v for v in rel.variables() if (v.a, v.m) in holes]
+            out += [rel.shift(k) for k in range(first, last + 1)
+                    if all(v.shifted(k) in table for v in holed)]
     return out
+
+
+def _k_spans(table) -> Tuple[dict, set]:
+    """{(a, m): (first k, last k)} over the table's variables, empty (1, 0)
+    for an (a, m) it lacks, and the set of (a, m) whose span has a hole."""
+    ks_of: Dict[Tuple[int, int], List[int]] = {}
+    for a, m, k in table:
+        ks_of.setdefault((a, m), []).append(k)
+    spans = defaultdict(lambda: (1, 0), {cell: (min(ks), max(ks)) for cell, ks in ks_of.items()})
+    holes = {cell for cell, ks in ks_of.items() if len(ks) != spans[cell][1] - spans[cell][0] + 1}
+    return spans, holes
 
 
 # ---------------------------------------------------------------------------
@@ -822,33 +867,50 @@ def _pair_bits(pair: tuple) -> int:
     return pair[0].bit_length() + pair[1].bit_length()
 
 
+# integer pairs of fewer bits than this in all are reduced by one gcd of
+# their product, larger ones by cross-cancelling; of the power-of-two bounds,
+# this one gives the least time summed over the solves of lattice_periodic
+# and lattice_growth (BENCH_19.json)
+ONE_GCD_BITS = 8192
+
+
 def reduced_quotient(pairs: Sequence[tuple]) -> tuple:
     """prod a / b over coprime ring pairs (every b nonzero) as one reduced
     pair (n, d), the sign on the numerator.
 
-    Integer pairs are cross-cancelled against the running product n / d,
-    gcd(n, b) and gcd(a, d) (Henrici's product rule; Knuth, TAOCP vol. 2,
-    4.5.1), smallest pair first: the gcds and products then meet the
-    largest factors only at the end, when they meet them once.  With every
-    pair coprime the product stays in lowest terms, so no further gcd is
-    taken, and reduced_value builds the Fraction from it.  Laurent
-    polynomial pairs are multiplied out, reduced once as a RationalFunction
-    reduces, and then by exact division (RationalFunction.reduced), so a
-    quotient that is a Laurent polynomial is returned with denominator 1."""
-    if not all(isinstance(a, int) for a, _ in pairs):
-        value = RationalFunction(*pair_product(pairs)).reduced()
-        return value.num, value.den
-    n = d = 1
-    for a, b in sorted(pairs, key=_pair_bits):
-        g, h = gcd(n, b), gcd(a, d)
-        if g > 1:
-            n //= g
-            b //= g
-        if h > 1:
-            a //= h
-            d //= h
-        n *= a
-        d *= b
+    Integer pairs of fewer than ONE_GCD_BITS bits in all are multiplied out
+    and reduced by one gcd.  Larger ones are cross-cancelled against the
+    running product n / d, gcd(n, b) and gcd(a, d) (Henrici's product rule;
+    Knuth, TAOCP vol. 2, 4.5.1), smallest pair first: the gcds and products
+    then meet the largest factors only at the end, when they meet them
+    once.  With every pair coprime the product stays in lowest terms, so no
+    further gcd is taken.  reduced_value builds the Fraction from either.
+    Laurent polynomial pairs are multiplied out, reduced once as a
+    RationalFunction reduces, and then by exact division
+    (RationalFunction.reduced), so a quotient that is a Laurent polynomial
+    is returned with denominator 1."""
+    bits = 0
+    for a, b in pairs:
+        if not isinstance(a, int):
+            value = RationalFunction(*pair_product(pairs)).reduced()
+            return value.num, value.den
+        bits += a.bit_length() + b.bit_length()
+    if bits < ONE_GCD_BITS:
+        n, d = pair_product(pairs)
+        g = gcd(n, d)
+        n, d = n // g, d // g
+    else:
+        n = d = 1
+        for a, b in sorted(pairs, key=_pair_bits):
+            g, h = gcd(n, b), gcd(a, d)
+            if g > 1:
+                n //= g
+                b //= g
+            if h > 1:
+                a //= h
+                d //= h
+            n *= a
+            d *= b
     return (-n, -d) if d < 0 else (n, d)
 
 
@@ -858,86 +920,155 @@ def reduced_value(n, d):
     return coprime_fraction(n, d) if isinstance(n, int) else RationalFunction(n, d, _reduced=True)
 
 
-# rule(var) result for a free value drawn when the visit reaches var
+class Layout:
+    """The slots of a fill's store: the cells (a, m) in their order and the
+    slices lo..hi, slice-major.  (a, m, k) is slot (k - lo) * size + cell,
+    cell its index in cells, so a stencil's variables sit at fixed offsets
+    from the variable it solves, whatever the slice (Relation.compile)."""
+
+    __slots__ = ("cells", "cell", "size", "lo", "hi")
+
+    def __init__(self, cells: Sequence[Tuple[int, int]], lo: int, hi: int):
+        self.cells, self.lo, self.hi = list(cells), lo, hi
+        self.cell = {cell: c for c, cell in enumerate(self.cells)}
+        self.size = len(self.cells)
+
+    def __len__(self) -> int:
+        return (self.hi - self.lo + 1) * self.size
+
+    def slot(self, var) -> int:
+        a, m, k = var
+        return (k - self.lo) * self.size + self.cell[a, m]
+
+    def var(self, i: int) -> LatticeVar:
+        k, c = divmod(i, self.size)
+        a, m = self.cells[c]
+        return LatticeVar(a, m, k + self.lo)
+
+    def variables(self) -> List[LatticeVar]:
+        """The variable of every slot, in slot order."""
+        return [LatticeVar(a, m, k) for k in range(self.lo, self.hi + 1) for a, m in self.cells]
+
+    def offset(self, var, target) -> int:
+        """The slot of var less the slot of target."""
+        return self.slot(var) - self.slot(target)
+
+    def offsets(self, target, factors: Iterable[Factor]) -> Tuple[Tuple[int, int], ...]:
+        """The factors as (slot offset from target, exponent) pairs."""
+        return tuple((self.offset(var, target), exp) for var, exp in factors)
+
+
+class Compiled(NamedTuple):
+    """A stencil compiled to a layout (Relation.compile): the slot offsets
+    of its lhs[0] and of its two factor lists, (offset, exponent) pairs,
+    from the variable it solves."""
+
+    layout: Layout
+    lhs: int
+    first: Tuple[Tuple[int, int], ...]
+    second: Tuple[Tuple[int, int], ...]
+
+
+def slot_pairs(store: list, demand: Callable, i: int, offsets,
+               form: Optional[Callable] = None) -> list:
+    """[(a ** exp, b ** exp)] over the (offset, exp) pairs of offsets, where
+    (a, b) is (p, q), or form(p, q), for the ring pair (p, q) at slot
+    i + offset of store, solved on demand (demand(slot)) where that slot is
+    empty; a / b is the factor."""
+    pairs = []
+    for off, exp in offsets:
+        got = store[i + off] or demand(i + off)
+        if form is not None:
+            got = form(*got)
+        pairs.append(got if exp == 1 else (got[0] ** exp, got[1] ** exp))
+    return pairs
+
+
+# rule(slot) result for a free value drawn when the visit reaches the slot
 SAMPLE = "sample"
 
 
-def fill_lattice(kind: str, free: List[LatticeVar], targets: List[LatticeVar],
+def fill_lattice(kind: str, layout: Layout, free: List[LatticeVar], targets: Iterable[int],
                  rule: Callable, rng, initial: Optional[dict] = None,
                  partial: bool = False, retries: int = 16) -> dict:
     """The one scheduler and resample loop behind propagate_t, propagate_y
     and y_to_t; returns the filled {var: pair}, reduced ring pairs with the
     sign on the numerator, which the caller's ValueTable keeps as its store.
 
-    The free variables take initial[var] where given, else a random sample,
-    in their order; then the targets are visited in order.  rule(var) is
-    None when no rule determines var, SAMPLE for a free value drawn when it
-    is reached, or solve(pair), which returns the reduced ring pair of var,
-    sign on the numerator, from the pair reader pair; pair solves a missing
-    dependency on demand, and builds a LatticeVar only when a plain
-    (a, m, k) key misses.  One {var: pair} store is kept, free values
-    included; no value is built.  A dependency that no rule determines
-    raises UnschedulableDependency; with partial, the target that needs it
-    is left out instead.  A ZeroDivisor redraws every sample, up to
-    retries (>= 0) times, when there is an rng and something was sampled; a
-    DegenerateData, which no sample changes, raises at once.
+    The values are kept in one flat store, a list indexed by the slots of
+    layout, free values included; no value is built, and the {var: pair}
+    dict is built once, at the end.  The free variables take initial[var]
+    where given, else a random sample, in their order; then the slots of
+    targets are visited in order.  rule(slot) is None when no rule
+    determines the slot's variable, SAMPLE for a free value drawn when it is
+    reached, or solve(store, demand, slot), which returns its reduced ring
+    pair, sign on the numerator, reading each variable it needs as
+    store[slot + offset] and calling demand(slot + offset) where that slot
+    is still empty: demand solves a missing dependency on demand, by its
+    rule.  A rule reads only slots inside the layout, so the layout must
+    reach as many slices beyond the slots that have a rule as their rules
+    read: an offset then never reads a neighbouring cell, and a slot beyond
+    has no rule.  A dependency that no rule determines raises
+    UnschedulableDependency; with partial, the target that needs it is left
+    out instead.  A ZeroDivisor redraws every sample, up to retries (>= 0)
+    times, when there is an rng and something was sampled; a DegenerateData,
+    which no sample changes, raises at once.
     """
     if retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {retries}")
     initial = initial or {}
+    free = [(var, layout.slot(var)) for var in free]
     last_error = None
     for _ in range(retries + 1):
-        pairs = {}
+        store = [None] * len(layout)
         undetermined = set()
-        active = {}  # variables being solved, innermost last
+        active = {}  # slots being solved, innermost last
         sampled = False
 
-        def take(var, value=None):
+        def take(i, value=None):
             """The pair of a free value: value, or a sample where it is None."""
             nonlocal sampled
             if value is None:
                 sampled, value = True, random_nonzero_rational(rng)
-            pairs[var] = got = ring_pair(value)
+            store[i] = got = ring_pair(value)
             return got
 
-        def pair(key):
-            got = pairs.get(key)
-            if got is not None:
-                return got
-            var = key if type(key) is LatticeVar else LatticeVar(*key)
-            how = None if var in undetermined or var in active else rule(var)
+        def demand(i):
+            how = None if i in undetermined or i in active else rule(i)
             if how is None:
-                undetermined.add(var)
-                needer = next(reversed(active), var)
+                undetermined.add(i)
+                var = layout.var(i)
+                needer = layout.var(next(reversed(active))) if active else var
                 raise UnschedulableDependency(
                     var.label(kind), f"solving {needer.label(kind)} needs "
                     f"{var.label(kind)} at a not-yet-filled slice")
             if how is SAMPLE:
-                return take(var)
-            active[var] = True
+                return take(i)
+            active[i] = True
             try:
-                got = how(pair)
+                got = how(store, demand, i)
             except UnschedulableDependency:
-                undetermined.add(var)
+                undetermined.add(i)
                 raise
             finally:
-                del active[var]
+                del active[i]
             if not got[0]:
-                raise ZeroDivisor(f"solved zero at {var.label(kind)}")
-            pairs[var] = got
+                raise ZeroDivisor(f"solved zero at {layout.var(i).label(kind)}")
+            store[i] = got
             return got
 
-        for var in free:
-            if not take(var, initial.get(var))[0]:
+        for var, i in free:
+            if not take(i, initial.get(var))[0]:
                 raise ZeroDivisor(f"initial value for {var.label(kind)} is zero")
         try:
-            for var in targets:
-                try:
-                    pair(var)
-                except UnschedulableDependency:
-                    if not partial:
-                        raise
-            return pairs
+            for i in targets:
+                if store[i] is None:
+                    try:
+                        demand(i)
+                    except UnschedulableDependency:
+                        if not partial:
+                            raise
+            return {var: got for var, got in zip(layout.variables(), store) if got is not None}
         except ZeroDivisor as err:
             last_error = err
             if rng is None or not sampled or isinstance(err, DegenerateData):
@@ -950,25 +1081,32 @@ def _propagate(kind: str, sys: SystemSpec, window, relation: Callable,
     """Cauchy propagation of a kind table on the window: the first 2*d_a
     slices of each node are free (drawn node by node, level by level), and
     every later variable, visited slice by slice, is lhs[1] of the relation
-    centred d_a slices below it, relation(sys, a, m, k - d_a), and solved by
-    its Cauchy step (Relation.solve).  A level above every relation centre
+    centred d_a slices below it and solved by its Cauchy step
+    (Relation.solve).  The stencil of each cell, relation(sys, a, m, 0),
+    is compiled once to slot offsets; the layout reaches as many slices
+    beyond the window as the farthest variable a stencil reads, and a slot
+    there has no rule.  A level above every relation centre
     (sys.max_center_m) is sampled instead."""
     lo, hi = _check_window(window)
     top = sys.max_m_t if kind == "T" else sys.max_m_y
-    inside = [LatticeVar(a, m, k) for k in range(lo, hi + 1)
-              for a in range(sys.cm.r) for m in range(1, top(a) + 1)]
-    slab = sorted(v for v in inside if v.k < lo + 2 * sys.cm.d[v.a])
-    in_window = set(inside)
+    cells = [(a, m) for a in range(sys.cm.r) for m in range(1, top(a) + 1)]
+    stencils = [relation(sys, a, m, 0) if m <= sys.max_center_m(a, kind) else SAMPLE
+                for a, m in cells]
+    reach = max((abs(v.k - rel.lhs[1].k) for rel in stencils if rel is not SAMPLE
+                 for v in rel.variables()), default=0)
+    layout = Layout(cells, lo - reach, hi + reach)
+    rules = [rel if rel is SAMPLE else functools.partial(rel.solve, at=rel.compile(layout))
+             for rel in stencils]
+    size = layout.size
+    first, last = reach * size, (reach + hi - lo + 1) * size
 
-    def rule(var):
-        if var not in in_window:
-            return None
-        a, m, k = var
-        if m > sys.max_center_m(a, kind):
-            return SAMPLE
-        return relation(sys, a, m, k - sys.cm.d[a]).solve
+    def rule(i):
+        return rules[i % size] if first <= i < last else None
 
-    pairs = fill_lattice(kind, slab, inside, rule, rng, initial, retries=retries)
+    slab = [LatticeVar(a, m, k) for a, m in cells
+            for k in range(lo, min(hi + 1, lo + 2 * sys.cm.d[a]))]
+    pairs = fill_lattice(kind, layout, slab, range(first, last), rule, rng, initial,
+                         retries=retries)
     return ValueTable(kind, sys, (lo, hi), pairs=pairs)
 
 

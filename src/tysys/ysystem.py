@@ -33,6 +33,7 @@ from .exactmath import inverse, one_plus
 from .tsystem import (
     Factor,
     LatticeVar,
+    Layout,
     Relation,
     SystemSpec,
     TRelation,
@@ -42,7 +43,6 @@ from .tsystem import (
     _check_table,
     _propagate,
     enumerate_relations,
-    factor_pairs,
     fill_lattice,
     m_term,
     m_term_unified,
@@ -50,6 +50,7 @@ from .tsystem import (
     pair_quotient,
     pair_value,
     reduced_quotient,
+    slot_pairs,
     stencil,
     t_relation,
     violation,
@@ -77,6 +78,7 @@ class YRelation(Relation):
     numerator and (p + q, p) in the denominator."""
 
     __slots__ = ()
+    kind = "Y"
     keys = ("numerator", "denominator")
     forms = (_one_plus, _one_plus_inverse)
 
@@ -113,13 +115,13 @@ class YRelation(Relation):
         (ln, ld), (nn, nd), (dn, dd) = lhs, num, den
         return ln * dn * nd == ld * dd * nn
 
-    def solve_factors(self, pair) -> list:
+    def solve_factors(self, num, den) -> Optional[list]:
         """The coprime pairs (p + q, q) of the 1 + Y factors and the inverted
-        pairs (p, p + q) of the 1 + Y^-1 factors; a vanishing factor on
-        either side raises ZeroDivisor naming the centre."""
-        num, den = self.rhs_pairs(pair)
+        pairs (p, p + q) of the 1 + Y^-1 factors, from num and den, the pairs
+        of the two lists as read through forms; None where a factor on
+        either side vanishes (Relation.solve names the centre)."""
         if any(x == 0 for x, _ in den) or any(x == 0 for x, _ in num):
-            raise ZeroDivisor(f"degenerate side at {self.center.label('Y')}")
+            return None
         return [*num, *((b, a) for a, b in den)]
 
 
@@ -190,6 +192,12 @@ def enumerate_y_relations(sys: SystemSpec, window) -> List[YRelation]:
     return enumerate_relations(sys, window, "Y", _compile_y)
 
 
+def covered_y_relations(y_table: ValueTable) -> List[YRelation]:
+    """The relations of enumerate_y_relations on the table's window whose
+    variables the table holds, in the same order."""
+    return enumerate_relations(y_table.system, y_table.window, "Y", _compile_y, table=y_table)
+
+
 # ---------------------------------------------------------------------------
 # checking
 # ---------------------------------------------------------------------------
@@ -221,7 +229,7 @@ def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
     slices earlier (Relation.solve).  Every factor of a Y-solve is coprime:
     (p + q, q) and (p, p + q) for a reduced Y = p / q, and the inverted
     left-hand value (YRelation.solve_factors), so reduced_quotient builds
-    the solved value without a gcd beyond its cross-cancelling.
+    the solved value without a gcd beyond its own reduction.
     """
     if sys.level is None:
         raise LevelOutOfRange("propagation needs a level or an m-cap")
@@ -388,10 +396,13 @@ def y_to_t(y_table: ValueTable, rng=None, free: str = "random",
     levels m >= 2 come from the level-raising rule.  A variable is
     determined when its rule's Y-value lies in the table and its
     dependencies are determined; the returned table covers exactly these,
-    within d_max slices of the Y window.
+    within d_max slices of the Y window.  Both rules run on fill_lattice's
+    flat store: the T-variables a rule reads are compiled once to slot
+    offsets from the variable it solves (per node and direction for the
+    extension, per cell for the level-raising rule).
 
     Both rules multiply coprime factors, so reduced_quotient builds each
-    value without a gcd beyond its cross-cancelling: the level-1 extension
+    value without a gcd beyond its own reduction: the level-1 extension
     (p + q, p) for 1 + Y^-1 with Y = p / q, the coupling T-pairs and the
     inverted opposite T; the level-raising rule the two T-pairs, (q, p + q)
     for the inverse of 1 + Y, and the inverted T two levels down.  A given
@@ -404,6 +415,7 @@ def y_to_t(y_table: ValueTable, rng=None, free: str = "random",
     if sys.restricted:
         raise LevelOutOfRange("reconstruction applies to unrestricted Y-solutions only")
     cm = sys.cm
+    d = cm.d
     lo, hi = y_table.window
     center = (lo + hi) // 2
     for a in range(cm.r):
@@ -411,60 +423,73 @@ def y_to_t(y_table: ValueTable, rng=None, free: str = "random",
         if probe not in y_table:
             raise WindowTooNarrow(probe.label("Y"))
     caps = {a: (sys.max_m_y(a) + 1 if sys.level is not None else
-                max(cm.d) + 1) for a in range(cm.r)}
-    span = range(lo - max(cm.d), hi + max(cm.d) + 1)
+                max(d) + 1) for a in range(cm.r)}
+    span = range(lo - max(d), hi + max(d) + 1)
     y_pair = y_table.pairs().get
+    cells = [(a, m) for a in range(cm.r) for m in range(1, caps[a] + 1)]
+    couplings = [t_relation(sys, a, 1, 0).term_m for a in range(cm.r)]
+    # a rule reads 2 d_a slices away, and a coupling up to d_a beyond its stencil
+    reach = 2 * max(d) + max((abs(var.k) for coupling in couplings for var, _ in coupling),
+                             default=0)
+    layout = Layout(cells, span.start - reach, span.stop - 1 + reach)
+    # slot offsets from T(a, 1, k) of the coupling and of the opposite T,
+    # extended from below (sign 1, kc = k - d_a) or from above (sign -1)
+    extension = {(a, sign): (layout.offsets((a, 1, sign * d[a]), couplings[a]),
+                             layout.offset((a, 1, -sign * d[a]), (a, 1, sign * d[a])))
+                 for a in range(cm.r) for sign in (1, -1)}
+    # slot offsets from T(a, m, k) of T(a, m-1, k - d_a), T(a, m-1, k + d_a)
+    # and T(a, m-2, k), which is 1 at m = 2
+    raising = {(a, m): (layout.offset((a, m - 1, -d[a]), (a, m, 0)),
+                        layout.offset((a, m - 1, d[a]), (a, m, 0)),
+                        layout.offset((a, m - 2, 0), (a, m, 0)) if m > 2 else None)
+               for a, m in cells if m > 1}
 
-    def rule(var):
-        a, m, k = var
-        if k not in span or not 1 <= m <= caps[a]:
+    def rule(i):
+        a, m, k = layout.var(i)
+        if k not in span:
             return None
-        da = cm.d[a]
         if m == 1:
-            sign = 1 if k >= center + da else -1
-            kc = k - sign * da
-            yvar = LatticeVar(a, 1, kc)
-            y1 = y_pair(yvar)
+            sign = 1 if k >= center + d[a] else -1
+            kc = k - sign * d[a]
+            y1 = y_pair((a, 1, kc))
             if y1 is None:
                 return None
-            coupling = t_relation(sys, a, 1, 0).term_m
-            opposite = (a, 1, k - 2 * sign * da)
+            coupling, opposite = extension[a, sign]
 
-            def solve(pair):
-                pairs = factor_pairs(pair, coupling, k=kc)
-                p, q = pair(opposite)
+            def solve(store, demand, i):
+                pairs = slot_pairs(store, demand, i, coupling)
+                p, q = store[i + opposite] or demand(i + opposite)
                 # after the dependencies: an undetermined variable must not raise
                 yp, yq = y1
                 if not yp or not yp + yq:
-                    raise DegenerateData(f"{yvar.label('Y')} = {-1 if yp else 0} leaves "
-                                         f"1 + Y^-1 {'zero' if yp else 'undefined'} under "
-                                         f"{var.label()}")
+                    raise DegenerateData(f"{LatticeVar(a, 1, kc).label('Y')} = {-1 if yp else 0} "
+                                         f"leaves 1 + Y^-1 {'zero' if yp else 'undefined'} "
+                                         f"under {layout.var(i).label()}")
                 return reduced_quotient([_one_plus_inverse(yp, yq), *pairs, (q, p)])
         else:
-            yvar = LatticeVar(a, m - 1, k)
-            ym = y_pair(yvar)
+            ym = y_pair((a, m - 1, k))
             if ym is None:
                 return None
+            left, right, below = raising[a, m]
 
-            def solve(pair):
-                left = pair((a, m - 1, k - da))
-                right = pair((a, m - 1, k + da))
-                p, q = (1, 1) if m == 2 else pair((a, m - 2, k))
+            def solve(store, demand, i):
+                lp = store[i + left] or demand(i + left)
+                rp = store[i + right] or demand(i + right)
+                p, q = (1, 1) if below is None else store[i + below] or demand(i + below)
                 # after the dependencies: an undetermined variable must not raise
                 succ, den = _one_plus(*ym)
                 if not succ:
-                    raise DegenerateData(f"{yvar.label('Y')} = -1 leaves 1 + Y zero "
-                                         f"under {var.label()}")
-                return reduced_quotient((left, right, (den, succ), (q, p)))
+                    raise DegenerateData(f"{LatticeVar(a, m - 1, k).label('Y')} = -1 leaves "
+                                         f"1 + Y zero under {layout.var(i).label()}")
+                return reduced_quotient((lp, rp, (den, succ), (q, p)))
 
         return solve
 
     slab = [LatticeVar(a, 1, k) for a in range(cm.r)
-            for k in range(center - cm.d[a], center + cm.d[a])]
+            for k in range(center - d[a], center + d[a])]
     initial = {var: Fraction(1) for var in slab} if free == "unit" else None
-    targets = [LatticeVar(a, m, k) for a in range(cm.r)
-               for m in range(1, caps[a] + 1) for k in span]
-    pairs = fill_lattice("T", slab, targets, rule, rng, initial, partial=True,
+    targets = [layout.slot((a, m, k)) for a, m in cells for k in span]
+    pairs = fill_lattice("T", layout, slab, targets, rule, rng, initial, partial=True,
                          retries=retries)
     ks = [v.k for v in pairs]
     meta = {"free_choice": free, "center": center}

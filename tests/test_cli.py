@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tysys
 from tysys.cli import build_parser, main, parse_window
 
 A2_TEXT = "2\n2 -1\n-1 2\n"
@@ -585,3 +590,30 @@ def test_numeric_mode_reports_golden(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "b3.txt").write_text(B3_TEXT)
     assert _pipeline_digests(NUMERIC_PIPELINE, capsys) == NUMERIC_PIPELINE_DIGESTS
+
+
+def _reader_gone(argv, after_first_line):
+    """(exit code, stderr) of the tysys command argv, run in a new
+    interpreter, when the reader of its stdout closes the pipe: after
+    reading one line, or at once, before the command has written."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tysys.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "tysys.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if after_first_line:
+        assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=120), err
+
+
+@pytest.mark.parametrize("argv,after_first_line", [
+    # about 1 MB of relations: the pipe fills, and the write after the
+    # reader has gone fails
+    (["sys", "gen-t", "A2", "--level", "4", "--window", "0..800"], True),
+    # a short report, still buffered when the pipe is found closed
+    (["cartan", "check", "A2"], False),
+])
+def test_closed_stdout_ends_quietly(a2_file, argv, after_first_line):
+    argv = [a2_file if arg == "A2" else arg for arg in argv]
+    assert _reader_gone(argv, after_first_line) == (141, b"")

@@ -13,7 +13,6 @@ import random
 import re
 from fractions import Fraction
 from math import gcd
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +26,11 @@ from tysys.cartan import new_cartan
 from tysys.errors import DegenerateData, ZeroDivisor
 from tysys.exactmath import RationalFunction, evaluate
 from tysys.tsystem import (
+    ONE_GCD_BITS,
     LatticeVar,
+    Layout,
     SystemSpec,
+    TRelation,
     ValueTable,
     _propagate,
     check_relations,
@@ -44,6 +46,7 @@ from tysys.tsystem import (
     violation,
 )
 from tysys.ysystem import (
+    YRelation,
     claim_identities_check,
     companion_identities,
     companions_hold,
@@ -246,35 +249,65 @@ def test_perturbed_checks_match_value_route(case, changes):
 # --- solves ---------------------------------------------------------------------------
 
 
-def paired(solve):
-    """A value solve as the pair solve fill_lattice runs: it reads values
-    built from the pair reader's pairs, and its value goes back as a pair."""
-    return lambda pair: ring_pair(solve(lambda var: pair_value(*pair(var))))
+def slot_values(store, demand, layout):
+    """The value reader of a fill's store: var -> the value of the pair at
+    its slot, solved on demand where the slot is empty."""
+    def value(var):
+        i = layout.slot(var)
+        return pair_value(*(store[i] or demand(i)))
+
+    return value
+
+
+def paired(solve, layout):
+    """A value solve as the slot solve fill_lattice runs: it reads values
+    built from the store's pairs, and its value goes back as a pair."""
+    return lambda store, demand, i: ring_pair(solve(slot_values(store, demand, layout)))
+
+
+class ValueT(TRelation):
+    """A T-relation whose Cauchy step is the value formula rhs / lhs[0]."""
+
+    __slots__ = ()
+
+    def solve(self, store, demand, i, at):
+        rel = self.shift(at.layout.var(i).k - self.lhs[1].k)
+        value = slot_values(store, demand, at.layout)
+        return ring_pair(rel.rhs(value) / value(rel.lhs[0]))
+
+
+class ValueY(YRelation):
+    """A Y-relation whose Cauchy step is the value formula
+    numerator / (denominator lhs[0])."""
+
+    __slots__ = ()
+
+    def solve(self, store, demand, i, at):
+        rel = self.shift(at.layout.var(i).k - self.lhs[1].k)
+        value = slot_values(store, demand, at.layout)
+        num, den = rel.rhs(value)
+        if den == 0 or num == 0:
+            raise ZeroDivisor(f"degenerate side at {rel.center.label('Y')}")
+        return ring_pair(num / (den * value(rel.lhs[0])))
+
+
+def value_solved(cls, relation):
+    """The relation builder relation with every relation built as cls."""
+    def build(sys, a, m, k):
+        rel = relation(sys, a, m, k)
+        return cls(rel.center, rel.lhs, *(tuple(rel.factors(i)) for i in (0, 1)))
+
+    return build
 
 
 def oracle_propagate_y(sys, window, initial):
     """propagate_y with the Y-solve written as Fraction values."""
-    def relation(sys, a, m, k):
-        rel = y_relation(sys, a, m, k)
-
-        def solve(value):
-            num, den = rel.rhs(value)
-            if den == 0 or num == 0:
-                raise ZeroDivisor(f"degenerate side at {rel.center.label('Y')}")
-            return num / (den * value(rel.lhs[0]))
-
-        return SimpleNamespace(solve=paired(solve))
-
-    return _propagate("Y", sys, window, relation, initial, None)
+    return _propagate("Y", sys, window, value_solved(ValueY, y_relation), initial, None)
 
 
 def oracle_propagate_t(sys, window, initial):
     """propagate_t with the T-solve written as Fraction values."""
-    def relation(sys, a, m, k):
-        rel = t_relation(sys, a, m, k)
-        return SimpleNamespace(solve=paired(lambda value: rel.rhs(value) / value(rel.lhs[0])))
-
-    return _propagate("T", sys, window, relation, initial, None)
+    return _propagate("T", sys, window, value_solved(ValueT, t_relation), initial, None)
 
 
 def slab(sys, kind, window, draw):
@@ -369,14 +402,18 @@ def oracle_y_to_t(y_table, rng, free):
                     raise ZeroDivisor(f"1 + Y vanishes under {var.label()}")
                 return left * right / ((1 + ym) * below)
 
-        return paired(solve)
+        return paired(solve, layout)
 
+    # the rules read at most 2 d_max slices from the variable they solve
+    layout = Layout([(a, m) for a in range(cm.r) for m in range(1, caps[a] + 1)],
+                    span.start - 2 * max(cm.d), span.stop - 1 + 2 * max(cm.d))
     slab = [LatticeVar(a, 1, k) for a in range(cm.r)
             for k in range(center - cm.d[a], center + cm.d[a])]
     initial = {var: Fraction(1) for var in slab} if free == "unit" else None
-    targets = [LatticeVar(a, m, k) for a in range(cm.r)
+    targets = [layout.slot((a, m, k)) for a in range(cm.r)
                for m in range(1, caps[a] + 1) for k in span]
-    pairs = fill_lattice("T", slab, targets, rule, rng, initial, partial=True)
+    pairs = fill_lattice("T", layout, slab, targets, lambda i: rule(layout.var(i)), rng,
+                         initial, partial=True)
     ks = [v.k for v in pairs]
     meta = {"free_choice": free, "center": center}
     return ValueTable("T", sys, (min(ks), max(ks)), meta=meta, pairs=pairs)
@@ -449,6 +486,39 @@ def test_reduced_quotient_is_the_fraction_product(pairs):
     got = reduced_quotient(pairs)
     assert type(got) is tuple and got == (want.numerator, want.denominator)
     assert gcd(*got) == 1 and got[1] > 0
+
+
+def _fraction_product(pairs):
+    want = Fraction(1)
+    for a, b in pairs:
+        want *= Fraction(a, b)
+    return want.numerator, want.denominator
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2 ** 1400, 2 ** 1400),
+                          st.integers(-2 ** 1400, 2 ** 1400).filter(bool))
+                .filter(lambda pair: gcd(*pair) == 1), max_size=6))
+def test_reduced_quotient_of_large_pairs_is_the_fraction_product(pairs):
+    # up to 16800 bits in all: both sides of ONE_GCD_BITS, one gcd of the
+    # product below it and cross-cancelling above
+    assert reduced_quotient(pairs) == _fraction_product(pairs)
+
+
+def test_reduced_quotient_on_both_sides_of_one_gcd_bits():
+    rng = random.Random(19)
+    sides = set()
+    for bits in (ONE_GCD_BITS // 4 - 40, ONE_GCD_BITS // 4 + 40):
+        # pairs sharing factors across pairs (6 / 35, 35 / 22 x, 11 / 3),
+        # about 4 * bits bits in all
+        big = rng.getrandbits(bits) | 1 << (bits - 1)
+        pairs = [(6 * big, 35), (35, 22 * (2 * big + 1)), (11, 3), (2 * big + 1, big)]
+        pairs = [(a // gcd(a, b), b // gcd(a, b)) for a, b in pairs]
+        sides.add(sum(a.bit_length() + b.bit_length() for a, b in pairs) < ONE_GCD_BITS)
+        assert reduced_quotient(pairs) == _fraction_product(pairs)
+        pairs[0] = (-pairs[0][0], pairs[0][1])
+        assert reduced_quotient(pairs) == _fraction_product(pairs)
+    assert sides == {True, False}
 
 
 # --- T -> Y ---------------------------------------------------------------------------

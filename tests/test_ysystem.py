@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from tysys.acceptance import FINITE_TYPE
 from tysys.cartan import new_cartan
 from tysys.errors import LevelOutOfRange, WindowTooNarrow, ZeroDivisor
-from tysys.tsystem import LatticeVar, SystemSpec, ValueTable, propagate_t
+from tysys.exactmath import random_nonzero_rational
+from tysys.tsystem import LatticeVar, SystemSpec, ValueTable, propagate_t, table_from_json
 from tysys.ysystem import (
     check_y_solution,
     claim_identities_check,
     companion_identities,
     companions_hold,
+    covered_y_relations,
     detect_period,
     enumerate_y_relations,
     propagate_y,
@@ -170,6 +172,47 @@ def test_t_to_y_satisfies_y_system(cm, level):
     rels = enumerate_y_relations(sys, y_table.window)
     rels = [r for r in rels if all(v in y_table.values for v in r.variables())]
     assert rels and check_y_solution(y_table, rels) == []
+
+
+def _held_by_membership(y_table):
+    """The relations on the table's window whose variables it holds, each
+    variable looked up in the table."""
+    rels = enumerate_y_relations(y_table.system, y_table.window)
+    return [r for r in rels if all(v in y_table for v in r.variables())]
+
+
+def _t_values(sys, window, rng):
+    """A solved T-table where restricted propagation reaches (max d <= 2),
+    random T-values otherwise; t_to_y maps either."""
+    if max(sys.cm.d) < 3:
+        return propagate_t(sys, window, rng=rng)
+    lo, hi = window
+    return ValueTable("T", sys, window, {
+        V(a, m, k): random_nonzero_rational(rng) for a in range(sys.cm.r)
+        for m in range(1, sys.max_m_t(a) + 1) for k in range(lo, hi + 1)})
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_TYPE))
+def test_covered_y_relations_is_the_membership_filter(name):
+    cm = new_cartan(FINITE_TYPE[name])
+    holes = 0
+    for level in (2, 3, 4):
+        sys = SystemSpec(cm, level)
+        rng = random.Random(f"{name} {level}")
+        t_table = _t_values(sys, (-2, 22), rng)
+        full = t_to_y(t_table)[0]
+        for y_table in (full, propagate_y(sys, (-2, 22), rng=rng)):
+            covered = covered_y_relations(y_table)
+            assert covered and covered == _held_by_membership(y_table)
+        # a T-table loaded with one entry deleted leaves holes in the Y-table
+        data = t_table.to_json()
+        data["entries"] = [e for e in data["entries"] if (e["a"], e["m"], e["k"]) != (1, 1, 10)]
+        y_table, _ = t_to_y(table_from_json(data, sys=sys, kind="T"))
+        covered = covered_y_relations(y_table)
+        assert covered == _held_by_membership(y_table)
+        holes += len(covered) < len(covered_y_relations(full))
+    # A1 at level 2 has one level, whose Y = M / (T_0 T_2) = 1 reads no T-value
+    assert holes == (2 if name == "A1" else 3)
 
 
 def test_boundary_quantity_collapses_to_unit():
