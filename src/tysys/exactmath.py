@@ -43,6 +43,7 @@ afresh on every call.  ``one_plus()`` keeps its result.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import math
@@ -63,6 +64,8 @@ Rational = Union[int, Fraction]
 _NAT_SPLIT = re.compile(r"(\d+)")
 
 
+# memoised: a few generator names are sorted on every construction
+@functools.cache
 def _natural_key(name: str):
     return tuple(int(p) if p.isdigit() else p for p in _NAT_SPLIT.split(name))
 
@@ -865,7 +868,11 @@ _RANDOM_TOP = 1 << 8
 
 
 def random_nonzero_rational(rng) -> Fraction:
-    """Uniform num in [-2^8, 2^8] without 0, den in [1, 2^8]."""
+    """Uniform num in [-2^8, 2^8] without 0, den in [1, 2^8]; a missing rng
+    raises ValueError."""
+    if rng is None:
+        raise ValueError("a random nonzero rational draws its values from rng, "
+                         "but rng is None")
     num = 0
     while num == 0:
         num = rng.randint(-_RANDOM_TOP, _RANDOM_TOP)

@@ -974,13 +974,15 @@ def slot_pairs(store: list, demand: Callable, i: int, offsets,
     """[(a ** exp, b ** exp)] over the (offset, exp) pairs of offsets, where
     (a, b) is (p, q), or form(p, q), for the ring pair (p, q) at slot
     i + offset of store, solved on demand (demand(slot)) where that slot is
-    empty; a / b is the factor."""
+    empty; a / b is the factor.  A negative exp reads the inverted pair
+    (b ** -exp, a ** -exp)."""
     pairs = []
     for off, exp in offsets:
         got = store[i + off] or demand(i + off)
         if form is not None:
             got = form(*got)
-        pairs.append(got if exp == 1 else (got[0] ** exp, got[1] ** exp))
+        pairs.append(got if exp == 1 else (got[0] ** exp, got[1] ** exp) if exp > 0
+                     else (got[1] ** -exp, got[0] ** -exp))
     return pairs
 
 

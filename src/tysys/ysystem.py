@@ -396,18 +396,20 @@ def y_to_t(y_table: ValueTable, rng=None, free: str = "random",
     levels m >= 2 come from the level-raising rule.  A variable is
     determined when its rule's Y-value lies in the table and its
     dependencies are determined; the returned table covers exactly these,
-    within d_max slices of the Y window.  Both rules run on fill_lattice's
-    flat store: the T-variables a rule reads are compiled once to slot
-    offsets from the variable it solves (per node and direction for the
-    extension, per cell for the level-raising rule).
+    within d_max slices of the Y window.
 
-    Both rules multiply coprime factors, so reduced_quotient builds each
-    value without a gcd beyond its own reduction: the level-1 extension
-    (p + q, p) for 1 + Y^-1 with Y = p / q, the coupling T-pairs and the
-    inverted opposite T; the level-raising rule the two T-pairs, (q, p + q)
-    for the inverse of 1 + Y, and the inverted T two levels down.  A given
-    Y = 0 or -1 under the extension (1 + Y^-1 undefined or zero), or -1
-    under the level-raising rule (1 + Y zero), leaves T zero or undefined
+    Both rules are one rule body on fill_lattice's flat store, read from a
+    table per node and direction for the extension and per cell for the
+    level-raising rule: the Y it reads; how that Y enters, (p + q, p) for
+    1 + Y^-1 with Y = p / q under the extension and (q, p + q) for the
+    inverse of 1 + Y under level raising; and the T it reads as slot
+    offsets from the variable it solves, each with its exponent, -1 where
+    it enters inverted (the opposite T under the extension, the T two
+    levels down under level raising).  The body reads the T-pairs, then
+    checks the Y, then multiplies the coprime factors with reduced_quotient,
+    which builds each value without a gcd beyond its own reduction.  A
+    given Y = 0 or -1 under the extension (1 + Y^-1 undefined or zero), or
+    -1 under the level-raising rule (1 + Y zero), leaves T zero or undefined
     whatever the free T data: it raises DegenerateData, naming the Y
     variable, without a resample.
     """
@@ -432,56 +434,43 @@ def y_to_t(y_table: ValueTable, rng=None, free: str = "random",
     reach = 2 * max(d) + max((abs(var.k) for coupling in couplings for var, _ in coupling),
                              default=0)
     layout = Layout(cells, span.start - reach, span.stop - 1 + reach)
-    # slot offsets from T(a, 1, k) of the coupling and of the opposite T,
-    # extended from below (sign 1, kc = k - d_a) or from above (sign -1)
-    extension = {(a, sign): (layout.offsets((a, 1, sign * d[a]), couplings[a]),
-                             layout.offset((a, 1, -sign * d[a]), (a, 1, sign * d[a])))
-                 for a in range(cm.r) for sign in (1, -1)}
-    # slot offsets from T(a, m, k) of T(a, m-1, k - d_a), T(a, m-1, k + d_a)
-    # and T(a, m-2, k), which is 1 at m = 2
-    raising = {(a, m): (layout.offset((a, m - 1, -d[a]), (a, m, 0)),
-                        layout.offset((a, m - 1, d[a]), (a, m, 0)),
-                        layout.offset((a, m - 2, 0), (a, m, 0)) if m > 2 else None)
-               for a, m in cells if m > 1}
+    # each rule, keyed (a, m, sign): the level and slice shift from the
+    # variable it solves to the Y it reads, whether that Y enters as
+    # 1 + Y^-1 (else as the inverse of 1 + Y), and the T it reads as
+    # (slot offset, exponent) pairs.  Level 1 is extended from below (sign 1,
+    # centre k - d_a) or from above (sign -1) by the coupling and the inverted
+    # opposite T; level m >= 2 (sign 0) reads T(a, m-1, k -+ d_a) and the
+    # inverted T(a, m-2, k), which is 1 at m = 2.
+    rules = {(a, 1, sign): (0, -sign * d[a], True, layout.offsets(
+        (a, 1, sign * d[a]), (*couplings[a], ((a, 1, -sign * d[a]), -1))))
+        for a in range(cm.r) for sign in (1, -1)}
+    rules.update({(a, m, 0): (-1, 0, False, layout.offsets(
+        (a, m, 0), [((a, m - 1, -d[a]), 1), ((a, m - 1, d[a]), 1),
+                    *([((a, m - 2, 0), -1)] if m > 2 else [])]))
+        for a, m in cells if m > 1})
 
     def rule(i):
         a, m, k = layout.var(i)
         if k not in span:
             return None
-        if m == 1:
-            sign = 1 if k >= center + d[a] else -1
-            kc = k - sign * d[a]
-            y1 = y_pair((a, 1, kc))
-            if y1 is None:
-                return None
-            coupling, opposite = extension[a, sign]
+        sign = 0 if m > 1 else 1 if k >= center + d[a] else -1
+        dm, dk, inverted, offsets = rules[a, m, sign]
+        y_var = LatticeVar(a, m + dm, k + dk)
+        y = y_pair(y_var)
+        if y is None:
+            return None
+        yp, yq = y
+        factor = (yp + yq, yp) if inverted else (yq, yp + yq)
 
-            def solve(store, demand, i):
-                pairs = slot_pairs(store, demand, i, coupling)
-                p, q = store[i + opposite] or demand(i + opposite)
-                # after the dependencies: an undetermined variable must not raise
-                yp, yq = y1
-                if not yp or not yp + yq:
-                    raise DegenerateData(f"{LatticeVar(a, 1, kc).label('Y')} = {-1 if yp else 0} "
-                                         f"leaves 1 + Y^-1 {'zero' if yp else 'undefined'} "
-                                         f"under {layout.var(i).label()}")
-                return reduced_quotient([_one_plus_inverse(yp, yq), *pairs, (q, p)])
-        else:
-            ym = y_pair((a, m - 1, k))
-            if ym is None:
-                return None
-            left, right, below = raising[a, m]
-
-            def solve(store, demand, i):
-                lp = store[i + left] or demand(i + left)
-                rp = store[i + right] or demand(i + right)
-                p, q = (1, 1) if below is None else store[i + below] or demand(i + below)
-                # after the dependencies: an undetermined variable must not raise
-                succ, den = _one_plus(*ym)
-                if not succ:
-                    raise DegenerateData(f"{LatticeVar(a, m - 1, k).label('Y')} = -1 leaves "
-                                         f"1 + Y zero under {layout.var(i).label()}")
-                return reduced_quotient((lp, rp, (den, succ), (q, p)))
+        def solve(store, demand, i):
+            pairs = slot_pairs(store, demand, i, offsets)
+            # after the dependencies: an undetermined variable must not raise
+            if not factor[0] or not factor[1]:
+                raise DegenerateData(f"{y_var.label('Y')} = {-1 if yp else 0} leaves "
+                                     f"1 + Y{'^-1' if inverted else ''} "
+                                     f"{'zero' if yp else 'undefined'} under "
+                                     f"{layout.var(i).label()}")
+            return reduced_quotient([factor, *pairs])
 
         return solve
 

@@ -9,7 +9,9 @@ must agree value for value, variable for variable.
 
 The edge tests pin what the scheduler produces where a stencil meets the
 window's edge: the error texts, the tables of windows barely wider than the
-free slab, and the variables of a partial reconstruction.
+free slab, and the variables of a partial reconstruction.  The last tests
+pin the one-line error of a sample drawn without an rng, and slot_pairs'
+inverted reads against the explicit swap.
 """
 
 import hashlib
@@ -17,12 +19,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tysys.acceptance import FINITE_TYPE, MIXED44_ROWS
 from tysys.cartan import new_cartan
 from tysys.errors import DegenerateData, UnschedulableDependency
 from tysys.exactmath import RationalFunction
-from tysys.tsystem import LatticeVar, SystemSpec, factor_product, propagate_t, t_relation
+from tysys.tsystem import (
+    LatticeVar,
+    SystemSpec,
+    factor_product,
+    pair_product,
+    propagate_t,
+    slot_pairs,
+    t_relation,
+)
 from tysys.ysystem import propagate_y, roundtrip_check, y_relation, y_to_t
 
 MIXED44 = new_cartan(MIXED44_ROWS)
@@ -261,3 +273,61 @@ def test_degenerate_data_of_the_growth_probe():
         with pytest.raises(DegenerateData) as raised:
             call()
         assert str(raised.value) == message
+
+
+# --- without an rng -------------------------------------------------------------------
+
+
+def _a3_y_table():
+    sys = SystemSpec(new_cartan(FINITE_TYPE["A3"]), 4, restricted=False)
+    return propagate_y(sys, (0, 14), rng=random.Random(21))
+
+
+@pytest.mark.parametrize("call", [
+    lambda a2, y_table: propagate_t(a2, (0, 8)),
+    lambda a2, y_table: propagate_y(a2, (0, 8)),
+    lambda a2, y_table: y_to_t(y_table),
+    lambda a2, y_table: roundtrip_check(y_table),
+], ids=["propagate_t", "propagate_y", "y_to_t", "roundtrip_check"])
+def test_a_sample_without_an_rng_is_a_one_line_error(call):
+    a2, y_table = SystemSpec(new_cartan(FINITE_TYPE["A2"]), 2), _a3_y_table()
+    with pytest.raises(ValueError) as raised:
+        call(a2, y_table)
+    assert str(raised.value) == ("a random nonzero rational draws its values from rng, "
+                                 "but rng is None")
+
+
+def test_unit_free_data_needs_no_rng():
+    y_table = _a3_y_table()
+    t_table = y_to_t(y_table, free="unit")
+    assert t_table.values == y_to_t(y_table, rng=random.Random(5), free="unit").values
+    report, _ = roundtrip_check(y_table, free="unit")
+    assert report["pass"] and report["compared"] > 0
+
+
+# --- slot reads at a negative exponent ------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 40))
+                .filter(lambda pair: pair[0] and pair[0] + pair[1]), min_size=1, max_size=6),
+       st.data())
+def test_slot_pairs_inverts_at_a_negative_exponent(pairs, data):
+    # pairs in a store whose odd slots are empty and solved on demand, read
+    # from the last slot; a negative exponent must read the explicit swap
+    # (q, p), raised to -exp, and the product must be the Fractions' product
+    last = len(pairs) - 1
+    store = [pair if j % 2 == 0 else None for j, pair in enumerate(pairs)]
+    offsets = data.draw(st.lists(st.tuples(st.integers(-last, 0),
+                                           st.sampled_from([-2, -1, 1, 2])), max_size=5))
+    form = data.draw(st.sampled_from([None, lambda p, q: (p + q, q)]))
+    got = slot_pairs(store, lambda j: pairs[j], last, offsets, form)
+    expected, product = [], Fraction(1)
+    for off, exp in offsets:
+        p, q = pairs[last + off] if form is None else form(*pairs[last + off])
+        if exp < 0:
+            p, q = q, p
+        expected.append((p ** abs(exp), q ** abs(exp)))
+        product *= Fraction(p, q) ** abs(exp)
+    assert got == expected
+    assert Fraction(*pair_product(got)) == product
