@@ -225,8 +225,10 @@ def cmd_cluster_verify(args) -> int:
                                rng=derive_rng(args.seed, "cluster-verify"))
     violations = [v for bad in cluster.sequence_checks(seq).values() for v in bad]
     lo, hi = seq.u_range  # T(B) is centred at every node and interior u
+    # a numeric run has no Laurent polynomials to certify
+    skipped = {"not_checked": ["Laurent"]} if seq.mode == "numeric" else {}
     return _emit({**_checked(violations, em.n * max(hi - lo - 1, 0)),
-                  "config": _config(args), "mode": seq.mode})
+                  "config": _config(args), "mode": seq.mode, **skipped})
 
 
 def cmd_cluster_correspond(args) -> int:

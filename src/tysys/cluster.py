@@ -47,7 +47,8 @@ from .tsystem import (
     SystemSpec,
     TRelation,
     check_relations,
-    pair_reader,
+    reduced_value,
+    ring_pair,
     t_relation,
 )
 from .ysystem import YRelation, map_t_to_y, mapped_points
@@ -497,11 +498,19 @@ def _yb_relations(em: ExchangeMatrix, eps: int) -> List[YRelation]:
             for i in range(em.n)]
 
 
-def _reader(values: dict):
-    """value(var) for the relations: node var[0] at time var[2], var an
-    (a, m, k) key; check_relations reads ring pairs through its
-    pair_reader."""
-    return lambda var: values[var[0], var[2]]
+def _at(var) -> Tuple[int, int]:
+    """The key (node, u) of a cluster family at the lattice variable, or
+    (a, m, k) key, var of the level-2 identification (_node)."""
+    return var[0], var[2]
+
+
+def _check(relations, values: dict, key, label) -> List[dict]:
+    """check_relations on a family of values kept by key(var), var a lattice
+    variable or (a, m, k) key: the values laid on the slots the relations
+    read, None where the family lacks one, and read by key for the value
+    route."""
+    return check_relations(relations, lambda var: ring_pair(values.get(key(var))),
+                           lambda var: values[key(var)], label)
 
 
 def _label(em: ExchangeMatrix, prefix: str):
@@ -515,7 +524,7 @@ def check_tb(seq: SequenceResult) -> List[dict]:
     em = seq.matrix
     lo, hi = seq.u_range
     rels = [rel.shift(u) for rel in _tb_relations(em) for u in range(lo + 1, hi)]
-    return check_relations(rels, _reader(seq.x), _label(em, "T(B)"))
+    return _check(rels, seq.x, _at, _label(em, "T(B)"))
 
 
 def check_yb(seq: SequenceResult, eps: int) -> List[dict]:
@@ -527,7 +536,7 @@ def check_yb(seq: SequenceResult, eps: int) -> List[dict]:
     y = seq.require_y("check_yb")
     rels = [rel.shift(u) for i, rel in enumerate(_yb_relations(em, eps))
             for u in range(lo + 1, hi) if _parity_sign(em, i, u) == -eps]
-    return check_relations(rels, _reader(y), _label(em, f"Y{'+' if eps > 0 else '-'}(B)"))
+    return _check(rels, y, _at, _label(em, f"Y{'+' if eps > 0 else '-'}(B)"))
 
 
 def _mapped_exponents_agree(stencils: List[YRelation]) -> List[bool]:
@@ -573,11 +582,12 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
     This is the lattice map ysystem.map_t_to_y read through the level-2
     identification: each node's Y(B) stencil is a T-relation with its
     denominator list first (inner) and its numerator list second
-    (coupling), shifted over the u range of t_values.  Y = coupling / inner
-    is computed at every point.  At each interior point the companion
-    identities are checked exactly in their T(B) form,
-    inner + coupling == pair (ysystem.companions_hold), and compared as
-    values only where that fails.  A shifted mapped Y(B) relation is
+    (coupling), shifted over the u range of t_values, and t_values is laid
+    on the slots they read.  Y = coupling / inner is computed at every
+    point, and the values returned are built from its reduced pairs.  At
+    each interior point the companion identities are checked exactly in
+    their T(B) form, inner + coupling == pair (ysystem.companions_hold), and
+    compared as values only where that fails.  A shifted mapped Y(B) relation is
     established without values when its stencil's exponent vectors agree
     (_mapped_exponents_agree) and the T(B) form held at every numerator and
     denominator point.  Both sides are then the same Laurent monomial in the
@@ -591,19 +601,17 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
     us = [u for _, u in t_values]
     lo, hi = min(us), max(us)
 
-    def t(var):
-        """T_i(u) at the (a, m, k) key var inside the u range (a hole raises
-        KeyError), None outside."""
-        a, _, u = var
-        return t_values[a, u] if lo <= u <= hi else None
+    def pair(key):
+        """The ring pair of T_i(u) at the (i, 1, u) key inside the u range (a
+        hole raises KeyError), None outside."""
+        return ring_pair(t_values[_at(key)]) if lo <= key[2] <= hi else None
 
     forms = [TRelation(rel.center, rel.lhs, rel.denominator, rel.numerator)
              for rel in stencils]
-    points = mapped_points((rel.shift(u) for rel in forms for u in range(lo, hi + 1)),
-                           pair_reader(t))
-    values, violations, held = map_t_to_y(
+    points = mapped_points((rel.shift(u) for rel in forms for u in range(lo, hi + 1)), pair)
+    pairs, violations, held = map_t_to_y(
         points, lambda rel: f"at ({em.label(rel.center.a)},{rel.center.k})")
-    y_values = {(var.a, var.k): y for var, y in values.items()}
+    y_values = {_at(var): reduced_value(*y) for var, y in pairs.items()}
     agree = _mapped_exponents_agree(stencils)
     rels = []
     for i, stencil in enumerate(stencils):
@@ -611,18 +619,20 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
         for u in range(lo + 1, hi):
             if not (agree[i] and all(var.shifted(u) in held for var, _ in factors)):
                 rels.append(stencil.shift(u))
-    violations += check_relations(
-        rels, _reader(y_values), _label(em, f"mapped Y{'+' if eps > 0 else '-'}(B)"))
+    violations += _check(rels, y_values, _at,
+                         _label(em, f"mapped Y{'+' if eps > 0 else '-'}(B)"))
     return y_values, violations
 
 
 def laurent_check(seq: SequenceResult) -> List[dict]:
     """Every cluster entry is a Laurent polynomial in the initial cluster,
-    certified by exact division of numerator by denominator."""
+    certified by exact division of numerator by denominator.  A numeric
+    sequence holds no polynomials to certify: it raises ValueError."""
+    if seq.mode == "numeric":
+        raise ValueError("laurent_check certifies symbolic cluster entries, but the "
+                         "sequence was run in numeric mode")
     violations = []
     for (i, u), val in sorted(seq.x.items()):
-        if seq.mode == "numeric":
-            continue
         if val.den.is_one():
             continue
         if laurent_divide_exact(val.num, val.den) is None:
@@ -633,7 +643,8 @@ def laurent_check(seq: SequenceResult) -> List[dict]:
 def sequence_checks(seq: SequenceResult) -> Dict[str, List[dict]]:
     """The eight checks of an alternating sequence, by label, in order: both
     parities, T(B), Y+(B), Y-(B), the Laurent certificates and the T -> Y(B)
-    map of both signs."""
+    map of both signs.  A numeric sequence has no Laurent certificates to
+    check, so "Laurent" is left out of its seven."""
     em = seq.matrix
     return {
         "x parity": check_x_parity(seq),
@@ -641,7 +652,7 @@ def sequence_checks(seq: SequenceResult) -> Dict[str, List[dict]]:
         "T(B)": check_tb(seq),
         "Y+(B)": check_yb(seq, 1),
         "Y-(B)": check_yb(seq, -1),
-        "Laurent": laurent_check(seq),
+        **({} if seq.mode == "numeric" else {"Laurent": laurent_check(seq)}),
         "T-to-Y +": t_to_y_b(seq.x, em, 1)[1],
         "T-to-Y -": t_to_y_b(seq.x, em, -1)[1],
     }
@@ -765,8 +776,8 @@ def correspondence_check(cm: CartanMatrix, level: int, rng=None) -> dict:
     for eps in (1, -1):
         checked = [rel for rel in rels if in_class(*rel.center, -eps)
                    and all(in_class(*v, eps) for v in rel.variables())]
-        violations += check_relations(
-            checked, lambda v: seq.x[flat(v[0], v[1]), v[2]],
+        violations += _check(
+            checked, seq.x, lambda v: (flat(v[0], v[1]), v[2]),
             lambda rel: f"value mismatch at (a={rel.center.a + 1},m={rel.center.m},"
                         f"u={rel.center.k},eps={eps})")
     return {

@@ -9,19 +9,20 @@ Relations do not change under k -> k + 1, so each one is compiled once per
 and every reader adds k to the variables as it reads them.
 
 The scheduler, the solves and the checks pass ring pairs (numerator,
-denominator) around.  fill_lattice keeps them in one flat store, a list
-indexed by the slots of a Layout, where a stencil compiled to slot offsets
-(Relation.compile) reads the variables of each solve; it returns the
-{var: pair} dict of the store, built once.  The checks and maps read pairs
-through a pair reader, a callable from a plain (a, m, k) key to the pair or
-None.  Solves return reduced pairs, and a ValueTable keeps the filled dict:
-the checks, the maps, the period scan, dump and the loader work on a table's
-pairs (ValueTable.pairs), and Fractions or RationalFunctions are built only
-where something reads its values, and for violation records.  Once a
-table's values have been read, its pairs are indexed from them per call
-(pair_index); values kept elsewhere go through pair_reader.  Each relation
-is one identity on pairs (holds_exactly), and numeric mode checks it on the
-table evaluated at random points, then exactly where it fails.
+denominator) around, and every read of a relation's values is one
+slot_pairs over a flat store, a list indexed by the slots of a Layout, at
+the offsets of the relation's stencil compiled to that layout
+(Relation.compile).  fill_lattice keeps the values it solves in such a
+store and returns its {var: pair} dict, built once.  The checks and maps
+lay the values they read once per call (lay): a store over the cells and
+slices the relations span, padded by the stencils' reach, None where a
+value is missing or has no ring pair.  Solves return reduced pairs, and a
+ValueTable keeps the filled dict: the checks, the maps, the period scan,
+dump and the loader work on a table's pairs (ValueTable.pairs), and
+Fractions or RationalFunctions are built only where something reads its
+values, and for violation records.  Each relation is one identity on
+pairs (holds_exactly), and numeric mode checks it on the table evaluated
+at random points, then exactly where it fails.
 
 Propagation takes one Cauchy step for both kinds, Relation.solve: lhs[1]
 is the kind's solve_factors times the inverted lhs[0].  Solves reduce the
@@ -45,7 +46,6 @@ from __future__ import annotations
 import functools
 import io
 import json
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -155,14 +155,14 @@ class Relation:
 
     The relation centred k slices after the stencil's centre keeps the
     stencil's tuples and adds k as it reads them, so shift is O(1) and
-    nothing per centre is built: variables, to_json and the checks (through
-    rhs_pairs and lhs_pair, by plain (a, m, k) keys) read the stored tuples
-    with the offset.  The Cauchy step (solve) reads a fill's slots at the
-    stencil's compiled offsets (compile) instead.  The named factor lists
-    of the subclasses are the stored tuples at k = 0 and new tuples
-    otherwise, for equality and for callers that keep the list.  Treated as
-    immutable; equal relations (same kind, centre, left-hand side and factor
-    lists) hash alike whatever their offsets."""
+    nothing per centre is built: variables and to_json read the stored
+    tuples with the offset.  Values are read from slots only: the Cauchy
+    step (solve) and the check (holds_exactly) read a store at the
+    stencil's compiled offsets (compile) from the slot of lhs[1].  The
+    named factor lists of the subclasses are the stored tuples at k = 0 and
+    new tuples otherwise, for equality and for callers that keep the list.
+    Treated as immutable; equal relations (same kind, centre, left-hand
+    side and factor lists) hash alike whatever their offsets."""
 
     __slots__ = ("_center", "_lhs", "_lists", "k")
     # the letter of the kind's labels, the JSON keys of the two factor
@@ -176,8 +176,12 @@ class Relation:
         self._center, self._lhs, self._lists, self.k = center, lhs, (first, second), k
 
     def shift(self, k: int) -> "Relation":
-        """The same relation centred k slices later, sharing the tuples."""
-        return type(self)(self._center, self._lhs, *self._lists, self.k + k)
+        """The same relation centred k slices later, sharing the tuples:
+        its stencil's centre, left-hand side and the one pair of factor
+        lists, whose identity lay reads as the stencil's."""
+        rel = object.__new__(type(self))
+        rel._center, rel._lhs, rel._lists, rel.k = self._center, self._lhs, self._lists, self.k + k
+        return rel
 
     @property
     def center(self) -> LatticeVar:
@@ -207,48 +211,34 @@ class Relation:
             for var, _ in self.factors(i):
                 yield var
 
-    def rhs_pairs(self, pair) -> Optional[tuple]:
-        """The ring pairs of both factor lists, each factor read through the
-        pair reader pair and its list's form (factor_pairs) with the offset
-        added.  None where a value has no ring pair."""
-        first = factor_pairs(pair, self._lists[0], self.forms[0], self.k)
-        second = None if first is None else factor_pairs(pair, self._lists[1],
-                                                         self.forms[1], self.k)
-        return None if second is None else (first, second)
-
-    def lhs_pair(self, pair) -> Optional[tuple]:
-        """(p0 p1, q0 q1) for the left-hand side p0/q0 * p1/q1, its two
-        variables read through pair with the offset added, or None where a
-        value has no ring pair."""
-        (a0, m0, k0), (a1, m1, k1) = self._lhs
-        x = pair((a0, m0, k0 + self.k))
-        y = None if x is None else pair((a1, m1, k1 + self.k))
-        return None if y is None else (x[0] * y[0], x[1] * y[1])
-
-    def holds_exactly(self, pair) -> Optional[bool]:
+    def holds_exactly(self, store, i: int, at: "Compiled") -> Optional[bool]:
         """The relation as one identity in the values' ring, without a gcd:
-        the kind's identity(lhs, first, second) on the pairs of the left-hand
-        side and of the two factor products, read through the pair reader
-        pair.  None where a value has no ring pair."""
-        lhs = self.lhs_pair(pair)
-        sides = None if lhs is None else self.rhs_pairs(pair)
-        if sides is None:
-            return None
-        return self.identity(lhs, *map(pair_product, sides))
+        the kind's identity(lhs, first, second) on the pair products of the
+        left-hand side and of the two factor lists, each factor read
+        through its list's form, at the offsets of at from slot i, the slot
+        of lhs[1] in a laid store (lay).  None where a slot it reads is
+        empty."""
+        lhs = laid_product(store, i, at.pair)
+        first = None if lhs is None else laid_product(store, i, at.first, self.forms[0])
+        second = None if first is None else laid_product(store, i, at.second, self.forms[1])
+        return None if second is None else self.identity(lhs, first, second)
 
     def compile(self, layout: "Layout") -> "Compiled":
         """The stencil compiled to layout: lhs[0] and both factor lists as
-        slot offsets from lhs[1], the variable that solve solves; the lists
-        as (offset, exponent) pairs.  Offsets do not change under a shift."""
+        (slot offset, exponent) pairs from lhs[1], the variable that solve
+        solves, lhs[0] at exponent -1 as solve reads it, and the left-hand
+        side as the checks read it.  Offsets do not change under a shift."""
         lhs0, target = self._lhs
-        return Compiled(layout, layout.offset(lhs0, target),
-                        *(layout.offsets(target, factors) for factors in self._lists))
+        lhs = layout.offset(lhs0, target)
+        return Compiled(layout, ((lhs, -1),),
+                        *(layout.offsets(target, factors) for factors in self._lists),
+                        ((lhs, 1), (0, 1)))
 
     def solve(self, store, demand, i: int, at: "Compiled") -> tuple:
         """The Cauchy step, written once: lhs[1] at slot i of a fill's store,
         as a reduced ring pair with the sign on the numerator.  Every
-        variable is read as store[i + offset] at the offsets of at (compile),
-        and solved on demand (demand(slot)) where that slot is empty.  The
+        variable is read by slot_pairs at the offsets of at (compile), and
+        solved on demand (demand(slot)) where that slot is empty.  The
         kind's solve_factors (coprime pairs whose product is the right-hand
         side, None where a side vanishes) are read first, then the pair
         (p, q) of lhs[0], which enters inverted as (q, p); reduced_quotient
@@ -259,8 +249,7 @@ class Relation:
         if factors is None:
             centre = at.layout.var(i).shifted(self._center.k - self._lhs[1].k)
             raise ZeroDivisor(f"degenerate side at {centre.label(self.kind)}")
-        p, q = store[i + at.lhs] or demand(i + at.lhs)
-        return reduced_quotient((*factors, (q, p)))
+        return reduced_quotient((*factors, *slot_pairs(store, demand, i, at.lhs)))
 
     def to_json(self) -> dict:
         """Centre, left-hand side and both factor lists, 1-based."""
@@ -460,43 +449,22 @@ def _check_window(window) -> Tuple[int, int]:
 
 
 def enumerate_relations(sys: SystemSpec, window, kind: str = "T",
-                        build: Callable = _compile_t, table=None) -> List:
+                        build: Callable = _compile_t) -> List:
     """All relations whose variables (after unit substitution) lie in the
     window, ordered by node, level and centre: the stencils that build
     compiles, each read at every offset that fits.  Unrestricted windows
     additionally exclude centers whose m+1 factor would exceed the level
-    cap.  With a table, only those whose variables the table holds, in the
-    same order: each variable must also lie in the k-span of its (a, m) in
-    the table, and membership is tested only where that span has a hole."""
+    cap."""
     lo, hi = _check_window(window)
     if sys.level is None:
         raise LevelOutOfRange("enumeration needs a level or an m-cap")
-    if table is None:
-        spans, holes = defaultdict(lambda: (lo, hi)), set()
-    else:
-        spans, holes = _k_spans(table)
     out = []
     for a in range(sys.cm.r):
         for m in range(1, sys.max_center_m(a, kind) + 1):
             rel = stencil(sys, kind, a, m, build)
-            ranges = [(v.k, spans[v.a, v.m]) for v in rel.variables()]
-            first = max(max(lo, start) - k for k, (start, _) in ranges)
-            last = min(min(hi, end) - k for k, (_, end) in ranges)
-            holed = [v for v in rel.variables() if (v.a, v.m) in holes]
-            out += [rel.shift(k) for k in range(first, last + 1)
-                    if all(v.shifted(k) in table for v in holed)]
+            ks = [v.k for v in rel.variables()]
+            out += [rel.shift(k) for k in range(lo - min(ks), hi - max(ks) + 1)]
     return out
-
-
-def _k_spans(table) -> Tuple[dict, set]:
-    """{(a, m): (first k, last k)} over the table's variables, empty (1, 0)
-    for an (a, m) it lacks, and the set of (a, m) whose span has a hole."""
-    ks_of: Dict[Tuple[int, int], List[int]] = {}
-    for a, m, k in table:
-        ks_of.setdefault((a, m), []).append(k)
-    spans = defaultdict(lambda: (1, 0), {cell: (min(ks), max(ks)) for cell, ks in ks_of.items()})
-    holes = {cell for cell, ks in ks_of.items() if len(ks) != spans[cell][1] - spans[cell][0] + 1}
-    return spans, holes
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +477,12 @@ class ValueTable:
     for the lattice variables of one system on one window.  Unit boundary
     variables are never stored; relations substitute them structurally.
 
-    A table keeps one store.  A solved or loaded table is built from its
-    reduced ring pairs (pairs=), and the checks, the maps, len, `in` and
-    dump read them (pairs).  The first read of values builds the values
-    from the pairs (reduced_value), one per distinct pair; from then on the
-    values are the only store, so whatever is written into them is what
-    the next reader sees."""
+    A table keeps one store, a dict.  A solved or loaded table is built
+    from its reduced ring pairs (pairs=); len, `in` and dump read them, and
+    the checks and the maps lay them on the slots they read (lay).  The
+    first read of values builds the values from the pairs (reduced_value),
+    one per distinct pair; from then on the values are the only store, so
+    whatever is written into them is what the next reader sees."""
 
     def __init__(self, kind: str, system: SystemSpec, window: Tuple[int, int],
                  values: Optional[dict] = None, meta: Optional[dict] = None,
@@ -546,10 +514,11 @@ class ValueTable:
         self._store, self._has_values = values, True
 
     def pairs(self) -> dict:
-        """{var: ring pair or None}, not to be changed: the stored pairs, or
-        pair_index of the values once they have been read, built per call.
-        Its get is the table's pair reader."""
-        return pair_index(self._store) if self._has_values else self._store
+        """{var: ring pair or None}, not to be changed: the stored pairs, or,
+        once the values have been read, their ring pairs, built per call, so
+        that an entry changed since is read afresh."""
+        return ({var: ring_pair(v) for var, v in self._store.items()} if self._has_values
+                else self._store)
 
     def __len__(self) -> int:
         return len(self._store)
@@ -711,21 +680,23 @@ def violation(relation: str, lhs, rhs) -> dict:
     return {"relation": relation, "lhs": value_text(lhs), "rhs": value_text(rhs)}
 
 
-def check_relations(relations: Iterable, value: Callable, label: Callable,
-                    pair: Optional[Callable] = None) -> List[dict]:
+def check_relations(relations: Iterable, pair: Callable, value: Callable,
+                    label: Callable) -> List[dict]:
     """The one check of T- and Y-relations, lattice or exchange-matrix.
 
-    Where every value has a ring pair, read through the pair reader pair
-    (pair_reader(value) when none is given), rel.holds_exactly decides the
-    exact check as one identity of integers or of Laurent polynomials.
-    Otherwise (semifield values, or a value the reader lacks), the sides,
-    read through value(var), are compared by rel.holds.  Each failure is
-    recorded as violation(label(rel), lhs, rhs), from the sides as values."""
-    if pair is None:
-        pair = pair_reader(value)
+    The values are laid once on the slots the relations read (lay),
+    pair(key) giving the ring pair at each slot's (a, m, k) key, or None
+    where a value is missing or has none.  Where every slot a relation
+    reads holds a pair, rel.holds_exactly decides the exact check as one
+    identity of integers or of Laurent polynomials.  Otherwise (semifield
+    values, or a missing value), the sides, read through value(var), are
+    compared by rel.holds.  Each failure is recorded as
+    violation(label(rel), lhs, rhs), from the sides as values."""
+    relations = list(relations)
+    store, reads = lay(relations, pair)
     violations = []
-    for rel in relations:
-        ok = rel.holds_exactly(pair)
+    for rel, read in zip(relations, reads):
+        ok = rel.holds_exactly(store, *read)
         if ok:
             continue
         lhs = value(rel.lhs[0]) * value(rel.lhs[1])
@@ -742,13 +713,12 @@ SAMPLES = 3
 
 
 def _check_table(table: ValueTable, relations: Iterable, mode: str, rng) -> List[dict]:
-    """check_relations on a table, its ring pairs read through the table's
-    pair reader.  Numeric mode evaluates the table at SAMPLES random
-    assignments of the symbols of its rational functions, drawn from rng,
-    and checks each relation's exact identity on the evaluated pairs; only
-    a relation that fails at a point goes on to the exact check, which
-    writes its record.  A table without rational functions is checked
-    exactly."""
+    """check_relations on a table's ring pairs.  Numeric mode evaluates the
+    table at SAMPLES random assignments of the symbols of its rational
+    functions, drawn from rng, and checks each relation's exact identity on
+    the evaluated pairs, laid as the table's are; only a relation that
+    fails at a point goes on to the exact check, which writes its record.
+    A table without rational functions is checked exactly."""
     pairs = table.pairs()
     if mode == "numeric":
         symbolic = [got for got in pairs.values() if got is not None
@@ -758,12 +728,13 @@ def _check_table(table: ValueTable, relations: Iterable, mode: str, rng) -> List
             relations, failed = list(relations), set()
             for _ in range(SAMPLES):
                 at = {n: random_nonzero_rational(rng) for n in names}
-                pair = pair_index({var: evaluate(v, at) for var, v in table.values.items()}).get
-                failed.update(i for i, rel in enumerate(relations)
-                              if i not in failed and not rel.holds_exactly(pair))
-            relations = [rel for i, rel in enumerate(relations) if i in failed]
-    return check_relations(relations, table.get, lambda rel: rel.center.label(table.kind),
-                           pairs.get)
+                evaluated = {var: evaluate(v, at) for var, v in table.values.items()}
+                store, reads = lay(relations, lambda var: ring_pair(evaluated.get(var)))
+                failed.update(j for j, (rel, read) in enumerate(zip(relations, reads))
+                              if j not in failed and not rel.holds_exactly(store, *read))
+            relations = [rel for j, rel in enumerate(relations) if j in failed]
+    return check_relations(relations, pairs.get, table.get,
+                           lambda rel: rel.center.label(table.kind))
 
 
 def check_t_solution(table: ValueTable, relations: Iterable[TRelation],
@@ -808,37 +779,6 @@ def ring_pair(v):
     return None
 
 
-def pair_index(values: dict) -> dict:
-    """{var: ring pair or None} of a table's values, each value read once.
-    Its get is the pair reader of the table; it is built per call and never
-    kept on the table, so an entry changed since is read afresh."""
-    return {var: ring_pair(v) for var, v in values.items()}
-
-
-def pair_reader(value: Callable) -> Callable:
-    """The pair reader of a value getter: key -> ring_pair(value(key)), for
-    values kept outside a table (the cluster's, or a test's getter).  value
-    is called with plain (a, m, k) tuples."""
-    return lambda key: ring_pair(value(key))
-
-
-def factor_pairs(pair: Callable, factors: Iterable[Factor],
-                 form: Optional[Callable] = None, k: int = 0) -> Optional[list]:
-    """[(a ** exp, b ** exp)] over the factors, where (a, b) is (p, q), or
-    form(p, q), for the ring pair (p, q) = pair((a, m, k')) of the variable
-    read k slices later; a / b is the factor.  None if a value has no ring
-    pair."""
-    pairs = []
-    for (a, m, kv), exp in factors:
-        got = pair((a, m, kv + k))
-        if got is None:
-            return None
-        if form is not None:
-            got = form(*got)
-        pairs.append(got if exp == 1 else (got[0] ** exp, got[1] ** exp))
-    return pairs
-
-
 def pair_product(pairs: Iterable[tuple]) -> tuple:
     """(prod a, prod b) over the pairs: multiplied out, no gcd."""
     n = d = 1
@@ -855,12 +795,13 @@ def pair_value(n, d):
     return Fraction(n, d) if isinstance(n, int) else RationalFunction(n, d)
 
 
-def pair_quotient(top, bottom):
-    """top / bottom for two ring pairs, as one value.  A zero bottom raises
-    as the division of values does."""
+def pair_quotient(top, bottom) -> tuple:
+    """top / bottom for two ring pairs, as one reduced ring pair, the sign
+    on the numerator.  A zero bottom raises as the division of values
+    does."""
     if bottom[0] == 0:
-        return pair_value(*top) / pair_value(*bottom)
-    return pair_value(top[0] * bottom[1], top[1] * bottom[0])
+        pair_value(*top) / pair_value(*bottom)
+    return ring_pair(pair_value(top[0] * bottom[1], top[1] * bottom[0]))
 
 
 def _pair_bits(pair: tuple) -> int:
@@ -945,9 +886,9 @@ class Layout:
         a, m = self.cells[c]
         return LatticeVar(a, m, k + self.lo)
 
-    def variables(self) -> List[LatticeVar]:
-        """The variable of every slot, in slot order."""
-        return [LatticeVar(a, m, k) for k in range(self.lo, self.hi + 1) for a, m in self.cells]
+    def keys(self) -> List[tuple]:
+        """The plain (a, m, k) key of every slot, in slot order."""
+        return [(a, m, k) for k in range(self.lo, self.hi + 1) for a, m in self.cells]
 
     def offset(self, var, target) -> int:
         """The slot of var less the slot of target."""
@@ -959,14 +900,67 @@ class Layout:
 
 
 class Compiled(NamedTuple):
-    """A stencil compiled to a layout (Relation.compile): the slot offsets
-    of its lhs[0] and of its two factor lists, (offset, exponent) pairs,
-    from the variable it solves."""
+    """A stencil compiled to a layout (Relation.compile): its inverted
+    lhs[0], its two factor lists and its left-hand side, each as (slot
+    offset, exponent) pairs from the variable it solves."""
 
     layout: Layout
-    lhs: int
+    lhs: Tuple[Tuple[int, int], ...]
     first: Tuple[Tuple[int, int], ...]
     second: Tuple[Tuple[int, int], ...]
+    pair: Tuple[Tuple[int, int], ...]
+
+    def filled(self, store: list, i: int) -> bool:
+        """Whether every slot the stencil reads from slot i holds a pair."""
+        for off, _ in self.pair + self.first + self.second:
+            if store[i + off] is None:
+                return False
+        return True
+
+
+def _reach(stencils: Iterable[Relation]) -> int:
+    """The most slices between a stencil's lhs[1] and a variable it reads."""
+    return max((abs(v.k - rel.k - rel._lhs[1].k) for rel in stencils for v in rel.variables()),
+               default=0)
+
+
+def lay(relations: Sequence[Relation], pair: Callable) -> Tuple[list, list]:
+    """The values that relations read, laid once: (store, reads).
+
+    The layout spans the cells of the relations' variables, in sorted order,
+    and the slices of their lhs[1], padded by the stencils' reach (_reach),
+    so that no offset leaves the store or wraps into a neighbouring cell.
+    store holds pair(key) at the plain (a, m, k) key of every slot
+    (Layout.keys): its ring pair, or None where a value is missing or has
+    none.  reads[j] is (slot, Compiled) of relations[j]: the slot of its
+    lhs[1] and its stencil compiled to the layout, once per stencil: the
+    relations that share one pair of factor lists, which only a stencil's
+    shifts do, since every relation built otherwise gets its own."""
+    ids = [id(rel._lists) for rel in relations]
+    stencils = dict(zip(ids, relations))
+    ks = [rel._lhs[1].k + rel.k for rel in relations] or [0]
+    reach = _reach(stencils.values())
+    layout = Layout(sorted({(v.a, v.m) for rel in stencils.values() for v in rel.variables()}),
+                    min(ks) - reach, max(ks) + reach)
+    compiled = {key: (layout.slot(rel._lhs[1]), rel.compile(layout))
+                for key, rel in stencils.items()}
+    reads = [(base + rel.k * layout.size, at)
+             for rel, (base, at) in zip(relations, map(compiled.__getitem__, ids))]
+    return [pair(key) for key in layout.keys()], reads
+
+
+def _unlaid(i: int):
+    """The demand of a laid store (lay): an empty slot holds no value."""
+    raise MissingValue(f"slot {i} of a laid store")
+
+
+def laid_product(store: list, i: int, offsets, form: Optional[Callable] = None):
+    """The pair product (pair_product) of slot_pairs(store, ..., i, offsets,
+    form) over a laid store (lay), or None where a slot it reads is empty."""
+    try:
+        return pair_product(slot_pairs(store, _unlaid, i, offsets, form))
+    except MissingValue:
+        return None
 
 
 def slot_pairs(store: list, demand: Callable, i: int, offsets,
@@ -1070,7 +1064,8 @@ def fill_lattice(kind: str, layout: Layout, free: List[LatticeVar], targets: Ite
                     except UnschedulableDependency:
                         if not partial:
                             raise
-            return {var: got for var, got in zip(layout.variables(), store) if got is not None}
+            return {LatticeVar(*key): got for key, got in zip(layout.keys(), store)
+                    if got is not None}
         except ZeroDivisor as err:
             last_error = err
             if rng is None or not sampled or isinstance(err, DegenerateData):
@@ -1094,8 +1089,7 @@ def _propagate(kind: str, sys: SystemSpec, window, relation: Callable,
     cells = [(a, m) for a in range(sys.cm.r) for m in range(1, top(a) + 1)]
     stencils = [relation(sys, a, m, 0) if m <= sys.max_center_m(a, kind) else SAMPLE
                 for a, m in cells]
-    reach = max((abs(v.k - rel.lhs[1].k) for rel in stencils if rel is not SAMPLE
-                 for v in rel.variables()), default=0)
+    reach = _reach(rel for rel in stencils if rel is not SAMPLE)
     layout = Layout(cells, lo - reach, hi + reach)
     rules = [rel if rel is SAMPLE else functools.partial(rel.solve, at=rel.compile(layout))
              for rel in stencils]

@@ -18,6 +18,7 @@ d_a = 1 coupling factor whose neighbor level m/d_b is not integral is 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .cartan import CartanMatrix
@@ -44,12 +45,14 @@ from .tsystem import (
     _propagate,
     enumerate_relations,
     fill_lattice,
+    laid_product,
+    lay,
     m_term,
     m_term_unified,
-    pair_product,
     pair_quotient,
     pair_value,
     reduced_quotient,
+    reduced_value,
     slot_pairs,
     stencil,
     t_relation,
@@ -74,7 +77,7 @@ def _one_plus_inverse(p, q) -> tuple:
 class YRelation(Relation):
     """One instantiated Y-system equation.  numerator lists (1+Y) factors,
     denominator lists (1+Y^-1) factors; boundary factors are already gone.
-    rhs_pairs reads a factor of Y = p / q as the ring pair (p + q, q) in the
+    Its forms read a factor of Y = p / q as the ring pair (p + q, q) in the
     numerator and (p + q, p) in the denominator."""
 
     __slots__ = ()
@@ -111,7 +114,7 @@ class YRelation(Relation):
     def identity(lhs, num, den) -> bool:
         """p0 p1 / q0 q1 == (N_n / N_d) / (D_n / D_d), cross-multiplied once,
         with N_n / N_d the product of the 1 + Y factors and D_n / D_d that of
-        the 1 + Y^-1 factors; rhs_pairs reads, and raises, as rhs does."""
+        the 1 + Y^-1 factors; the forms read, and raise, as rhs does."""
         (ln, ld), (nn, nd), (dn, dd) = lhs, num, den
         return ln * dn * nd == ld * dd * nn
 
@@ -194,8 +197,11 @@ def enumerate_y_relations(sys: SystemSpec, window) -> List[YRelation]:
 
 def covered_y_relations(y_table: ValueTable) -> List[YRelation]:
     """The relations of enumerate_y_relations on the table's window whose
-    variables the table holds, in the same order."""
-    return enumerate_relations(y_table.system, y_table.window, "Y", _compile_y, table=y_table)
+    slots all hold a pair of the table, laid once (lay), in the same
+    order."""
+    relations = enumerate_y_relations(y_table.system, y_table.window)
+    store, reads = lay(relations, y_table.pairs().get)
+    return [rel for rel, (i, at) in zip(relations, reads) if at.filled(store, i)]
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +249,19 @@ def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
 
 def mapped_points(relations, pair):
     """(rel, inner, coupling, lhs) for every T-relation of relations whose
-    two factor lists the pair reader pair covers: the products of its first
+    two factor lists find a pair in every slot: the products of its first
     list (inner), its second list (coupling) and its left-hand side as ring
-    pairs (N, D), N / D the product, multiplied out without a gcd.  lhs is
-    None where the reader lacks a left-hand value; a reader leaves a
-    variable out by returning None."""
-    for rel in relations:
-        sides = rel.rhs_pairs(pair)
-        if sides is not None:
-            inner, coupling = map(pair_product, sides)
-            yield rel, inner, coupling, rel.lhs_pair(pair)
+    pairs (N, D), N / D the product, multiplied out without a gcd.  The
+    values are laid once on the slots the relations read (lay), pair(key)
+    giving the ring pair at each slot's (a, m, k) key, or None to leave a
+    variable out; lhs is None where a left-hand slot is empty."""
+    relations = list(relations)
+    store, reads = lay(relations, pair)
+    for rel, (i, at) in zip(relations, reads):
+        inner = laid_product(store, i, at.first)
+        coupling = None if inner is None else laid_product(store, i, at.second)
+        if coupling is not None:
+            yield rel, inner, coupling, laid_product(store, i, at.pair)
 
 
 def _is_quotient(y, top, bottom) -> bool:
@@ -319,25 +328,26 @@ def companion_identities(label: str, y, pair, inner, coupling) -> List[dict]:
 
 def map_t_to_y(points, label):
     """The one T -> Y map, of the lattice and of the exchange-matrix
-    systems: Y = coupling / inner at every point of mapped_points, keyed by
-    centre.  Where a point has a pair, the companion identities are checked
-    in the exact form of companions_hold, and compared as values by
-    companion_identities, labelled label(rel), only where that fails.
+    systems: Y = coupling / inner at every point of mapped_points, as a
+    reduced ring pair keyed by centre.  Where a point has a pair, the
+    companion identities are checked in the exact form of companions_hold,
+    and compared as values by companion_identities, labelled label(rel),
+    only where that fails.
 
-    Returns (values, violations, held), held the centres where the
+    Returns (pairs, violations, held), held the centres where the
     companions held."""
-    values, violations, held = {}, [], set()
+    pairs, violations, held = {}, [], set()
     for rel, inner, coupling, pair in points:
         centre = rel.center
-        y = values[centre] = pair_quotient(coupling, inner)
+        y = pairs[centre] = pair_quotient(coupling, inner)
         if pair is None:
             continue
         if companions_hold(pair, inner, coupling):
             held.add(centre)
         else:
-            violations += companion_identities(label(rel), y, pair_value(*pair),
+            violations += companion_identities(label(rel), reduced_value(*y), pair_value(*pair),
                                                pair_value(*inner), pair_value(*coupling))
-    return values, violations, held
+    return pairs, violations, held
 
 
 def t_to_y(t_table: ValueTable):
@@ -364,7 +374,7 @@ def t_to_y(t_table: ValueTable):
             yield point
 
     points = mapped_points(_centred_relations(t_table), t_table.pairs().get)
-    values, violations, _ = map_t_to_y(nonvanishing(points), lambda rel: rel.center.label("Y"))
+    pairs, violations, _ = map_t_to_y(nonvanishing(points), lambda rel: rel.center.label("Y"))
     lo, hi = t_table.window
     if sys.restricted:
         for a in range(sys.cm.r):
@@ -373,7 +383,7 @@ def t_to_y(t_table: ValueTable):
                 violations += [violation(f"boundary quantity at node {a + 1}, k={k}",
                                          "non-unit factors remain", 1)
                                for k in range(lo, hi + 1)]
-    return ValueTable("Y", sys, t_table.window, values), violations
+    return ValueTable("Y", sys, t_table.window, pairs=pairs), violations
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +531,7 @@ def _compare_to_t(t_table: ValueTable, y_table: ValueTable):
         var = rel.center
         covered.append(var)
         if not _is_quotient(y_pairs[var], coupling, inner):
-            differing[var] = pair_quotient(coupling, inner)
+            differing[var] = reduced_value(*pair_quotient(coupling, inner))
         if pair is None:
             continue
         if var in differing:
@@ -534,22 +544,14 @@ def _compare_to_t(t_table: ValueTable, y_table: ValueTable):
     return covered, differing, violations
 
 
-def _relation_holds(y_table: ValueTable, pairs, a: int, m: int, k: int) -> bool:
-    """Whether the Y-relation centred at (a, m, k) is defined on the table
-    and holds exactly (holds_exactly, read through the pair reader pairs of
-    the table); a value without a ring pair fails."""
-    try:
-        rel = y_relation(y_table.system, a, m, k)
-    except LevelOutOfRange:
-        return False
-    if any(pairs(v) is None for v in rel.variables()):
-        return False
-    # a factor 1 + Y^-1 that vanishes leaves the relation undefined
-    for v, _ in rel.factors(1):
-        p, q = pairs(v)
-        if p + q == 0:
-            return False
-    return bool(rel.holds_exactly(pairs))
+def _relation_holds(store: list, rel: YRelation, i: int, at) -> bool:
+    """Whether the Y-relation rel, read at slot i of a laid table (lay), is
+    defined on the table and holds exactly (holds_exactly); a value without
+    a ring pair fails, and so does a factor 1 + Y^-1 that vanishes, which
+    leaves the relation undefined.  A filled relation demands no slot."""
+    return (at.filled(store, i)
+            and all(n != 0 for n, _ in slot_pairs(store, None, i, at.second, rel.forms[1]))
+            and bool(rel.holds_exactly(store, i, at)))
 
 
 def recoverable_region(y_table: ValueTable, recovered) -> List[LatticeVar]:
@@ -557,22 +559,26 @@ def recoverable_region(y_table: ValueTable, recovered) -> List[LatticeVar]:
     recovers: level 1 wherever the recovered table is defined, and level m
     wherever levels m-1 (shifted), m-2, and the input relation centered one
     level below all cooperate.  recovered is the recovered Y-table or the
-    collection of its variables."""
-    cm = y_table.system.cm
-    pairs = y_table.pairs().get
+    collection of its variables.  The relations centred one level below are
+    laid once on the table's pairs."""
+    sys = y_table.system
+    order = sorted((var for var in recovered if var in y_table), key=lambda v: (v.m, v.a, v.k))
+    below = {}
+    for var in order:
+        try:
+            below[var] = y_relation(sys, var.a, var.m - 1, var.k)
+        except LevelOutOfRange:  # level 1, or no relation centred one level below
+            pass
+    store, reads = lay(list(below.values()), y_table.pairs().get)
+    read = {var: (rel, *got) for (var, rel), got in zip(below.items(), reads)}
     good: set = set()
-    for var in sorted(recovered, key=lambda v: (v.m, v.a, v.k)):
+    for var in order:
         a, m, k = var
-        if var not in y_table:
-            continue
-        if m == 1:
-            good.add(var)
-            continue
-        da = cm.d[a]
-        if (LatticeVar(a, m - 1, k - da) in good
-                and LatticeVar(a, m - 1, k + da) in good
-                and (m == 2 or LatticeVar(a, m - 2, k) in good)
-                and _relation_holds(y_table, pairs, a, m - 1, k)):
+        da = sys.cm.d[a]
+        if m == 1 or (LatticeVar(a, m - 1, k - da) in good
+                      and LatticeVar(a, m - 1, k + da) in good
+                      and (m == 2 or LatticeVar(a, m - 2, k) in good)
+                      and var in read and _relation_holds(store, *read[var])):
             good.add(var)
     return sorted(good)
 
@@ -606,20 +612,24 @@ def roundtrip_check(y_table: ValueTable, rng=None, free: str = "random",
 
 def detect_period(table: ValueTable, max_period: int) -> Optional[int]:
     """Smallest p <= max_period with value(a,m,k) == value(a,m,k+p) for every
-    stored pair of values, or None.  Purely empirical; values are compared
-    as the table's ring pairs, cross-multiplied."""
+    stored pair of values, or None; a p that compared nothing is skipped.
+    Purely empirical; values are compared as the table's ring pairs,
+    cross-multiplied, laid once on the table's cells and slices, where
+    (a, m, k + p) is the slot p slices after (a, m, k)."""
     if max_period < 1:
         raise ValueError(f"max_period must be >= 1, got {max_period}")
     pairs = table.pairs()
+    ks = [k for _, _, k in pairs] or [0]
+    layout = Layout(sorted({(a, m) for a, m, _ in pairs}), min(ks), max(ks))
+    store = [pairs.get(key) for key in layout.keys()]
     for p in range(1, max_period + 1):
         compared = 0
         ok = True
-        for (a, m, k), (n, d) in pairs.items():
-            other = pairs.get((a, m, k + p))
-            if other is None:
+        for got, other in zip(store, islice(store, p * layout.size, None)):
+            if got is None or other is None:
                 continue
             compared += 1
-            if n * other[1] != d * other[0]:
+            if got[0] * other[1] != got[1] * other[0]:
                 ok = False
                 break
         if ok and compared:

@@ -168,6 +168,15 @@ def test_cluster_run_and_verify(tmp_path, capsys):
     assert "(1,0)" in dumped["x"]
     code, report = run_cli(capsys, "cluster", "verify", str(path), "--steps", "12")
     assert code == 0 and report["pass"]
+    assert "not_checked" not in report
+
+
+def test_cluster_verify_numeric_names_what_it_did_not_check(tmp_path, capsys):
+    path = tmp_path / "ba2.txt"
+    path.write_text(BA2_TEXT)
+    code, report = run_cli(capsys, "cluster", "verify", str(path), "--steps", "12", "--numeric")
+    assert code == 0 and report["pass"] and report["mode"] == "numeric"
+    assert report["not_checked"] == ["Laurent"]
 
 
 @pytest.mark.parametrize("steps", ["0", "1"])

@@ -40,7 +40,7 @@ from tysys.errors import (
     NotSymmetrizable,
 )
 from tysys.exactmath import LaurentPoly, RationalFunction, SemifieldElement
-from tysys.tsystem import SystemSpec, check_relations, factor_product, propagate_t
+from tysys.tsystem import SystemSpec, check_relations, factor_product, propagate_t, ring_pair
 from tysys.ysystem import companion_identities
 
 A2 = new_cartan([[2, -1], [-1, 2]])
@@ -318,6 +318,19 @@ def test_sequence_laurent(ba2_seq):
     assert laurent_check(ba2_seq) == []
 
 
+def test_numeric_sequence_is_not_laurent_checked():
+    # a numeric run holds no polynomials: the check refuses it in one line,
+    # and the sequence's checks leave it out instead of passing it
+    seq = run_sequence(BA2, (-2, 4), mode="numeric", rng=random.Random(3))
+    with pytest.raises(ValueError, match="numeric mode") as caught:
+        laurent_check(seq)
+    assert "\n" not in str(caught.value)
+    checks = sequence_checks(seq)
+    assert "Laurent" not in checks and len(checks) == 7
+    assert list(sequence_checks(run_sequence(BA2, (-2, 4), mode="symbolic"))) == [
+        "x parity", "y parity", "T(B)", "Y+(B)", "Y-(B)", "Laurent", "T-to-Y +", "T-to-Y -"]
+
+
 def test_perturbed_family_fails(ba2_seq):
     import copy
 
@@ -373,14 +386,17 @@ def value_route_t_to_y_b(t_values, em, eps=1, u_range=None):
     """The value-level T -> Y(B) check, the oracle of t_to_y_b: both
     companion identities compared as values at every interior point, and
     every mapped Y(B) relation cross-multiplied."""
-    from tysys.cluster import _label, _reader, _yb_relations
+    from tysys.cluster import _label, _yb_relations
 
     stencils = _yb_relations(em, eps)
     if u_range is None:
         us = [u for _, u in t_values]
         u_range = (min(us), max(us))
     lo, hi = u_range
-    t = _reader(t_values)
+
+    def t(var):
+        return t_values[var.a, var.k]
+
     y_values = {}
     violations = []
     for i, stencil in enumerate(stencils):
@@ -395,7 +411,8 @@ def value_route_t_to_y_b(t_values, em, eps=1, u_range=None):
                                                    inner, coupling)
     rels = [rel.shift(u) for rel in stencils for u in range(lo + 1, hi)]
     violations += check_relations(
-        rels, _reader(y_values), _label(em, f"mapped Y{'+' if eps > 0 else '-'}(B)"))
+        rels, lambda key: ring_pair(y_values.get((key[0], key[2]))),
+        lambda var: y_values[var.a, var.k], _label(em, f"mapped Y{'+' if eps > 0 else '-'}(B)"))
     return y_values, violations
 
 

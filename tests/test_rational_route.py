@@ -37,7 +37,7 @@ from tysys.tsystem import (
     enumerate_relations,
     factor_product,
     fill_lattice,
-    pair_reader,
+    lay,
     pair_value,
     propagate_t,
     reduced_quotient,
@@ -96,6 +96,18 @@ def oracle_check(relations, value, label):
     return out
 
 
+def laid(values):
+    """The pair of a laid slot: the ring pair of values' entry, None where
+    values lacks one."""
+    return lambda var: ring_pair(values.get(var))
+
+
+def holds_exactly(rel, pair):
+    """rel.holds_exactly on the values of pair laid on rel's slots."""
+    store, [read] = lay([rel], pair)
+    return rel.holds_exactly(store, *read)
+
+
 def assert_checks_agree(relations, values, kind):
     """Per relation: the same verdict, the same records, or the same error,
     on the pair route and on the oracle.  Returns the failures."""
@@ -103,11 +115,11 @@ def assert_checks_agree(relations, values, kind):
     label = lambda rel: rel.center.label(kind)  # noqa: E731
     failures = 0
     for rel in relations:
-        got = outcome(lambda: check_relations([rel], get, label))
+        got = outcome(lambda: check_relations([rel], laid(values), get, label))
         assert got == outcome(lambda: oracle_check([rel], get, label))
         if got[0] == "returns":
             verdict = rel.holds(get(rel.lhs[0]) * get(rel.lhs[1]), rel.rhs(get))
-            assert rel.holds_exactly(pair_reader(get)) is verdict
+            assert holds_exactly(rel, laid(values)) is verdict
             failures += not verdict
     return failures
 
@@ -185,9 +197,11 @@ def test_exchange_matrix_checks_with_exponent_two_match_value_route():
           for u in range(lo + 1, hi) if cluster._parity_sign(em, i, u) == -1]
     for check, oracle in (
             (lambda: cluster.check_tb(seq),
-             lambda: oracle_check(tb, cluster._reader(seq.x), cluster._label(em, "T(B)"))),
+             lambda: oracle_check(tb, lambda var: seq.x[var.a, var.k],
+                                  cluster._label(em, "T(B)"))),
             (lambda: cluster.check_yb(seq, 1),
-             lambda: oracle_check(yb, cluster._reader(seq.y), cluster._label(em, "Y+(B)"))),
+             lambda: oracle_check(yb, lambda var: seq.y[var.a, var.k],
+                                  cluster._label(em, "Y+(B)"))),
             (lambda: cluster.t_to_y_b(seq.x, em, -1),
              lambda: value_route_t_to_y_b(seq.x, em, -1))):
         assert outcome(check) == outcome(oracle)
@@ -213,7 +227,7 @@ def test_special_values_in_each_factor_list(where, replacement):
             "denominator": lambda rel: rel.denominator[1][0]}[where]
     rel, values = _y_table_with(pick, replacement)
     assert_checks_agree([rel], values, "Y")
-    got = outcome(lambda: check_relations([rel], values.__getitem__, str))
+    got = outcome(lambda: check_relations([rel], laid(values), values.__getitem__, str))
     if where == "denominator" and replacement == 0:
         assert got == ("raises", "InverseOfZero", "inverse of zero")
     elif where != "lhs" or replacement != 0:
@@ -636,8 +650,8 @@ def test_symbolic_tables_take_the_value_route():
         exact = propagate(sys, (0, 8), initial=rational)
         assert {var: evaluate(v, point) for var, v in table.values.items()} == exact.values
         relations = enumerate_kind(sys, (0, 8))
-        assert check_relations(relations, table.get, str) == [] \
-            == check_relations(relations, exact.get, str)
+        assert check_relations(relations, table.pairs().get, table.get, str) == [] \
+            == check_relations(relations, exact.pairs().get, exact.get, str)
     t_table = propagate_t(sys, (0, 8), initial=symbolic)
     y_table, bad = t_to_y(t_table)
     exact_y, exact_bad = t_to_y(propagate_t(sys, (0, 8), initial=rational))

@@ -21,6 +21,7 @@ from tysys.tsystem import (
     ValueTable,
     check_t_solution,
     enumerate_relations,
+    lay,
     propagate_t,
     t_relation,
 )
@@ -135,7 +136,8 @@ def test_solve_makes_its_relation_hold():
 
         n, d = pairs[tuple(rel.lhs[1])] = _solve(rel, pair)
         assert d > 0 and gcd(n, d) == 1, (kind, rel)
-        assert rel.holds_exactly(pairs.get) is True, (kind, rel)
+        store, [read] = lay([rel], pairs.get)
+        assert rel.holds_exactly(store, *read) is True, (kind, rel)
 
 
 def test_laurent_solve_is_reduced_by_exact_division():

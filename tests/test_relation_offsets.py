@@ -2,7 +2,10 @@
 
 The differential test writes every relation out itself, from its stencil
 with k added, and compares all the readers; the guard test runs the solvers
-and checks with per-centre factor tuples forbidden.
+and checks with per-centre factor tuples forbidden.  The window-edge tests
+compare the readers of a laid store against key-based value routes on
+tables without their first and last slices, where an offset that left the
+store or wrapped into a neighbouring cell would read another value.
 """
 
 import json
@@ -10,8 +13,12 @@ import random
 
 import pytest
 
+from test_rational_route import oracle_check
+from test_ysystem import _held_by_membership, value_route_mapped_y, value_route_t_to_y
+
 from tysys.acceptance import FINITE_TYPE, MIXED44_ROWS
 from tysys.cartan import new_cartan
+from tysys.cluster import _label, _tb_relations, check_tb, exchange_matrix_for_level, run_sequence
 from tysys.errors import MissingValue
 from tysys.exactmath import random_nonzero_rational
 from tysys.tsystem import (
@@ -19,14 +26,18 @@ from tysys.tsystem import (
     Relation,
     SystemSpec,
     TRelation,
+    ValueTable,
     check_t_solution,
     enumerate_relations,
-    pair_reader,
+    lay,
     propagate_t,
+    ring_pair,
+    slot_pairs,
     t_relation,
 )
 from tysys.ysystem import (
     check_y_solution,
+    covered_y_relations,
     enumerate_y_relations,
     propagate_y,
     roundtrip_check,
@@ -96,13 +107,27 @@ def _read(reader, values):
         return f"missing {err}"
 
 
-def _paired(rel, reader):
-    """get -> rel.reader(pair_reader(get)): a pair-route reader of rel on a
-    value getter."""
-    return lambda get: getattr(rel, reader)(pair_reader(get))
+def _missing(i):
+    raise MissingValue(f"slot {i}")
+
+
+def _pair_reads(rel, values):
+    """(holds_exactly, the pairs of both factor lists) of rel, read from the
+    values laid on rel's slots (lay) through slot_pairs and the forms; a
+    missing value is laid as None, and the factor lists are then
+    "missing"."""
+    store, [(i, at)] = lay([rel], lambda key: ring_pair(values.get(key)))
+    try:
+        lists = [slot_pairs(store, _missing, i, offsets, form)
+                 for offsets, form in zip((at.first, at.second), rel.forms)]
+    except MissingValue:
+        lists = "missing"
+    return rel.holds_exactly(store, i, at), lists
 
 
 def _compare(rel, ref, tables):
+    """Assert that rel and ref agree, as relations and on every table;
+    returns rel's holds_exactly on each table."""
     assert rel.center == ref.center
     assert rel.lhs == ref.lhs
     assert _lists(rel) == _lists(ref)
@@ -110,10 +135,13 @@ def _compare(rel, ref, tables):
     assert json.dumps(rel.to_json()) == json.dumps(ref.to_json())
     assert rel == ref and ref == rel and not rel != ref
     assert hash(rel) == hash(ref)
+    verdicts = []
     for values in tables:
-        for reader in ("holds_exactly", "rhs_pairs"):
-            assert _read(_paired(rel, reader), values) == _read(_paired(ref, reader), values)
+        got = _pair_reads(rel, values)
+        assert got == _pair_reads(ref, values)
+        verdicts.append(got[0])
         assert _read(rel.rhs, values) == _read(ref.rhs, values)
+    return verdicts
 
 
 @pytest.mark.parametrize("name", sorted(MATRICES))
@@ -133,16 +161,15 @@ def test_offset_reads_match_written_out_relations(name):
                 c = rel.center
                 stencil = at_centre(sys, c.a, c.m, 0)
                 ref = _written_out(stencil, c.k)
-                _compare(rel, ref, (values, tripled))
+                verdict, tripled_verdict = _compare(rel, ref, (values, tripled))
                 # the relation one slice later is a different one
                 assert rel != at_centre(sys, c.a, c.m, c.k + 1)
                 negative += c.k < 0
                 solved = kind == "Y" or sys.restricted and max(cm.d) < 3
-                verdict = _read(_paired(rel, "holds_exactly"), values)
                 if solved:
                     assert verdict is True
                 held += verdict is True
-                failed += _read(_paired(rel, "holds_exactly"), tripled) is False
+                failed += tripled_verdict is False
     assert held and failed and negative
 
 
@@ -192,3 +219,61 @@ def test_t_to_y_and_roundtrip_read_offsets(no_factor_tuples):
     assert report["pass"] and report["compared"]
     y_back, violations = t_to_y(t_table)
     assert violations == [] and y_back.values
+
+
+# --- window edges on the laid store ------------------------------------------------
+
+EDGE_WINDOW = (0, 10)
+EDGE_SYSTEMS = {"A2 level 2": (FINITE_TYPE["A2"], 2, True),
+                "B2 level 3": (FINITE_TYPE["B2"], 3, True),
+                "MIXED44 cap 2": (MIXED44_ROWS, 2, False)}
+
+
+def _without_edges(table):
+    """table without its values at the first and the last slice of its first
+    and its last cell, and with the values one slice inside those tripled."""
+    values = dict(table.values)
+    cells = sorted({(v.a, v.m) for v in values})
+    for a, m in (cells[0], cells[-1]):
+        ks = [v.k for v in values if (v.a, v.m) == (a, m)]
+        for k, inside in ((min(ks), min(ks) + 1), (max(ks), max(ks) - 1)):
+            del values[LatticeVar(a, m, k)]
+            values[LatticeVar(a, m, inside)] *= 3
+    return ValueTable(table.kind, table.system, table.window, values, table.meta)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_SYSTEMS))
+def test_window_edges_match_the_key_routes(name):
+    rows, level, restricted = EDGE_SYSTEMS[name]
+    sys = SystemSpec(new_cartan(rows), level, restricted=restricted)
+    rng = random.Random(f"edges {name}")
+    y_table = propagate_y(sys, EDGE_WINDOW, rng=rng)
+    t_table = propagate_t(sys, EDGE_WINDOW, rng=rng) if restricted else y_to_t(y_table, rng=rng)
+    t_table, y_table = _without_edges(t_table), _without_edges(y_table)
+    covered = covered_y_relations(y_table)
+    assert covered == _held_by_membership(y_table)
+    t_relations = [rel for rel in enumerate_relations(sys, t_table.window)
+                   if all(v in t_table for v in rel.variables())]
+    for table, relations, check in ((t_table, t_relations, check_t_solution),
+                                    (y_table, covered, check_y_solution)):
+        records = check(table, relations)
+        assert records and records == oracle_check(
+            relations, table.get, lambda rel: rel.center.label(table.kind))
+    y_mapped, records = t_to_y(t_table)
+    points = list(value_route_mapped_y(t_table))
+    assert y_mapped.values == {rel.center: y for rel, y, _, _ in points}
+    assert records and records == value_route_t_to_y(t_table)
+
+
+def test_cluster_check_centred_next_to_the_window_edges():
+    em = exchange_matrix_for_level(new_cartan(FINITE_TYPE["A3"]), 2)
+    lo, hi = -1, 6
+    seq = run_sequence(em, (lo, hi), mode="numeric", rng=random.Random(7))
+    seq.x[0, lo] *= 3
+    seq.x[em.n - 1, hi] *= 3
+    relations = [rel.shift(u) for rel in _tb_relations(em) for u in range(lo + 1, hi)]
+    records = check_tb(seq)
+    assert records == oracle_check(relations, lambda var: seq.x[var.a, var.k],
+                                   _label(em, "T(B)"))
+    assert {f"T(B) at (1,{lo + 1})", f"T(B) at ({em.n},{hi - 1})"} \
+        <= {record["relation"] for record in records}
