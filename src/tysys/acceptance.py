@@ -141,8 +141,7 @@ def criterion_4_t_to_y(seed=0):
         if violations:
             failures.append(f"{name} level {level}: companion identities "
                             f"{len(violations)}")
-        yrels = ysystem.covered_y_relations(y_table)
-        bad = ysystem.check_y_solution(y_table, yrels)
+        yrels, bad = ysystem.check_covered(y_table)
         if not yrels or bad:
             failures.append(f"{name} level {level}: mapped Y-system "
                             f"{len(bad)} of {len(yrels)}")

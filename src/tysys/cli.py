@@ -148,9 +148,8 @@ def cmd_sys_t2y(args) -> int:
     with open(args.infile, "r", encoding="utf-8") as fh:
         t_table = table_from_json(json.load(fh), sys=sys_, kind="T")
     y_table, violations = ysystem.t_to_y(t_table)
-    yrels = ysystem.covered_y_relations(y_table)
-    violations += ysystem.check_y_solution(y_table, yrels, mode=args.mode,
-                                           rng=derive_rng(args.seed, "t2y"))
+    yrels, bad = ysystem.check_covered(y_table, mode=args.mode, rng=derive_rng(args.seed, "t2y"))
+    violations += bad
     if args.out:
         y_table.dump(args.out)
     return _emit({

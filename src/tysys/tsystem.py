@@ -9,31 +9,33 @@ Relations do not change under k -> k + 1, so each one is compiled once per
 and every reader adds k to the variables as it reads them.
 
 The scheduler, the solves and the checks pass ring pairs (numerator,
-denominator) around, and every read of a relation's values is one
-slot_pairs over a flat store, a list indexed by the slots of a Layout, at
-the offsets of the relation's stencil compiled to that layout
-(Relation.compile).  fill_lattice keeps the values it solves in such a
-store and returns its {var: pair} dict, built once.  The checks and maps
-lay the values they read once per call (lay): a store over the cells and
-slices the relations span, padded by the stencils' reach, None where a
-value is missing or has no ring pair.  Solves return reduced pairs, and a
-ValueTable keeps the filled dict: the checks, the maps, the period scan,
-dump and the loader work on a table's pairs (ValueTable.pairs), and
-Fractions or RationalFunctions are built only where something reads its
-values, and for violation records.  Each relation is one identity on
-pairs (holds_exactly), and numeric mode checks it on the table evaluated
-at random points, then exactly where it fails.
+denominator) around, and every read of a relation's values reads a flat
+store, a list indexed by the slots of a Layout, at the offsets of the
+relation's stencil compiled to that layout (Relation.compile), and
+multiplies each factor list into one pair as it reads it (slot_product):
+no list of pairs and no second call.  fill_lattice keeps the values it
+solves in such a store and returns its {var: pair} dict, built once.  The
+checks and maps lay the values they read once per call (lay): a store over
+the cells and slices the relations span, padded by the stencils' reach,
+None where a value is missing or has no ring pair.  Solves return reduced
+pairs, and a ValueTable keeps the filled dict: the checks, the maps, the
+period scan, dump and the loader work on a table's pairs
+(ValueTable.pairs), and Fractions or RationalFunctions are built only where
+something reads its values, and for violation records.  Each relation is
+one identity on pairs (holds_exactly), and numeric mode checks it on the
+table evaluated at random points, then exactly where it fails.
 
-Propagation takes one Cauchy step for both kinds, Relation.solve: lhs[1]
-is the kind's solve_factors times the inverted lhs[0].  Solves reduce the
-product of coprime factor pairs once (reduced_quotient: one gcd for small
-integers, cross-cancelling for large ones), so no second gcd builds the
-value (exactmath.coprime_fraction); a Laurent quotient is reduced by exact
-division.  The Y-solve and both Y -> T rules are reduced by construction,
-since 1 + p/q = (p + q)/q and 1 + q/p = (p + q)/p are coprime for a reduced
-p/q, as is every value read and its inverse; the T-solve reduces its one sum
-pair with one gcd first.  Products that are not reduced go through
-pair_value, which normalises.
+Propagation takes one Cauchy step per kind, the kind's solve: lhs[1] is
+the right-hand side times the inverted lhs[0], read as one running pair
+and reduced by one gcd (lowest_terms) while it stays below ONE_GCD_BITS
+bits.  A larger product, or a Laurent polynomial, is reduced as before by
+reduced_quotient (cross-cancelling of coprime factor pairs, or exact
+division), so no second gcd builds the value (exactmath.coprime_fraction).
+The Y-solve and both Y -> T rules are reduced by construction, since
+1 + p/q = (p + q)/q and 1 + q/p = (p + q)/p are coprime for a reduced p/q,
+as is every value read and its inverse; above the bound the T-solve
+reduces its one sum pair with one gcd first.  Products that are not
+reduced go through pair_value, which normalises.
 
 The spectral parameter u = k/t is kept as the integer k throughout.  A shift
 of d_a/t is the integer shift d_a, and a shift of 1/t is 1.  Levels m are per
@@ -216,11 +218,12 @@ class Relation:
         the kind's identity(lhs, first, second) on the pair products of the
         left-hand side and of the two factor lists, each factor read
         through its list's form, at the offsets of at from slot i, the slot
-        of lhs[1] in a laid store (lay).  None where a slot it reads is
-        empty."""
-        lhs = laid_product(store, i, at.pair)
-        first = None if lhs is None else laid_product(store, i, at.first, self.forms[0])
-        second = None if first is None else laid_product(store, i, at.second, self.forms[1])
+        of lhs[1] in a laid store (lay), each list multiplied into one pair
+        as it is read (slot_product).  None where a slot it reads is empty."""
+        lhs = slot_product(store, None, i, at.pair)
+        first = None if lhs is None else slot_product(store, None, i, at.first, self.forms[0])
+        second = None if first is None else slot_product(store, None, i, at.second,
+                                                         self.forms[1])
         return None if second is None else self.identity(lhs, first, second)
 
     def compile(self, layout: "Layout") -> "Compiled":
@@ -233,23 +236,6 @@ class Relation:
         return Compiled(layout, ((lhs, -1),),
                         *(layout.offsets(target, factors) for factors in self._lists),
                         ((lhs, 1), (0, 1)))
-
-    def solve(self, store, demand, i: int, at: "Compiled") -> tuple:
-        """The Cauchy step, written once: lhs[1] at slot i of a fill's store,
-        as a reduced ring pair with the sign on the numerator.  Every
-        variable is read by slot_pairs at the offsets of at (compile), and
-        solved on demand (demand(slot)) where that slot is empty.  The
-        kind's solve_factors (coprime pairs whose product is the right-hand
-        side, None where a side vanishes) are read first, then the pair
-        (p, q) of lhs[0], which enters inverted as (q, p); reduced_quotient
-        builds the product."""
-        first = slot_pairs(store, demand, i, at.first, self.forms[0])
-        factors = self.solve_factors(first, slot_pairs(store, demand, i, at.second,
-                                                        self.forms[1]))
-        if factors is None:
-            centre = at.layout.var(i).shifted(self._center.k - self._lhs[1].k)
-            raise ZeroDivisor(f"degenerate side at {centre.label(self.kind)}")
-        return reduced_quotient((*factors, *slot_pairs(store, demand, i, at.lhs)))
 
     def to_json(self) -> dict:
         """Centre, left-hand side and both factor lists, 1-based."""
@@ -315,14 +301,24 @@ class TRelation(Relation):
         n, d = TRelation.sum_pair(first, second)
         return lhs[0] * d == lhs[1] * n
 
-    def solve_factors(self, first, second) -> tuple:
-        """The sum pair of the two factor products, reduced by its one
-        integer gcd: the one factor of a solve not reduced by construction."""
-        n, d = self.sum_pair(pair_product(first), pair_product(second))
-        if isinstance(n, int):
-            g = gcd(n, d)
-            n, d = n // g, d // g
-        return ((n, d),)
+    def solve(self, store, demand, i: int, at: "Compiled") -> tuple:
+        """The Cauchy step: lhs[1] at slot i of a fill's store, as a reduced
+        ring pair with the sign on the numerator.  Each factor list is read
+        into one pair (slot_product) at the offsets of at (compile), an
+        empty slot solved on demand (demand(slot)), then lhs[0]; lhs[1] is
+        the sum pair (sum_pair) times the inverted lhs[0].  Integers of
+        fewer than ONE_GCD_BITS bits in all are multiplied out and reduced
+        by one gcd (lowest_terms).  Larger ones reduce the sum pair by its
+        one gcd and reduced_quotient cross-cancels it with lhs[0]; a
+        Laurent quotient goes to reduced_quotient whole."""
+        n, d = self.sum_pair(slot_product(store, demand, i, at.first),
+                             slot_product(store, demand, i, at.second))
+        q, p = slot_product(store, demand, i, at.lhs)
+        if isinstance(n, int) and isinstance(q, int):
+            if n.bit_length() + d.bit_length() + q.bit_length() + p.bit_length() < ONE_GCD_BITS:
+                return lowest_terms(n * q, d * p)
+            n, d = lowest_terms(n, d)
+        return reduced_quotient(((n, d), (q, p)))
 
 
 def _aggregate(factors: Iterable[Factor]) -> Tuple[Factor, ...]:
@@ -693,7 +689,13 @@ def check_relations(relations: Iterable, pair: Callable, value: Callable,
     compared by rel.holds.  Each failure is recorded as
     violation(label(rel), lhs, rhs), from the sides as values."""
     relations = list(relations)
-    store, reads = lay(relations, pair)
+    return check_laid(relations, *lay(relations, pair), value, label)
+
+
+def check_laid(relations: Sequence, store: list, reads: Sequence, value: Callable,
+               label: Callable) -> List[dict]:
+    """check_relations on relations already laid: reads[j] is the (slot,
+    Compiled) of relations[j] in store (lay)."""
     violations = []
     for rel, read in zip(relations, reads):
         ok = rel.holds_exactly(store, *read)
@@ -712,29 +714,36 @@ def check_relations(relations: Iterable, pair: Callable, value: Callable,
 SAMPLES = 3
 
 
-def _check_table(table: ValueTable, relations: Iterable, mode: str, rng) -> List[dict]:
-    """check_relations on a table's ring pairs.  Numeric mode evaluates the
-    table at SAMPLES random assignments of the symbols of its rational
-    functions, drawn from rng, and checks each relation's exact identity on
-    the evaluated pairs, laid as the table's are; only a relation that
-    fails at a point goes on to the exact check, which writes its record.
-    A table without rational functions is checked exactly."""
+def _check_table(table: ValueTable, relations: Iterable, mode: str, rng,
+                 laid: Optional[tuple] = None) -> List[dict]:
+    """check_relations on a table's ring pairs, laid once (lay), or laid
+    by the caller: laid is then (store, reads) of relations on the table's
+    pairs.  Numeric mode evaluates the table at SAMPLES random assignments
+    of the symbols of its rational functions, drawn from rng, and checks
+    each relation's exact identity on the evaluated pairs, laid as the
+    table's are; only a relation that fails at a point goes on to the exact
+    check, which writes its record.  A table without rational functions is
+    checked exactly."""
     pairs = table.pairs()
+    relations = list(relations)
     if mode == "numeric":
         symbolic = [got for got in pairs.values() if got is not None
                     and not isinstance(got[0], int)]
         if symbolic:
             names = sorted({n for num, den in symbolic for n in num.vars + den.vars})
-            relations, failed = list(relations), set()
+            failed = set()
             for _ in range(SAMPLES):
                 at = {n: random_nonzero_rational(rng) for n in names}
                 evaluated = {var: evaluate(v, at) for var, v in table.values.items()}
                 store, reads = lay(relations, lambda var: ring_pair(evaluated.get(var)))
                 failed.update(j for j, (rel, read) in enumerate(zip(relations, reads))
                               if j not in failed and not rel.holds_exactly(store, *read))
-            relations = [rel for j, rel in enumerate(relations) if j in failed]
-    return check_relations(relations, pairs.get, table.get,
-                           lambda rel: rel.center.label(table.kind))
+            kept = [j for j in range(len(relations)) if j in failed]
+            relations = [relations[j] for j in kept]
+            laid = laid and (laid[0], [laid[1][j] for j in kept])
+    store, reads = laid or lay(relations, pairs.get)
+    return check_laid(relations, store, reads, table.get,
+                      lambda rel: rel.center.label(table.kind))
 
 
 def check_t_solution(table: ValueTable, relations: Iterable[TRelation],
@@ -795,13 +804,24 @@ def pair_value(n, d):
     return Fraction(n, d) if isinstance(n, int) else RationalFunction(n, d)
 
 
+def lowest_terms(n: int, d: int) -> tuple:
+    """n / d for integers, d nonzero, as one reduced pair by one gcd, the
+    sign on the numerator."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return n // g, d // g
+
+
 def pair_quotient(top, bottom) -> tuple:
     """top / bottom for two ring pairs, as one reduced ring pair, the sign
-    on the numerator.  A zero bottom raises as the division of values
-    does."""
+    on the numerator: one gcd for integers (lowest_terms), a
+    RationalFunction's reduction for Laurent polynomials.  A zero bottom
+    raises as the division of values does."""
     if bottom[0] == 0:
         pair_value(*top) / pair_value(*bottom)
-    return ring_pair(pair_value(top[0] * bottom[1], top[1] * bottom[0]))
+    n, d = top[0] * bottom[1], top[1] * bottom[0]
+    return lowest_terms(n, d) if isinstance(n, int) else ring_pair(RationalFunction(n, d))
 
 
 def _pair_bits(pair: tuple) -> int:
@@ -811,16 +831,19 @@ def _pair_bits(pair: tuple) -> int:
 # integer pairs of fewer bits than this in all are reduced by one gcd of
 # their product, larger ones by cross-cancelling; of the power-of-two bounds,
 # this one gives the least time summed over the solves of lattice_periodic
-# and lattice_growth (BENCH_19.json)
+# and lattice_growth (BENCH_19.json).  It also decides how a solve reads:
+# the running product of its factors is multiplied out only while it stays
+# below the bound (TRelation.solve, YRelation.solve)
 ONE_GCD_BITS = 8192
 
 
 def reduced_quotient(pairs: Sequence[tuple]) -> tuple:
     """prod a / b over coprime ring pairs (every b nonzero) as one reduced
-    pair (n, d), the sign on the numerator.
+    pair (n, d), the sign on the numerator: the large path of the solves,
+    whose fused read stops at ONE_GCD_BITS bits, and of the Y -> T rules.
 
     Integer pairs of fewer than ONE_GCD_BITS bits in all are multiplied out
-    and reduced by one gcd.  Larger ones are cross-cancelled against the
+    and reduced by one gcd (lowest_terms).  Larger ones are cross-cancelled against the
     running product n / d, gcd(n, b) and gcd(a, d) (Henrici's product rule;
     Knuth, TAOCP vol. 2, 4.5.1), smallest pair first: the gcds and products
     then meet the largest factors only at the end, when they meet them
@@ -837,21 +860,18 @@ def reduced_quotient(pairs: Sequence[tuple]) -> tuple:
             return value.num, value.den
         bits += a.bit_length() + b.bit_length()
     if bits < ONE_GCD_BITS:
-        n, d = pair_product(pairs)
-        g = gcd(n, d)
-        n, d = n // g, d // g
-    else:
-        n = d = 1
-        for a, b in sorted(pairs, key=_pair_bits):
-            g, h = gcd(n, b), gcd(a, d)
-            if g > 1:
-                n //= g
-                b //= g
-            if h > 1:
-                a //= h
-                d //= h
-            n *= a
-            d *= b
+        return lowest_terms(*pair_product(pairs))
+    n = d = 1
+    for a, b in sorted(pairs, key=_pair_bits):
+        g, h = gcd(n, b), gcd(a, d)
+        if g > 1:
+            n //= g
+            b //= g
+        if h > 1:
+            a //= h
+            d //= h
+        n *= a
+        d *= b
     return (-n, -d) if d < 0 else (n, d)
 
 
@@ -949,18 +969,33 @@ def lay(relations: Sequence[Relation], pair: Callable) -> Tuple[list, list]:
     return [pair(key) for key in layout.keys()], reads
 
 
-def _unlaid(i: int):
-    """The demand of a laid store (lay): an empty slot holds no value."""
-    raise MissingValue(f"slot {i} of a laid store")
-
-
-def laid_product(store: list, i: int, offsets, form: Optional[Callable] = None):
-    """The pair product (pair_product) of slot_pairs(store, ..., i, offsets,
-    form) over a laid store (lay), or None where a slot it reads is empty."""
-    try:
-        return pair_product(slot_pairs(store, _unlaid, i, offsets, form))
-    except MissingValue:
-        return None
+def slot_product(store: list, demand: Optional[Callable], i: int, offsets,
+                 form: Optional[Callable] = None) -> Optional[tuple]:
+    """The product (n, d) of the factors a / b over the (offset, exp) pairs
+    of offsets, multiplied as they are read, without a gcd: (a, b) is
+    (p, q), or form(p, q), for the ring pair (p, q) at slot i + offset of
+    store, raised to exp, and a negative exp reads the inverted pair
+    (b ** -exp, a ** -exp), as slot_pairs does.  An empty slot is solved on
+    demand (demand(slot)); with no demand (a laid store, lay), it gives
+    None."""
+    n = d = 1
+    for off, exp in offsets:
+        got = store[i + off]
+        if got is None:
+            if demand is None:
+                return None
+            got = demand(i + off)
+        a, b = got if form is None else form(*got)
+        if exp == 1:
+            n *= a
+            d *= b
+        elif exp > 0:
+            n *= a ** exp
+            d *= b ** exp
+        else:
+            n *= b ** -exp
+            d *= a ** -exp
+    return n, d
 
 
 def slot_pairs(store: list, demand: Callable, i: int, offsets,
@@ -969,7 +1004,8 @@ def slot_pairs(store: list, demand: Callable, i: int, offsets,
     (a, b) is (p, q), or form(p, q), for the ring pair (p, q) at slot
     i + offset of store, solved on demand (demand(slot)) where that slot is
     empty; a / b is the factor.  A negative exp reads the inverted pair
-    (b ** -exp, a ** -exp)."""
+    (b ** -exp, a ** -exp).  The coprime pairs of the reads that
+    reduced_quotient reduces; slot_product reads their product."""
     pairs = []
     for off, exp in offsets:
         got = store[i + off] or demand(i + off)
@@ -1078,8 +1114,8 @@ def _propagate(kind: str, sys: SystemSpec, window, relation: Callable,
     """Cauchy propagation of a kind table on the window: the first 2*d_a
     slices of each node are free (drawn node by node, level by level), and
     every later variable, visited slice by slice, is lhs[1] of the relation
-    centred d_a slices below it and solved by its Cauchy step
-    (Relation.solve).  The stencil of each cell, relation(sys, a, m, 0),
+    centred d_a slices below it and solved by its Cauchy step (the kind's
+    solve).  The stencil of each cell, relation(sys, a, m, 0),
     is compiled once to slot offsets; the layout reaches as many slices
     beyond the window as the farthest variable a stencil reads, and a slot
     there has no rule.  A level above every relation centre
@@ -1110,7 +1146,7 @@ def propagate_t(sys: SystemSpec, window, initial: Optional[dict] = None,
                 rng=None, retries: int = 16) -> ValueTable:
     """Fill the window from an initial slab of width 2*d_a per node, solving
     T(a, m, k) from the relation centered d_a slices earlier through its
-    Cauchy step (TRelation.solve_factors: the sum pair, one gcd).
+    Cauchy step (TRelation.solve: the sum pair over lhs[0], one gcd).
 
     A coupling factor that is not ready yet is solved first; that resolves
     every dependency when max d <= 2.  A factor outside the window (which

@@ -35,6 +35,7 @@ from .tsystem import (
     Factor,
     LatticeVar,
     Layout,
+    ONE_GCD_BITS,
     Relation,
     SystemSpec,
     TRelation,
@@ -45,8 +46,8 @@ from .tsystem import (
     _propagate,
     enumerate_relations,
     fill_lattice,
-    laid_product,
     lay,
+    lowest_terms,
     m_term,
     m_term_unified,
     pair_quotient,
@@ -54,6 +55,7 @@ from .tsystem import (
     reduced_quotient,
     reduced_value,
     slot_pairs,
+    slot_product,
     stencil,
     t_relation,
     violation,
@@ -118,14 +120,48 @@ class YRelation(Relation):
         (ln, ld), (nn, nd), (dn, dd) = lhs, num, den
         return ln * dn * nd == ld * dd * nn
 
-    def solve_factors(self, num, den) -> Optional[list]:
-        """The coprime pairs (p + q, q) of the 1 + Y factors and the inverted
-        pairs (p, p + q) of the 1 + Y^-1 factors, from num and den, the pairs
-        of the two lists as read through forms; None where a factor on
-        either side vanishes (Relation.solve names the centre)."""
+    def solve(self, store, demand, i: int, at) -> tuple:
+        """The Cauchy step: lhs[1] at slot i of a fill's store, as a reduced
+        ring pair with the sign on the numerator: the product of the 1 + Y
+        factors (p + q, q), the inverted 1 + Y^-1 factors (p, p + q) and the
+        inverted lhs[0] (q, p), read in that order at the offsets of at
+        (compile), an empty slot solved on demand (demand(slot)).  They are
+        multiplied into one running pair as they are read and reduced by
+        one gcd (lowest_terms).  The read stops as soon as the running pair
+        reaches ONE_GCD_BITS bits, or is a Laurent polynomial, and the
+        factors are read again as coprime pairs (solve_pairs), which
+        reduced_quotient cross-cancels or reduces as a RationalFunction.
+        A zero product of the factor lists means that a factor vanished:
+        solve_pairs raises ZeroDivisor naming the centre."""
+        n = d = 1
+        for offsets, inverted in ((at.first, False), (at.second, True)):
+            for off, exp in offsets:
+                p, q = store[i + off] or demand(i + off)
+                a, b = (p, p + q) if inverted else (p + q, q)
+                n *= a ** exp
+                d *= b ** exp
+                if not isinstance(n, int) or n.bit_length() + d.bit_length() >= ONE_GCD_BITS:
+                    return self.solve_pairs(store, demand, i, at)
+        if not n or not d:
+            return self.solve_pairs(store, demand, i, at)
+        off = at.lhs[0][0]
+        p, q = store[i + off] or demand(i + off)
+        n, d = n * q, d * p
+        if not isinstance(n, int) or n.bit_length() + d.bit_length() >= ONE_GCD_BITS:
+            return self.solve_pairs(store, demand, i, at)
+        return lowest_terms(n, d)
+
+    def solve_pairs(self, store, demand, i: int, at) -> tuple:
+        """solve by reduced_quotient over the coprime pairs of the factors,
+        read by slot_pairs in solve's order; ZeroDivisor, naming the
+        centre, where a factor vanishes."""
+        num = slot_pairs(store, demand, i, at.first, self.forms[0])
+        den = slot_pairs(store, demand, i, at.second, self.forms[1])
         if any(x == 0 for x, _ in den) or any(x == 0 for x, _ in num):
-            return None
-        return [*num, *((b, a) for a, b in den)]
+            centre = at.layout.var(i).shifted(self._center.k - self._lhs[1].k)
+            raise ZeroDivisor(f"degenerate side at {centre.label(self.kind)}")
+        return reduced_quotient([*num, *((b, a) for a, b in den),
+                                 *slot_pairs(store, demand, i, at.lhs)])
 
 
 def z_term(cm: CartanMatrix, b: int, p: int, m: int, k: int) -> List[Factor]:
@@ -199,9 +235,17 @@ def covered_y_relations(y_table: ValueTable) -> List[YRelation]:
     """The relations of enumerate_y_relations on the table's window whose
     slots all hold a pair of the table, laid once (lay), in the same
     order."""
+    return _covered(y_table)[0]
+
+
+def _covered(y_table: ValueTable):
+    """(covered_y_relations(y_table), (store, reads)): the table laid once
+    for the relations of its window (lay), and the reads of those it
+    covers."""
     relations = enumerate_y_relations(y_table.system, y_table.window)
     store, reads = lay(relations, y_table.pairs().get)
-    return [rel for rel, (i, at) in zip(relations, reads) if at.filled(store, i)]
+    kept = [j for j, (i, at) in enumerate(reads) if at.filled(store, i)]
+    return [relations[j] for j in kept], (store, [reads[j] for j in kept])
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +257,13 @@ def check_y_solution(table: ValueTable, relations: Iterable[YRelation],
                      mode: str = "exact", rng=None) -> List[dict]:
     """Violation report for a Y-value table; empty list means pass."""
     return _check_table(table, relations, mode, rng)
+
+
+def check_covered(y_table: ValueTable, mode: str = "exact", rng=None):
+    """(covered_y_relations(y_table), check_y_solution of the table on
+    them, with mode and rng), the table laid once for both."""
+    relations, laid = _covered(y_table)
+    return relations, _check_table(y_table, relations, mode, rng, laid)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +283,12 @@ def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
     exactly either way.
 
     Each variable is solved by the Cauchy step of the relation centred d_a
-    slices earlier (Relation.solve).  Every factor of a Y-solve is coprime:
-    (p + q, q) and (p, p + q) for a reduced Y = p / q, and the inverted
-    left-hand value (YRelation.solve_factors), so reduced_quotient builds
-    the solved value without a gcd beyond its own reduction.
+    slices earlier (YRelation.solve): the factors, (p + q, q) and
+    (p, p + q) for a reduced Y = p / q, and the inverted left-hand value,
+    multiplied into one running pair as they are read and reduced by one
+    gcd.  Where that pair reaches ONE_GCD_BITS bits the factors, each
+    coprime, go to reduced_quotient, which builds the solved value without
+    a gcd beyond its own reduction.
     """
     if sys.level is None:
         raise LevelOutOfRange("propagation needs a level or an m-cap")
@@ -251,17 +304,17 @@ def mapped_points(relations, pair):
     """(rel, inner, coupling, lhs) for every T-relation of relations whose
     two factor lists find a pair in every slot: the products of its first
     list (inner), its second list (coupling) and its left-hand side as ring
-    pairs (N, D), N / D the product, multiplied out without a gcd.  The
-    values are laid once on the slots the relations read (lay), pair(key)
+    pairs (N, D), N / D the product, each multiplied as it is read
+    (slot_product), without a gcd.  The values are laid once on the slots the relations read (lay), pair(key)
     giving the ring pair at each slot's (a, m, k) key, or None to leave a
     variable out; lhs is None where a left-hand slot is empty."""
     relations = list(relations)
     store, reads = lay(relations, pair)
     for rel, (i, at) in zip(relations, reads):
-        inner = laid_product(store, i, at.first)
-        coupling = None if inner is None else laid_product(store, i, at.second)
+        inner = slot_product(store, None, i, at.first)
+        coupling = None if inner is None else slot_product(store, None, i, at.second)
         if coupling is not None:
-            yield rel, inner, coupling, laid_product(store, i, at.pair)
+            yield rel, inner, coupling, slot_product(store, None, i, at.pair)
 
 
 def _is_quotient(y, top, bottom) -> bool:
@@ -550,7 +603,7 @@ def _relation_holds(store: list, rel: YRelation, i: int, at) -> bool:
     a ring pair fails, and so does a factor 1 + Y^-1 that vanishes, which
     leaves the relation undefined.  A filled relation demands no slot."""
     return (at.filled(store, i)
-            and all(n != 0 for n, _ in slot_pairs(store, None, i, at.second, rel.forms[1]))
+            and slot_product(store, None, i, at.second, rel.forms[1])[0] != 0
             and bool(rel.holds_exactly(store, i, at)))
 
 
