@@ -178,7 +178,9 @@ def criterion_6_transposed_relations(seed=0):
             "G2": [[2, -1], [-3, 2]], "A3": _a_type(3)}
     for name, rows in mats.items():
         cm = new_cartan(rows)
-        sys = SystemSpec(cm, None, restricted=False)
+        # level 7 is the smallest cap whose Y-relation centres reach m = 5
+        # on every node: t_a * 7 - 2 >= 5
+        sys = SystemSpec(cm, 7, restricted=False)
         for a in range(cm.r):
             for m in range(1, 6):
                 for k in range(0, 20):

@@ -41,6 +41,8 @@ def build_system(cm, level_text: str, mcap) -> SystemSpec:
         if mcap is None:
             raise ValueError("unrestricted systems need --mcap")
         return SystemSpec(cm, int(mcap), restricted=False)
+    if mcap is not None:
+        raise ValueError("--mcap applies to --level unrestricted only")
     return SystemSpec(cm, int(level_text), restricted=True)
 
 

@@ -96,14 +96,15 @@ Factor = Tuple[LatticeVar, int]
 class SystemSpec:
     """System descriptor: Cartan matrix plus level/cap bookkeeping.
 
-    restricted=True is the level-L system with unit boundary at m = t_a*L.
-    restricted=False is an unrestricted window whose levels are capped in the
-    same node-dependent shape (m <= t_a*level for T, t_a*level - 1 for Y) but
-    with no boundary condition; level=None removes the cap entirely.
+    Every system has an integer level.  restricted=True is the level-L
+    system with unit boundary at m = t_a*L.  restricted=False is an
+    unrestricted window whose levels are capped in the same node-dependent
+    shape (m <= t_a*level for T, t_a*level - 1 for Y) but with no boundary
+    condition.
     """
 
     cm: CartanMatrix
-    level: Optional[int] = None
+    level: int
     restricted: bool = True
     # compiled relations centred at k = 0, keyed by (kind, a, m)
     _stencils: dict = field(default_factory=dict, init=False, repr=False,
@@ -112,9 +113,11 @@ class SystemSpec:
     def __post_init__(self):
         if not self.cm.tamely_laced:
             raise NotTamelyLaced("T/Y systems require a tamely laced Cartan matrix")
-        if self.restricted and (self.level is None or self.level < 2):
+        if not isinstance(self.level, int):
+            raise LevelOutOfRange(f"a system needs an integer level, got {self.level!r}")
+        if self.restricted and self.level < 2:
             raise LevelOutOfRange("restricted systems need level >= 2")
-        if self.level is not None and self.level < 1:
+        if self.level < 1:
             raise LevelOutOfRange("level cap must be positive")
 
     def boundary_m(self, a: int) -> Optional[int]:
@@ -122,22 +125,16 @@ class SystemSpec:
             return self.cm.t_a[a] * self.level
         return None
 
-    def max_m_t(self, a: int) -> Optional[int]:
-        if self.level is None:
-            return None
+    def max_m_t(self, a: int) -> int:
         top = self.cm.t_a[a] * self.level
         return top - 1 if self.restricted else top
 
-    def max_m_y(self, a: int) -> Optional[int]:
-        if self.level is None:
-            return None
+    def max_m_y(self, a: int) -> int:
         return self.cm.t_a[a] * self.level - 1
 
-    def max_center_m(self, a: int, kind: str) -> Optional[int]:
+    def max_center_m(self, a: int, kind: str) -> int:
         """Largest m for which the relation centered at (a, m) stays inside
         the variable range (the m+1 factor is the binding constraint)."""
-        if self.level is None:
-            return None
         if self.restricted:
             return self.cm.t_a[a] * self.level - 1
         top = self.max_m_t(a) if kind == "T" else self.max_m_y(a)
@@ -416,7 +413,7 @@ def stencil(sys: SystemSpec, kind: str, a: int, m: int, build: Callable):
     rel = sys._stencils.get(key)
     if rel is None:
         top = sys.max_center_m(a, kind)
-        if m < 1 or (top is not None and m > top):
+        if not 1 <= m <= top:
             raise LevelOutOfRange(
                 f"center level m={m} outside 1..{top} for node {a + 1}")
         rel = sys._stencils[key] = build(sys, a, m)
@@ -452,8 +449,6 @@ def enumerate_relations(sys: SystemSpec, window, kind: str = "T",
     additionally exclude centers whose m+1 factor would exceed the level
     cap."""
     lo, hi = _check_window(window)
-    if sys.level is None:
-        raise LevelOutOfRange("enumeration needs a level or an m-cap")
     out = []
     for a in range(sys.cm.r):
         for m in range(1, sys.max_center_m(a, kind) + 1):
@@ -577,12 +572,11 @@ _ENTRY = ('%s\n  {\n   "a": %d,\n   "k": %d,\n   "kind": "%s",\n   "m": %d,\n'
           '   "value": "%s"\n  }')
 
 
-def table_from_json(data, sys: Optional[SystemSpec] = None,
-                    kind: Optional[str] = None) -> ValueTable:
-    """Load a table dump, which names its system and kind.  A caller that
-    expects a system (sys) or a kind gets a ValueError naming what differs
-    when the file names another.  Every entry is checked against the
-    system: malformed input raises ValueError with a one-line message."""
+def table_from_json(data, sys: SystemSpec, kind: str) -> ValueTable:
+    """Load a table dump of kind values ('T' or 'Y') for the system sys.
+    The dump names its system and kind; where either differs from sys or
+    kind, a ValueError names what differs.  Every entry is checked against
+    sys: malformed input raises ValueError with a one-line message."""
     if not isinstance(data, dict):
         raise ValueError("a table is a JSON object")
     missing = [key for key in ("entries", "window", "system", "kind") if key not in data]
@@ -598,24 +592,12 @@ def table_from_json(data, sys: Optional[SystemSpec] = None,
         raise ValueError(f"table meta must be an object, got {meta!r:.40}")
     if not isinstance(sdesc, dict):
         raise ValueError(f"table system descriptor is malformed: {sdesc!r:.40}")
-    if sys is None:
-        from .cartan import new_cartan
-
-        try:
-            sys = SystemSpec(new_cartan(sdesc["matrix"]), sdesc["level"],
-                             sdesc["restricted"])
-        except (KeyError, TypeError) as err:
-            raise ValueError(f"table system descriptor is malformed: "
-                             f"{err!r}") from None
     differ = [f"{key} {sdesc.get(key)!r}, not {want!r}"
               for key, want in sys.describe().items() if sdesc.get(key) != want]
     if differ:
         raise ValueError(f"table is for another system: {'; '.join(differ)}")
-    if kind is not None and data["kind"] != kind:
+    if data["kind"] != kind:
         raise ValueError(f"table holds {data['kind']!r} values, not {kind!r}")
-    kind = data["kind"]
-    if kind not in ("T", "Y"):
-        raise ValueError(f"table kind must be 'T' or 'Y', got {kind!r}")
     if not isinstance(entries, list):
         raise ValueError("table entries must be an array")
     top = sys.max_m_t if kind == "T" else sys.max_m_y
@@ -641,7 +623,7 @@ def _is_int(value) -> bool:
 
 def _entry_var(row, kind: str, tops: list, window) -> LatticeVar:
     """The variable of one table entry, checked against the highest level
-    tops[a] of each node (None for no cap) and the window."""
+    tops[a] of each node and the window."""
     if not isinstance(row, dict):
         raise ValueError(f"table entry {row!r:.40} is not an object")
     if row.get("kind", kind) != kind:
@@ -654,9 +636,8 @@ def _entry_var(row, kind: str, tops: list, window) -> LatticeVar:
     if not 1 <= a <= len(tops):
         raise ValueError(f"{var.label(kind)}: node {a} is outside 1..{len(tops)}")
     top = tops[a - 1]
-    if m < 1 or (top is not None and m > top):
-        allowed = "m >= 1" if top is None else f"1..{top}"
-        raise ValueError(f"{var.label(kind)}: level m={m} is outside {allowed}")
+    if not 1 <= m <= top:
+        raise ValueError(f"{var.label(kind)}: level m={m} is outside 1..{top}")
     if not window[0] <= k <= window[1]:
         raise ValueError(f"{var.label(kind)}: k={k} is outside the window "
                          f"{window[0]}..{window[1]}")
@@ -1047,7 +1028,7 @@ def fill_lattice(kind: str, layout: Layout, free: List[LatticeVar], targets: Ite
     which no sample changes, raises at once.
     """
     if retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {retries}")
+        raise ValueError(f"retries must be >= 0, got {retries}")
     initial = initial or {}
     free = [(var, layout.slot(var)) for var in free]
     last_error = None

@@ -220,9 +220,8 @@ def y_relation_via_transpose(cm: CartanMatrix, a: int, m: int, k: int) -> YRelat
                 if exp:
                     var = LatticeVar(b, level, v)
                     agg[var] = agg.get(var, 0) + exp
-    sys = SystemSpec(cm, None, restricted=False)
-    denominator = _boundary_filter(
-        sys, ((LatticeVar(a, m - 1, k), 1), (LatticeVar(a, m + 1, k), 1)))
+    # level 0 is the unit boundary of every system
+    denominator = tuple((LatticeVar(a, n, k), 1) for n in (m - 1, m + 1) if n)
     return YRelation(target, (LatticeVar(a, m, k - da), LatticeVar(a, m, k + da)),
                      tuple(sorted(agg.items())), denominator)
 
@@ -290,8 +289,6 @@ def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
     coprime, go to reduced_quotient, which builds the solved value without
     a gcd beyond its own reduction.
     """
-    if sys.level is None:
-        raise LevelOutOfRange("propagation needs a level or an m-cap")
     return _propagate("Y", sys, window, y_relation, initial, rng, retries)
 
 
@@ -332,10 +329,7 @@ def _centred_relations(t_table: ValueTable):
     sys = t_table.system
     lo, hi = t_table.window
     for a in range(sys.cm.r):
-        top = sys.max_m_y(a)
-        if top is None:
-            top = max((v.m for v in t_table if v.a == a), default=0)
-        for m in range(1, top + 1):
+        for m in range(1, sys.max_m_y(a) + 1):
             stencil = t_relation(sys, a, m, 0)
             for k in range(lo, hi + 1):
                 yield stencil.shift(k)
@@ -487,11 +481,9 @@ def y_to_t(y_table: ValueTable, rng=None, free: str = "random",
         probe = LatticeVar(a, 1, center)
         if probe not in y_table:
             raise WindowTooNarrow(probe.label("Y"))
-    caps = {a: (sys.max_m_y(a) + 1 if sys.level is not None else
-                max(d) + 1) for a in range(cm.r)}
     span = range(lo - max(d), hi + max(d) + 1)
     y_pair = y_table.pairs().get
-    cells = [(a, m) for a in range(cm.r) for m in range(1, caps[a] + 1)]
+    cells = [(a, m) for a in range(cm.r) for m in range(1, sys.max_m_t(a) + 1)]
     couplings = [t_relation(sys, a, 1, 0).term_m for a in range(cm.r)]
     # a rule reads 2 d_a slices away, and a coupling up to d_a beyond its stencil
     reach = 2 * max(d) + max((abs(var.k) for coupling in couplings for var, _ in coupling),

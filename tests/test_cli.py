@@ -213,6 +213,15 @@ def test_period_scan_needs_a_positive_max_period(a2_file, capsys, value):
     assert line == f"tysys: max_period must be >= 1, got {value}"
 
 
+@pytest.mark.parametrize("command", [
+    ["sys", "gen-t"], ["sys", "gen-y"], ["sys", "solve-t"], ["sys", "solve-y"],
+    ["sys", "t2y"], ["period", "scan"]], ids=lambda command: command[1])
+def test_mcap_with_a_restricted_level_is_a_usage_error(a2_file, capsys, command):
+    extra = ["--in", a2_file] if command[1] == "t2y" else []
+    line = usage_error(capsys, *command, a2_file, "--level", "2", "--mcap", "5", *extra)
+    assert line == "tysys: --mcap applies to --level unrestricted only"
+
+
 @pytest.mark.parametrize("level", ["1", "0", "-1"])
 def test_cluster_correspond_needs_level_two(tmp_path, capsys, level):
     path = tmp_path / "a2.txt"
@@ -300,7 +309,7 @@ def test_verify_all_smoke(capsys):
 
 def test_period_scan_negative_retries_is_a_usage_error(a2_file, capsys):
     line = usage_error(capsys, "period", "scan", a2_file, "--level", "2", "--retries", "-1")
-    assert line == "tysys: max_retries must be >= 0, got -1"
+    assert line == "tysys: retries must be >= 0, got -1"
 
 
 def test_negative_retries_is_a_usage_error(a2_file, capsys):
@@ -308,7 +317,7 @@ def test_negative_retries_is_a_usage_error(a2_file, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.strip().splitlines() == [
-        "tysys: max_retries must be >= 0, got -1"]
+        "tysys: retries must be >= 0, got -1"]
 
 
 @pytest.mark.parametrize("command", ["solve-t", "solve-y", "t2y"])
@@ -440,6 +449,10 @@ def _unchanged(data):
     pass
 
 
+def _drop_level(data):
+    data["system"]["level"] = None
+
+
 # (command that writes the table, command that reads it), each without the
 # A2 matrix file and the table file
 SOLVE_T_THEN_T2Y = (["sys", "solve-t", "--level", "2", "--window", "0..6"],
@@ -461,12 +474,13 @@ UNRESTRICTED = ["--level", "unrestricted"]
                                     "matrix [[2, -1], [-2, 2]], not [[2, -1], [-1, 2]]"),
     ((SOLVE_T_THEN_T2Y[0], ["sys", "t2y", "--level", "3"]), _unchanged,
      "tysys: table is for another system: level 2, not 3"),
+    (SOLVE_T_THEN_T2Y, _drop_level, "tysys: table is for another system: level None, not 2"),
     ((["sys", "solve-y", *UNRESTRICTED, "--mcap", "3", "--window", "0..6"],
       ["sys", "y2t", *UNRESTRICTED, "--mcap", "4", "--roundtrip"]), _unchanged,
      "tysys: table is for another system: level 3, not 4"),
 ], ids=["no entries", "zero denominator", "node out of range", "level out of range",
         "k outside the window", "meta not an object", "another matrix", "another level",
-        "another mcap"])
+        "no level", "another mcap"])
 def test_malformed_table_is_a_usage_error(a2_file, tmp_path, capsys, steps, edit, message):
     write, read = steps
     table_path = tmp_path / "table.json"
@@ -484,7 +498,7 @@ def test_y2t_negative_retries_is_a_usage_error(a2_file, tmp_path, capsys, roundt
     run_cli(capsys, "sys", "solve-y", *system, "--out", str(table_path))
     line = usage_error(capsys, "sys", "y2t", *system, "--in", str(table_path),
                        "--retries", "-1", *roundtrip)
-    assert line == "tysys: max_retries must be >= 0, got -1"
+    assert line == "tysys: retries must be >= 0, got -1"
 
 
 def _perturbed(src, dst, index):

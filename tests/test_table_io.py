@@ -37,7 +37,7 @@ def assert_dump_matches(table: ValueTable, path):
     assert written == (json.dumps(table.to_json(), sort_keys=True, indent=1) + "\n").encode()
     table.dump(path)
     assert path.read_bytes() == written
-    assert table_from_json(json.loads(written)).pairs() == table.pairs()
+    assert table_from_json(json.loads(written), table.system, table.kind).pairs() == table.pairs()
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])

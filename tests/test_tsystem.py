@@ -139,6 +139,13 @@ def test_relation_level_out_of_range():
         t_relation(sys, 0, 0, 0)
 
 
+@pytest.mark.parametrize("restricted", [True, False])
+def test_system_needs_an_integer_level(restricted):
+    with pytest.raises(LevelOutOfRange) as err:
+        SystemSpec(A2, None, restricted=restricted)
+    assert str(err.value) == "a system needs an integer level, got None"
+
+
 def test_no_boundary_levels_after_substitution():
     sys = SystemSpec(MIXED44, 2)
     for a in range(4):
@@ -322,7 +329,7 @@ def test_propagate_rejects_unrestricted():
 def test_table_json_roundtrip():
     sys = SystemSpec(B2_LIKE, 2)
     table = propagate_t(sys, (0, 9), rng=random.Random(3))
-    back = table_from_json(table.to_json())
+    back = table_from_json(table.to_json(), sys, "T")
     assert back.values == table.values
     assert back.window == table.window
     again = table_from_json(table.to_json(), sys=sys, kind="T")

@@ -72,8 +72,9 @@ def test_y_relation_a2_level2():
 
 
 def test_y_relation_skips_non_integral_neighbor_level():
-    # node 2 of the B2-like matrix at odd m: the half level is not integral
-    sys = SystemSpec(B2_LIKE, None, restricted=False)
+    # node 2 of the B2-like matrix at odd m: the half level is not integral;
+    # cap 3 centres node 2's relations up to m = t_2 * 3 - 2 = 4
+    sys = SystemSpec(B2_LIKE, 3, restricted=False)
     rel = y_relation(sys, 1, 3, 0)
     assert rel.numerator == ()
     rel2 = y_relation(sys, 1, 4, 0)
@@ -91,7 +92,8 @@ def test_y_relation_drops_boundary_denominator():
 
 @pytest.mark.parametrize("cm", [A3, B2_LIKE, G2_LIKE, MIXED44])
 def test_transposed_relation_matches_direct(cm):
-    sys = SystemSpec(cm, None, restricted=False)
+    # cap 8 centres every node's relations up to m = t_a * 8 - 2 >= 6
+    sys = SystemSpec(cm, 8, restricted=False)
     for a in range(cm.r):
         for m in range(1, 7):
             for k in range(-3, 4):
