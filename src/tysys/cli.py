@@ -36,6 +36,16 @@ def parse_window(text: str):
     return lo, hi
 
 
+def parse_level(text: str, unrestricted: bool = True) -> int:
+    """The integer of a --level text; a ValueError that names what --level
+    accepts (an integer, or 'unrestricted' where unrestricted) otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        accepts = "an integer or 'unrestricted'" if unrestricted else "an integer"
+        raise ValueError(f"--level takes {accepts}, got {text!r}") from None
+
+
 def build_system(cm, level_text: str, mcap) -> SystemSpec:
     if level_text == "unrestricted":
         if mcap is None:
@@ -43,7 +53,7 @@ def build_system(cm, level_text: str, mcap) -> SystemSpec:
         return SystemSpec(cm, int(mcap), restricted=False)
     if mcap is not None:
         raise ValueError("--mcap applies to --level unrestricted only")
-    return SystemSpec(cm, int(level_text), restricted=True)
+    return SystemSpec(cm, parse_level(level_text), restricted=True)
 
 
 def _emit(report: dict) -> int:
@@ -165,9 +175,8 @@ def cmd_sys_t2y(args) -> int:
 def cmd_sys_y2t(args) -> int:
     cm = cartan.read_cartan_file(args.file)
     if args.level != "unrestricted":
-        print("y2t: the reconstruction exists for unrestricted systems only; "
-              "pass --level unrestricted --mcap N", file=_sys.stderr)
-        return 2
+        raise ValueError("the reconstruction exists for unrestricted systems only; "
+                         "pass --level unrestricted --mcap N")
     sys_ = build_system(cm, args.level, args.mcap)
     with open(args.infile, "r", encoding="utf-8") as fh:
         y_table = table_from_json(json.load(fh), sys=sys_, kind="Y")
@@ -234,7 +243,7 @@ def cmd_cluster_verify(args) -> int:
 
 def cmd_cluster_correspond(args) -> int:
     cm = cartan.read_cartan_file(args.file)
-    report = cluster.correspondence_check(cm, int(args.level),
+    report = cluster.correspondence_check(cm, parse_level(args.level, unrestricted=False),
                                           rng=derive_rng(args.seed, "correspond"))
     report["config"] = _config(args)
     return _emit(report)

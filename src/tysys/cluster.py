@@ -610,7 +610,7 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
              for rel in stencils]
     points = mapped_points((rel.shift(u) for rel in forms for u in range(lo, hi + 1)), pair)
     pairs, violations, held = map_t_to_y(
-        points, lambda rel: f"at ({em.label(rel.center.a)},{rel.center.k})")
+        points, lambda rel: f"at ({em.label(rel.center.a)},{rel.center.k})", {})
     y_values = {_at(var): reduced_value(*y) for var, y in pairs.items()}
     agree = _mapped_exponents_agree(stencils)
     rels = []

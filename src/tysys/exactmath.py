@@ -925,9 +925,9 @@ def pair_from_text(text) -> tuple:
     match = _FRACTION_TEXT.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise ValueError(f"{_clipped(text)} is not an integer or a fraction n/d")
-    groups = [group or "1" for group in match.groups()]
+    groups = match.groups("1")
     try:
-        num, den = map(int, groups)
+        num, den = int(groups[0]), int(groups[1])
     except ValueError:  # past the digit limit
         num, den = (int(Decimal(group)) for group in groups)
     if den == 0:

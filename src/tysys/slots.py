@@ -1,0 +1,241 @@
+"""Flat slot stores: the values of a lattice table in one list, and the
+reads of relations on it.
+
+A Layout numbers the slots of the cells (a, m) over the slices lo..hi,
+slice-major, so that a stencil's variables sit at fixed slot offsets from
+the variable it solves, whatever the slice; a relation compiled to a layout
+(Relation.compile, Compiled) reads its values as store[i + offset].  A
+SlotStore is such a list with its layout: fill_lattice fills one and
+returns it, the table loader and the T -> Y map write one, and a ValueTable
+keeps it as it is.  lay gives the reads of a list of relations on a
+SlotStore in place, or lays the values they read once on a store of their
+own; slot_product and slot_pairs read one factor list from a store.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+
+class LatticeVar(NamedTuple):
+    """One T- or Y-variable: node a (0-based), level m, scaled coordinate k."""
+
+    a: int
+    m: int
+    k: int
+
+    def label(self, kind: str = "T") -> str:
+        return f"{kind}[a={self.a + 1},m={self.m},k={self.k}]"
+
+    def shifted(self, k: int) -> "LatticeVar":
+        return LatticeVar(self.a, self.m, self.k + k)
+
+
+Factor = Tuple[LatticeVar, int]
+
+
+class Layout:
+    """The slots of a fill's store: the cells (a, m) in their order and the
+    slices lo..hi, slice-major.  (a, m, k) is slot (k - lo) * size + cell,
+    cell its index in cells, so a stencil's variables sit at fixed offsets
+    from the variable it solves, whatever the slice (Relation.compile)."""
+
+    __slots__ = ("cells", "cell", "size", "lo", "hi")
+
+    def __init__(self, cells: Sequence[Tuple[int, int]], lo: int, hi: int):
+        self.cells, self.lo, self.hi = list(cells), lo, hi
+        self.cell = {cell: c for c, cell in enumerate(self.cells)}
+        self.size = len(self.cells)
+
+    def __len__(self) -> int:
+        return (self.hi - self.lo + 1) * self.size
+
+    def slot(self, var) -> int:
+        a, m, k = var
+        return (k - self.lo) * self.size + self.cell[a, m]
+
+    def var(self, i: int) -> LatticeVar:
+        k, c = divmod(i, self.size)
+        a, m = self.cells[c]
+        return LatticeVar(a, m, k + self.lo)
+
+    def keys(self) -> List[tuple]:
+        """The plain (a, m, k) key of every slot, in slot order."""
+        return [(a, m, k) for k in range(self.lo, self.hi + 1) for a, m in self.cells]
+
+    def offset(self, var, target) -> int:
+        """The slot of var less the slot of target."""
+        return self.slot(var) - self.slot(target)
+
+    def offsets(self, target, factors: Iterable[Factor]) -> Tuple[Tuple[int, int], ...]:
+        """The factors as (slot offset from target, exponent) pairs."""
+        return tuple((self.offset(var, target), exp) for var, exp in factors)
+
+
+class Compiled(NamedTuple):
+    """A stencil compiled to a layout (Relation.compile): its inverted
+    lhs[0], its two factor lists and its left-hand side, each as (slot
+    offset, exponent) pairs from the variable it solves."""
+
+    layout: Layout
+    lhs: Tuple[Tuple[int, int], ...]
+    first: Tuple[Tuple[int, int], ...]
+    second: Tuple[Tuple[int, int], ...]
+    pair: Tuple[Tuple[int, int], ...]
+
+    def filled(self, store: list, i: int) -> bool:
+        """Whether every slot the stencil reads from slot i holds a pair."""
+        for off, _ in self.pair + self.first + self.second:
+            if store[i + off] is None:
+                return False
+        return True
+
+
+def _reach(stencils: Iterable) -> int:
+    """The most slices between a stencil's lhs[1] and a variable it reads
+    (Relation.reach)."""
+    return max((abs(k) for rel in stencils for k in rel.reach()), default=0)
+
+
+class SlotStore(Mapping):
+    """Ring pairs on the slots of a Layout, in one flat list, store, None at
+    a slot without one: the store that fill_lattice fills and returns, and
+    that the table loader and the T -> Y map write.  Read as a mapping, it
+    is the {var: pair} of its filled slots, in (a, m, k) order when the
+    layout's cells are sorted; a ValueTable keeps it as it is, and lay
+    reads it in place."""
+
+    __slots__ = ("layout", "store")
+
+    def __init__(self, layout: Layout, store: Optional[list] = None):
+        self.layout = layout
+        self.store = [None] * len(layout) if store is None else store
+
+    def __getitem__(self, var) -> tuple:
+        a, m, k = var
+        layout = self.layout
+        c = layout.cell.get((a, m))
+        got = None if c is None or not layout.lo <= k <= layout.hi \
+            else self.store[(k - layout.lo) * layout.size + c]
+        if got is None:
+            raise KeyError(var)
+        return got
+
+    def __setitem__(self, var, pair: tuple):
+        a, m, k = var
+        layout = self.layout
+        self.store[(k - layout.lo) * layout.size + layout.cell[a, m]] = pair
+
+    def __len__(self) -> int:
+        return len(self.store) - self.store.count(None)
+
+    def __iter__(self) -> Iterator[LatticeVar]:
+        return (var for var, _ in self.items())
+
+    def items(self) -> Iterator[Tuple[LatticeVar, tuple]]:
+        """(var, pair) of every filled slot, cell by cell, slice by slice."""
+        layout = self.layout
+        for c, (a, m) in enumerate(layout.cells):
+            for k, got in enumerate(self.store[c::layout.size], layout.lo):
+                if got is not None:
+                    # LatticeVar(a, m, k), without the Python-level __new__
+                    yield tuple.__new__(LatticeVar, (a, m, k)), got
+
+
+def _reads(layout: Layout, relations: Sequence) -> Optional[list]:
+    """[(slot, Compiled)] of relations on layout: the slot of each one's
+    lhs[1] and its stencil compiled to the layout, once per stencil: the
+    relations that share one pair of factor lists, which only a stencil's
+    shifts do, since every relation built otherwise gets its own.  None
+    where a relation reads a cell or a slice outside the layout, which an
+    offset would read wrapped into a neighbouring cell."""
+    ids = [id(rel._lists) for rel in relations]
+    compiled = {}
+    for key, rel in dict(zip(ids, relations)).items():
+        try:
+            at = rel.compile(layout)
+        except KeyError:  # a variable in a cell that the layout lacks
+            return None
+        base, (low, high) = rel._lhs[1].k, rel.reach()
+        # the offsets k at which the stencil's variables lie in the layout
+        compiled[key] = (layout.slot(rel._lhs[1]), at,
+                         layout.lo - base - low, layout.hi - base - high)
+    size = layout.size
+    reads = [(base + rel.k * size, at)
+             for rel, (base, at, low, high) in zip(relations, map(compiled.__getitem__, ids))
+             if low <= rel.k <= high]
+    return reads if len(reads) == len(relations) else None
+
+
+def lay(relations: Sequence, pair) -> Tuple[list, list]:
+    """The values that relations read, laid once: (store, reads), reads[j]
+    the (slot, Compiled) of relations[j] (_reads).
+
+    pair is a SlotStore, or a Mapping or a function of the plain (a, m, k)
+    key giving the ring pair there, or None where a value is missing or
+    has none.  A SlotStore whose layout holds every variable the relations
+    read is read in place: store is its list.  Otherwise the layout spans
+    the cells of the relations' variables, in sorted order, and the slices
+    of their lhs[1], padded by the stencils' reach (_reach), so that no
+    offset leaves the store or wraps into a neighbouring cell, and store
+    holds the pair at the key of every slot (Layout.keys)."""
+    if isinstance(pair, SlotStore):
+        reads = _reads(pair.layout, relations)
+        if reads is not None:
+            return pair.store, reads
+    if isinstance(pair, Mapping):
+        pair = pair.get
+    stencils = {id(rel._lists): rel for rel in relations}.values()
+    ks = [rel._lhs[1].k + rel.k for rel in relations] or [0]
+    reach = _reach(stencils)
+    layout = Layout(sorted({(v.a, v.m) for rel in stencils for v in rel.variables()}),
+                    min(ks) - reach, max(ks) + reach)
+    return [pair(key) for key in layout.keys()], _reads(layout, relations)
+
+
+def slot_product(store: list, demand: Optional[Callable], i: int, offsets,
+                 form: Optional[Callable] = None) -> Optional[tuple]:
+    """The product (n, d) of the factors a / b over the (offset, exp) pairs
+    of offsets, multiplied as they are read, without a gcd: (a, b) is
+    (p, q), or form(p, q), for the ring pair (p, q) at slot i + offset of
+    store, raised to exp, and a negative exp reads the inverted pair
+    (b ** -exp, a ** -exp), as slot_pairs does.  An empty slot is solved on
+    demand (demand(slot)); with no demand (a laid store, lay), it gives
+    None."""
+    n = d = 1
+    for off, exp in offsets:
+        got = store[i + off]
+        if got is None:
+            if demand is None:
+                return None
+            got = demand(i + off)
+        a, b = got if form is None else form(*got)
+        if exp == 1:
+            n *= a
+            d *= b
+        elif exp > 0:
+            n *= a ** exp
+            d *= b ** exp
+        else:
+            n *= b ** -exp
+            d *= a ** -exp
+    return n, d
+
+
+def slot_pairs(store: list, demand: Callable, i: int, offsets,
+               form: Optional[Callable] = None) -> list:
+    """[(a ** exp, b ** exp)] over the (offset, exp) pairs of offsets, where
+    (a, b) is (p, q), or form(p, q), for the ring pair (p, q) at slot
+    i + offset of store, solved on demand (demand(slot)) where that slot is
+    empty; a / b is the factor.  A negative exp reads the inverted pair
+    (b ** -exp, a ** -exp).  The coprime pairs of the reads that
+    reduced_quotient reduces; slot_product reads their product."""
+    pairs = []
+    for off, exp in offsets:
+        got = store[i + off] or demand(i + off)
+        if form is not None:
+            got = form(*got)
+        pairs.append(got if exp == 1 else (got[0] ** exp, got[1] ** exp) if exp > 0
+                     else (got[1] ** -exp, got[0] ** -exp))
+    return pairs

@@ -12,18 +12,20 @@ The scheduler, the solves and the checks pass ring pairs (numerator,
 denominator) around, and every read of a relation's values reads a flat
 store, a list indexed by the slots of a Layout, at the offsets of the
 relation's stencil compiled to that layout (Relation.compile), and
-multiplies each factor list into one pair as it reads it (slot_product):
-no list of pairs and no second call.  fill_lattice keeps the values it
-solves in such a store and returns its {var: pair} dict, built once.  The
-checks and maps lay the values they read once per call (lay): a store over
-the cells and slices the relations span, padded by the stencils' reach,
-None where a value is missing or has no ring pair.  Solves return reduced
-pairs, and a ValueTable keeps the filled dict: the checks, the maps, the
-period scan, dump and the loader work on a table's pairs
-(ValueTable.pairs), and Fractions or RationalFunctions are built only where
-something reads its values, and for violation records.  Each relation is
-one identity on pairs (holds_exactly), and numeric mode checks it on the
-table evaluated at random points, then exactly where it fails.
+multiplies each factor list into one pair as it reads it: no list of pairs
+and no second call.  fill_lattice keeps the values it solves in such a
+store and returns it as a SlotStore, the layout and the list, which the
+table keeps; the loader and the T -> Y map write their tables' stores the
+same way (table_store).  The checks, the maps, the period scan and dump
+read a table's store in place (lay, ValueTable.pairs); once its values
+have been read, and on the cluster side, the values a check reads are laid
+once per call (lay): a store over the cells and slices the relations span,
+padded by the stencils' reach, None where a value is missing or has no
+ring pair.  Fractions or RationalFunctions are built only where something
+reads a table's values, and for violation records.  Each relation is one
+identity on pairs, read by each kind's fused holds_exactly, and numeric
+mode checks it on the table evaluated at random points, then exactly where
+it fails.
 
 Propagation takes one Cauchy step per kind, the kind's solve: lhs[1] is
 the right-hand side times the inverted lhs[0], read as one running pair
@@ -45,13 +47,13 @@ unit values placed structurally at m = 0 and m = t_a*L.
 
 from __future__ import annotations
 
-import functools
 import io
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from .cartan import CartanMatrix
@@ -73,23 +75,17 @@ from .exactmath import (
     random_nonzero_rational,
     value_text,
 )
-
-
-class LatticeVar(NamedTuple):
-    """One T- or Y-variable: node a (0-based), level m, scaled coordinate k."""
-
-    a: int
-    m: int
-    k: int
-
-    def label(self, kind: str = "T") -> str:
-        return f"{kind}[a={self.a + 1},m={self.m},k={self.k}]"
-
-    def shifted(self, k: int) -> "LatticeVar":
-        return LatticeVar(self.a, self.m, self.k + k)
-
-
-Factor = Tuple[LatticeVar, int]
+from .slots import (  # noqa: F401 (the package's names for the slot store)
+    Compiled,
+    Factor,
+    LatticeVar,
+    Layout,
+    SlotStore,
+    _reach,
+    lay,
+    slot_pairs,
+    slot_product,
+)
 
 
 @dataclass(frozen=True)
@@ -155,9 +151,10 @@ class Relation:
     The relation centred k slices after the stencil's centre keeps the
     stencil's tuples and adds k as it reads them, so shift is O(1) and
     nothing per centre is built: variables and to_json read the stored
-    tuples with the offset.  Values are read from slots only: the Cauchy
-    step (solve) and the check (holds_exactly) read a store at the
-    stencil's compiled offsets (compile) from the slot of lhs[1].  The
+    tuples with the offset.  Values are read from slots only: each kind's
+    Cauchy step (solve) and check (holds_exactly, one fused read of the
+    kind's identity) read a store at the stencil's compiled offsets
+    (compile) from the slot of lhs[1].  The
     named factor lists of the subclasses are the stored tuples at k = 0 and
     new tuples otherwise, for equality and for callers that keep the list.
     Treated as immutable; equal relations (same kind, centre, left-hand
@@ -210,18 +207,13 @@ class Relation:
             for var, _ in self.factors(i):
                 yield var
 
-    def holds_exactly(self, store, i: int, at: "Compiled") -> Optional[bool]:
-        """The relation as one identity in the values' ring, without a gcd:
-        the kind's identity(lhs, first, second) on the pair products of the
-        left-hand side and of the two factor lists, each factor read
-        through its list's form, at the offsets of at from slot i, the slot
-        of lhs[1] in a laid store (lay), each list multiplied into one pair
-        as it is read (slot_product).  None where a slot it reads is empty."""
-        lhs = slot_product(store, None, i, at.pair)
-        first = None if lhs is None else slot_product(store, None, i, at.first, self.forms[0])
-        second = None if first is None else slot_product(store, None, i, at.second,
-                                                         self.forms[1])
-        return None if second is None else self.identity(lhs, first, second)
+    def reach(self) -> Tuple[int, int]:
+        """The slices from lhs[1] to the lowest and to the highest variable
+        the stencil reads, the same at every offset."""
+        top = self._lhs[1].k
+        ks = [v.k - top for v in self._lhs]
+        ks += [v.k - top for factors in self._lists for v, _ in factors]
+        return min(ks), max(ks)
 
     def compile(self, layout: "Layout") -> "Compiled":
         """The stencil compiled to layout: lhs[0] and both factor lists as
@@ -298,19 +290,61 @@ class TRelation(Relation):
         n, d = TRelation.sum_pair(first, second)
         return lhs[0] * d == lhs[1] * n
 
+    def holds_exactly(self, store, i: int, at: "Compiled") -> Optional[bool]:
+        """identity at slot i of a laid store (lay), the slot of lhs[1], in
+        one read and without a gcd: the left-hand side, then each factor
+        list multiplied into one pair as it is read at the offsets of at,
+        as slot_product reads it, then the sum pair cross-multiplied.  None
+        where a slot it reads is empty."""
+        got, top = store[i + at.pair[0][0]], store[i]
+        if got is None or top is None:
+            return None
+        ln, ld = got[0] * top[0], got[1] * top[1]
+        lists = []
+        for offsets in (at.first, at.second):
+            n = d = 1
+            for off, exp in offsets:
+                got = store[i + off]
+                if got is None:
+                    return None
+                if exp == 1:
+                    n *= got[0]
+                    d *= got[1]
+                else:
+                    p, q = got if exp > 0 else got[::-1]
+                    n *= p ** abs(exp)
+                    d *= q ** abs(exp)
+            lists.append((n, d))
+        (an, ad), (mn, md) = lists
+        return ln * (ad * md) == ld * (an * md + mn * ad)
+
     def solve(self, store, demand, i: int, at: "Compiled") -> tuple:
         """The Cauchy step: lhs[1] at slot i of a fill's store, as a reduced
         ring pair with the sign on the numerator.  Each factor list is read
-        into one pair (slot_product) at the offsets of at (compile), an
-        empty slot solved on demand (demand(slot)), then lhs[0]; lhs[1] is
-        the sum pair (sum_pair) times the inverted lhs[0].  Integers of
-        fewer than ONE_GCD_BITS bits in all are multiplied out and reduced
-        by one gcd (lowest_terms).  Larger ones reduce the sum pair by its
-        one gcd and reduced_quotient cross-cancels it with lhs[0]; a
-        Laurent quotient goes to reduced_quotient whole."""
-        n, d = self.sum_pair(slot_product(store, demand, i, at.first),
-                             slot_product(store, demand, i, at.second))
-        q, p = slot_product(store, demand, i, at.lhs)
+        into one pair at the offsets of at (compile), as slot_product reads
+        it, an empty slot solved on demand (demand(slot)), then lhs[0];
+        lhs[1] is the sum pair (sum_pair) times the inverted lhs[0].
+        Integers of fewer than ONE_GCD_BITS bits in all are multiplied out
+        and reduced by one gcd (lowest_terms).  Larger ones reduce the sum
+        pair by its one gcd and reduced_quotient cross-cancels it with
+        lhs[0]; a Laurent quotient goes to reduced_quotient whole."""
+        lists = []
+        for offsets in (at.first, at.second):
+            n = d = 1
+            for off, exp in offsets:
+                got = store[i + off] or demand(i + off)
+                if exp == 1:
+                    n *= got[0]
+                    d *= got[1]
+                else:
+                    a, b = got if exp > 0 else got[::-1]
+                    n *= a ** abs(exp)
+                    d *= b ** abs(exp)
+            lists.append((n, d))
+        (an, ad), (mn, md) = lists
+        n, d = an * md + mn * ad, ad * md
+        off = at.lhs[0][0]
+        p, q = store[i + off] or demand(i + off)
         if isinstance(n, int) and isinstance(q, int):
             if n.bit_length() + d.bit_length() + q.bit_length() + p.bit_length() < ONE_GCD_BITS:
                 return lowest_terms(n * q, d * p)
@@ -468,12 +502,15 @@ class ValueTable:
     for the lattice variables of one system on one window.  Unit boundary
     variables are never stored; relations substitute them structurally.
 
-    A table keeps one store, a dict.  A solved or loaded table is built
-    from its reduced ring pairs (pairs=); len, `in` and dump read them, and
-    the checks and the maps lay them on the slots they read (lay).  The
-    first read of values builds the values from the pairs (reduced_value),
-    one per distinct pair; from then on the values are the only store, so
-    whatever is written into them is what the next reader sees."""
+    A table keeps one store.  A solved, mapped or loaded table is built
+    from its reduced ring pairs (pairs=): the SlotStore that its fill, map
+    or loader wrote, its Layout and flat list.  len, `in`, dump and the
+    period scan read it, and the checks and the maps read it in place at
+    compiled offsets (lay).  The first read of values builds the values
+    from the pairs (reduced_value), one per distinct pair, into one
+    {var: value} dict; from then on that dict is the only store, so
+    whatever is written into it is what the next reader sees, and the
+    checks lay its ring pairs once per call."""
 
     def __init__(self, kind: str, system: SystemSpec, window: Tuple[int, int],
                  values: Optional[dict] = None, meta: Optional[dict] = None,
@@ -504,10 +541,11 @@ class ValueTable:
     def values(self, values: dict):
         self._store, self._has_values = values, True
 
-    def pairs(self) -> dict:
-        """{var: ring pair or None}, not to be changed: the stored pairs, or,
-        once the values have been read, their ring pairs, built per call, so
-        that an entry changed since is read afresh."""
+    def pairs(self) -> Mapping:
+        """{var: ring pair or None}, not to be changed: the stored pairs (the
+        table's SlotStore, read in place by lay), or, once the values have
+        been read, a dict of their ring pairs, built per call, so that an
+        entry changed since is read afresh."""
         return ({var: ring_pair(v) for var, v in self._store.items()} if self._has_values
                 else self._store)
 
@@ -549,9 +587,9 @@ class ValueTable:
         that is not a rational) leaves no file behind."""
         text = io.StringIO()
         text.write('{\n "entries": [')
-        pairs, kind, sep = self.pairs(), self.kind, ""
-        for var in sorted(pairs):
-            got = pairs[var]
+        kind, sep = self.kind, ""
+        # a SlotStore gives its pairs sorted already
+        for var, got in sorted(self.pairs().items()):
             if got is None or not isinstance(got[0], int):
                 raise TypeError(f"{var.label(kind)} is not a rational")
             n, d = got
@@ -602,7 +640,8 @@ def table_from_json(data, sys: SystemSpec, kind: str) -> ValueTable:
         raise ValueError("table entries must be an array")
     top = sys.max_m_t if kind == "T" else sys.max_m_y
     tops = [top(a) for a in range(sys.cm.r)]
-    pairs = {}
+    pairs = table_store(sys, kind, window)
+    store, slot = pairs.store, pairs.layout.slot
     for row in entries:
         var = _entry_var(row, kind, tops, window)
         try:
@@ -611,14 +650,32 @@ def table_from_json(data, sys: SystemSpec, kind: str) -> ValueTable:
             raise ValueError(f"{var.label(kind)}: {err}") from None
         if not got[0]:
             raise ValueError(f"{var.label(kind)}: zero value")
-        if var in pairs:
+        i = slot(var)
+        if store[i] is not None:
             raise ValueError(f"{var.label(kind)} appears twice")
-        pairs[var] = got
+        store[i] = got
     return ValueTable(kind, sys, window, meta=meta, pairs=pairs)
 
 
+def table_store(sys: SystemSpec, kind: str, window) -> "SlotStore":
+    """An empty SlotStore for a kind table of sys on window: every cell
+    (a, m) of the kind, in order, and the window's slices padded by the
+    reach of the kind's stencils (_reach), so that every relation whose
+    lhs[1] lies in the window is read in place (lay)."""
+    if kind == "T":
+        build, top = _compile_t, sys.max_m_t
+    else:
+        from .ysystem import _compile_y as build  # ysystem imports this module
+        top = sys.max_m_y
+    reach = _reach(stencil(sys, kind, a, m, build) for a in range(sys.cm.r)
+                   for m in range(1, sys.max_center_m(a, kind) + 1))
+    cells = [(a, m) for a in range(sys.cm.r) for m in range(1, top(a) + 1)]
+    return SlotStore(Layout(cells, window[0] - reach, window[1] + reach))
+
+
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Whether value is an int, as JSON reads one: a bool is not."""
+    return type(value) is int
 
 
 def _entry_var(row, kind: str, tops: list, window) -> LatticeVar:
@@ -629,7 +686,7 @@ def _entry_var(row, kind: str, tops: list, window) -> LatticeVar:
     if row.get("kind", kind) != kind:
         raise ValueError(f"table mixes kinds {row['kind']!r} and {kind!r}")
     a, m, k = row.get("a"), row.get("m"), row.get("k")
-    if not (_is_int(a) and _is_int(m) and _is_int(k)):
+    if not type(a) is type(m) is type(k) is int:  # _is_int of all three
         raise ValueError(f"table entry needs integers a, m and k: "
                          f"{ {'a': a, 'm': m, 'k': k} }")
     var = LatticeVar(a - 1, m, k)
@@ -661,10 +718,11 @@ def check_relations(relations: Iterable, pair: Callable, value: Callable,
                     label: Callable) -> List[dict]:
     """The one check of T- and Y-relations, lattice or exchange-matrix.
 
-    The values are laid once on the slots the relations read (lay),
-    pair(key) giving the ring pair at each slot's (a, m, k) key, or None
-    where a value is missing or has none.  Where every slot a relation
-    reads holds a pair, rel.holds_exactly decides the exact check as one
+    The values are laid once on the slots the relations read (lay):
+    pair(key) gives the ring pair at each slot's (a, m, k) key, or None
+    where a value is missing or has none, or pair is a table's SlotStore,
+    read in place.  Where every slot a relation reads holds a pair, the
+    kind's fused read rel.holds_exactly decides the exact check as one
     identity of integers or of Laurent polynomials.  Otherwise (semifield
     values, or a missing value), the sides, read through value(var), are
     compared by rel.holds.  Each failure is recorded as
@@ -678,8 +736,8 @@ def check_laid(relations: Sequence, store: list, reads: Sequence, value: Callabl
     """check_relations on relations already laid: reads[j] is the (slot,
     Compiled) of relations[j] in store (lay)."""
     violations = []
-    for rel, read in zip(relations, reads):
-        ok = rel.holds_exactly(store, *read)
+    for rel, (i, at) in zip(relations, reads):
+        ok = rel.holds_exactly(store, i, at)
         if ok:
             continue
         lhs = value(rel.lhs[0]) * value(rel.lhs[1])
@@ -697,14 +755,14 @@ SAMPLES = 3
 
 def _check_table(table: ValueTable, relations: Iterable, mode: str, rng,
                  laid: Optional[tuple] = None) -> List[dict]:
-    """check_relations on a table's ring pairs, laid once (lay), or laid
-    by the caller: laid is then (store, reads) of relations on the table's
-    pairs.  Numeric mode evaluates the table at SAMPLES random assignments
-    of the symbols of its rational functions, drawn from rng, and checks
-    each relation's exact identity on the evaluated pairs, laid as the
-    table's are; only a relation that fails at a point goes on to the exact
-    check, which writes its record.  A table without rational functions is
-    checked exactly."""
+    """check_relations on a table's ring pairs, read in place or laid once
+    (lay), or laid by the caller: laid is then (store, reads) of relations
+    on the table's pairs.  Numeric mode evaluates the table at SAMPLES
+    random assignments of the symbols of its rational functions, drawn
+    from rng, and checks each relation's exact identity on the evaluated
+    pairs, laid as the table's are; only a relation that fails at a point
+    goes on to the exact check, which writes its record.  A table without
+    rational functions is checked exactly."""
     pairs = table.pairs()
     relations = list(relations)
     if mode == "numeric":
@@ -722,7 +780,7 @@ def _check_table(table: ValueTable, relations: Iterable, mode: str, rng,
             kept = [j for j in range(len(relations)) if j in failed]
             relations = [relations[j] for j in kept]
             laid = laid and (laid[0], [laid[1][j] for j in kept])
-    store, reads = laid or lay(relations, pairs.get)
+    store, reads = laid or lay(relations, pairs)
     return check_laid(relations, store, reads, table.get,
                       lambda rel: rel.center.label(table.kind))
 
@@ -862,166 +920,33 @@ def reduced_value(n, d):
     return coprime_fraction(n, d) if isinstance(n, int) else RationalFunction(n, d, _reduced=True)
 
 
-class Layout:
-    """The slots of a fill's store: the cells (a, m) in their order and the
-    slices lo..hi, slice-major.  (a, m, k) is slot (k - lo) * size + cell,
-    cell its index in cells, so a stencil's variables sit at fixed offsets
-    from the variable it solves, whatever the slice (Relation.compile)."""
-
-    __slots__ = ("cells", "cell", "size", "lo", "hi")
-
-    def __init__(self, cells: Sequence[Tuple[int, int]], lo: int, hi: int):
-        self.cells, self.lo, self.hi = list(cells), lo, hi
-        self.cell = {cell: c for c, cell in enumerate(self.cells)}
-        self.size = len(self.cells)
-
-    def __len__(self) -> int:
-        return (self.hi - self.lo + 1) * self.size
-
-    def slot(self, var) -> int:
-        a, m, k = var
-        return (k - self.lo) * self.size + self.cell[a, m]
-
-    def var(self, i: int) -> LatticeVar:
-        k, c = divmod(i, self.size)
-        a, m = self.cells[c]
-        return LatticeVar(a, m, k + self.lo)
-
-    def keys(self) -> List[tuple]:
-        """The plain (a, m, k) key of every slot, in slot order."""
-        return [(a, m, k) for k in range(self.lo, self.hi + 1) for a, m in self.cells]
-
-    def offset(self, var, target) -> int:
-        """The slot of var less the slot of target."""
-        return self.slot(var) - self.slot(target)
-
-    def offsets(self, target, factors: Iterable[Factor]) -> Tuple[Tuple[int, int], ...]:
-        """The factors as (slot offset from target, exponent) pairs."""
-        return tuple((self.offset(var, target), exp) for var, exp in factors)
-
-
-class Compiled(NamedTuple):
-    """A stencil compiled to a layout (Relation.compile): its inverted
-    lhs[0], its two factor lists and its left-hand side, each as (slot
-    offset, exponent) pairs from the variable it solves."""
-
-    layout: Layout
-    lhs: Tuple[Tuple[int, int], ...]
-    first: Tuple[Tuple[int, int], ...]
-    second: Tuple[Tuple[int, int], ...]
-    pair: Tuple[Tuple[int, int], ...]
-
-    def filled(self, store: list, i: int) -> bool:
-        """Whether every slot the stencil reads from slot i holds a pair."""
-        for off, _ in self.pair + self.first + self.second:
-            if store[i + off] is None:
-                return False
-        return True
-
-
-def _reach(stencils: Iterable[Relation]) -> int:
-    """The most slices between a stencil's lhs[1] and a variable it reads."""
-    return max((abs(v.k - rel.k - rel._lhs[1].k) for rel in stencils for v in rel.variables()),
-               default=0)
-
-
-def lay(relations: Sequence[Relation], pair: Callable) -> Tuple[list, list]:
-    """The values that relations read, laid once: (store, reads).
-
-    The layout spans the cells of the relations' variables, in sorted order,
-    and the slices of their lhs[1], padded by the stencils' reach (_reach),
-    so that no offset leaves the store or wraps into a neighbouring cell.
-    store holds pair(key) at the plain (a, m, k) key of every slot
-    (Layout.keys): its ring pair, or None where a value is missing or has
-    none.  reads[j] is (slot, Compiled) of relations[j]: the slot of its
-    lhs[1] and its stencil compiled to the layout, once per stencil: the
-    relations that share one pair of factor lists, which only a stencil's
-    shifts do, since every relation built otherwise gets its own."""
-    ids = [id(rel._lists) for rel in relations]
-    stencils = dict(zip(ids, relations))
-    ks = [rel._lhs[1].k + rel.k for rel in relations] or [0]
-    reach = _reach(stencils.values())
-    layout = Layout(sorted({(v.a, v.m) for rel in stencils.values() for v in rel.variables()}),
-                    min(ks) - reach, max(ks) + reach)
-    compiled = {key: (layout.slot(rel._lhs[1]), rel.compile(layout))
-                for key, rel in stencils.items()}
-    reads = [(base + rel.k * layout.size, at)
-             for rel, (base, at) in zip(relations, map(compiled.__getitem__, ids))]
-    return [pair(key) for key in layout.keys()], reads
-
-
-def slot_product(store: list, demand: Optional[Callable], i: int, offsets,
-                 form: Optional[Callable] = None) -> Optional[tuple]:
-    """The product (n, d) of the factors a / b over the (offset, exp) pairs
-    of offsets, multiplied as they are read, without a gcd: (a, b) is
-    (p, q), or form(p, q), for the ring pair (p, q) at slot i + offset of
-    store, raised to exp, and a negative exp reads the inverted pair
-    (b ** -exp, a ** -exp), as slot_pairs does.  An empty slot is solved on
-    demand (demand(slot)); with no demand (a laid store, lay), it gives
-    None."""
-    n = d = 1
-    for off, exp in offsets:
-        got = store[i + off]
-        if got is None:
-            if demand is None:
-                return None
-            got = demand(i + off)
-        a, b = got if form is None else form(*got)
-        if exp == 1:
-            n *= a
-            d *= b
-        elif exp > 0:
-            n *= a ** exp
-            d *= b ** exp
-        else:
-            n *= b ** -exp
-            d *= a ** -exp
-    return n, d
-
-
-def slot_pairs(store: list, demand: Callable, i: int, offsets,
-               form: Optional[Callable] = None) -> list:
-    """[(a ** exp, b ** exp)] over the (offset, exp) pairs of offsets, where
-    (a, b) is (p, q), or form(p, q), for the ring pair (p, q) at slot
-    i + offset of store, solved on demand (demand(slot)) where that slot is
-    empty; a / b is the factor.  A negative exp reads the inverted pair
-    (b ** -exp, a ** -exp).  The coprime pairs of the reads that
-    reduced_quotient reduces; slot_product reads their product."""
-    pairs = []
-    for off, exp in offsets:
-        got = store[i + off] or demand(i + off)
-        if form is not None:
-            got = form(*got)
-        pairs.append(got if exp == 1 else (got[0] ** exp, got[1] ** exp) if exp > 0
-                     else (got[1] ** -exp, got[0] ** -exp))
-    return pairs
-
-
 # rule(slot) result for a free value drawn when the visit reaches the slot
 SAMPLE = "sample"
 
 
 def fill_lattice(kind: str, layout: Layout, free: List[LatticeVar], targets: Iterable[int],
                  rule: Callable, rng, initial: Optional[dict] = None,
-                 partial: bool = False, retries: int = 16) -> dict:
+                 partial: bool = False, retries: int = 16) -> SlotStore:
     """The one scheduler and resample loop behind propagate_t, propagate_y
-    and y_to_t; returns the filled {var: pair}, reduced ring pairs with the
-    sign on the numerator, which the caller's ValueTable keeps as its store.
+    and y_to_t; returns the filled store, a SlotStore on layout of reduced
+    ring pairs with the sign on the numerator, which the caller's
+    ValueTable keeps as it is.
 
     The values are kept in one flat store, a list indexed by the slots of
-    layout, free values included; no value is built, and the {var: pair}
-    dict is built once, at the end.  The free variables take initial[var]
-    where given, else a random sample, in their order; then the slots of
-    targets are visited in order.  rule(slot) is None when no rule
-    determines the slot's variable, SAMPLE for a free value drawn when it is
-    reached, or solve(store, demand, slot), which returns its reduced ring
-    pair, sign on the numerator, reading each variable it needs as
-    store[slot + offset] and calling demand(slot + offset) where that slot
-    is still empty: demand solves a missing dependency on demand, by its
-    rule.  A rule reads only slots inside the layout, so the layout must
-    reach as many slices beyond the slots that have a rule as their rules
-    read: an offset then never reads a neighbouring cell, and a slot beyond
-    has no rule.  A dependency that no rule determines raises
+    layout, free values included; no value and no {var: pair} dict is
+    built.  The free variables take initial[var] where given, else a
+    random sample, in their order; then the slots of targets are visited in
+    order.  rule(slot) is None when no rule determines the slot's variable,
+    SAMPLE for a free value drawn when it is reached, or solve(store,
+    demand, slot), which returns its reduced ring pair, sign on the
+    numerator, reading each variable it needs as store[slot + offset] and
+    calling demand(slot + offset) where that slot is still empty: demand
+    solves a missing dependency on demand, by its rule.  The visit calls a
+    target's solve itself, and demand only for a slot that it reaches out
+    of order.  A rule reads only slots inside the layout, so the layout
+    must reach as many slices beyond the slots that have a rule as their
+    rules read: an offset then never reads a neighbouring cell, and a slot
+    beyond has no rule.  A dependency that no rule determines raises
     UnschedulableDependency; with partial, the target that needs it is left
     out instead.  A ZeroDivisor redraws every sample, up to retries (>= 0)
     times, when there is an rng and something was sampled; a DegenerateData,
@@ -1035,7 +960,8 @@ def fill_lattice(kind: str, layout: Layout, free: List[LatticeVar], targets: Ite
     for _ in range(retries + 1):
         store = [None] * len(layout)
         undetermined = set()
-        active = {}  # slots being solved, innermost last
+        active = {}  # slots being solved on demand, innermost last
+        visiting = None  # the target whose solve the visit runs
         sampled = False
 
         def take(i, value=None):
@@ -1047,11 +973,12 @@ def fill_lattice(kind: str, layout: Layout, free: List[LatticeVar], targets: Ite
             return got
 
         def demand(i):
-            how = None if i in undetermined or i in active else rule(i)
+            how = None if i in undetermined or i in active or i == visiting else rule(i)
             if how is None:
                 undetermined.add(i)
                 var = layout.var(i)
-                needer = layout.var(next(reversed(active))) if active else var
+                inner = next(reversed(active)) if active else visiting
+                needer = var if inner is None else layout.var(inner)
                 raise UnschedulableDependency(
                     var.label(kind), f"solving {needer.label(kind)} needs "
                     f"{var.label(kind)} at a not-yet-filled slice")
@@ -1075,14 +1002,25 @@ def fill_lattice(kind: str, layout: Layout, free: List[LatticeVar], targets: Ite
                 raise ZeroDivisor(f"initial value for {var.label(kind)} is zero")
         try:
             for i in targets:
-                if store[i] is None:
-                    try:
+                if store[i] is not None:
+                    continue
+                how = None if i in undetermined else rule(i)
+                try:
+                    if how is None or how is SAMPLE:
+                        visiting = None
                         demand(i)
-                    except UnschedulableDependency:
-                        if not partial:
-                            raise
-            return {LatticeVar(*key): got for key, got in zip(layout.keys(), store)
-                    if got is not None}
+                        continue
+                    visiting = i
+                    got = how(store, demand, i)
+                except UnschedulableDependency:
+                    undetermined.add(i)
+                    if not partial:
+                        raise
+                    continue
+                if not got[0]:
+                    raise ZeroDivisor(f"solved zero at {layout.var(i).label(kind)}")
+                store[i] = got
+            return SlotStore(layout, store)
         except ZeroDivisor as err:
             last_error = err
             if rng is None or not sampled or isinstance(err, DegenerateData):
@@ -1108,18 +1046,18 @@ def _propagate(kind: str, sys: SystemSpec, window, relation: Callable,
                 for a, m in cells]
     reach = _reach(rel for rel in stencils if rel is not SAMPLE)
     layout = Layout(cells, lo - reach, hi + reach)
-    rules = [rel if rel is SAMPLE else functools.partial(rel.solve, at=rel.compile(layout))
-             for rel in stencils]
-    size = layout.size
-    first, last = reach * size, (reach + hi - lo + 1) * size
-
-    def rule(i):
-        return rules[i % size] if first <= i < last else None
-
+    # each solve with its compiled stencil bound (a closure calls faster
+    # than a partial with a keyword)
+    rules = [rel if rel is SAMPLE else
+             lambda store, demand, i, solve=rel.solve, at=rel.compile(layout):
+             solve(store, demand, i, at) for rel in stencils]
+    # the rule of every slot, None beyond the window
+    pad = [None] * (reach * layout.size)
+    by_slot = pad + rules * (hi - lo + 1) + pad
     slab = [LatticeVar(a, m, k) for a, m in cells
             for k in range(lo, min(hi + 1, lo + 2 * sys.cm.d[a]))]
-    pairs = fill_lattice(kind, layout, slab, range(first, last), rule, rng, initial,
-                         retries=retries)
+    pairs = fill_lattice(kind, layout, slab, range(len(pad), len(by_slot) - len(pad)),
+                         by_slot.__getitem__, rng, initial, retries=retries)
     return ValueTable(kind, sys, (lo, hi), pairs=pairs)
 
 

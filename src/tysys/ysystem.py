@@ -37,6 +37,7 @@ from .tsystem import (
     Layout,
     ONE_GCD_BITS,
     Relation,
+    SlotStore,
     SystemSpec,
     TRelation,
     ValueTable,
@@ -58,6 +59,7 @@ from .tsystem import (
     slot_product,
     stencil,
     t_relation,
+    table_store,
     violation,
 )
 
@@ -120,6 +122,40 @@ class YRelation(Relation):
         (ln, ld), (nn, nd), (dn, dd) = lhs, num, den
         return ln * dn * nd == ld * dd * nn
 
+    def holds_exactly(self, store, i: int, at) -> Optional[bool]:
+        """identity at slot i of a laid store (lay), the slot of lhs[1], in
+        one read and without a gcd: the left-hand side, then each factor
+        list multiplied into one pair as it is read at the offsets of at,
+        a factor Y = p / q written inline as its form (p + q, q) in the
+        numerator and (p + q, p) in the denominator, as slot_product reads
+        it through forms.  None where a slot it reads is empty; a factor
+        1 + Y^-1 of Y = 0 raises InverseOfZero, as _one_plus_inverse does."""
+        got, top = store[i + at.pair[0][0]], store[i]
+        if got is None or top is None:
+            return None
+        ln, ld = got[0] * top[0], got[1] * top[1]
+        lists = []
+        for offsets, inverted in ((at.first, False), (at.second, True)):
+            n = d = 1
+            for off, exp in offsets:
+                got = store[i + off]
+                if got is None:
+                    return None
+                p, q = got
+                if inverted and p == 0:
+                    raise InverseOfZero("inverse of zero")
+                a, b = p + q, p if inverted else q
+                if exp == 1:
+                    n *= a
+                    d *= b
+                else:
+                    a, b = (a, b) if exp > 0 else (b, a)
+                    n *= a ** abs(exp)
+                    d *= b ** abs(exp)
+            lists.append((n, d))
+        (nn, nd), (dn, dd) = lists
+        return ln * dn * nd == ld * dd * nn
+
     def solve(self, store, demand, i: int, at) -> tuple:
         """The Cauchy step: lhs[1] at slot i of a fill's store, as a reduced
         ring pair with the sign on the numerator: the product of the 1 + Y
@@ -138,8 +174,10 @@ class YRelation(Relation):
             for off, exp in offsets:
                 p, q = store[i + off] or demand(i + off)
                 a, b = (p, p + q) if inverted else (p + q, q)
-                n *= a ** exp
-                d *= b ** exp
+                if exp != 1:
+                    a, b = a ** exp, b ** exp
+                n *= a
+                d *= b
                 if not isinstance(n, int) or n.bit_length() + d.bit_length() >= ONE_GCD_BITS:
                     return self.solve_pairs(store, demand, i, at)
         if not n or not d:
@@ -232,17 +270,17 @@ def enumerate_y_relations(sys: SystemSpec, window) -> List[YRelation]:
 
 def covered_y_relations(y_table: ValueTable) -> List[YRelation]:
     """The relations of enumerate_y_relations on the table's window whose
-    slots all hold a pair of the table, laid once (lay), in the same
-    order."""
+    slots all hold a pair of the table, read in place or laid once (lay),
+    in the same order."""
     return _covered(y_table)[0]
 
 
 def _covered(y_table: ValueTable):
-    """(covered_y_relations(y_table), (store, reads)): the table laid once
-    for the relations of its window (lay), and the reads of those it
-    covers."""
+    """(covered_y_relations(y_table), (store, reads)): the table's store,
+    or the table laid once, for the relations of its window (lay), and the
+    reads of those it covers."""
     relations = enumerate_y_relations(y_table.system, y_table.window)
-    store, reads = lay(relations, y_table.pairs().get)
+    store, reads = lay(relations, y_table.pairs())
     kept = [j for j, (i, at) in enumerate(reads) if at.filled(store, i)]
     return [relations[j] for j in kept], (store, [reads[j] for j in kept])
 
@@ -260,7 +298,8 @@ def check_y_solution(table: ValueTable, relations: Iterable[YRelation],
 
 def check_covered(y_table: ValueTable, mode: str = "exact", rng=None):
     """(covered_y_relations(y_table), check_y_solution of the table on
-    them, with mode and rng), the table laid once for both."""
+    them, with mode and rng), the table read in place, or laid once, for
+    both."""
     relations, laid = _covered(y_table)
     return relations, _check_table(y_table, relations, mode, rng, laid)
 
@@ -302,9 +341,11 @@ def mapped_points(relations, pair):
     two factor lists find a pair in every slot: the products of its first
     list (inner), its second list (coupling) and its left-hand side as ring
     pairs (N, D), N / D the product, each multiplied as it is read
-    (slot_product), without a gcd.  The values are laid once on the slots the relations read (lay), pair(key)
-    giving the ring pair at each slot's (a, m, k) key, or None to leave a
-    variable out; lhs is None where a left-hand slot is empty."""
+    (slot_product), without a gcd.  The values are read where the
+    relations read them (lay): in place where pair is a T-table's
+    SlotStore, else laid once, pair(key) giving the ring pair at each
+    slot's (a, m, k) key, or None to leave a variable out; lhs is None
+    where a left-hand slot is empty."""
     relations = list(relations)
     store, reads = lay(relations, pair)
     for rel, (i, at) in zip(relations, reads):
@@ -373,17 +414,17 @@ def companion_identities(label: str, y, pair, inner, coupling) -> List[dict]:
     return violations
 
 
-def map_t_to_y(points, label):
+def map_t_to_y(points, label, pairs):
     """The one T -> Y map, of the lattice and of the exchange-matrix
     systems: Y = coupling / inner at every point of mapped_points, as a
-    reduced ring pair keyed by centre.  Where a point has a pair, the
-    companion identities are checked in the exact form of companions_hold,
-    and compared as values by companion_identities, labelled label(rel),
-    only where that fails.
+    reduced ring pair written into pairs (a dict, or a Y-table's SlotStore)
+    at its centre.  Where a point has a pair, the companion identities are
+    checked in the exact form of companions_hold, and compared as values by
+    companion_identities, labelled label(rel), only where that fails.
 
     Returns (pairs, violations, held), held the centres where the
     companions held."""
-    pairs, violations, held = {}, [], set()
+    violations, held = [], set()
     for rel, inner, coupling, pair in points:
         centre = rel.center
         y = pairs[centre] = pair_quotient(coupling, inner)
@@ -420,8 +461,9 @@ def t_to_y(t_table: ValueTable):
                 raise ZeroDivisor(f"vanishing T pair under {point[0].center.label('Y')}")
             yield point
 
-    points = mapped_points(_centred_relations(t_table), t_table.pairs().get)
-    pairs, violations, _ = map_t_to_y(nonvanishing(points), lambda rel: rel.center.label("Y"))
+    points = mapped_points(_centred_relations(t_table), t_table.pairs())
+    pairs, violations, _ = map_t_to_y(nonvanishing(points), lambda rel: rel.center.label("Y"),
+                                      table_store(sys, "Y", t_table.window))
     lo, hi = t_table.window
     if sys.restricted:
         for a in range(sys.cm.r):
@@ -570,7 +612,7 @@ def _compare_to_t(t_table: ValueTable, y_table: ValueTable):
     covered, differing, violations = [], {}, []
     y_pairs = y_table.pairs()
     relations = (t_relation(t_table.system, *var) for var in sorted(y_pairs))
-    for rel, inner, coupling, pair in mapped_points(relations, t_table.pairs().get):
+    for rel, inner, coupling, pair in mapped_points(relations, t_table.pairs()):
         if pair is None and inner[0] == 0:
             continue
         var = rel.center
@@ -605,7 +647,7 @@ def recoverable_region(y_table: ValueTable, recovered) -> List[LatticeVar]:
     wherever levels m-1 (shifted), m-2, and the input relation centered one
     level below all cooperate.  recovered is the recovered Y-table or the
     collection of its variables.  The relations centred one level below are
-    laid once on the table's pairs."""
+    read on the table's store in place, or laid once (lay)."""
     sys = y_table.system
     order = sorted((var for var in recovered if var in y_table), key=lambda v: (v.m, v.a, v.k))
     below = {}
@@ -614,7 +656,7 @@ def recoverable_region(y_table: ValueTable, recovered) -> List[LatticeVar]:
             below[var] = y_relation(sys, var.a, var.m - 1, var.k)
         except LevelOutOfRange:  # level 1, or no relation centred one level below
             pass
-    store, reads = lay(list(below.values()), y_table.pairs().get)
+    store, reads = lay(list(below.values()), y_table.pairs())
     read = {var: (rel, *got) for (var, rel), got in zip(below.items(), reads)}
     good: set = set()
     for var in order:
@@ -659,14 +701,18 @@ def detect_period(table: ValueTable, max_period: int) -> Optional[int]:
     """Smallest p <= max_period with value(a,m,k) == value(a,m,k+p) for every
     stored pair of values, or None; a p that compared nothing is skipped.
     Purely empirical; values are compared as the table's ring pairs,
-    cross-multiplied, laid once on the table's cells and slices, where
-    (a, m, k + p) is the slot p slices after (a, m, k)."""
+    cross-multiplied, read in place from the table's SlotStore, or laid
+    once on the table's cells and slices, where (a, m, k + p) is the slot p
+    slices after (a, m, k)."""
     if max_period < 1:
         raise ValueError(f"max_period must be >= 1, got {max_period}")
     pairs = table.pairs()
-    ks = [k for _, _, k in pairs] or [0]
-    layout = Layout(sorted({(a, m) for a, m, _ in pairs}), min(ks), max(ks))
-    store = [pairs.get(key) for key in layout.keys()]
+    if isinstance(pairs, SlotStore):
+        layout, store = pairs.layout, pairs.store
+    else:
+        ks = [k for _, _, k in pairs] or [0]
+        layout = Layout(sorted({(a, m) for a, m, _ in pairs}), min(ks), max(ks))
+        store = [pairs.get(key) for key in layout.keys()]
     for p in range(1, max_period + 1):
         compared = 0
         ok = True

@@ -222,6 +222,30 @@ def test_mcap_with_a_restricted_level_is_a_usage_error(a2_file, capsys, command)
     assert line == "tysys: --mcap applies to --level unrestricted only"
 
 
+@pytest.mark.parametrize("command", [
+    ["sys", "gen-t"], ["sys", "gen-y"], ["sys", "solve-t"], ["sys", "solve-y"],
+    ["sys", "t2y"], ["period", "scan"]], ids=lambda command: command[1])
+def test_level_text_is_a_usage_error(a2_file, capsys, command):
+    extra = ["--in", a2_file] if command[1] == "t2y" else []
+    for level in ("two", "2.5", ""):
+        line = usage_error(capsys, *command, a2_file, "--level", level, *extra)
+        assert line == f"tysys: --level takes an integer or 'unrestricted', got {level!r}"
+
+
+@pytest.mark.parametrize("level", ["two", "unrestricted"])
+def test_cluster_correspond_level_text_is_a_usage_error(a2_file, capsys, level):
+    line = usage_error(capsys, "cluster", "correspond", a2_file, "--level", level)
+    assert line == f"tysys: --level takes an integer, got {level!r}"
+
+
+def test_y2t_on_a_restricted_level_is_a_usage_error(a2_file, tmp_path, capsys):
+    table_path = tmp_path / "y.json"
+    run_cli(capsys, "sys", "solve-y", a2_file, "--level", "2", "--out", str(table_path))
+    line = usage_error(capsys, "sys", "y2t", a2_file, "--level", "2", "--in", str(table_path))
+    assert line == ("tysys: the reconstruction exists for unrestricted systems only; "
+                    "pass --level unrestricted --mcap N")
+
+
 @pytest.mark.parametrize("level", ["1", "0", "-1"])
 def test_cluster_correspond_needs_level_two(tmp_path, capsys, level):
     path = tmp_path / "a2.txt"
