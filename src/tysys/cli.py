@@ -56,6 +56,17 @@ def build_system(cm, level_text: str, mcap) -> SystemSpec:
     return SystemSpec(cm, parse_level(level_text), restricted=True)
 
 
+def read_table(path, sys_: SystemSpec, kind: str) -> tsystem.ValueTable:
+    """The kind table of sys_ in the file at path (table_from_json); a file
+    that is not JSON raises a ValueError that names it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as err:  # not JSON, or not UTF-8 text
+            raise ValueError(f"{path} is not a JSON table: {err}") from None
+    return table_from_json(data, sys=sys_, kind=kind)
+
+
 def _emit(report: dict) -> int:
     print(json.dumps(report, sort_keys=True, indent=1))
     return 0 if report.get("pass", True) else 1
@@ -157,8 +168,7 @@ def cmd_sys_solve(args) -> int:
 def cmd_sys_t2y(args) -> int:
     cm = cartan.read_cartan_file(args.file)
     sys_ = build_system(cm, args.level, args.mcap)
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        t_table = table_from_json(json.load(fh), sys=sys_, kind="T")
+    t_table = read_table(args.infile, sys_, "T")
     y_table, violations = ysystem.t_to_y(t_table)
     yrels, bad = ysystem.check_covered(y_table, mode=args.mode, rng=derive_rng(args.seed, "t2y"))
     violations += bad
@@ -178,8 +188,7 @@ def cmd_sys_y2t(args) -> int:
         raise ValueError("the reconstruction exists for unrestricted systems only; "
                          "pass --level unrestricted --mcap N")
     sys_ = build_system(cm, args.level, args.mcap)
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        y_table = table_from_json(json.load(fh), sys=sys_, kind="Y")
+    y_table = read_table(args.infile, sys_, "Y")
     rng = derive_rng(args.seed, "y2t")
     if args.roundtrip:
         report, t_table = ysystem.roundtrip_check(y_table, rng=rng, free=args.free,

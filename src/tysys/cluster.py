@@ -44,6 +44,9 @@ from .exactmath import (
 )
 from .tsystem import (
     LatticeVar,
+    Layout,
+    Runs,
+    SlotStore,
     SystemSpec,
     TRelation,
     check_relations,
@@ -523,7 +526,7 @@ def check_tb(seq: SequenceResult) -> List[dict]:
     prod_{B_ji>0} x_j(u)^{B_ji} + prod_{B_ji<0} x_j(u)^{-B_ji}."""
     em = seq.matrix
     lo, hi = seq.u_range
-    rels = [rel.shift(u) for rel in _tb_relations(em) for u in range(lo + 1, hi)]
+    rels = Runs((rel, range(lo + 1, hi)) for rel in _tb_relations(em))
     return _check(rels, seq.x, _at, _label(em, "T(B)"))
 
 
@@ -534,8 +537,8 @@ def check_yb(seq: SequenceResult, eps: int) -> List[dict]:
     em = seq.matrix
     lo, hi = seq.u_range
     y = seq.require_y("check_yb")
-    rels = [rel.shift(u) for i, rel in enumerate(_yb_relations(em, eps))
-            for u in range(lo + 1, hi) if _parity_sign(em, i, u) == -eps]
+    rels = Runs((rel, [u for u in range(lo + 1, hi) if _parity_sign(em, i, u) == -eps])
+                for i, rel in enumerate(_yb_relations(em, eps)))
     return _check(rels, y, _at, _label(em, f"Y{'+' if eps > 0 else '-'}(B)"))
 
 
@@ -582,9 +585,10 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
     This is the lattice map ysystem.map_t_to_y read through the level-2
     identification: each node's Y(B) stencil is a T-relation with its
     denominator list first (inner) and its numerator list second
-    (coupling), shifted over the u range of t_values, and t_values is laid
-    on the slots they read.  Y = coupling / inner is computed at every
-    point, and the values returned are built from its reduced pairs.  At
+    (coupling), read as one run over the u range of t_values, and t_values
+    is laid on the slots they read.  Y = coupling / inner is computed at
+    every point and written by slot into a store of the n nodes over the u
+    range, and the values returned are built from its reduced pairs.  At
     each interior point the companion identities are checked exactly in
     their T(B) form, inner + coupling == pair (ysystem.companions_hold), and
     compared as values only where that fails.  A shifted mapped Y(B) relation is
@@ -606,20 +610,21 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
         hole raises KeyError), None outside."""
         return ring_pair(t_values[_at(key)]) if lo <= key[2] <= hi else None
 
-    forms = [TRelation(rel.center, rel.lhs, rel.denominator, rel.numerator)
-             for rel in stencils]
-    points = mapped_points((rel.shift(u) for rel in forms for u in range(lo, hi + 1)), pair)
+    forms = Runs((TRelation(rel.center, rel.lhs, rel.denominator, rel.numerator),
+                  range(lo, hi + 1)) for rel in stencils)
+    layout = Layout([_node(i)[:2] for i in range(em.n)], lo, hi)
     pairs, violations, held = map_t_to_y(
-        points, lambda rel: f"at ({em.label(rel.center.a)},{rel.center.k})", {})
+        mapped_points(forms, pair), lambda rel: f"at ({em.label(rel.center.a)},{rel.center.k})",
+        SlotStore(layout))
     y_values = {_at(var): reduced_value(*y) for var, y in pairs.items()}
     agree = _mapped_exponents_agree(stencils)
     rels = []
     for i, stencil in enumerate(stencils):
-        factors = stencil.numerator + stencil.denominator
-        for u in range(lo + 1, hi):
-            if not (agree[i] and all(var.shifted(u) in held for var, _ in factors)):
-                rels.append(stencil.shift(u))
-    violations += _check(rels, y_values, _at,
+        # the slots of the stencil's factors at u = 0, read u slices later
+        slots = [layout.slot(var) for var, _ in stencil.numerator + stencil.denominator]
+        rels.append((stencil, [u for u in range(lo + 1, hi) if not (
+            agree[i] and all(j + u * layout.size in held for j in slots))]))
+    violations += _check(Runs(rels), y_values, _at,
                          _label(em, f"mapped Y{'+' if eps > 0 else '-'}(B)"))
     return y_values, violations
 

@@ -1,5 +1,5 @@
 """Flat slot stores: the values of a lattice table in one list, and the
-reads of relations on it.
+reads of relation families on it.
 
 A Layout numbers the slots of the cells (a, m) over the slices lo..hi,
 slice-major, so that a stencil's variables sit at fixed slot offsets from
@@ -7,15 +7,18 @@ the variable it solves, whatever the slice; a relation compiled to a layout
 (Relation.compile, Compiled) reads its values as store[i + offset].  A
 SlotStore is such a list with its layout: fill_lattice fills one and
 returns it, the table loader and the T -> Y map write one, and a ValueTable
-keeps it as it is.  lay gives the reads of a list of relations on a
-SlotStore in place, or lays the values they read once on a store of their
-own; slot_product and slot_pairs read one factor list from a store.
+keeps it as it is.  A family of relations is a list of runs (Runs): a
+stencil and the offsets k it is read at, the relation at k sitting one
+slice, Layout.size slots, after the one at k - 1.  lay gives one read per
+run of a family on a SlotStore in place, or lays the values it reads once
+on a store of its own; the checks and the T -> Y map walk each run slot by
+slot, and slot_product and slot_pairs read one factor list from a store.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from collections.abc import Mapping, Sequence
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 
 class LatticeVar(NamedTuple):
@@ -101,10 +104,10 @@ def _reach(stencils: Iterable) -> int:
 class SlotStore(Mapping):
     """Ring pairs on the slots of a Layout, in one flat list, store, None at
     a slot without one: the store that fill_lattice fills and returns, and
-    that the table loader and the T -> Y map write.  Read as a mapping, it
-    is the {var: pair} of its filled slots, in (a, m, k) order when the
-    layout's cells are sorted; a ValueTable keeps it as it is, and lay
-    reads it in place."""
+    whose list the table loader and the T -> Y map write by slot.  Read as
+    a mapping, it is the {var: pair} of its filled slots, in (a, m, k)
+    order when the layout's cells are sorted; a ValueTable keeps it as it
+    is, and lay reads it in place."""
 
     __slots__ = ("layout", "store")
 
@@ -122,11 +125,6 @@ class SlotStore(Mapping):
             raise KeyError(var)
         return got
 
-    def __setitem__(self, var, pair: tuple):
-        a, m, k = var
-        layout = self.layout
-        self.store[(k - layout.lo) * layout.size + layout.cell[a, m]] = pair
-
     def __len__(self) -> int:
         return len(self.store) - self.store.count(None)
 
@@ -143,55 +141,116 @@ class SlotStore(Mapping):
                     yield tuple.__new__(LatticeVar, (a, m, k)), got
 
 
-def _reads(layout: Layout, relations: Sequence) -> Optional[list]:
-    """[(slot, Compiled)] of relations on layout: the slot of each one's
-    lhs[1] and its stencil compiled to the layout, once per stencil: the
-    relations that share one pair of factor lists, which only a stencil's
-    shifts do, since every relation built otherwise gets its own.  None
-    where a relation reads a cell or a slice outside the layout, which an
-    offset would read wrapped into a neighbouring cell."""
-    ids = [id(rel._lists) for rel in relations]
-    compiled = {}
-    for key, rel in dict(zip(ids, relations)).items():
-        try:
-            at = rel.compile(layout)
-        except KeyError:  # a variable in a cell that the layout lacks
+class Runs(Sequence):
+    """A family of relations as runs: runs is a list of (rel, ks), the
+    relations rel.shift(k) for the offsets k of ks, ascending, run by run.
+    Read as a sequence it is those relations in that order, each built as
+    it is read; len builds none.  It equals a list or a Runs of the same
+    relations.  enumerate_relations gives one run per stencil, and a plain
+    list of relations is read as runs of one (as_runs)."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: Iterable):
+        self.runs = list(runs)
+
+    def __len__(self) -> int:
+        return sum(len(ks) for _, ks in self.runs)
+
+    def __iter__(self) -> Iterator:
+        for rel, ks in self.runs:
+            for k in ks:
+                yield rel.shift(k)
+
+    def __getitem__(self, j: int):
+        i = j
+        for rel, ks in self.runs:
+            if 0 <= i < len(ks):
+                return rel.shift(ks[i])
+            i -= len(ks)
+        raise IndexError(j)
+
+    def failing(self, store: list, reads: Sequence) -> Iterator[tuple]:
+        """(r, k, ok) for every relation rel.shift(k) of the runs, runs[r]
+        = (rel, ks), whose fused identity (rel.holds_exactly) does not hold
+        at its slot of store, start + k * size with reads[r] = (start,
+        Compiled) (lay): ok is False, or None where a slot it reads is
+        empty.  The one walk of the checks."""
+        for r, ((rel, ks), (start, at)) in enumerate(zip(self.runs, reads)):
+            holds, size = rel.holds_exactly, at.layout.size
+            for k in ks:
+                ok = holds(store, start + k * size, at)
+                if not ok:
+                    yield r, k, ok
+
+    def __eq__(self, other):
+        if not isinstance(other, (Runs, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def as_runs(relations: Iterable) -> Runs:
+    """relations as a Runs: itself, or each relation a run of one."""
+    if isinstance(relations, Runs):
+        return relations
+    return Runs((rel, range(1)) for rel in relations)
+
+
+def _reads(layout: Layout, runs: Sequence) -> Optional[list]:
+    """[(start, Compiled)] of the runs on layout: the stencil of each run
+    compiled to the layout, once per stencil (the relations that share one
+    pair of factor lists, which only a stencil's shifts do, since every
+    relation built otherwise gets its own), and the slot start from which
+    rel.shift(k) reads at start + k * layout.size, the slot of its lhs[1].
+    None where a relation reads a cell or a slice outside the layout, which
+    an offset would read wrapped into a neighbouring cell."""
+    compiled, reads, size = {}, [], layout.size
+    for rel, ks in runs:
+        got = compiled.get(id(rel._lists))
+        if got is None:
+            try:
+                at = rel.compile(layout)
+            except KeyError:  # a variable in a cell that the layout lacks
+                return None
+            base, (low, high) = rel._lhs[1].k, rel.reach()
+            # the offsets k at which the stencil's variables lie in the layout
+            got = compiled[id(rel._lists)] = (layout.slot(rel._lhs[1]), at,
+                                              layout.lo - base - low, layout.hi - base - high)
+        base, at, low, high = got
+        if ks and not low <= rel.k + ks[0] <= rel.k + ks[-1] <= high:
             return None
-        base, (low, high) = rel._lhs[1].k, rel.reach()
-        # the offsets k at which the stencil's variables lie in the layout
-        compiled[key] = (layout.slot(rel._lhs[1]), at,
-                         layout.lo - base - low, layout.hi - base - high)
-    size = layout.size
-    reads = [(base + rel.k * size, at)
-             for rel, (base, at, low, high) in zip(relations, map(compiled.__getitem__, ids))
-             if low <= rel.k <= high]
-    return reads if len(reads) == len(relations) else None
+        reads.append((base + rel.k * size, at))
+    return reads
 
 
-def lay(relations: Sequence, pair) -> Tuple[list, list]:
-    """The values that relations read, laid once: (store, reads), reads[j]
-    the (slot, Compiled) of relations[j] (_reads).
+def lay(relations: Iterable, pair) -> Tuple[list, list]:
+    """The values that a family of relations reads, laid once: (store,
+    reads), reads[r] the (start, Compiled) of the run r of as_runs(relations)
+    (_reads): rel.shift(k) of the run (rel, ks) is read at slot
+    start + k * size of store, size the slots per slice of the Compiled's
+    layout, so that a relation that is a run of one is read at slot start.
 
     pair is a SlotStore, or a Mapping or a function of the plain (a, m, k)
     key giving the ring pair there, or None where a value is missing or
     has none.  A SlotStore whose layout holds every variable the relations
     read is read in place: store is its list.  Otherwise the layout spans
-    the cells of the relations' variables, in sorted order, and the slices
-    of their lhs[1], padded by the stencils' reach (_reach), so that no
-    offset leaves the store or wraps into a neighbouring cell, and store
-    holds the pair at the key of every slot (Layout.keys)."""
+    the cells of the stencils' variables, in sorted order, and the slices
+    of the relations' lhs[1], padded by the stencils' reach (_reach), so
+    that no offset leaves the store or wraps into a neighbouring cell, and
+    store holds the pair at the key of every slot (Layout.keys)."""
+    runs = as_runs(relations).runs
     if isinstance(pair, SlotStore):
-        reads = _reads(pair.layout, relations)
+        reads = _reads(pair.layout, runs)
         if reads is not None:
             return pair.store, reads
     if isinstance(pair, Mapping):
         pair = pair.get
-    stencils = {id(rel._lists): rel for rel in relations}.values()
-    ks = [rel._lhs[1].k + rel.k for rel in relations] or [0]
+    stencils = {id(rel._lists): rel for rel, _ in runs}.values()
+    ks = [rel._lhs[1].k + rel.k + k for rel, ks in runs if ks for k in (ks[0], ks[-1])] or [0]
     reach = _reach(stencils)
     layout = Layout(sorted({(v.a, v.m) for rel in stencils for v in rel.variables()}),
                     min(ks) - reach, max(ks) + reach)
-    return [pair(key) for key in layout.keys()], _reads(layout, relations)
+    return [pair(key) for key in layout.keys()], _reads(layout, runs)
 
 
 def slot_product(store: list, demand: Optional[Callable], i: int, offsets,

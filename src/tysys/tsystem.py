@@ -6,7 +6,10 @@ telescoping identities used everywhere for cross-verification.
 Relations do not change under k -> k + 1, so each one is compiled once per
 (kind, a, m) as a stencil centred at k = 0.  The relation centred at
 (a, m, k) is that stencil read at offset k: it keeps the stencil's tuples,
-and every reader adds k to the variables as it reads them.
+and every reader adds k to the variables as it reads them.  A family of
+relations is a list of runs (Runs): each stencil with the range of offsets
+it is read at, which the checks and the T -> Y map walk slot by slot,
+building a relation only for a violation record.
 
 The scheduler, the solves and the checks pass ring pairs (numerator,
 denominator) around, and every read of a relation's values reads a flat
@@ -80,8 +83,10 @@ from .slots import (  # noqa: F401 (the package's names for the slot store)
     Factor,
     LatticeVar,
     Layout,
+    Runs,
     SlotStore,
     _reach,
+    as_runs,
     lay,
     slot_pairs,
     slot_product,
@@ -476,20 +481,22 @@ def _check_window(window) -> Tuple[int, int]:
 
 
 def enumerate_relations(sys: SystemSpec, window, kind: str = "T",
-                        build: Callable = _compile_t) -> List:
+                        build: Callable = _compile_t) -> Runs:
     """All relations whose variables (after unit substitution) lie in the
-    window, ordered by node, level and centre: the stencils that build
-    compiles, each read at every offset that fits.  Unrestricted windows
-    additionally exclude centers whose m+1 factor would exceed the level
-    cap."""
+    window, ordered by node, level and centre, as runs: the stencils that
+    build compiles, each with the range of offsets at which it fits, a
+    stencil that fits nowhere left out.  Unrestricted windows additionally
+    exclude centers whose m+1 factor would exceed the level cap."""
     lo, hi = _check_window(window)
-    out = []
+    runs = []
     for a in range(sys.cm.r):
         for m in range(1, sys.max_center_m(a, kind) + 1):
             rel = stencil(sys, kind, a, m, build)
-            ks = [v.k for v in rel.variables()]
-            out += [rel.shift(k) for k in range(lo - min(ks), hi - max(ks) + 1)]
-    return out
+            low, high = rel.reach()
+            ks = range(lo - low - rel._lhs[1].k, hi - high - rel._lhs[1].k + 1)
+            if ks:
+                runs.append((rel, ks))
+    return Runs(runs)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +517,8 @@ class ValueTable:
     from the pairs (reduced_value), one per distinct pair, into one
     {var: value} dict; from then on that dict is the only store, so
     whatever is written into it is what the next reader sees, and the
-    checks lay its ring pairs once per call."""
+    checks lay its ring pairs once per call.  get builds one value from
+    its stored pair, so that a violation record keeps the store."""
 
     def __init__(self, kind: str, system: SystemSpec, window: Tuple[int, int],
                  values: Optional[dict] = None, meta: Optional[dict] = None,
@@ -559,10 +567,14 @@ class ValueTable:
         return iter(self._store)
 
     def get(self, var: LatticeVar):
+        """The value at var, built from its stored pair (reduced_value)
+        while the table keeps its pairs, so that a violation record leaves
+        the store in place; MissingValue where the table has none."""
         try:
-            return self.values[var]
+            got = self._store[var]
         except KeyError:
             raise MissingValue(var.label(self.kind)) from None
+        return got if self._has_values else reduced_value(*got)
 
     def _header(self) -> dict:
         """Every key of to_json but "entries"."""
@@ -614,7 +626,9 @@ def table_from_json(data, sys: SystemSpec, kind: str) -> ValueTable:
     """Load a table dump of kind values ('T' or 'Y') for the system sys.
     The dump names its system and kind; where either differs from sys or
     kind, a ValueError names what differs.  Every entry is checked against
-    sys: malformed input raises ValueError with a one-line message."""
+    sys: malformed input raises ValueError with a one-line message.  Each
+    entry goes straight to its slot (_entry_slot), with no LatticeVar
+    built, and pair_from_text reads every value."""
     if not isinstance(data, dict):
         raise ValueError("a table is a JSON object")
     missing = [key for key in ("entries", "window", "system", "kind") if key not in data]
@@ -641,18 +655,17 @@ def table_from_json(data, sys: SystemSpec, kind: str) -> ValueTable:
     top = sys.max_m_t if kind == "T" else sys.max_m_y
     tops = [top(a) for a in range(sys.cm.r)]
     pairs = table_store(sys, kind, window)
-    store, slot = pairs.store, pairs.layout.slot
+    layout, store = pairs.layout, pairs.store
     for row in entries:
-        var = _entry_var(row, kind, tops, window)
+        i = _entry_slot(row, kind, layout, tops, window)
         try:
             got = pair_from_text(row.get("value"))
         except ValueError as err:
-            raise ValueError(f"{var.label(kind)}: {err}") from None
+            raise ValueError(f"{layout.var(i).label(kind)}: {err}") from None
         if not got[0]:
-            raise ValueError(f"{var.label(kind)}: zero value")
-        i = slot(var)
+            raise ValueError(f"{layout.var(i).label(kind)}: zero value")
         if store[i] is not None:
-            raise ValueError(f"{var.label(kind)} appears twice")
+            raise ValueError(f"{layout.var(i).label(kind)} appears twice")
         store[i] = got
     return ValueTable(kind, sys, window, meta=meta, pairs=pairs)
 
@@ -678,9 +691,10 @@ def _is_int(value) -> bool:
     return type(value) is int
 
 
-def _entry_var(row, kind: str, tops: list, window) -> LatticeVar:
-    """The variable of one table entry, checked against the highest level
-    tops[a] of each node and the window."""
+def _entry_slot(row, kind: str, layout: Layout, tops: list, window) -> int:
+    """The slot in layout of one table entry, checked against the highest
+    level tops[a] of each node and the window; a LatticeVar is built only
+    for the message of an entry that fails."""
     if not isinstance(row, dict):
         raise ValueError(f"table entry {row!r:.40} is not an object")
     if row.get("kind", kind) != kind:
@@ -689,16 +703,16 @@ def _entry_var(row, kind: str, tops: list, window) -> LatticeVar:
     if not type(a) is type(m) is type(k) is int:  # _is_int of all three
         raise ValueError(f"table entry needs integers a, m and k: "
                          f"{ {'a': a, 'm': m, 'k': k} }")
-    var = LatticeVar(a - 1, m, k)
+    c = layout.cell.get((a - 1, m))
+    if c is not None and window[0] <= k <= window[1]:
+        return (k - layout.lo) * layout.size + c
+    label = LatticeVar(a - 1, m, k).label(kind)
     if not 1 <= a <= len(tops):
-        raise ValueError(f"{var.label(kind)}: node {a} is outside 1..{len(tops)}")
+        raise ValueError(f"{label}: node {a} is outside 1..{len(tops)}")
     top = tops[a - 1]
     if not 1 <= m <= top:
-        raise ValueError(f"{var.label(kind)}: level m={m} is outside 1..{top}")
-    if not window[0] <= k <= window[1]:
-        raise ValueError(f"{var.label(kind)}: k={k} is outside the window "
-                         f"{window[0]}..{window[1]}")
-    return var
+        raise ValueError(f"{label}: level m={m} is outside 1..{top}")
+    raise ValueError(f"{label}: k={k} is outside the window {window[0]}..{window[1]}")
 
 
 # ---------------------------------------------------------------------------
@@ -721,25 +735,24 @@ def check_relations(relations: Iterable, pair: Callable, value: Callable,
     The values are laid once on the slots the relations read (lay):
     pair(key) gives the ring pair at each slot's (a, m, k) key, or None
     where a value is missing or has none, or pair is a table's SlotStore,
-    read in place.  Where every slot a relation reads holds a pair, the
-    kind's fused read rel.holds_exactly decides the exact check as one
-    identity of integers or of Laurent polynomials.  Otherwise (semifield
-    values, or a missing value), the sides, read through value(var), are
-    compared by rel.holds.  Each failure is recorded as
+    read in place.  Each run of the family (as_runs) is walked slot by
+    slot; where every slot a relation reads holds a pair, the kind's fused
+    read rel.holds_exactly decides the exact check as one identity of
+    integers or of Laurent polynomials.  Otherwise (semifield values, or a
+    missing value), the relation is built and its sides, read through
+    value(var), are compared by rel.holds.  Each failure is recorded as
     violation(label(rel), lhs, rhs), from the sides as values."""
-    relations = list(relations)
+    relations = as_runs(relations)
     return check_laid(relations, *lay(relations, pair), value, label)
 
 
-def check_laid(relations: Sequence, store: list, reads: Sequence, value: Callable,
+def check_laid(relations: Runs, store: list, reads: Sequence, value: Callable,
                label: Callable) -> List[dict]:
-    """check_relations on relations already laid: reads[j] is the (slot,
-    Compiled) of relations[j] in store (lay)."""
+    """check_relations on runs already laid: reads[r] is the (start,
+    Compiled) of relations.runs[r] in store (lay)."""
     violations = []
-    for rel, (i, at) in zip(relations, reads):
-        ok = rel.holds_exactly(store, i, at)
-        if ok:
-            continue
+    for r, k, ok in relations.failing(store, reads):
+        rel = relations.runs[r][0].shift(k)
         lhs = value(rel.lhs[0]) * value(rel.lhs[1])
         rhs = rel.rhs(value)
         if ok is None:
@@ -756,30 +769,33 @@ SAMPLES = 3
 def _check_table(table: ValueTable, relations: Iterable, mode: str, rng,
                  laid: Optional[tuple] = None) -> List[dict]:
     """check_relations on a table's ring pairs, read in place or laid once
-    (lay), or laid by the caller: laid is then (store, reads) of relations
-    on the table's pairs.  Numeric mode evaluates the table at SAMPLES
-    random assignments of the symbols of its rational functions, drawn
-    from rng, and checks each relation's exact identity on the evaluated
-    pairs, laid as the table's are; only a relation that fails at a point
-    goes on to the exact check, which writes its record.  A table without
-    rational functions is checked exactly."""
+    (lay), or laid by the caller: laid is then (store, reads) of the runs
+    of relations on the table's pairs.  Numeric mode evaluates the table at
+    SAMPLES random assignments of the symbols of its rational functions,
+    drawn from rng, and checks each relation's exact identity on the
+    evaluated pairs, laid as the table's are, each sample walking the
+    relations that held so far; only a relation that fails at a point goes
+    on to the exact check, which writes its record.  A table without
+    rational functions is checked exactly.  Records read the table's values
+    through table.get, which builds them from the stored pairs."""
     pairs = table.pairs()
-    relations = list(relations)
+    relations = as_runs(relations)
     if mode == "numeric":
         symbolic = [got for got in pairs.values() if got is not None
                     and not isinstance(got[0], int)]
         if symbolic:
             names = sorted({n for num, den in symbolic for n in num.vars + den.vars})
-            failed = set()
+            runs, failed = relations.runs, set()
             for _ in range(SAMPLES):
                 at = {n: random_nonzero_rational(rng) for n in names}
                 evaluated = {var: evaluate(v, at) for var, v in table.values.items()}
                 store, reads = lay(relations, lambda var: ring_pair(evaluated.get(var)))
-                failed.update(j for j, (rel, read) in enumerate(zip(relations, reads))
-                              if j not in failed and not rel.holds_exactly(store, *read))
-            kept = [j for j in range(len(relations)) if j in failed]
-            relations = [relations[j] for j in kept]
-            laid = laid and (laid[0], [laid[1][j] for j in kept])
+                held = Runs((rel, [k for k in ks if (r, k) not in failed])
+                            for r, (rel, ks) in enumerate(runs))
+                failed.update((r, k) for r, k, _ in held.failing(store, reads))
+            # the runs keep their reads: only their offsets are filtered
+            relations = Runs((rel, [k for k in ks if (r, k) in failed])
+                             for r, (rel, ks) in enumerate(runs))
     store, reads = laid or lay(relations, pairs)
     return check_laid(relations, store, reads, table.get,
                       lambda rel: rel.center.label(table.kind))
@@ -1025,6 +1041,10 @@ def fill_lattice(kind: str, layout: Layout, free: List[LatticeVar], targets: Ite
             last_error = err
             if rng is None or not sampled or isinstance(err, DegenerateData):
                 raise
+        finally:
+            # demand calls itself through its closure: unbound, the store is
+            # freed with its table, not later by the cyclic collector
+            demand = None
     raise ZeroDivisor(f"retries exhausted: {last_error}")
 
 

@@ -37,6 +37,7 @@ from .tsystem import (
     Layout,
     ONE_GCD_BITS,
     Relation,
+    Runs,
     SlotStore,
     SystemSpec,
     TRelation,
@@ -45,6 +46,7 @@ from .tsystem import (
     _boundary_filter,
     _check_table,
     _propagate,
+    as_runs,
     enumerate_relations,
     fill_lattice,
     lay,
@@ -264,25 +266,27 @@ def y_relation_via_transpose(cm: CartanMatrix, a: int, m: int, k: int) -> YRelat
                      tuple(sorted(agg.items())), denominator)
 
 
-def enumerate_y_relations(sys: SystemSpec, window) -> List[YRelation]:
+def enumerate_y_relations(sys: SystemSpec, window) -> Runs:
     return enumerate_relations(sys, window, "Y", _compile_y)
 
 
-def covered_y_relations(y_table: ValueTable) -> List[YRelation]:
+def covered_y_relations(y_table: ValueTable) -> Runs:
     """The relations of enumerate_y_relations on the table's window whose
     slots all hold a pair of the table, read in place or laid once (lay),
-    in the same order."""
+    in the same order, as runs."""
     return _covered(y_table)[0]
 
 
 def _covered(y_table: ValueTable):
     """(covered_y_relations(y_table), (store, reads)): the table's store,
-    or the table laid once, for the relations of its window (lay), and the
-    reads of those it covers."""
+    or the table laid once, and the reads of the runs of its window (lay),
+    each run keeping the offsets at which every slot it reads is filled;
+    its read stays as it is."""
     relations = enumerate_y_relations(y_table.system, y_table.window)
     store, reads = lay(relations, y_table.pairs())
-    kept = [j for j, (i, at) in enumerate(reads) if at.filled(store, i)]
-    return [relations[j] for j in kept], (store, [reads[j] for j in kept])
+    covered = Runs((rel, [k for k in ks if at.filled(store, start + k * at.layout.size)])
+                   for (rel, ks), (start, at) in zip(relations.runs, reads))
+    return covered, (store, reads)
 
 
 # ---------------------------------------------------------------------------
@@ -337,22 +341,27 @@ def propagate_y(sys: SystemSpec, window, initial: Optional[dict] = None,
 
 
 def mapped_points(relations, pair):
-    """(rel, inner, coupling, lhs) for every T-relation of relations whose
-    two factor lists find a pair in every slot: the products of its first
-    list (inner), its second list (coupling) and its left-hand side as ring
+    """(rel, k, inner, coupling, lhs) for every T-relation rel.shift(k) of
+    the runs of relations (as_runs), rel the run's stencil, whose two
+    factor lists find a pair in every slot: the products of its first list
+    (inner), its second list (coupling) and its left-hand side as ring
     pairs (N, D), N / D the product, each multiplied as it is read
-    (slot_product), without a gcd.  The values are read where the
-    relations read them (lay): in place where pair is a T-table's
-    SlotStore, else laid once, pair(key) giving the ring pair at each
-    slot's (a, m, k) key, or None to leave a variable out; lhs is None
-    where a left-hand slot is empty."""
-    relations = list(relations)
+    (slot_product), without a gcd.  Each run is walked slot by slot, and
+    no relation is built.  The values are read where the relations read
+    them (lay): in place where pair is a T-table's SlotStore, else laid
+    once, pair(key) giving the ring pair at each slot's (a, m, k) key, or
+    None to leave a variable out; lhs is None where a left-hand slot is
+    empty."""
+    relations = as_runs(relations)
     store, reads = lay(relations, pair)
-    for rel, (i, at) in zip(relations, reads):
-        inner = slot_product(store, None, i, at.first)
-        coupling = None if inner is None else slot_product(store, None, i, at.second)
-        if coupling is not None:
-            yield rel, inner, coupling, slot_product(store, None, i, at.pair)
+    for (rel, ks), (start, at) in zip(relations.runs, reads):
+        first, second, size = at.first, at.second, at.layout.size
+        for k in ks:
+            i = start + k * size
+            inner = slot_product(store, None, i, first)
+            coupling = None if inner is None else slot_product(store, None, i, second)
+            if coupling is not None:
+                yield rel, k, inner, coupling, slot_product(store, None, i, at.pair)
 
 
 def _is_quotient(y, top, bottom) -> bool:
@@ -364,16 +373,13 @@ def _is_quotient(y, top, bottom) -> bool:
     return p * top[1] * bottom[0] == q * top[0] * bottom[1]
 
 
-def _centred_relations(t_table: ValueTable):
+def _centred_relations(t_table: ValueTable) -> Runs:
     """The T-relation centred at every Y-variable of the T-table's system on
-    its window, in (a, m, k) order."""
+    its window, in (a, m, k) order: one run per Y cell over the window."""
     sys = t_table.system
     lo, hi = t_table.window
-    for a in range(sys.cm.r):
-        for m in range(1, sys.max_m_y(a) + 1):
-            stencil = t_relation(sys, a, m, 0)
-            for k in range(lo, hi + 1):
-                yield stencil.shift(k)
+    return Runs((t_relation(sys, a, m, 0), range(lo, hi + 1))
+                for a in range(sys.cm.r) for m in range(1, sys.max_m_y(a) + 1))
 
 
 def companions_hold(pair, inner, coupling) -> bool:
@@ -414,27 +420,34 @@ def companion_identities(label: str, y, pair, inner, coupling) -> List[dict]:
     return violations
 
 
-def map_t_to_y(points, label, pairs):
+def map_t_to_y(points, label, pairs: SlotStore):
     """The one T -> Y map, of the lattice and of the exchange-matrix
     systems: Y = coupling / inner at every point of mapped_points, as a
-    reduced ring pair written into pairs (a dict, or a Y-table's SlotStore)
-    at its centre.  Where a point has a pair, the companion identities are
-    checked in the exact form of companions_hold, and compared as values by
-    companion_identities, labelled label(rel), only where that fails.
+    reduced ring pair written into the Y-store pairs at the slot of the
+    relation's centre, a fixed number of slots per slice along a run.
+    Where a point has a pair, the companion identities are checked in the
+    exact form of companions_hold, and compared as values by
+    companion_identities, labelled label(rel), only where that fails: the
+    relation is built only for such a record.
 
-    Returns (pairs, violations, held), held the centres where the
+    Returns (pairs, violations, held), held the slots of pairs where the
     companions held."""
     violations, held = [], set()
-    for rel, inner, coupling, pair in points:
-        centre = rel.center
-        y = pairs[centre] = pair_quotient(coupling, inner)
+    store, size, slot = pairs.store, pairs.layout.size, pairs.layout.slot
+    run = None
+    for rel, k, inner, coupling, pair in points:
+        if rel is not run:
+            run, start = rel, slot(rel._center) + rel.k * size
+        j = start + k * size
+        y = store[j] = pair_quotient(coupling, inner)
         if pair is None:
             continue
         if companions_hold(pair, inner, coupling):
-            held.add(centre)
+            held.add(j)
         else:
-            violations += companion_identities(label(rel), reduced_value(*y), pair_value(*pair),
-                                               pair_value(*inner), pair_value(*coupling))
+            violations += companion_identities(label(rel.shift(k)), reduced_value(*y),
+                                               pair_value(*pair), pair_value(*inner),
+                                               pair_value(*coupling))
     return pairs, violations, held
 
 
@@ -457,8 +470,9 @@ def t_to_y(t_table: ValueTable):
 
     def nonvanishing(points):
         for point in points:
-            if point[1][0] == 0:
-                raise ZeroDivisor(f"vanishing T pair under {point[0].center.label('Y')}")
+            if point[2][0] == 0:
+                rel, k = point[:2]
+                raise ZeroDivisor(f"vanishing T pair under {rel.shift(k).center.label('Y')}")
             yield point
 
     points = mapped_points(_centred_relations(t_table), t_table.pairs())
@@ -611,11 +625,11 @@ def _compare_to_t(t_table: ValueTable, y_table: ValueTable):
     from values."""
     covered, differing, violations = [], {}, []
     y_pairs = y_table.pairs()
-    relations = (t_relation(t_table.system, *var) for var in sorted(y_pairs))
-    for rel, inner, coupling, pair in mapped_points(relations, t_table.pairs()):
+    relations = [t_relation(t_table.system, *var) for var in sorted(y_pairs)]
+    for rel, k, inner, coupling, pair in mapped_points(relations, t_table.pairs()):
         if pair is None and inner[0] == 0:
             continue
-        var = rel.center
+        var = rel.shift(k).center
         covered.append(var)
         if not _is_quotient(y_pairs[var], coupling, inner):
             differing[var] = reduced_value(*pair_quotient(coupling, inner))

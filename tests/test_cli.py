@@ -525,6 +525,31 @@ def test_y2t_negative_retries_is_a_usage_error(a2_file, tmp_path, capsys, roundt
     assert line == "tysys: retries must be >= 0, got -1"
 
 
+@pytest.mark.parametrize("content,reason", [
+    (b"1\n2\n", "Extra data: line 2 column 1 (char 2)"),
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["two numbers", "empty", "not UTF-8"])
+@pytest.mark.parametrize("command", [["t2y", "--level", "2"],
+                                     ["y2t", *UNRESTRICTED, "--mcap", "3"]],
+                         ids=["t2y", "y2t"])
+def test_input_that_is_not_json_is_a_usage_error(a2_file, tmp_path, capsys, command,
+                                                 content, reason):
+    # the message names the file and what it should have held
+    table_path = tmp_path / "table.txt"
+    table_path.write_bytes(content)
+    line = usage_error(capsys, "sys", command[0], a2_file, *command[1:],
+                       "--in", str(table_path))
+    assert line == f"tysys: {table_path} is not a JSON table: {reason}"
+
+
+def test_a_json_value_that_is_not_a_table_is_a_usage_error(a2_file, tmp_path, capsys):
+    table_path = tmp_path / "table.json"
+    table_path.write_text("[1, 2]")
+    line = usage_error(capsys, "sys", "t2y", a2_file, "--level", "2", "--in", str(table_path))
+    assert line == "tysys: a table is a JSON object"
+
+
 def _perturbed(src, dst, index):
     """Copy a table dump with the value of entry `index` doubled."""
     from tysys.exactmath import fraction_from_text, fraction_to_text

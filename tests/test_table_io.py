@@ -1,7 +1,11 @@
 """Table files and the table store: ValueTable.dump writes the indent=1 JSON
 of to_json byte for byte from the ring pairs, the loader reads a value text
-exactly as the Decimal route did, and a table keeps one store."""
+exactly as the Decimal route did, and a table keeps one store.  The loader
+reads every entry straight to its slot, an entry with other keys than dump
+writes included, and the pair that pair_from_text reads, or raises the
+one-line message of what is wrong with it, pinned here."""
 
+import functools
 import json
 import random
 import re
@@ -141,3 +145,81 @@ def test_fraction_from_text_matches_the_decimal_route(text):
     assert got == want and type(got) is type(want)
     if want is not ValueError:
         assert pair_from_text(text) == (want.numerator, want.denominator)
+
+
+# --- the loader: each entry straight to its slot, every check kept --------------------
+
+
+@functools.cache
+def _a2_dump() -> str:
+    """The JSON of an A2 level-2 T-table on 0..3: entries for a = 1, 2,
+    m = 1 and k = 0..3."""
+    return json.dumps(propagate_t(SystemSpec(A2, 2), (0, 3), rng=random.Random(1)).to_json())
+
+
+def _load(entries):
+    """The A2 table of _a2_dump with entries in place of its own."""
+    data = dict(json.loads(_a2_dump()), entries=entries)
+    return table_from_json(json.loads(json.dumps(data)), SystemSpec(A2, 2), "T")
+
+
+def _entry(**fields):
+    return {"a": 1, "m": 1, "k": 0, "kind": "T", "value": "3/2", **fields}
+
+
+@pytest.mark.parametrize("entries,message", [
+    ([5], "table entry 5 is not an object"),
+    ([[1, 1, 0]], "table entry [1, 1, 0] is not an object"),
+    ([_entry(kind="Y")], "table mixes kinds 'Y' and 'T'"),
+    ([_entry(a=True)], "table entry needs integers a, m and k: {'a': True, 'm': 1, 'k': 0}"),
+    ([_entry(m=1.0)], "table entry needs integers a, m and k: {'a': 1, 'm': 1.0, 'k': 0}"),
+    ([_entry(k="0")], "table entry needs integers a, m and k: {'a': 1, 'm': 1, 'k': '0'}"),
+    ([{"a": 1, "m": 1, "value": "1"}],
+     "table entry needs integers a, m and k: {'a': 1, 'm': 1, 'k': None}"),
+    ([_entry(a=0)], "T[a=0,m=1,k=0]: node 0 is outside 1..2"),
+    ([_entry(a=3)], "T[a=3,m=1,k=0]: node 3 is outside 1..2"),
+    ([_entry(m=0)], "T[a=1,m=0,k=0]: level m=0 is outside 1..1"),
+    ([_entry(m=2)], "T[a=1,m=2,k=0]: level m=2 is outside 1..1"),
+    ([_entry(k=-1)], "T[a=1,m=1,k=-1]: k=-1 is outside the window 0..3"),
+    ([_entry(k=4)], "T[a=1,m=1,k=4]: k=4 is outside the window 0..3"),
+    ([_entry(), _entry(value="5")], "T[a=1,m=1,k=0] appears twice"),
+    ([_entry(value="0")], "T[a=1,m=1,k=0]: zero value"),
+    ([_entry(value="-0/7")], "T[a=1,m=1,k=0]: zero value"),
+    ([_entry(value="1.5")], "T[a=1,m=1,k=0]: '1.5' is not an integer or a fraction n/d"),
+    ([_entry(value="+1")], "T[a=1,m=1,k=0]: '+1' is not an integer or a fraction n/d"),
+    ([_entry(value=2)], "T[a=1,m=1,k=0]: 2 is not an integer or a fraction n/d"),
+    ([{"a": 1, "m": 1, "k": 0}], "T[a=1,m=1,k=0]: None is not an integer or a fraction n/d"),
+    ([_entry(value="1/0")], "T[a=1,m=1,k=0]: '1/0' has a zero denominator"),
+], ids=["number", "array", "mixed kind", "bool a", "float m", "text k", "no k", "node 0",
+        "node 3", "level 0", "level 2", "k below", "k above", "duplicate", "zero",
+        "signed zero", "decimal text", "plus sign", "number value", "no value",
+        "zero denominator"])
+def test_the_loader_keeps_every_one_line_message(entries, message):
+    with pytest.raises(ValueError) as caught:
+        _load(entries)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("entry", [
+    {"a": 2, "m": 1, "k": 3, "value": "-4/6"},
+    _entry(value="0012/0004", extra=None),
+    _entry(value="7" * 5000 + "/" + "3" * 4400),
+], ids=["no kind", "extra key, unreduced", "past the digit limit"])
+def test_the_loader_reads_entries_that_dump_does_not_write(entry):
+    # whatever the entry's form, the slot and the reduced pair of pair_from_text
+    table = _load([entry])
+    var = LatticeVar(entry["a"] - 1, entry["m"], entry["k"])
+    assert dict(table.pairs()) == {var: pair_from_text(entry["value"])}
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALUE_TEXTS)
+@example("7" * 5000 + "/" + "3" * 4400)
+def test_the_loader_reads_a_value_as_pair_from_text_does(text):
+    want = outcome(pair_from_text, text)
+    got = outcome(lambda text: dict(_load([_entry(value=text)]).pairs()), text)
+    if want is ValueError or not want[0]:
+        assert got is ValueError
+    else:
+        assert got == {LatticeVar(0, 1, 0): want}
+

@@ -11,7 +11,8 @@ values read first, and compares what the two routes give: reports, mapped
 and reconstructed tables, periods and dump bytes, on clean, corrupted and
 holed T- and Y-tables, restricted and unrestricted (MIXED44), symbolic and
 rational, in exact and numeric mode.  A spy on Layout.keys, which only
-laying calls, shows which route ran.
+laying calls, shows which route ran; a corrupted table's violation
+records, built from its stored pairs, leave it read in place.
 
 The fused identity reads (TRelation.holds_exactly, YRelation.holds_exactly)
 are compared with slot_product through each list's form followed by the
@@ -208,6 +209,19 @@ def test_t_table_in_place_equals_the_materialized_route(case, tmp_path, laid):
         assert got[0][0] is MissingValue
     else:
         assert bool(got[0]) is ("corrupted" in label)
+
+
+@pytest.mark.parametrize("case", [case for case in _t_tables()
+                                  if case[0].endswith("corrupted exact")
+                                  and "symbolic" not in case[0]], ids=lambda case: case[0])
+def test_a_failing_check_keeps_the_table_read_in_place(case, tmp_path, laid):
+    # the violation records are built from the stored pairs, so the
+    # corrupted table and its Y-image stay stores: only the mapped twin is laid
+    label, make, mode = case
+    table = make()
+    got = _t_reports(table, mode, tmp_path)
+    assert got[0] and got[4] and len(laid) == 1
+    assert isinstance(table.pairs(), SlotStore)
 
 
 # --- Y-tables: the checks, the roundtrip, period and dump ----------------------------
