@@ -39,6 +39,17 @@ table keyed by value.  ``inv()`` of a semifield element returns a twin whose
 own ``inv()`` is the original, and the twins share their expansions (the
 twin's num is the original's den); a rational function builds its inverse
 afresh on every call.  ``one_plus()`` keeps its result.
+
+Cost rules: monomial arithmetic and exponent scans run through C builtins
+rather than per-exponent Python loops: monomial sums and differences are
+``tuple(map(operator.add / sub, ...))``, heap keys ``map(operator.neg,
+...)``, exponent minima and the constructor's used-generator scan go
+column by column over ``zip(*terms)``, and a remap onto more generators is
+one ``operator.itemgetter`` over the monomial with a 0 appended.  The unit
+and zero polynomials are shared (``LaurentPoly.one()`` and ``zero()``
+return one instance each; polynomials are immutable, and no operation
+writes into an operand's terms).  A unit denominator is not folded: the
+pair comes back as it went in.
 """
 
 from __future__ import annotations
@@ -51,6 +62,7 @@ import numbers
 import re
 from decimal import Decimal
 from fractions import Fraction
+from operator import add, itemgetter, neg, sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -76,7 +88,7 @@ def _grlex_key(mono: tuple) -> tuple:
 
 def _heap_entry(mono: tuple) -> tuple:
     """Min-heap entry whose order is descending graded lex order."""
-    return (-sum(mono), tuple(-e for e in mono), mono)
+    return (-sum(mono), tuple(map(neg, mono)), mono)
 
 
 def _coefficient(value: Rational) -> Rational:
@@ -137,11 +149,11 @@ class LaurentPoly:
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Rational]):
         clean = {}
         for mono, coeff in terms.items():
-            c = _coefficient(coeff)
+            c = coeff if type(coeff) is int else _coefficient(coeff)
             if c:
                 clean[tuple(mono)] = c
         variables = tuple(variables)
-        used = [i for i in range(len(variables)) if any(m[i] for m in clean)]
+        used = [i for i, col in enumerate(zip(*clean)) if any(col)]
         if len(used) != len(variables) or list(variables) != sorted(variables, key=_natural_key):
             kept = sorted(((variables[i], i) for i in used), key=lambda p: _natural_key(p[0]))
             variables = tuple(name for name, _ in kept)
@@ -162,11 +174,11 @@ class LaurentPoly:
 
     @staticmethod
     def zero() -> "LaurentPoly":
-        return LaurentPoly((), {})
+        return _ZERO
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly.constant(1)
+        return _ONE
 
     @staticmethod
     def gen(name: str) -> "LaurentPoly":
@@ -200,21 +212,19 @@ class LaurentPoly:
     def _aligned(self, other: "LaurentPoly"):
         if self.vars == other.vars:
             return self.vars, self.terms, other.terms
-        names = sorted(set(self.vars) | set(other.vars), key=_natural_key)
-        pos = {n: i for i, n in enumerate(names)}
-        n = len(names)
+        names = tuple(sorted(set(self.vars) | set(other.vars), key=_natural_key))
 
         def remap(poly):
-            cols = [pos[v] for v in poly.vars]
-            out = {}
-            for m, c in poly.terms.items():
-                full = [0] * n
-                for col, e in zip(cols, m):
-                    full[col] = e
-                out[tuple(full)] = c
-            return out
+            if poly.vars == names:
+                return poly.terms
+            # each name's exponent, read at the appended 0 where poly lacks it
+            at = {v: i for i, v in enumerate(poly.vars)}
+            pick = itemgetter(*(at.get(v, len(at)) for v in names))
+            if len(names) == 1:  # itemgetter of one index gives a scalar
+                return {(pick(m + (0,)),): c for m, c in poly.terms.items()}
+            return {pick(m + (0,)): c for m, c in poly.terms.items()}
 
-        return tuple(names), remap(self), remap(other)
+        return names, remap(self), remap(other)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -258,7 +268,7 @@ class LaurentPoly:
         out = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
+                m = tuple(map(add, ma, mb))
                 out[m] = out.get(m, 0) + ca * cb
         return LaurentPoly(names, out)
 
@@ -296,10 +306,7 @@ class LaurentPoly:
         return Fraction(num, den)
 
     def min_exponents(self) -> dict:
-        mins = {}
-        for i, v in enumerate(self.vars):
-            mins[v] = min(m[i] for m in self.terms)
-        return mins
+        return dict(zip(self.vars, map(min, zip(*self.terms))))
 
     def mul_monomial(self, coeff: Rational, powers: Mapping[str, int]) -> "LaurentPoly":
         """self * coeff * prod v^e: every exponent is shifted, so no two terms
@@ -387,6 +394,10 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
+_ZERO = LaurentPoly((), {})
+_ONE = LaurentPoly((), {(): 1})
+
+
 def _as_poly(value):
     if isinstance(value, LaurentPoly):
         return value
@@ -424,11 +435,10 @@ def laurent_divide_exact(p: LaurentPoly, q: LaurentPoly) -> Optional[LaurentPoly
     if (at_p % at_q if at_q else at_p) != 0:
         return None
     names, a, b = p._aligned(q)
-    n = len(names)
-    shift_a = [min(m[i] for m in a) for i in range(n)]
-    shift_b = [min(m[i] for m in b) for i in range(n)]
-    a = {tuple(e - s for e, s in zip(m, shift_a)): c for m, c in a.items()}
-    b = {tuple(e - s for e, s in zip(m, shift_b)): c for m, c in b.items()}
+    shift_a = tuple(map(min, zip(*a)))
+    shift_b = tuple(map(min, zip(*b)))
+    a = {tuple(map(sub, m, shift_a)): c for m, c in a.items()}
+    b = {tuple(map(sub, m, shift_b)): c for m, c in b.items()}
     lead_b = max(b, key=_grlex_key)
     cb = b[lead_b]
     quotient = {}
@@ -439,13 +449,13 @@ def laurent_divide_exact(p: LaurentPoly, q: LaurentPoly) -> Optional[LaurentPoly
         lead = heapq.heappop(heap)[2]
         if lead not in rem:
             continue
-        diff = tuple(x - y for x, y in zip(lead, lead_b))
+        diff = tuple(map(sub, lead, lead_b))
         if any(e < 0 for e in diff):
             return None
         coeff = exact_div(rem[lead], cb)
         quotient[diff] = coeff
         for mb, c in b.items():
-            m = tuple(x + y for x, y in zip(diff, mb))
+            m = tuple(map(add, diff, mb))
             if m not in rem:
                 rem[m] = -coeff * c
                 heapq.heappush(heap, _heap_entry(m))
@@ -588,9 +598,12 @@ def _as_rf(value):
 
 
 def _reduce_pair(num: LaurentPoly, den: LaurentPoly):
-    """Joint content + common monomial reduction; monomial dens are folded."""
+    """Joint content + common monomial reduction; monomial dens are folded,
+    and a unit den is kept as it is, with num."""
     if num.is_zero():
         return LaurentPoly.zero(), LaurentPoly.one()
+    if den.is_one():
+        return num, den
     if den.is_monomial():
         ((mono, coeff),) = den.terms.items()
         powers = {v: -e for v, e in zip(den.vars, mono) if e}

@@ -657,6 +657,44 @@ def test_correspondence_nonbipartite_via_double():
     assert report["exchange_size"] == 6
 
 
+@pytest.mark.parametrize("cm", [A2, A3, D4], ids=["A2", "A3", "D4"])
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_restricted_y_stencils_are_the_yb_relations(cm, level):
+    """The Y half of the relation-level dictionary: each restricted lattice
+    Y-stencil, read through correspondence_check's identification (a, m) ->
+    pair node, is the Y^eps(B) relation of that node shifted to u, with
+    eps = -1 at level 2 and eps = +1 at levels 3 and 4, and never with the
+    other sign."""
+    from tysys.cartan import bipartition
+    from tysys.cluster import _node, _yb_relations
+    from tysys.ysystem import y_relation
+
+    em = exchange_matrix_for_level(cm, level, bipartition(cm))
+    sys = SystemSpec(cm, level)
+
+    def node(v):  # correspondence_check's flat identification
+        return _node(v.a if level == 2 else v.a * (level - 1) + (v.m - 1), v.k)
+
+    def read(rel):
+        return (tuple(map(node, rel.lhs)),
+                *(tuple(sorted((node(v), e) for v, e in terms))
+                  for terms in (rel.numerator, rel.denominator)))
+
+    eps = -1 if level == 2 else 1
+    compared = 0
+    for a in range(cm.r):
+        for m in range(1, level):
+            for u in range(-4, 5):
+                rel = y_relation(sys, a, m, u)
+                i = node(rel.center).a
+                twin, other = (_yb_relations(em, s)[i].shift(u) for s in (eps, -eps))
+                got = read(rel)
+                assert got == (twin.lhs, twin.numerator, twin.denominator), (a, m, u)
+                assert got != (other.lhs, other.numerator, other.denominator), (a, m, u)
+                compared += 1
+    assert compared == cm.r * (level - 1) * 9
+
+
 def test_plus_minus_systems_swap_under_inversion(ba2_seq):
     # Y -> 1/Y turns every + relation into the - relation at the same center
     from tysys.cluster import _parity_sign, _yb_relations

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -84,7 +85,7 @@ def test_ring_axioms(a, b, c):
 
 def term_walk_product(a, b):
     """a * b by the full walk over both term sets, with no unit shortcut."""
-    names, ta, tb = a._aligned(b)
+    names, ta, tb = walk_aligned(a, b)
     out = {}
     for ma, ca in ta.items():
         for mb, cb in tb.items():
@@ -154,12 +155,9 @@ def rescanning_divide_exact(p, q):
     remainder, finding the leading monomial by rescanning the remainder."""
     if p.is_zero():
         return LaurentPoly.zero()
-    names, a, b = p._aligned(q)
-    n = len(names)
-    shift_a = [min(m[i] for m in a) for i in range(n)]
-    shift_b = [min(m[i] for m in b) for i in range(n)]
-    a = {tuple(e - s for e, s in zip(m, shift_a)): c for m, c in a.items()}
-    b = {tuple(e - s for e, s in zip(m, shift_b)): c for m, c in b.items()}
+    names, a, b = walk_aligned(p, q)
+    shift_a, a = walk_shift(a)
+    shift_b, b = walk_shift(b)
 
     def grlex(mono):
         return (sum(mono), mono)
@@ -220,6 +218,216 @@ def test_division_matches_rescanning(a, b, make_divisible):
     if make_divisible:
         a = a * b
     assert laurent_divide_exact(a, b) == rescanning_divide_exact(a, b)
+
+
+# --- the kernel's builtin loops against term walks --------------------------------
+#
+# The kernel sums and compares exponents through C builtins (map over
+# operator functions, zip(*terms) columns, one itemgetter per remap); these
+# oracles walk every exponent of every term in Python instead.
+
+
+def walk_natural_key(name):
+    return tuple(int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name))
+
+
+def walk_aligned(a, b):
+    """a._aligned(b): the union of the generators in natural order, and each
+    term set with every monomial written out over it."""
+    if a.vars == b.vars:
+        return a.vars, a.terms, b.terms
+    names = sorted(set(a.vars) | set(b.vars), key=walk_natural_key)
+    pos = {n: i for i, n in enumerate(names)}
+
+    def remap(poly):
+        out = {}
+        for m, c in poly.terms.items():
+            full = [0] * len(names)
+            for v, e in zip(poly.vars, m):
+                full[pos[v]] = e
+            out[tuple(full)] = c
+        return out
+
+    return tuple(names), remap(a), remap(b)
+
+
+def walk_min_exponents(poly):
+    return {v: min(m[i] for m in poly.terms) for i, v in enumerate(poly.vars)}
+
+
+def walk_shift(terms):
+    """laurent_divide_exact's shift step: the least exponent of each
+    generator, and the terms divided by that monomial."""
+    n = len(next(iter(terms)))
+    shift = [min(m[i] for m in terms) for i in range(n)]
+    return shift, {tuple(e - s for e, s in zip(m, shift)): c for m, c in terms.items()}
+
+
+def walk_canonical(variables, terms):
+    """(vars, terms) of LaurentPoly(variables, terms): integral coefficients
+    as ints, zero terms and unused generators dropped, the generators in
+    natural order."""
+    clean = {}
+    for mono, coeff in terms.items():
+        c = Fraction(coeff)
+        if c:
+            clean[tuple(mono)] = c.numerator if c.denominator == 1 else c
+    used = sorted((v for i, v in enumerate(variables) if any(m[i] for m in clean)),
+                  key=walk_natural_key)
+    cols = [list(variables).index(v) for v in used]
+    return tuple(used), {tuple(m[i] for i in cols): c for m, c in clean.items()}
+
+
+def walk_reduce_pair(num, den):
+    """_reduce_pair with the term-walk minima: a monomial denominator, the
+    unit among them, is folded into the numerator; otherwise both sides are
+    divided by their joint content and their common monomial, and den's
+    leading coefficient is made positive."""
+    if num.is_zero():
+        return LaurentPoly.constant(0), LaurentPoly.constant(1)
+    if len(den.terms) == 1:
+        ((mono, coeff),) = den.terms.items()
+        powers = {v: -e for v, e in zip(den.vars, mono) if e}
+        return num.mul_monomial(Fraction(1) / coeff, powers), LaurentPoly.constant(1)
+    c_num, c_den = num.content(), den.content()
+    g = Fraction(math.gcd(c_num.numerator * c_den.denominator,
+                          c_den.numerator * c_num.denominator),
+                 c_num.denominator * c_den.denominator)
+    num, den = num * LaurentPoly.constant(1 / g), den * LaurentPoly.constant(1 / g)
+    mins_n, mins_d = walk_min_exponents(num), walk_min_exponents(den)
+    shared = {v: -min(mins_n[v], mins_d[v]) for v in set(mins_n) & set(mins_d)}
+    num, den = num.mul_monomial(1, shared), den.mul_monomial(1, shared)
+    lead = max(den.terms, key=lambda m: (sum(m), m))
+    return (-num, -den) if den.terms[lead] < 0 else (num, den)
+
+
+def shape(poly):
+    """What two equal polynomials must share: generators, terms, the type
+    of each coefficient, and the hash."""
+    return poly.vars, poly.terms, {m: type(c) for m, c in poly.terms.items()}, hash(poly)
+
+
+def walk_shape(variables, terms):
+    """shape() of the polynomial a term walk gives as (variables, terms);
+    the hash is that of the polynomial built from them."""
+    types = {m: type(c) for m, c in terms.items()}
+    return variables, terms, types, hash(LaurentPoly(variables, terms))
+
+
+WALK_NAMES = ("x", "y", "x2", "x10")
+walk_coeffs = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3),
+                        st.just(Fraction(4, 2)))
+
+
+@st.composite
+def raw_polys(draw):
+    """(variables, terms) for LaurentPoly: up to three generators in any
+    order, exponents from -2 to 2, coefficients zero, int, integral Fraction
+    or Fraction."""
+    variables = tuple(draw(st.lists(st.sampled_from(WALK_NAMES), unique=True, max_size=3)))
+    monos = st.tuples(*[st.integers(-2, 2)] * len(variables))
+    return variables, draw(st.dictionaries(monos, walk_coeffs, max_size=4))
+
+
+# one shared generator, disjoint generators, a constant operand (one
+# generator in all), the zero polynomial, Fractions and negative exponents
+WALK_EXAMPLES = [
+    ((("x", "y"), {(1, 0): 1, (0, -1): 2}), (("x2", "x"), {(1, 1): Fraction(1, 2), (0, -1): 3})),
+    ((("x",), {(1,): 1, (0,): 1}), (("y",), {(-1,): Fraction(2, 3), (2,): -1})),
+    (((), {(): 3}), (("x",), {(2,): 1, (-1,): Fraction(-1, 2)})),
+    ((("x10", "x2"), {(1, -2): Fraction(4, 2), (0, 1): 0}), ((), {})),
+]
+
+
+def walk_examples(*rest):
+    """example(a, b, *more) for each pair of WALK_EXAMPLES and each tuple
+    more of rest (only the pair where rest is empty)."""
+    def apply(test):
+        for a, b in WALK_EXAMPLES:
+            for more in rest or [()]:
+                test = example(a, b, *more)(test)
+        return test
+
+    return apply
+
+
+@settings(max_examples=120, deadline=None)
+@given(raw_polys(), raw_polys())
+@walk_examples()
+def test_construction_and_alignment_match_term_walks(a, b):
+    for variables, terms in (a, b):
+        assert shape(LaurentPoly(variables, terms)) == walk_shape(*walk_canonical(variables, terms))
+    p, q = LaurentPoly(*a), LaurentPoly(*b)
+    assert p._aligned(q) == walk_aligned(p, q)
+    assert p.min_exponents() == walk_min_exponents(p)
+    assert shape(p * q) == shape(term_walk_product(p, q))
+    sum_names, ta, tb = walk_aligned(p, q)
+    total = {m: ta.get(m, 0) + tb.get(m, 0) for m in {**ta, **tb}}
+    assert shape(p + q) == walk_shape(*walk_canonical(sum_names, total))
+
+
+@settings(max_examples=120, deadline=None)
+@given(raw_polys(), raw_polys(), st.sampled_from(["unit", "monomial", "general"]))
+@walk_examples(("unit",), ("monomial",), ("general",))
+def test_reduce_pair_matches_term_walk(a, b, kind):
+    num = LaurentPoly(*a)
+    den = {"unit": LaurentPoly.constant(1),
+           "monomial": LaurentPoly.monomial(Fraction(-2, 3), {"x": -1, "x10": 2}),
+           "general": LaurentPoly(*b) + LaurentPoly.gen("y")}[kind]
+    if den.is_zero():
+        return
+    got = RationalFunction(num, den)
+    want = walk_reduce_pair(num, den)
+    assert (shape(got.num), shape(got.den)) == (shape(want[0]), shape(want[1]))
+    if kind == "unit" and num:
+        assert got.num is num  # a unit denominator is not folded
+
+
+@settings(max_examples=120, deadline=None)
+@given(raw_polys(), raw_polys(), st.booleans())
+@walk_examples((True,), (False,))
+def test_division_shapes_match_rescanning(a, b, make_divisible):
+    p, q = LaurentPoly(*a), LaurentPoly(*b)
+    if q.is_zero():
+        return
+    top = p * q if make_divisible else p
+    got, want = laurent_divide_exact(top, q), rescanning_divide_exact(top, q)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert shape(got) == shape(want)
+
+
+# --- the shared unit and zero ---------------------------------------------------
+
+
+def test_unit_and_zero_are_shared_and_immutable():
+    assert LaurentPoly.one() is LaurentPoly.one() and LaurentPoly.zero() is LaurentPoly.zero()
+    assert LaurentPoly.one().terms == {(): 1} and LaurentPoly.zero().terms == {}
+    for shared in (LaurentPoly.one(), LaurentPoly.zero()):
+        for name in ("vars", "terms", "_hash", "new"):
+            with pytest.raises(AttributeError):
+                setattr(shared, name, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_polys(), raw_polys())
+@walk_examples()
+def test_kernel_operations_leave_operands_alone(a, b):
+    """No operation writes into an operand's terms; _aligned hands out an
+    operand's own terms when the generators match."""
+    operands = (LaurentPoly(*a), LaurentPoly(*b), LaurentPoly.one(), LaurentPoly.zero())
+    before = [(p.vars, dict(p.terms)) for p in operands]
+    for p in operands:
+        -p, p ** 0, p ** 2, p.mul_monomial(Fraction(1, 2), {"x": 1, "y": -1})
+        if p.is_monomial():
+            p ** -2
+        for q in operands:
+            p + q, p - q, p * q
+            if q:
+                laurent_divide_exact(p, q)
+                RationalFunction(p, q).reduced()
+    assert [(p.vars, p.terms) for p in operands] == before
+    assert LaurentPoly.one().terms == {(): 1} and LaurentPoly.zero().terms == {}
 
 
 # --- the kernel against a route that keeps every coefficient a Fraction -------
