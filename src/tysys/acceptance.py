@@ -163,8 +163,8 @@ def criterion_5_y_to_t_roundtrip(seed=0):
                             f" claim {report['claim_violations'][:2]}")
             continue
         again, other = ysystem.roundtrip_check(y_table, rng=random.Random(seed + 7))
-        common = set(t_table.values) & set(other.values)
-        if not any(t_table.values[v] != other.values[v] for v in common):
+        t_pairs, other_pairs = t_table.pairs(), other.pairs()
+        if not any(t_pairs[v] != other_pairs[v] for v in t_pairs.keys() & other_pairs.keys()):
             failures.append(f"{name}: distinct free choices gave identical T")
         if not again["pass"]:
             failures.append(f"{name}: second reconstruction broke the Y image")

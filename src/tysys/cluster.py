@@ -591,13 +591,14 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
     range, and the values returned are built from its reduced pairs.  At
     each interior point the companion identities are checked exactly in
     their T(B) form, inner + coupling == pair (ysystem.companions_hold), and
-    compared as values only where that fails.  A shifted mapped Y(B) relation is
-    established without values when its stencil's exponent vectors agree
-    (_mapped_exponents_agree) and the T(B) form held at every numerator and
-    denominator point.  Both sides are then the same Laurent monomial in the
-    T-atoms, and its denominators, the inner and coupling products, are
-    nonzero there, so the relation holds.  Every other mapped relation goes
-    through check_relations.
+    compared as values only where that fails.  A shifted mapped Y(B) relation
+    is established without values when its stencil's exponent vectors agree
+    (_mapped_exponents_agree) and the T(B) form failed at none of its
+    numerator and denominator points, each of which, at an interior u, has
+    a pair and was checked.  Both sides are then the same Laurent monomial
+    in the T-atoms, and its denominators, the inner and coupling products,
+    are nonzero there, so the relation holds.  Every other mapped relation
+    goes through check_relations.
 
     Returns (y_values, violations).
     """
@@ -613,7 +614,7 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
     forms = Runs((TRelation(rel.center, rel.lhs, rel.denominator, rel.numerator),
                   range(lo, hi + 1)) for rel in stencils)
     layout = Layout([_node(i)[:2] for i in range(em.n)], lo, hi)
-    pairs, violations, held = map_t_to_y(
+    pairs, violations, failed = map_t_to_y(
         mapped_points(forms, pair), lambda rel: f"at ({em.label(rel.center.a)},{rel.center.k})",
         SlotStore(layout))
     y_values = {_at(var): reduced_value(*y) for var, y in pairs.items()}
@@ -622,8 +623,8 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
     for i, stencil in enumerate(stencils):
         # the slots of the stencil's factors at u = 0, read u slices later
         slots = [layout.slot(var) for var, _ in stencil.numerator + stencil.denominator]
-        rels.append((stencil, [u for u in range(lo + 1, hi) if not (
-            agree[i] and all(j + u * layout.size in held for j in slots))]))
+        rels.append((stencil, [u for u in range(lo + 1, hi) if not agree[i] or any(
+            j + u * layout.size in failed for j in slots)]))
     violations += _check(Runs(rels), y_values, _at,
                          _label(em, f"mapped Y{'+' if eps > 0 else '-'}(B)"))
     return y_values, violations

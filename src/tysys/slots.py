@@ -7,12 +7,13 @@ the variable it solves, whatever the slice; a relation compiled to a layout
 (Relation.compile, Compiled) reads its values as store[i + offset].  A
 SlotStore is such a list with its layout: fill_lattice fills one and
 returns it, the table loader and the T -> Y map write one, and a ValueTable
-keeps it as it is.  A family of relations is a list of runs (Runs): a
-stencil and the offsets k it is read at, the relation at k sitting one
-slice, Layout.size slots, after the one at k - 1.  lay gives one read per
-run of a family on a SlotStore in place, or lays the values it reads once
-on a store of its own; the checks and the T -> Y map walk each run slot by
-slot, and slot_product and slot_pairs read one factor list from a store.
+is one such store and nothing else.  A family of relations is a list of
+runs (Runs): a stencil and the offsets k it is read at, the relation at k
+sitting one slice, Layout.size slots, after the one at k - 1.  lay gives
+one read per run of a family on a SlotStore in place, or lays the values
+it reads once on a store of its own; the checks and the T -> Y map walk
+each run slot by slot, and slot_product and slot_pairs read one factor
+list from a store.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ class SlotStore(Mapping):
     a slot without one: the store that fill_lattice fills and returns, and
     whose list the table loader and the T -> Y map write by slot.  Read as
     a mapping, it is the {var: pair} of its filled slots, in (a, m, k)
-    order when the layout's cells are sorted; a ValueTable keeps it as it
-    is, and lay reads it in place."""
+    order when the layout's cells are sorted; a ValueTable is one, and lay
+    reads it in place."""
 
     __slots__ = ("layout", "store")
 
@@ -230,20 +231,20 @@ def lay(relations: Iterable, pair) -> Tuple[list, list]:
     start + k * size of store, size the slots per slice of the Compiled's
     layout, so that a relation that is a run of one is read at slot start.
 
-    pair is a SlotStore, or a Mapping or a function of the plain (a, m, k)
-    key giving the ring pair there, or None where a value is missing or
-    has none.  A SlotStore whose layout holds every variable the relations
-    read is read in place: store is its list.  Otherwise the layout spans
-    the cells of the stencils' variables, in sorted order, and the slices
-    of the relations' lhs[1], padded by the stencils' reach (_reach), so
-    that no offset leaves the store or wraps into a neighbouring cell, and
-    store holds the pair at the key of every slot (Layout.keys)."""
+    pair is a SlotStore, or a function of the plain (a, m, k) key giving
+    the ring pair there, or None where a value is missing or has none.  A
+    SlotStore whose layout holds every variable the relations read is read
+    in place: store is its list; one that does not is read through its get.
+    Otherwise the layout spans the cells of the stencils' variables, in
+    sorted order, and the slices of the relations' lhs[1], padded by the
+    stencils' reach (_reach), so that no offset leaves the store or wraps
+    into a neighbouring cell, and store holds the pair at the key of every
+    slot (Layout.keys)."""
     runs = as_runs(relations).runs
     if isinstance(pair, SlotStore):
         reads = _reads(pair.layout, runs)
         if reads is not None:
             return pair.store, reads
-    if isinstance(pair, Mapping):
         pair = pair.get
     stencils = {id(rel._lists): rel for rel, _ in runs}.values()
     ks = [rel._lhs[1].k + rel.k + k for rel, ks in runs if ks for k in (ks[0], ks[-1])] or [0]

@@ -17,18 +17,18 @@ store, a list indexed by the slots of a Layout, at the offsets of the
 relation's stencil compiled to that layout (Relation.compile), and
 multiplies each factor list into one pair as it reads it: no list of pairs
 and no second call.  fill_lattice keeps the values it solves in such a
-store and returns it as a SlotStore, the layout and the list, which the
-table keeps; the loader and the T -> Y map write their tables' stores the
-same way (table_store).  The checks, the maps, the period scan and dump
-read a table's store in place (lay, ValueTable.pairs); once its values
-have been read, and on the cluster side, the values a check reads are laid
-once per call (lay): a store over the cells and slices the relations span,
-padded by the stencils' reach, None where a value is missing or has no
-ring pair.  Fractions or RationalFunctions are built only where something
-reads a table's values, and for violation records.  Each relation is one
-identity on pairs, read by each kind's fused holds_exactly, and numeric
-mode checks it on the table evaluated at random points, then exactly where
-it fails.
+store and returns it as a SlotStore, the layout and the list, which is the
+table; the loader and the T -> Y map write their tables' stores the same
+way (table_store).  The checks, the maps, the period scan and dump read a
+table's store in place (lay, ValueTable.pairs); where relations read past
+a table's store, and on the cluster side, the values a check reads are
+laid once per call (lay): a store over the cells and slices the relations
+span, padded by the stencils' reach, None where a value is missing or has
+no ring pair.  Fractions or RationalFunctions are built only where
+something reads a table's values, and for violation records.  Each
+relation is one identity on pairs, read by each kind's fused
+holds_exactly, and numeric mode checks it on the table's store evaluated
+at random points, then exactly where it fails.
 
 Propagation takes one Cauchy step per kind, the kind's solve: lhs[1] is
 the right-hand side times the inverted lhs[0], read as one running pair
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import io
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -509,72 +508,55 @@ class ValueTable:
     for the lattice variables of one system on one window.  Unit boundary
     variables are never stored; relations substitute them structurally.
 
-    A table keeps one store.  A solved, mapped or loaded table is built
-    from its reduced ring pairs (pairs=): the SlotStore that its fill, map
-    or loader wrote, its Layout and flat list.  len, `in`, dump and the
+    A table is its store: the SlotStore of reduced ring pairs that its fill,
+    map or loader wrote, its Layout and flat list.  len, `in`, dump and the
     period scan read it, and the checks and the maps read it in place at
-    compiled offsets (lay).  The first read of values builds the values
-    from the pairs (reduced_value), one per distinct pair, into one
-    {var: value} dict; from then on that dict is the only store, so
-    whatever is written into it is what the next reader sees, and the
-    checks lay its ring pairs once per call.  get builds one value from
-    its stored pair, so that a violation record keeps the store."""
+    compiled offsets (lay).  get builds one value from its stored pair
+    (reduced_value).  values is a read-only {var: value} dict, built once
+    from the pairs with one value per distinct pair; equal pairs then share
+    one tuple in the store, so that a periodic table, which repeats each of
+    its values once per period, holds one copy of each."""
 
     def __init__(self, kind: str, system: SystemSpec, window: Tuple[int, int],
-                 values: Optional[dict] = None, meta: Optional[dict] = None,
-                 pairs: Optional[dict] = None):
+                 pairs: SlotStore, meta: Optional[dict] = None):
         self.kind, self.system, self.window = kind, system, window
         self.meta = {} if meta is None else meta
-        # the one store: {var: pair} until values is first read, then {var: value}
-        self._has_values = pairs is None
-        if self._has_values:
-            self._store = {} if values is None else values
-        else:
-            self._store = pairs
+        self._pairs, self._values = pairs, None
 
     @property
     def values(self) -> Dict[LatticeVar, object]:
-        if not self._has_values:
-            # equal pairs share one value: a periodic table repeats each of
-            # its values once per period
-            shared, values = {}, {}
-            for var, got in self._store.items():
-                if got not in shared:
-                    shared[got] = reduced_value(*got)
-                values[var] = shared[got]
-            self._store, self._has_values = values, True
-        return self._store
+        if self._values is None:
+            # equal pairs first become one tuple, whose copies are freed
+            # before the values are built
+            store, shared = self._pairs.store, {}
+            for i, got in enumerate(store):
+                if got is not None:
+                    store[i] = shared.setdefault(got, got)
+            value = {id(got): reduced_value(*got) for got in shared}
+            self._values = _ReadOnlyValues({var: value[id(got)]
+                                            for var, got in self._pairs.items()})
+        return self._values
 
-    @values.setter
-    def values(self, values: dict):
-        self._store, self._has_values = values, True
-
-    def pairs(self) -> Mapping:
-        """{var: ring pair or None}, not to be changed: the stored pairs (the
-        table's SlotStore, read in place by lay), or, once the values have
-        been read, a dict of their ring pairs, built per call, so that an
-        entry changed since is read afresh."""
-        return ({var: ring_pair(v) for var, v in self._store.items()} if self._has_values
-                else self._store)
+    def pairs(self) -> SlotStore:
+        """The table's store, read in place by lay; not to be changed."""
+        return self._pairs
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._pairs)
 
     def __contains__(self, var) -> bool:
-        return var in self._store
+        return var in self._pairs
 
     def __iter__(self) -> Iterator[LatticeVar]:
-        return iter(self._store)
+        return iter(self._pairs)
 
     def get(self, var: LatticeVar):
-        """The value at var, built from its stored pair (reduced_value)
-        while the table keeps its pairs, so that a violation record leaves
-        the store in place; MissingValue where the table has none."""
+        """The value at var, built from its stored pair (reduced_value);
+        MissingValue where the table has none."""
         try:
-            got = self._store[var]
+            return reduced_value(*self._pairs[var])
         except KeyError:
             raise MissingValue(var.label(self.kind)) from None
-        return got if self._has_values else reduced_value(*got)
 
     def _header(self) -> dict:
         """Every key of to_json but "entries"."""
@@ -584,8 +566,8 @@ class ValueTable:
     def to_json(self) -> dict:
         entries = [
             {"a": v.a + 1, "m": v.m, "k": v.k, "kind": self.kind,
-             "value": fraction_to_text(val)}
-            for v, val in sorted(self.values.items())
+             "value": fraction_to_text(reduced_value(*got))}
+            for v, got in sorted(self._pairs.items())
         ]
         return {**self._header(), "entries": entries}
 
@@ -601,8 +583,8 @@ class ValueTable:
         text.write('{\n "entries": [')
         kind, sep = self.kind, ""
         # a SlotStore gives its pairs sorted already
-        for var, got in sorted(self.pairs().items()):
-            if got is None or not isinstance(got[0], int):
+        for var, got in sorted(self._pairs.items()):
+            if not isinstance(got[0], int):
                 raise TypeError(f"{var.label(kind)} is not a rational")
             n, d = got
             try:
@@ -615,6 +597,16 @@ class ValueTable:
         text.write(("\n ],\n" if sep else "],\n") + rest[2:] + "\n")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text.getvalue())
+
+
+class _ReadOnlyValues(dict):
+    """ValueTable.values: a dict that no call changes."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a table's values are read-only: its store holds its pairs")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = \
+        _read_only
 
 
 # one entry of ValueTable.dump: separator, a (1-based), k, kind, m, value
@@ -667,7 +659,7 @@ def table_from_json(data, sys: SystemSpec, kind: str) -> ValueTable:
         if store[i] is not None:
             raise ValueError(f"{layout.var(i).label(kind)} appears twice")
         store[i] = got
-    return ValueTable(kind, sys, window, meta=meta, pairs=pairs)
+    return ValueTable(kind, sys, window, pairs, meta)
 
 
 def table_store(sys: SystemSpec, kind: str, window) -> "SlotStore":
@@ -773,7 +765,8 @@ def _check_table(table: ValueTable, relations: Iterable, mode: str, rng,
     of relations on the table's pairs.  Numeric mode evaluates the table at
     SAMPLES random assignments of the symbols of its rational functions,
     drawn from rng, and checks each relation's exact identity on the
-    evaluated pairs, laid as the table's are, each sample walking the
+    evaluated pairs, a SlotStore on the table's layout read as the table's
+    store is, each sample walking the
     relations that held so far; only a relation that fails at a point goes
     on to the exact check, which writes its record.  A table without
     rational functions is checked exactly.  Records read the table's values
@@ -781,15 +774,17 @@ def _check_table(table: ValueTable, relations: Iterable, mode: str, rng,
     pairs = table.pairs()
     relations = as_runs(relations)
     if mode == "numeric":
-        symbolic = [got for got in pairs.values() if got is not None
+        symbolic = [got for got in pairs.store if got is not None
                     and not isinstance(got[0], int)]
         if symbolic:
             names = sorted({n for num, den in symbolic for n in num.vars + den.vars})
             runs, failed = relations.runs, set()
             for _ in range(SAMPLES):
                 at = {n: random_nonzero_rational(rng) for n in names}
-                evaluated = {var: evaluate(v, at) for var, v in table.values.items()}
-                store, reads = lay(relations, lambda var: ring_pair(evaluated.get(var)))
+                evaluated = SlotStore(pairs.layout, [
+                    None if got is None else ring_pair(evaluate(reduced_value(*got), at))
+                    for got in pairs.store])
+                store, reads = lay(relations, evaluated)
                 held = Runs((rel, [k for k in ks if (r, k) not in failed])
                             for r, (rel, ks) in enumerate(runs))
                 failed.update((r, k) for r, k, _ in held.failing(store, reads))
@@ -1078,7 +1073,7 @@ def _propagate(kind: str, sys: SystemSpec, window, relation: Callable,
             for k in range(lo, min(hi + 1, lo + 2 * sys.cm.d[a]))]
     pairs = fill_lattice(kind, layout, slab, range(len(pad), len(by_slot) - len(pad)),
                          by_slot.__getitem__, rng, initial, retries=retries)
-    return ValueTable(kind, sys, (lo, hi), pairs=pairs)
+    return ValueTable(kind, sys, (lo, hi), pairs)
 
 
 def propagate_t(sys: SystemSpec, window, initial: Optional[dict] = None,

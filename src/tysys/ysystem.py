@@ -424,31 +424,30 @@ def map_t_to_y(points, label, pairs: SlotStore):
     """The one T -> Y map, of the lattice and of the exchange-matrix
     systems: Y = coupling / inner at every point of mapped_points, as a
     reduced ring pair written into the Y-store pairs at the slot of the
-    relation's centre, a fixed number of slots per slice along a run.
-    Where a point has a pair, the companion identities are checked in the
-    exact form of companions_hold, and compared as values by
-    companion_identities, labelled label(rel), only where that fails: the
-    relation is built only for such a record.
+    relation's centre, a fixed number of slots per slice along a run; a
+    vanishing inner raises ZeroDivisor.  Where a point has a pair, the
+    companion identities are checked in the exact form of companions_hold,
+    and compared as values by companion_identities, labelled label(rel),
+    only where that fails: the relation is built only for such a record.
 
-    Returns (pairs, violations, held), held the slots of pairs where the
-    companions held."""
-    violations, held = [], set()
+    Returns (pairs, violations, failed), failed the slots of pairs where
+    the companions failed."""
+    violations, failed = [], set()
     store, size, slot = pairs.store, pairs.layout.size, pairs.layout.slot
     run = None
     for rel, k, inner, coupling, pair in points:
         if rel is not run:
             run, start = rel, slot(rel._center) + rel.k * size
+        if not inner[0]:
+            raise ZeroDivisor(f"vanishing T pair under {label(rel.shift(k))}")
         j = start + k * size
         y = store[j] = pair_quotient(coupling, inner)
-        if pair is None:
-            continue
-        if companions_hold(pair, inner, coupling):
-            held.add(j)
-        else:
+        if pair is not None and not companions_hold(pair, inner, coupling):
+            failed.add(j)
             violations += companion_identities(label(rel.shift(k)), reduced_value(*y),
                                                pair_value(*pair), pair_value(*inner),
                                                pair_value(*coupling))
-    return pairs, violations, held
+    return pairs, violations, failed
 
 
 def t_to_y(t_table: ValueTable):
@@ -467,16 +466,8 @@ def t_to_y(t_table: ValueTable):
     where that fails are the identities compared as values.
     """
     sys = t_table.system
-
-    def nonvanishing(points):
-        for point in points:
-            if point[2][0] == 0:
-                rel, k = point[:2]
-                raise ZeroDivisor(f"vanishing T pair under {rel.shift(k).center.label('Y')}")
-            yield point
-
     points = mapped_points(_centred_relations(t_table), t_table.pairs())
-    pairs, violations, _ = map_t_to_y(nonvanishing(points), lambda rel: rel.center.label("Y"),
+    pairs, violations, _ = map_t_to_y(points, lambda rel: rel.center.label("Y"),
                                       table_store(sys, "Y", t_table.window))
     lo, hi = t_table.window
     if sys.restricted:
@@ -486,7 +477,7 @@ def t_to_y(t_table: ValueTable):
                 violations += [violation(f"boundary quantity at node {a + 1}, k={k}",
                                          "non-unit factors remain", 1)
                                for k in range(lo, hi + 1)]
-    return ValueTable("Y", sys, t_table.window, pairs=pairs), violations
+    return ValueTable("Y", sys, t_table.window, pairs), violations
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +584,7 @@ def y_to_t(y_table: ValueTable, rng=None, free: str = "random",
                          retries=retries)
     ks = [v.k for v in pairs]
     meta = {"free_choice": free, "center": center}
-    return ValueTable("T", sys, (min(ks), max(ks)), meta=meta, pairs=pairs)
+    return ValueTable("T", sys, (min(ks), max(ks)), pairs, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +686,7 @@ def roundtrip_check(y_table: ValueTable, rng=None, free: str = "random",
     t_table = y_to_t(y_table, rng=rng, free=free, retries=retries)
     covered, differing, claim = _compare_to_t(t_table, y_table)
     region = recoverable_region(y_table, covered)
-    mismatches = [violation(var.label("Y"), differing[var], y_table.values[var])
+    mismatches = [violation(var.label("Y"), differing[var], y_table.get(var))
                   for var in region if var in differing]
     report = {
         "compared": len(region),
@@ -715,22 +706,16 @@ def detect_period(table: ValueTable, max_period: int) -> Optional[int]:
     """Smallest p <= max_period with value(a,m,k) == value(a,m,k+p) for every
     stored pair of values, or None; a p that compared nothing is skipped.
     Purely empirical; values are compared as the table's ring pairs,
-    cross-multiplied, read in place from the table's SlotStore, or laid
-    once on the table's cells and slices, where (a, m, k + p) is the slot p
-    slices after (a, m, k)."""
+    cross-multiplied, read in place from the table's SlotStore, where
+    (a, m, k + p) is the slot p slices after (a, m, k)."""
     if max_period < 1:
         raise ValueError(f"max_period must be >= 1, got {max_period}")
     pairs = table.pairs()
-    if isinstance(pairs, SlotStore):
-        layout, store = pairs.layout, pairs.store
-    else:
-        ks = [k for _, _, k in pairs] or [0]
-        layout = Layout(sorted({(a, m) for a, m, _ in pairs}), min(ks), max(ks))
-        store = [pairs.get(key) for key in layout.keys()]
+    size, store = pairs.layout.size, pairs.store
     for p in range(1, max_period + 1):
         compared = 0
         ok = True
-        for got, other in zip(store, islice(store, p * layout.size, None)):
+        for got, other in zip(store, islice(store, p * size, None)):
             if got is None or other is None:
                 continue
             compared += 1

@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from tysys.errors import (
     NoParity,
     NotBipartite,
     NotSymmetrizable,
+    ZeroDivisor,
 )
 from tysys.exactmath import LaurentPoly, RationalFunction, SemifieldElement
 from tysys.tsystem import SystemSpec, check_relations, factor_product, propagate_t, ring_pair
@@ -404,6 +406,8 @@ def value_route_t_to_y_b(t_values, em, eps=1, u_range=None):
             rel = stencil.shift(u)
             coupling = factor_product(t, rel.numerator)
             inner = factor_product(t, rel.denominator)
+            if inner == 0:
+                raise ZeroDivisor(f"vanishing T pair under at ({em.label(i)},{u})")
             y = y_values[(i, u)] = coupling / inner
             if lo < u < hi:
                 pair = t(rel.lhs[0]) * t(rel.lhs[1])
@@ -418,14 +422,14 @@ def value_route_t_to_y_b(t_values, em, eps=1, u_range=None):
 
 def assert_routes_agree(t_values, em, u_range=None):
     """Equal Y-values and byte-identical violation lists for both signs, or
-    the same error where a zero value leaves Y undefined; returns the
-    violations."""
+    the same error where a zero value leaves Y undefined, ZeroDivisor naming
+    the point of a vanishing inner product; returns the violations."""
     found = []
     for eps in (1, -1):
         try:
             oracle_y, oracle = value_route_t_to_y_b(t_values, em, eps, u_range)
-        except ZeroDivisionError as exc:
-            with pytest.raises(type(exc)):
+        except (ZeroDivisionError, ZeroDivisor) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
                 t_to_y_b(t_values, em, eps)
             continue
         y_values, violations = t_to_y_b(t_values, em, eps)

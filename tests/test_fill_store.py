@@ -37,6 +37,8 @@ from tysys.tsystem import (
 )
 from tysys.ysystem import propagate_y, roundtrip_check, y_relation, y_to_t
 
+from tables import table_of
+
 MIXED44 = new_cartan(MIXED44_ROWS)
 
 
@@ -181,7 +183,9 @@ def test_y_to_t_matches_the_naive_rules(free, hole):
     for y_table in _y_tables():
         if hole:
             # a missing Y-value leaves everything that needs it undetermined
-            del y_table.values[sorted(y_table.values)[len(y_table.values) // 3]]
+            var = sorted(y_table.values)[len(y_table.values) // 3]
+            y_table = table_of("Y", y_table.system, y_table.window,
+                               {**y_table.values, var: None})
         t_table = y_to_t(y_table, rng=random.Random(4), free=free)
         assert naive_y_to_t(y_table, t_table) == t_table.values
 
@@ -253,7 +257,7 @@ def test_partial_reconstruction_variables(free, hole, size, digest):
     sys = SystemSpec(new_cartan(FINITE_TYPE["A3"]), 4, restricted=False)
     y_table = propagate_y(sys, (0, 14), rng=random.Random(21))
     if hole is not None:
-        del y_table.values[hole]
+        y_table = table_of("Y", sys, y_table.window, {**y_table.values, hole: None})
     t_table = y_to_t(y_table, rng=random.Random(5), free=free)
     assert t_table.window == (-1, 15)
     assert (len(t_table), _variables_digest(t_table)) == (size, digest)

@@ -17,6 +17,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tables import table_of
 from test_cluster import value_route_t_to_y_b
 from test_ysystem import value_route_claim, value_route_mapped_y, value_route_t_to_y
 
@@ -430,7 +431,7 @@ def oracle_y_to_t(y_table, rng, free):
                          initial, partial=True)
     ks = [v.k for v in pairs]
     meta = {"free_choice": free, "center": center}
-    return ValueTable("T", sys, (min(ks), max(ks)), meta=meta, pairs=pairs)
+    return ValueTable("T", sys, (min(ks), max(ks)), pairs, meta)
 
 
 def oracle_roundtrip(y_table, rng, free):
@@ -456,9 +457,10 @@ def test_y_to_t_and_roundtrip_match_value_route(case, seed, free, changes):
     cm, cap, width = case
     y_table = propagate_y(SystemSpec(cm, cap, restricted=False), (0, width),
                           rng=random.Random(seed))
-    keys = sorted(y_table.values)
+    keys, values = sorted(y_table.values), dict(y_table.values)
     for index, replacement in changes:
-        y_table.values[keys[index % len(keys)]] = replacement
+        values[keys[index % len(keys)]] = replacement
+    y_table = table_of("Y", y_table.system, y_table.window, values)
     got = outcome(lambda: y_to_t(y_table, rng=random.Random(seed), free=free))
     want = outcome(lambda: oracle_y_to_t(y_table, random.Random(seed), free))
     if got[:2] == ("raises", "DegenerateData"):
@@ -483,7 +485,7 @@ def test_y_to_t_int_entries_stay_exact():
     y_table = propagate_y(SystemSpec(A3, 4, restricted=False), (0, 12),
                           rng=random.Random(21))
     as_ints = {var: 2 * (var.a + 1) for var in y_table.values}
-    ints = ValueTable("Y", y_table.system, y_table.window, as_ints)
+    ints = table_of("Y", y_table.system, y_table.window, as_ints)
     t_table = y_to_t(ints, free="unit")
     assert all(type(v) is Fraction for v in t_table.values.values())
 
@@ -543,7 +545,7 @@ def oracle_t_to_y(t_table):
     value_route_t_to_y; the boundary quantity collapses to 1 on every
     tamely laced system, so it adds no record."""
     values = {rel.center: y for rel, y, _, _ in value_route_mapped_y(t_table)}
-    y_table = ValueTable("Y", t_table.system, t_table.window, values)
+    y_table = table_of("Y", t_table.system, t_table.window, values)
     return y_table, value_route_t_to_y(t_table)
 
 
@@ -570,7 +572,7 @@ def test_t_to_y_and_claims_match_value_route(name, changes):
     values = dict(t_table.values)
     for index, replacement in changes:
         values[keys[index % len(keys)]] = replacement
-    broken = ValueTable("T", t_table.system, t_table.window, values)
+    broken = table_of("T", t_table.system, t_table.window, values)
     assert outcome(lambda: t_to_y(broken)) == outcome(lambda: oracle_t_to_y(broken))
     for table in (broken, t_table):
         assert outcome(lambda: claim_identities_check(table, y_table)) \
@@ -579,9 +581,8 @@ def test_t_to_y_and_claims_match_value_route(name, changes):
 
 def test_zero_inner_raises_alike():
     t_table = _t_table(A3, 3, (0, 10), 5)
-    values = dict(t_table.values)
-    values[LatticeVar(0, 2, 5)] = 0
-    broken = ValueTable("T", t_table.system, t_table.window, values)
+    broken = table_of("T", t_table.system, t_table.window,
+                      {**t_table.values, LatticeVar(0, 2, 5): 0})
     y_table, _ = t_to_y(t_table)
     got = outcome(lambda: t_to_y(broken))
     assert got == outcome(lambda: oracle_t_to_y(broken)) == (
@@ -622,7 +623,7 @@ def test_roundtrip_mismatches_match_value_route(monkeypatch):
     values = dict(t_table.values)
     for var in sorted(values)[::9]:
         values[var] = -2 * values[var]
-    broken = ValueTable("T", t_table.system, t_table.window, values, t_table.meta)
+    broken = table_of("T", t_table.system, t_table.window, values, t_table.meta)
     monkeypatch.setattr(ysystem, "y_to_t", lambda *args, **kwargs: broken)
     report, _ = roundtrip_check(y_table)
     recovered = ysystem.t_to_y(broken)[0].values

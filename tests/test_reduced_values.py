@@ -1,6 +1,6 @@
 """Values built without a final gcd: every stored lattice value is in lowest
-terms, pair indexes are built per call, and a degenerate Y-value stops the
-Y -> T reconstruction at once."""
+terms, every call reads a table's store as it is then, and a degenerate
+Y-value stops the Y -> T reconstruction at once."""
 
 import random
 from fractions import Fraction
@@ -33,6 +33,8 @@ from tysys.ysystem import (
     y_relation,
     y_to_t,
 )
+
+from tables import table_of
 
 
 def assert_lowest_terms(table: ValueTable):
@@ -157,7 +159,13 @@ def test_vanishing_y_side_names_the_centre():
         _solve(rel, pairs.__getitem__)
 
 
-# --- pair indexes are built per call ---------------------------------------------------
+# --- every call reads the store as it is then -------------------------------------------
+
+
+def _triple(table, var):
+    """Write three times the value at var into the table's store, in place."""
+    store = table.pairs()
+    store.store[store.layout.slot(var)] = tsystem.ring_pair(3 * table.get(var))
 
 
 def test_checks_read_a_changed_entry():
@@ -169,8 +177,7 @@ def test_checks_read_a_changed_entry():
             (propagate_t(sys, window, rng=random.Random(1)),
              enumerate_relations(sys, window), check_t_solution)):
         assert check(table, relations) == []
-        var = LatticeVar(1, 2, 6)
-        table.values[var] = 3 * table.values[var]
+        _triple(table, LatticeVar(1, 2, 6))
         assert check(table, relations) != []
 
 
@@ -179,8 +186,7 @@ def test_t_to_y_reads_a_changed_entry():
     t_table = propagate_t(sys, (0, 12), rng=random.Random(2))
     before, violations = t_to_y(t_table)
     assert violations == []
-    var = LatticeVar(0, 1, 6)
-    t_table.values[var] = 3 * t_table.values[var]
+    _triple(t_table, LatticeVar(0, 1, 6))
     after, violations = t_to_y(t_table)
     assert violations != []
     # T(a=1, m=1, 6) is an inner factor of Y(a=1, m=2, 6)
@@ -210,8 +216,7 @@ def _a3_y_table(changes):
     with the given entries replaced."""
     sys = SystemSpec(new_cartan(FINITE_TYPE["A3"]), 4, restricted=False)
     y_table = propagate_y(sys, (0, 14), rng=random.Random(21))
-    y_table.values.update(changes)
-    return y_table
+    return table_of("Y", sys, y_table.window, {**y_table.values, **changes})
 
 
 # level-1 extension: T(a=1, m=1, k=10) = (1 + 1/Y(a=1, m=1, k=9)) M / T(a=1, m=1, k=8);

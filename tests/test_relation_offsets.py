@@ -3,7 +3,7 @@
 The differential test writes every relation out itself, from its stencil
 with k added, and compares all the readers; the guard test runs the solvers
 and checks with per-centre factor tuples forbidden.  The window-edge tests
-compare the readers of a laid store against key-based value routes on
+compare the readers of a table's store against key-based value routes on
 tables without their first and last slices, where an offset that left the
 store or wrapped into a neighbouring cell would read another value.
 """
@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from tables import table_of
 from test_rational_route import oracle_check
 from test_ysystem import _held_by_membership, value_route_mapped_y, value_route_t_to_y
 
@@ -26,7 +27,6 @@ from tysys.tsystem import (
     Relation,
     SystemSpec,
     TRelation,
-    ValueTable,
     check_t_solution,
     enumerate_relations,
     lay,
@@ -239,7 +239,7 @@ def _without_edges(table):
         for k, inside in ((min(ks), min(ks) + 1), (max(ks), max(ks) - 1)):
             del values[LatticeVar(a, m, k)]
             values[LatticeVar(a, m, inside)] *= 3
-    return ValueTable(table.kind, table.system, table.window, values, table.meta)
+    return table_of(table.kind, table.system, table.window, values, table.meta)
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_SYSTEMS))

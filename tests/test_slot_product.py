@@ -11,7 +11,7 @@ reduced_quotient over the pairs of slot_pairs, below the bound, above it,
 and where the running pair crosses it partway through a list; the value
 sizes are derived from the bound.  Integers that log the running product
 they are multiplied into show where a Y-solve stops.  pair_quotient's one
-gcd is compared with Fractions, and the t2y check on a table laid once
+gcd is compared with Fractions, and the t2y check on a table's store
 (check_covered) with the coverage filter followed by the check.
 """
 
@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tables import table_of
 from test_relation_offsets import _without_edges
 
 from tysys import tsystem, ysystem
@@ -356,7 +357,7 @@ def test_pair_quotient_of_laurent_pairs_is_the_rational_function():
     assert pair_quotient(top, bottom) == (want.num, want.den)
 
 
-# --- t2y: the mapped Y-table laid once --------------------------------------------------
+# --- t2y: the mapped Y-table's store -----------------------------------------------------
 
 
 def _tables():
@@ -371,10 +372,10 @@ def _tables():
                 for a in range(2) for m in (1,) for k in range(2)}
     y_table = t_to_y(propagate_t(sys, (0, 8), initial=symbolic))[0]
     yield "A2 symbolic", y_table
-    broken = dict(y_table.values)
-    broken[LatticeVar(0, 1, 4)] = broken[LatticeVar(0, 1, 4)] * 2
-    yield "A2 symbolic, one value doubled", ysystem.ValueTable(
-        "Y", sys, y_table.window, broken, y_table.meta)
+    yield "A2 symbolic, one value doubled", table_of(
+        "Y", sys, y_table.window,
+        {**y_table.values, LatticeVar(0, 1, 4): y_table.values[LatticeVar(0, 1, 4)] * 2},
+        y_table.meta)
     yield "MIXED44 holed", _without_edges(propagate_y(MIXED44, (0, 10), rng=random.Random(9)))
 
 

@@ -29,16 +29,20 @@ from tysys.tsystem import (
 )
 from tysys.ysystem import propagate_y, y_to_t
 
+from tables import table_of
+
 A2 = new_cartan(FINITE_TYPE["A2"])
 
 
 def assert_dump_matches(table: ValueTable, path):
     """dump writes json.dumps(to_json(), sort_keys=True, indent=1) + newline,
-    from the stored pairs and again once values have been read, and the
-    loader reads the file back to the same reduced pairs."""
+    from the stored pairs and again once values have been read, which makes
+    equal pairs share one tuple, and the loader reads the file back to the
+    same reduced pairs."""
     table.dump(path)
     written = path.read_bytes()
     assert written == (json.dumps(table.to_json(), sort_keys=True, indent=1) + "\n").encode()
+    assert len(table.values) == len(table)
     table.dump(path)
     assert path.read_bytes() == written
     assert table_from_json(json.loads(written), table.system, table.kind).pairs() == table.pairs()
@@ -65,7 +69,7 @@ def test_dump_matches_json_with_meta(tmp_path):
 
 
 def test_dump_matches_json_on_an_empty_table(tmp_path):
-    table = ValueTable("T", SystemSpec(A2, 2), (0, 3))
+    table = table_of("T", SystemSpec(A2, 2), (0, 3), {})
     assert_dump_matches(table, tmp_path / "table.json")
     assert json.loads((tmp_path / "table.json").read_text())["entries"] == []
 
@@ -76,7 +80,7 @@ def test_dump_matches_json_on_negative_and_long_values(tmp_path):
               LatticeVar(1, 1, 0): Fraction(-(7 ** 6000), 3),
               LatticeVar(1, 1, 1): Fraction(2 ** 20000 + 1, 3 ** 9000)}
     meta = {"center": 0, "notes": [1, {"b": None, "a": "x"}], "empty": {}}
-    table = ValueTable("Y", SystemSpec(A2, 2), (0, 1), values, meta)
+    table = table_of("Y", SystemSpec(A2, 2), (0, 1), values, meta)
     assert_dump_matches(table, tmp_path / "table.json")
     assert max(len(e["value"]) for e in table.to_json()["entries"]) > 2 * 4300
 
@@ -92,9 +96,13 @@ def test_table_keeps_one_store(tmp_path):
     assert {var: ring_pair(v) for var, v in values.items()} == stored
     # equal pairs share one value; here T(1, 1, k + 5) = T(2, 1, k)
     assert len({id(value) for value in values.values()}) == len(set(stored.values())) < len(values)
+    # the values are read-only; what is written into the store is what the
+    # next reader sees
     var = LatticeVar(0, 1, 3)
-    values[var] = Fraction(14, 2)
-    assert table.pairs()[var] == (7, 1)
+    with pytest.raises(TypeError):
+        values[var] = Fraction(14, 2)
+    stored.store[stored.layout.slot(var)] = (7, 1)
+    assert table.get(var) == 7
     table.dump(tmp_path / "table.json")
     entries = json.loads((tmp_path / "table.json").read_text())["entries"]
     assert {"a": 1, "m": 1, "k": 3, "kind": "T", "value": "7"} in entries

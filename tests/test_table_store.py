@@ -1,18 +1,20 @@
-"""The table store read in place, each reader against the same table read as
-values, and the fused reads and the scheduler's visit against the routes
-they replaced.
+"""The table store read in place, each reader against the same pairs on a
+second layout, and the fused reads and the scheduler's visit against the
+routes they replaced.
 
-A solved, mapped or loaded table keeps the SlotStore that its fill, map or
+A solved, mapped or loaded table is the SlotStore that its fill, map or
 loader wrote, and the checks, the T -> Y map, the roundtrip, the period scan
-and dump read that store in place at compiled offsets.  Once a table's
-values have been read, the same readers lay a store from the {var: value}
-dict instead.  Each test builds the twin of a table, the same pairs with its
-values read first, and compares what the two routes give: reports, mapped
-and reconstructed tables, periods and dump bytes, on clean, corrupted and
-holed T- and Y-tables, restricted and unrestricted (MIXED44), symbolic and
-rational, in exact and numeric mode.  A spy on Layout.keys, which only
-laying calls, shows which route ran; a corrupted table's violation
-records, built from its stored pairs, leave it read in place.
+and dump read that store in place at compiled offsets.  Each test builds
+the twin of a table, the same pairs on the table's cells over its window
+with no padding, and compares what the two give: reports, mapped and
+reconstructed tables, periods and dump bytes, on clean, corrupted and holed
+T- and Y-tables, restricted and unrestricted (MIXED44), symbolic and
+rational, in exact and numeric mode.  The twin is read in place at other
+offsets where a family of relations fits its window, and laid through its
+get where one reads past it: the T -> Y map and the claim check of every
+T-table, the roundtrip's recoverable region of an unrestricted Y-table.  A
+spy on Layout.keys, which only laying calls, shows which route ran.  The
+values of a table are a read-only dict built once from its pairs.
 
 The fused identity reads (TRelation.holds_exactly, YRelation.holds_exactly)
 are compared with slot_product through each list's form followed by the
@@ -53,6 +55,7 @@ from tysys.tsystem import (
     enumerate_relations,
     lay,
     propagate_t,
+    reduced_value,
     ring_pair,
     slot_product,
     table_from_json,
@@ -70,6 +73,8 @@ from tysys.ysystem import (
     t_to_y,
     y_to_t,
 )
+
+from tables import table_of
 
 MIXED44 = SystemSpec(new_cartan(MIXED44_ROWS), 2, restricted=False)
 
@@ -95,13 +100,17 @@ def laid(monkeypatch):
 
 
 def twin(table):
-    """A table of the same pairs in a copy of the store, its values read."""
+    """A table of the same pairs on a second layout: the table's cells over
+    its window, with no slice of padding, so that lay lays the relations
+    that read past the window, through the store's get, where the table's
+    own store is read in place."""
     store = table.pairs()
-    assert isinstance(store, SlotStore)
-    other = ValueTable(table.kind, table.system, table.window, meta=dict(table.meta),
-                       pairs=SlotStore(store.layout, list(store.store)))
-    assert type(other.values) is dict
-    return other
+    layout = Layout(store.layout.cells, *table.window)
+    other = SlotStore(layout)
+    for var, got in store.items():
+        other.store[layout.slot(var)] = got
+    assert other == store
+    return ValueTable(table.kind, table.system, table.window, other, dict(table.meta))
 
 
 def _filled(table):
@@ -197,13 +206,12 @@ def test_t_table_in_place_equals_the_materialized_route(case, tmp_path, laid):
     table = make()
     other = twin(table)
     got = _t_reports(table, mode, tmp_path)
-    # only the mapped Y-table's twin is laid, unless a violation record or
-    # a symbolic table's numeric check has read the values
-    if "clean" in label and not ("symbolic" in label and mode == "numeric"):
-        assert len(laid) == 1
-    laid.clear()
+    # every reader reads the table, its Y-image and the Y-image's twin in
+    # place, violation records and numeric samples included
+    assert not laid
     assert got == _t_reports(other, mode, tmp_path)
-    assert len(laid) > 3
+    # the T -> Y map and the claim check read T past the twin's window
+    assert len(laid) == 2
     # a corrupted value fails the check, and a hole is a missing value
     if "holed" in label:
         assert got[0][0] is MissingValue
@@ -215,13 +223,14 @@ def test_t_table_in_place_equals_the_materialized_route(case, tmp_path, laid):
                                   if case[0].endswith("corrupted exact")
                                   and "symbolic" not in case[0]], ids=lambda case: case[0])
 def test_a_failing_check_keeps_the_table_read_in_place(case, tmp_path, laid):
-    # the violation records are built from the stored pairs, so the
-    # corrupted table and its Y-image stay stores: only the mapped twin is laid
+    # the violation records are built from the stored pairs, one value at a
+    # time: the corrupted table is read in place and left as it was
     label, make, mode = case
     table = make()
+    before = list(table.pairs().store)
     got = _t_reports(table, mode, tmp_path)
-    assert got[0] and got[4] and len(laid) == 1
-    assert isinstance(table.pairs(), SlotStore)
+    assert got[0] and got[4] and not laid
+    assert table.pairs().store == before
 
 
 # --- Y-tables: the checks, the roundtrip, period and dump ----------------------------
@@ -268,12 +277,10 @@ def test_y_table_in_place_equals_the_materialized_route(case, tmp_path, laid):
     table = make()
     other = twin(table)
     got = _y_reports(table, mode, tmp_path)
-    # the roundtrip reads its Y-table's values; nothing else lays a store
-    if "clean" in label and mode == "exact" and table.system.restricted:
-        assert not laid
-    laid.clear()
+    assert not laid
     assert got == _y_reports(other, mode, tmp_path)
-    assert laid
+    # the recoverable region reads Y one level below past the twin's window
+    assert bool(laid) is not table.system.restricted
     if "holed" in label:
         assert got[0][0] is MissingValue
     else:
@@ -285,9 +292,9 @@ def test_a_loaded_table_is_read_in_place(tmp_path, laid):
     sys = _system("B3", 2)
     table = propagate_t(sys, (0, 16), rng=random.Random(9))
     loaded = table_from_json(json.loads(_dumped(table, tmp_path / "t.json")), sys, "T")
-    assert isinstance(loaded.pairs(), SlotStore) and loaded.pairs() == table.pairs()
+    assert loaded.pairs() == table.pairs()
     got = _t_reports(loaded, "exact", tmp_path)
-    assert len(laid) == 1  # the mapped Y-table's twin
+    assert not laid
     assert got == _t_reports(table, "exact", tmp_path) == _t_reports(twin(loaded), "exact",
                                                                     tmp_path)
 
@@ -306,15 +313,42 @@ def test_a_table_reads_out_of_its_store_by_laying(laid):
     assert got == (MissingValue, "missing value for T[a=1,m=1,k=29]")
 
 
-def test_values_are_a_plain_dict_of_the_filled_variables():
-    for table in (propagate_t(_system("C3", 2), (0, 9), rng=random.Random(4)),
+def _read_only(values, var):
+    """Every mutator of a dict, each called on values at var."""
+    def ior():
+        view = values
+        view |= {var: 1}
+
+    return [lambda: values.__setitem__(var, 1), lambda: values.__delitem__(var),
+            values.clear, lambda: values.pop(var), values.popitem,
+            lambda: values.setdefault(var, 1), lambda: values.update({var: 1}), ior]
+
+
+def test_values_are_a_read_only_dict_built_once_from_the_pairs():
+    for table in (propagate_t(_system("A2", 2), (0, 12), rng=random.Random(4)),
                   hole(propagate_y(MIXED44, (0, 6), rng=random.Random(4)), 5)):
         store = table.pairs()
         filled = {store.layout.var(i): got for i, got in enumerate(store.store) if got}
         assert len(store) == len(table) == len(filled) == len(store.values())
         assert set(table) == set(store) == set(filled) and dict(store.items()) == filled
         values = table.values
-        assert type(values) is dict and {var: ring_pair(v) for var, v in values.items()} == filled
+        assert isinstance(values, dict) and table.values is values
+        assert values == {var: reduced_value(*got) for var, got in filled.items()}
+        for mutate in _read_only(values, next(iter(values))):
+            with pytest.raises(TypeError, match="read-only"):
+                mutate()
+        assert values == {var: reduced_value(*got) for var, got in filled.items()}
+        # equal pairs are one tuple in the store, and give one value
+        shared = {}
+        for var, got in store.items():
+            first = shared.setdefault(got, (got, values[var]))
+            assert first[0] is got and first[1] is values[var]
+        if table.kind == "T":
+            # T(1, 1, k + 5) = T(2, 1, k): ten values, each solved as its own
+            # tuple before the read
+            fresh = propagate_t(_system("A2", 2), (0, 12), rng=random.Random(4)).pairs()
+            assert len({id(got) for got in fresh.values()}) == len(filled) == 26
+            assert len(shared) == 10
 
 
 # --- the fused identity reads ------------------------------------------------------
@@ -499,7 +533,7 @@ def _a3_y_table(hole_at=None):
     sys = SystemSpec(new_cartan(FINITE_TYPE["A3"]), 4, restricted=False)
     table = propagate_y(sys, (0, 14), rng=random.Random(21))
     if hole_at is not None:
-        del table.values[hole_at]
+        table = table_of("Y", sys, table.window, {**table.values, hole_at: None})
     return table
 
 

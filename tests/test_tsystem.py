@@ -28,6 +28,8 @@ from tysys.tsystem import (
     table_from_json,
 )
 
+from tables import table_of
+
 A1 = new_cartan([[2]])
 A2 = new_cartan([[2, -1], [-1, 2]])
 A3 = new_cartan([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
@@ -168,13 +170,13 @@ def test_enumerate_counts():
 # --- checking and propagation ---------------------------------------------------
 
 
-def table_a1():
+def table_a1(changes=()):
+    """The A1 level-2 solution 1, 3, 2, 2/3 on 0..3, with changes applied
+    (table_of: None leaves a hole)."""
     sys = SystemSpec(A1, 2)
     vals = {V(0, 1, k): v for k, v in enumerate([Fraction(1), Fraction(3),
                                                  Fraction(2), Fraction(2, 3)])}
-    from tysys.tsystem import ValueTable
-
-    return ValueTable("T", sys, (0, 3), vals)
+    return table_of("T", sys, (0, 3), {**vals, **dict(changes)})
 
 
 def test_check_a1_hand_iteration():
@@ -184,18 +186,15 @@ def test_check_a1_hand_iteration():
 
 
 def test_check_detects_perturbation():
-    table = table_a1()
-    table.values[V(0, 1, 2)] = Fraction(5)
+    table = table_a1({V(0, 1, 2): Fraction(5)})
     rels = enumerate_relations(table.system, table.window)
     assert len(check_t_solution(table, rels)) == 1
 
 
 def test_check_all_ones_fails():
-    from tysys.tsystem import ValueTable
-
     sys = SystemSpec(A2, 2)
     vals = {V(a, 1, k): Fraction(1) for a in range(2) for k in range(4)}
-    table = ValueTable("T", sys, (0, 3), vals)
+    table = table_of("T", sys, (0, 3), vals)
     rels = enumerate_relations(sys, (0, 3))
     assert 0 < len(check_t_solution(table, rels)) == len(rels)
 
@@ -211,7 +210,7 @@ def test_numeric_mode_needs_a_sample(kind):
         solve, enumerate_kind, check = propagate_y, enumerate_y_relations, check_y_solution
     table = solve(sys, (0, 20), rng=random.Random(3))
     var = sorted(table.values)[len(table.values) // 2]
-    table.values[var] = 3 * table.values[var]
+    table = table_of(kind, sys, table.window, {**table.values, var: 3 * table.values[var]})
     rels = enumerate_kind(sys, table.window)
     exact = check(table, rels)
     assert exact and check(table, rels, mode="numeric", rng=random.Random(1)) == exact
@@ -244,13 +243,10 @@ def test_symbolic_solves_are_laurent_polynomials():
 def test_numeric_mode_samples_symbolic_tables():
     # a relation that fails at a sample point is checked exactly, so the
     # records are those of exact mode
-    from tysys.tsystem import ValueTable
-
     for kind, table, rels, check in _symbolic_a2_tables():
         assert check(table, rels, mode="numeric", rng=random.Random(1)) == []
-        values = dict(table.values)
-        values[V(1, 1, 4)] = 3 * values[V(1, 1, 4)]
-        broken = ValueTable(kind, table.system, table.window, values)
+        broken = table_of(kind, table.system, table.window,
+                          {**table.values, V(1, 1, 4): 3 * table.values[V(1, 1, 4)]})
         exact = check(broken, rels)
         assert exact and check(broken, rels, mode="numeric", rng=random.Random(1)) == exact
 
@@ -284,8 +280,7 @@ def test_numeric_mode_evaluates_before_it_multiplies(monkeypatch):
 
 
 def test_check_missing_value():
-    table = table_a1()
-    del table.values[V(0, 1, 3)]
+    table = table_a1({V(0, 1, 3): None})
     rels = enumerate_relations(table.system, table.window)
     with pytest.raises(MissingValue):
         check_t_solution(table, rels)
@@ -343,10 +338,16 @@ def test_table_json_roundtrip():
 
 
 def test_failed_dump_leaves_no_file(tmp_path):
+    from tysys.exactmath import RationalFunction
+
     table = propagate_t(SystemSpec(A2, 2), (0, 4), rng=random.Random(1))
-    table.values[next(iter(table.values))] = object()
+    # a symbolic value after the first entry, so that the dump has written
+    # some text when it fails
+    var = sorted(table.values)[1]
+    table = table_of("T", table.system, table.window,
+                     {**table.values, var: RationalFunction.gen("x")})
     out = tmp_path / "table.json"
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"T\[a=1,m=1,k=1\] is not a rational"):
         table.dump(out)
     assert not out.exists()
 

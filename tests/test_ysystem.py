@@ -10,7 +10,7 @@ from tysys.acceptance import FINITE_TYPE
 from tysys.cartan import new_cartan
 from tysys.errors import LevelOutOfRange, WindowTooNarrow, ZeroDivisor
 from tysys.exactmath import random_nonzero_rational
-from tysys.tsystem import LatticeVar, SystemSpec, ValueTable, propagate_t, table_from_json
+from tysys.tsystem import LatticeVar, SystemSpec, propagate_t, table_from_json
 from tysys.ysystem import (
     check_y_solution,
     claim_identities_check,
@@ -28,6 +28,8 @@ from tysys.ysystem import (
     y_to_t,
     z_term,
 )
+
+from tables import table_of
 
 A1 = new_cartan([[2]])
 A2 = new_cartan([[2, -1], [-1, 2]])
@@ -139,7 +141,8 @@ def test_propagate_y_unrestricted_capped():
 def test_check_y_detects_perturbation():
     sys = SystemSpec(A2, 2)
     table = propagate_y(sys, (0, 12), rng=random.Random(2))
-    table.values[V(0, 1, 6)] += 1
+    table = table_of("Y", sys, table.window,
+                     {**table.values, V(0, 1, 6): table.values[V(0, 1, 6)] + 1})
     rels = enumerate_y_relations(sys, table.window)
     assert check_y_solution(table, rels)
 
@@ -147,7 +150,7 @@ def test_check_y_detects_perturbation():
 def test_check_y_all_ones_fails():
     sys = SystemSpec(A2, 2)
     vals = {V(a, 1, k): Fraction(1) for a in range(2) for k in range(5)}
-    table = ValueTable("Y", sys, (0, 4), vals)
+    table = table_of("Y", sys, (0, 4), vals)
     rels = enumerate_y_relations(sys, (0, 4))
     assert check_y_solution(table, rels)
 
@@ -159,7 +162,7 @@ def test_t_to_y_a1_is_constant_one():
     sys = SystemSpec(A1, 2)
     vals = {V(0, 1, k): v for k, v in enumerate(
         [Fraction(1), Fraction(3), Fraction(2), Fraction(2, 3), Fraction(1), Fraction(3)])}
-    table = ValueTable("T", sys, (0, 5), vals)
+    table = table_of("T", sys, (0, 5), vals)
     y_table, violations = t_to_y(table)
     assert violations == []
     assert set(y_table.values.values()) == {Fraction(1)}
@@ -189,7 +192,7 @@ def _t_values(sys, window, rng):
     if max(sys.cm.d) < 3:
         return propagate_t(sys, window, rng=rng)
     lo, hi = window
-    return ValueTable("T", sys, window, {
+    return table_of("T", sys, window, {
         V(a, m, k): random_nonzero_rational(rng) for a in range(sys.cm.r)
         for m in range(1, sys.max_m_t(a) + 1) for k in range(lo, hi + 1)})
 
@@ -309,7 +312,8 @@ def test_y_to_t_rejects_restricted():
 def test_y_to_t_window_too_narrow():
     # the free data sit around the middle slice 10 of the window 0..20
     y_table = unrestricted_y(A2, 2, 20, 4)
-    y_table.values = {v: x for v, x in y_table.values.items() if v.k != 10}
+    y_table = table_of("Y", y_table.system, y_table.window,
+                       {v: x for v, x in y_table.values.items() if v.k != 10})
     with pytest.raises(WindowTooNarrow, match="k=10"):
         y_to_t(y_table, rng=random.Random(0))
 
@@ -336,10 +340,9 @@ def test_claim_identities_fail_on_perturbation():
     y_table = unrestricted_y(A2, 3, 14, 51)
     t_table = y_to_t(y_table, rng=random.Random(8))
     assert claim_identities_check(t_table, y_table) == []
-    bad = dict(t_table.values)
     var = V(0, 1, t_table.meta["center"] + 2)
-    bad[var] = bad[var] + 1
-    broken = ValueTable("T", t_table.system, t_table.window, bad)
+    broken = table_of("T", t_table.system, t_table.window,
+                      {**t_table.values, var: t_table.values[var] + 1})
     assert claim_identities_check(broken, y_table)
 
 
@@ -428,12 +431,10 @@ def test_lattice_companion_checks_match_value_route():
     y_table = unrestricted_y(A2, 3, 14, 51)
     t_table = y_to_t(y_table, rng=random.Random(8))
     var = V(0, 1, t_table.meta["center"] + 2)
-    bad_t = dict(t_table.values)
-    bad_t[var] = bad_t[var] + 1
-    broken_t = ValueTable("T", t_table.system, t_table.window, bad_t)
-    bad_y = dict(y_table.values)
-    bad_y[V(1, 1, 9)] = bad_y[V(1, 1, 9)] * 2
-    broken_y = ValueTable("Y", y_table.system, y_table.window, bad_y)
+    broken_t = table_of("T", t_table.system, t_table.window,
+                        {**t_table.values, var: t_table.values[var] + 1})
+    broken_y = table_of("Y", y_table.system, y_table.window,
+                        {**y_table.values, V(1, 1, 9): y_table.values[V(1, 1, 9)] * 2})
     for t, y in ((t_table, y_table), (broken_t, y_table), (t_table, broken_y)):
         assert claim_identities_check(t, y) == value_route_claim(t, y)
     assert value_route_claim(broken_t, y_table) and value_route_claim(t_table, broken_y)
