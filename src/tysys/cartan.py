@@ -87,9 +87,7 @@ def new_cartan(entries: Sequence[Sequence[int]]) -> CartanMatrix:
             if d[i] * rows[i][j] != d[j] * rows[j][i]:
                 raise NotSymmetrizable("DC is not symmetric")
 
-    t = 1
-    for v in d:
-        t = t * v // math.gcd(t, v)
+    t = math.lcm(*d)
     return CartanMatrix(tuple(rows), d, t, tuple(t // v for v in d), adj)
 
 
@@ -126,13 +124,9 @@ def minimal_symmetrizer(rows, what: str) -> tuple:
                 elif ratio[j] != rij:
                     raise NotSymmetrizable(
                         f"inconsistent {what} ratios around node {j + 1}")
-        scale = 1
-        for i in component:
-            scale = scale * ratio[i].denominator // math.gcd(scale, ratio[i].denominator)
+        scale = math.lcm(*(ratio[i].denominator for i in component))
         ints = [int(ratio[i] * scale) for i in component]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
+        g = math.gcd(*ints)
         for i, v in zip(component, ints):
             d[i] = v // g
     return tuple(d)

@@ -31,6 +31,7 @@ from .errors import (
     LevelOutOfRange,
     NoParity,
     NotBipartite,
+    NotSimplyLaced,
     NotSymmetrizable,
 )
 from .exactmath import (
@@ -507,13 +508,12 @@ def _at(var) -> Tuple[int, int]:
     return var[0], var[2]
 
 
-def _check(relations, values: dict, key, label) -> List[dict]:
-    """check_relations on a family of values kept by key(var), var a lattice
-    variable or (a, m, k) key: the values laid on the slots the relations
-    read, None where the family lacks one, and read by key for the value
-    route."""
-    return check_relations(relations, lambda var: ring_pair(values.get(key(var))),
-                           lambda var: values[key(var)], label)
+def _check(relations, values: dict, label) -> List[dict]:
+    """check_relations on a cluster family of values kept by (node, u): the
+    values laid on the slots the relations read, None where the family
+    lacks one, and read by key for the value route."""
+    return check_relations(relations, lambda var: ring_pair(values.get(_at(var))),
+                           lambda var: values[_at(var)], label)
 
 
 def _label(em: ExchangeMatrix, prefix: str):
@@ -527,7 +527,7 @@ def check_tb(seq: SequenceResult) -> List[dict]:
     em = seq.matrix
     lo, hi = seq.u_range
     rels = Runs((rel, range(lo + 1, hi)) for rel in _tb_relations(em))
-    return _check(rels, seq.x, _at, _label(em, "T(B)"))
+    return _check(rels, seq.x, _label(em, "T(B)"))
 
 
 def check_yb(seq: SequenceResult, eps: int) -> List[dict]:
@@ -539,7 +539,7 @@ def check_yb(seq: SequenceResult, eps: int) -> List[dict]:
     y = seq.require_y("check_yb")
     rels = Runs((rel, [u for u in range(lo + 1, hi) if _parity_sign(em, i, u) == -eps])
                 for i, rel in enumerate(_yb_relations(em, eps)))
-    return _check(rels, y, _at, _label(em, f"Y{'+' if eps > 0 else '-'}(B)"))
+    return _check(rels, y, _label(em, f"Y{'+' if eps > 0 else '-'}(B)"))
 
 
 def _mapped_exponents_agree(stencils: List[YRelation]) -> List[bool]:
@@ -588,7 +588,8 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
     (coupling), read as one run over the u range of t_values, and t_values
     is laid on the slots they read.  Y = coupling / inner is computed at
     every point and written by slot into a store of the n nodes over the u
-    range, and the values returned are built from its reduced pairs.  At
+    range, the pairs that the mapped Y(B) relations at interior u read in
+    place, and the values returned are built from them.  At
     each interior point the companion identities are checked exactly in
     their T(B) form, inner + coupling == pair (ysystem.companions_hold), and
     compared as values only where that fails.  A shifted mapped Y(B) relation
@@ -616,7 +617,7 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
     layout = Layout([_node(i)[:2] for i in range(em.n)], lo, hi)
     pairs, violations, failed = map_t_to_y(
         mapped_points(forms, pair), lambda rel: f"at ({em.label(rel.center.a)},{rel.center.k})",
-        SlotStore(layout))
+        SlotStore(layout), under="")
     y_values = {_at(var): reduced_value(*y) for var, y in pairs.items()}
     agree = _mapped_exponents_agree(stencils)
     rels = []
@@ -625,8 +626,8 @@ def t_to_y_b(t_values: Dict[Tuple[int, int], object], em: ExchangeMatrix,
         slots = [layout.slot(var) for var, _ in stencil.numerator + stencil.denominator]
         rels.append((stencil, [u for u in range(lo + 1, hi) if not agree[i] or any(
             j + u * layout.size in failed for j in slots)]))
-    violations += _check(Runs(rels), y_values, _at,
-                         _label(em, f"mapped Y{'+' if eps > 0 else '-'}(B)"))
+    violations += check_relations(Runs(rels), pairs, lambda var: y_values[_at(var)],
+                                  _label(em, f"mapped Y{'+' if eps > 0 else '-'}(B)"))
     return y_values, violations
 
 
@@ -692,11 +693,21 @@ def _doubling_map(r: int):
     return node
 
 
+def _read_through(rel: TRelation, node) -> tuple:
+    """A lattice relation read through an identification: its left-hand side
+    and both factor lists, in order, each variable v read as node(v) and
+    each list sorted."""
+    return (tuple(map(node, rel.lhs)),
+            *(tuple(sorted((node(v), e) for v, e in terms))
+              for terms in (rel.term_a, rel.term_m)))
+
+
 def _double_relation_bijection(cm: CartanMatrix, doubled: CartanMatrix,
                                level: int, window) -> List[dict]:
     """Relations of the restricted system of a nonbipartite simply laced
     matrix map one-to-one onto the alternating-class relations of its
-    bipartite double."""
+    bipartite double.  The doubling map depends on u only through
+    (m + 1 + u) mod 2, so the window's first two slices stand for all."""
     sys_c = SystemSpec(cm, level)
     sys_d = SystemSpec(doubled, level)
     node = _doubling_map(cm.r)
@@ -707,38 +718,40 @@ def _double_relation_bijection(cm: CartanMatrix, doubled: CartanMatrix,
     violations = []
     for a in range(cm.r):
         for m in range(1, level):
-            for u in range(window[0], window[1] + 1):
-                rel = t_relation(sys_c, a, m, u)
-                mapped = (tuple(map(double, rel.lhs)),
-                          *(tuple(sorted((double(v), e) for v, e in terms))
-                            for terms in (rel.term_a, rel.term_m)))
-                center_node = a if (m + 1 + u) % 2 == 1 else cm.r + a
-                twin = t_relation(sys_d, center_node, m, u)
-                if mapped != (twin.lhs, twin.term_a, twin.term_m):
+            for u in (window[0], window[0] + 1):
+                # the twin is centred at the node of its left-hand side
+                twin = t_relation(sys_d, node(a, m, u + 1), m, u)
+                if _read_through(t_relation(sys_c, a, m, u), double) \
+                        != (twin.lhs, twin.term_a, twin.term_m):
                     violations.append({"relation": f"double mismatch at "
                                                    f"(a={a + 1},m={m},u={u})"})
     return violations
 
 
-# the slices u at which correspondence_check compares relations and values
+# the slices u at which correspondence_check compares values
 CORRESPONDENCE_WINDOW = (-4, 4)
 
 
 def correspondence_check(cm: CartanMatrix, level: int, rng=None) -> dict:
-    """Both halves of the restricted-system / cluster-sequence dictionary for
-    a simply laced matrix, on the slices of CORRESPONDENCE_WINDOW.
+    """The restricted-system / cluster-sequence dictionary for a simply laced
+    matrix, as two statements, under the identification of cell (a, m)
+    with node a (level - 1) + m - 1 of the exchange matrix B, k kept:
 
-    Relation level: under the index identification (a, m) -> pair node, the
-    restricted T-system relations on one parity class coincide with the
-    exchange-matrix T-system relations.  Value level: the cluster family of a
-    cluster-only run_sequence (the check never reads y), pulled back through
-    the identification, solves the restricted T-system relations of that
-    class, in exact symbolic arithmetic; a symbolic run draws nothing from
-    rng.  Nonbipartite input is routed through the bipartite double first
-    (with the extra relation-level bijection check).
+    1. Relation level: every restricted lattice T-stencil, read through
+       the identification, is the T(B) stencil of its node: the same
+       left-hand side and the same two factor lists.  Both families are
+       these stencils shifted by u, so one comparison per cell covers
+       every slice.
+    2. Value level: the clusters of a cluster-only run_sequence over the
+       window padded by one slice (the check never reads y) solve T(B) at
+       every node and u of CORRESPONDENCE_WINDOW (check_tb), in exact
+       symbolic arithmetic.  By 1 these centres are the lattice centres,
+       so the clusters, pulled back through the identification, solve the
+       restricted T-system there.  A symbolic run draws nothing from rng.
+
+    Nonbipartite input is routed through the bipartite double first, with
+    the extra relation-level bijection check.
     """
-    from .errors import NotSimplyLaced
-
     if not is_simply_laced(cm):
         raise NotSimplyLaced("the correspondence applies to simply laced matrices")
     violations: List[dict] = []
@@ -753,39 +766,20 @@ def correspondence_check(cm: CartanMatrix, level: int, rng=None) -> dict:
         violations += _double_relation_bijection(original, cm, level,
                                                  CORRESPONDENCE_WINDOW)
     sys_c = SystemSpec(cm, level)
-
-    def flat(a, m):
-        return a if level == 2 else a * (level - 1) + (m - 1)
-
-    lo, hi = CORRESPONDENCE_WINDOW
-
-    def in_class(a, m, u, eps):
-        return parity[a] * (-1) ** ((m + 1 + u) % 2) == eps
-
-    rels = [t_relation(sys_c, a, m, u) for a in range(cm.r) for m in range(1, level)
-            for u in range(lo, hi + 1)]
-
-    # relation-level comparison, both classes: the lattice relation read
-    # through the identification against the T(B) stencil shifted to u
     tb = _tb_relations(em)
-    for rel in rels:
-        a, m, u = rel.center
-        twin = tb[flat(a, m)].shift(u)
-        mapped = {tuple(sorted((_node(flat(v.a, v.m), v.k), e) for v, e in terms))
-                  for terms in (rel.term_a, rel.term_m)}
-        if mapped != {twin.term_a, twin.term_m}:
-            violations.append({"relation": f"relation mismatch at (a={a + 1},m={m},u={u})"})
 
-    # value-level comparison on each parity class
-    seq = run_sequence(em, (lo - 1, hi + 1), mode="symbolic", rng=rng,
-                       coefficients=False)
-    for eps in (1, -1):
-        checked = [rel for rel in rels if in_class(*rel.center, -eps)
-                   and all(in_class(*v, eps) for v in rel.variables())]
-        violations += _check(
-            checked, seq.x, lambda v: (flat(v[0], v[1]), v[2]),
-            lambda rel: f"value mismatch at (a={rel.center.a + 1},m={rel.center.m},"
-                        f"u={rel.center.k},eps={eps})")
+    def node(v):
+        return _node(v.a * (level - 1) + v.m - 1, v.k)
+
+    for a in range(cm.r):
+        for m in range(1, level):
+            lhs, *lists = _read_through(t_relation(sys_c, a, m, 0), node)
+            twin = tb[node(LatticeVar(a, m, 0)).a]
+            if lhs != twin.lhs or set(lists) != {twin.term_a, twin.term_m}:
+                violations.append({"relation": f"relation mismatch at (a={a + 1},m={m})"})
+    lo, hi = CORRESPONDENCE_WINDOW
+    violations += check_tb(run_sequence(em, (lo - 1, hi + 1), mode="symbolic", rng=rng,
+                                        coefficients=False))
     return {
         "pass": not violations,
         "violations": violations,

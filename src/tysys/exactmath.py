@@ -209,22 +209,23 @@ class LaurentPoly:
 
     # -- alignment ---------------------------------------------------------
 
+    def _remap(self, names: tuple) -> dict:
+        """The terms with exponent vectors over names, a sorted superset of
+        vars: each name's exponent, read at the appended 0 where self lacks
+        it."""
+        if self.vars == names:
+            return self.terms
+        at = {v: i for i, v in enumerate(self.vars)}
+        pick = itemgetter(*(at.get(v, len(at)) for v in names))
+        if len(names) == 1:  # itemgetter of one index gives a scalar
+            return {(pick(m + (0,)),): c for m, c in self.terms.items()}
+        return {pick(m + (0,)): c for m, c in self.terms.items()}
+
     def _aligned(self, other: "LaurentPoly"):
         if self.vars == other.vars:
             return self.vars, self.terms, other.terms
         names = tuple(sorted(set(self.vars) | set(other.vars), key=_natural_key))
-
-        def remap(poly):
-            if poly.vars == names:
-                return poly.terms
-            # each name's exponent, read at the appended 0 where poly lacks it
-            at = {v: i for i, v in enumerate(poly.vars)}
-            pick = itemgetter(*(at.get(v, len(at)) for v in names))
-            if len(names) == 1:  # itemgetter of one index gives a scalar
-                return {(pick(m + (0,)),): c for m, c in poly.terms.items()}
-            return {pick(m + (0,)): c for m, c in poly.terms.items()}
-
-        return names, remap(self), remap(other)
+        return names, self._remap(names), other._remap(names)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -298,12 +299,9 @@ class LaurentPoly:
         """Positive rational c with self/c integer-primitive; 0 for the zero poly."""
         if not self.terms:
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
+        cs = self.terms.values()
+        return Fraction(math.gcd(*(c.numerator for c in cs)),
+                        math.lcm(*(c.denominator for c in cs)))
 
     def min_exponents(self) -> dict:
         return dict(zip(self.vars, map(min, zip(*self.terms))))
@@ -312,18 +310,11 @@ class LaurentPoly:
         """self * coeff * prod v^e: every exponent is shifted, so no two terms
         can merge and no product is formed."""
         coeff = _coefficient(coeff)
-        names = sorted(set(self.vars) | {v for v, e in powers.items() if e},
-                       key=_natural_key)
-        pos = {v: i for i, v in enumerate(names)}
-        cols = [pos[v] for v in self.vars]
+        names = tuple(sorted(set(self.vars) | {v for v, e in powers.items() if e},
+                             key=_natural_key))
         shift = [powers.get(v, 0) for v in names]
-        out = {}
-        for mono, c in self.terms.items():
-            full = list(shift)
-            for col, e in zip(cols, mono):
-                full[col] += e
-            out[tuple(full)] = c * coeff
-        return LaurentPoly(names, out)
+        return LaurentPoly(names, {tuple(map(add, m, shift)): c * coeff
+                                   for m, c in self._remap(names).items()})
 
     def leading(self):
         """(monomial, coefficient) for the graded lexicographic order."""

@@ -18,8 +18,8 @@ list from a store.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from collections.abc import Mapping
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class LatticeVar(NamedTuple):
@@ -142,13 +142,12 @@ class SlotStore(Mapping):
                     yield tuple.__new__(LatticeVar, (a, m, k)), got
 
 
-class Runs(Sequence):
+class Runs:
     """A family of relations as runs: runs is a list of (rel, ks), the
     relations rel.shift(k) for the offsets k of ks, ascending, run by run.
-    Read as a sequence it is those relations in that order, each built as
-    it is read; len builds none.  It equals a list or a Runs of the same
-    relations.  enumerate_relations gives one run per stencil, and a plain
-    list of relations is read as runs of one (as_runs)."""
+    Iterated, it gives those relations in that order, each built as it is
+    read; len builds none.  enumerate_relations gives one run per stencil,
+    and a plain list of relations is read as runs of one (as_runs)."""
 
     __slots__ = ("runs",)
 
@@ -163,14 +162,6 @@ class Runs(Sequence):
             for k in ks:
                 yield rel.shift(k)
 
-    def __getitem__(self, j: int):
-        i = j
-        for rel, ks in self.runs:
-            if 0 <= i < len(ks):
-                return rel.shift(ks[i])
-            i -= len(ks)
-        raise IndexError(j)
-
     def failing(self, store: list, reads: Sequence) -> Iterator[tuple]:
         """(r, k, ok) for every relation rel.shift(k) of the runs, runs[r]
         = (rel, ks), whose fused identity (rel.holds_exactly) does not hold
@@ -183,11 +174,6 @@ class Runs(Sequence):
                 ok = holds(store, start + k * size, at)
                 if not ok:
                     yield r, k, ok
-
-    def __eq__(self, other):
-        if not isinstance(other, (Runs, list)):
-            return NotImplemented
-        return list(self) == list(other)
 
 
 def as_runs(relations: Iterable) -> Runs:
@@ -254,22 +240,19 @@ def lay(relations: Iterable, pair) -> Tuple[list, list]:
     return [pair(key) for key in layout.keys()], _reads(layout, runs)
 
 
-def slot_product(store: list, demand: Optional[Callable], i: int, offsets,
+def slot_product(store: list, i: int, offsets,
                  form: Optional[Callable] = None) -> Optional[tuple]:
     """The product (n, d) of the factors a / b over the (offset, exp) pairs
-    of offsets, multiplied as they are read, without a gcd: (a, b) is
-    (p, q), or form(p, q), for the ring pair (p, q) at slot i + offset of
-    store, raised to exp, and a negative exp reads the inverted pair
-    (b ** -exp, a ** -exp), as slot_pairs does.  An empty slot is solved on
-    demand (demand(slot)); with no demand (a laid store, lay), it gives
-    None."""
+    of offsets on a laid store (lay), multiplied as they are read, without
+    a gcd: (a, b) is (p, q), or form(p, q), for the ring pair (p, q) at slot
+    i + offset of store, raised to exp, and a negative exp reads the
+    inverted pair (b ** -exp, a ** -exp), as slot_pairs does.  An empty
+    slot gives None."""
     n = d = 1
     for off, exp in offsets:
         got = store[i + off]
         if got is None:
-            if demand is None:
-                return None
-            got = demand(i + off)
+            return None
         a, b = got if form is None else form(*got)
         if exp == 1:
             n *= a

@@ -358,10 +358,10 @@ def mapped_points(relations, pair):
         first, second, size = at.first, at.second, at.layout.size
         for k in ks:
             i = start + k * size
-            inner = slot_product(store, None, i, first)
-            coupling = None if inner is None else slot_product(store, None, i, second)
+            inner = slot_product(store, i, first)
+            coupling = None if inner is None else slot_product(store, i, second)
             if coupling is not None:
-                yield rel, k, inner, coupling, slot_product(store, None, i, at.pair)
+                yield rel, k, inner, coupling, slot_product(store, i, at.pair)
 
 
 def _is_quotient(y, top, bottom) -> bool:
@@ -420,15 +420,17 @@ def companion_identities(label: str, y, pair, inner, coupling) -> List[dict]:
     return violations
 
 
-def map_t_to_y(points, label, pairs: SlotStore):
+def map_t_to_y(points, label, pairs: SlotStore, under: str = "under "):
     """The one T -> Y map, of the lattice and of the exchange-matrix
     systems: Y = coupling / inner at every point of mapped_points, as a
     reduced ring pair written into the Y-store pairs at the slot of the
     relation's centre, a fixed number of slots per slice along a run; a
-    vanishing inner raises ZeroDivisor.  Where a point has a pair, the
-    companion identities are checked in the exact form of companions_hold,
-    and compared as values by companion_identities, labelled label(rel),
-    only where that fails: the relation is built only for such a record.
+    vanishing inner raises ZeroDivisor, naming the point as under +
+    label(rel) (a cluster label, "at (node,u)", takes no "under ").  Where
+    a point has a pair, the companion identities are checked in the exact
+    form of companions_hold, and compared as values by
+    companion_identities, labelled label(rel), only where that fails: the
+    relation is built only for such a record.
 
     Returns (pairs, violations, failed), failed the slots of pairs where
     the companions failed."""
@@ -439,7 +441,7 @@ def map_t_to_y(points, label, pairs: SlotStore):
         if rel is not run:
             run, start = rel, slot(rel._center) + rel.k * size
         if not inner[0]:
-            raise ZeroDivisor(f"vanishing T pair under {label(rel.shift(k))}")
+            raise ZeroDivisor(f"vanishing T pair {under}{label(rel.shift(k))}")
         j = start + k * size
         y = store[j] = pair_quotient(coupling, inner)
         if pair is not None and not companions_hold(pair, inner, coupling):
@@ -642,7 +644,7 @@ def _relation_holds(store: list, rel: YRelation, i: int, at) -> bool:
     a ring pair fails, and so does a factor 1 + Y^-1 that vanishes, which
     leaves the relation undefined.  A filled relation demands no slot."""
     return (at.filled(store, i)
-            and slot_product(store, None, i, at.second, rel.forms[1])[0] != 0
+            and slot_product(store, i, at.second, rel.forms[1])[0] != 0
             and bool(rel.holds_exactly(store, i, at)))
 
 

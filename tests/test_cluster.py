@@ -407,7 +407,7 @@ def value_route_t_to_y_b(t_values, em, eps=1, u_range=None):
             coupling = factor_product(t, rel.numerator)
             inner = factor_product(t, rel.denominator)
             if inner == 0:
-                raise ZeroDivisor(f"vanishing T pair under at ({em.label(i)},{u})")
+                raise ZeroDivisor(f"vanishing T pair at ({em.label(i)},{u})")
             y = y_values[(i, u)] = coupling / inner
             if lo < u < hi:
                 pair = t(rel.lhs[0]) * t(rel.lhs[1])
@@ -659,6 +659,57 @@ def test_correspondence_nonbipartite_via_double():
     assert report["pass"], report["violations"][:3]
     assert report["routed_through_double"]
     assert report["exchange_size"] == 6
+
+
+def _kinds(report):
+    """The kind of each violation record: a relation-level record names its
+    kind in its label and carries no values; a value-level one carries both
+    sides."""
+    return {"value" if "lhs" in v else v["relation"].split(" at ")[0]
+            for v in report["violations"]}
+
+
+def test_correspondence_fails_on_a_perturbed_cluster(monkeypatch):
+    import tysys.cluster as cluster
+
+    def perturbed(*args, **kwargs):
+        seq = run_sequence(*args, **kwargs)
+        seq.x[(1, 2)] = seq.x[(1, 2)] * 2
+        return seq
+
+    monkeypatch.setattr(cluster, "run_sequence", perturbed)
+    report = correspondence_check(A3, 2)
+    assert report["pass"] is False
+    assert _kinds(report) == {"value"}
+
+
+def test_correspondence_fails_on_a_wrong_exchange_matrix(monkeypatch):
+    # A1 x A2 has A3's rank and bipartition, but node 1 loses its neighbour
+    import tysys.cluster as cluster
+
+    wrong = new_cartan([[2, 0, 0], [0, 2, -1], [0, -1, 2]])
+    monkeypatch.setattr(cluster, "exchange_matrix_for_level",
+                        lambda cm, level, parity=None: b_of_c(wrong, parity))
+    report = correspondence_check(A3, 2)
+    assert report["pass"] is False
+    assert "relation mismatch" in _kinds(report)
+
+
+def test_correspondence_fails_on_a_broken_doubling_map(monkeypatch):
+    # every cell sent to the first copy of the double
+    import tysys.cluster as cluster
+
+    monkeypatch.setattr(cluster, "_doubling_map", lambda r: lambda b, m, v: b)
+    report = correspondence_check(CYCLE3, 2)
+    assert report["pass"] is False
+    assert _kinds(report) == {"double mismatch"}
+
+
+def test_t_to_y_b_names_a_vanishing_inner_once(ba2_seq):
+    x = dict(ba2_seq.x)
+    x[(1, 2)] = 0
+    with pytest.raises(ZeroDivisor, match=r"^vanishing T pair at \(1,2\)$"):
+        t_to_y_b(x, BA2)
 
 
 @pytest.mark.parametrize("cm", [A2, A3, D4], ids=["A2", "A3", "D4"])

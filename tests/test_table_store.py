@@ -142,6 +142,12 @@ def outcome(call):
         return type(err), str(err)
 
 
+def _covered(table, mode, seed):
+    """check_covered, its relations as a list."""
+    relations, records = check_covered(table, mode, random.Random(seed))
+    return list(relations), records
+
+
 def _dumped(table, path):
     table.dump(path)
     return path.read_bytes()
@@ -196,7 +202,7 @@ def _t_reports(table, mode, tmp_path):
     y_twin = twin(y_table)
     reports += [violations, outcome(lambda: claim_identities_check(table, y_table))]
     for y in (y_table, y_twin):
-        reports.append(outcome(lambda: check_covered(y, mode, random.Random(6))))
+        reports.append(outcome(lambda: _covered(y, mode, 6)))
     return reports + [y_table.values]
 
 
@@ -259,7 +265,7 @@ def _y_tables():
 def _y_reports(table, mode, tmp_path):
     rels = enumerate_y_relations(table.system, table.window)
     reports = [outcome(lambda: check_y_solution(table, rels, mode, random.Random(7))),
-               outcome(lambda: check_covered(table, mode, random.Random(8))),
+               outcome(lambda: _covered(table, mode, 8)),
                outcome(lambda: detect_period(table, 30)),
                outcome(lambda: _dumped(table, tmp_path / "y.json"))]
     if not table.system.restricted:
@@ -365,9 +371,9 @@ def _relation(cls, first_exps, second_exps):
 def _reference(rel, store, i, at):
     """The check as it read before the fused reads: slot_product through
     each list's form, then the kind's identity."""
-    lhs = slot_product(store, None, i, at.pair)
-    first = None if lhs is None else slot_product(store, None, i, at.first, rel.forms[0])
-    second = None if first is None else slot_product(store, None, i, at.second, rel.forms[1])
+    lhs = slot_product(store, i, at.pair)
+    first = None if lhs is None else slot_product(store, i, at.first, rel.forms[0])
+    second = None if first is None else slot_product(store, i, at.second, rel.forms[1])
     return None if second is None else rel.identity(lhs, first, second)
 
 
