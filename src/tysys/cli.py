@@ -119,11 +119,7 @@ def cmd_cartan_check(args) -> int:
 def cmd_sys_gen(args) -> int:
     cm = cartan.read_cartan_file(args.file)
     sys_ = build_system(cm, args.level, args.mcap)
-    window = parse_window(args.window)
-    if args.gen_kind == "T":
-        rels = tsystem.enumerate_relations(sys_, window)
-    else:
-        rels = ysystem.enumerate_y_relations(sys_, window)
+    rels = tsystem.enumerate_relations(sys_, parse_window(args.window), args.gen_kind)
     payload = {
         "pass": True,
         "violations": [],

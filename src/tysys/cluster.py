@@ -182,50 +182,37 @@ def check_bb(em: ExchangeMatrix) -> bool:
     return True
 
 
-def _bipartition_of(cm: CartanMatrix, parity: Optional[tuple]) -> tuple:
-    """The given parity when it is a bipartition of cm, one +1/-1 per node
-    with unlike parities across every edge, or cm's own bipartition when no
-    parity is given; NotBipartite otherwise."""
+def _bipartition(cm: CartanMatrix) -> tuple:
+    """cm's own bipartition (cartan.bipartition), the lowest node of each
+    component in the + class; NotBipartite where its graph has an odd
+    cycle."""
+    parity = bipartition(cm)
     if parity is None:
-        parity = bipartition(cm)
-        if parity is None:
-            raise NotBipartite("adjacency graph has an odd cycle")
-        return parity
-    parity = tuple(parity)
-    if len(parity) != cm.r or any(s not in (1, -1) for s in parity):
-        raise NotBipartite(f"parity {list(parity)} does not give +1/-1 to each of "
-                           f"the {cm.r} nodes")
-    for i in range(cm.r):
-        for j in cm.neighbors(i):
-            if parity[i] == parity[j]:
-                raise NotBipartite(f"parity {list(parity)} puts the joined nodes "
-                                   f"{i + 1} and {j + 1} in one class")
+        raise NotBipartite("adjacency graph has an odd cycle")
     return parity
 
 
-def b_of_c(cm: CartanMatrix, parity: Optional[tuple] = None) -> ExchangeMatrix:
-    """Exchange matrix of a bipartite Cartan matrix: -C on (+,-) entries,
-    +C on (-,+) entries, zero elsewhere.  Every edge joins unlike parities,
-    so the entry at an edge is -p_i C_ij."""
-    parity = _bipartition_of(cm, parity)
+def b_of_c(cm: CartanMatrix) -> ExchangeMatrix:
+    """Exchange matrix of a bipartite Cartan matrix on its own bipartition:
+    -C on (+,-) entries, +C on (-,+) entries, zero elsewhere.  Every edge
+    joins unlike parities, so the entry at an edge is -p_i C_ij."""
+    parity = _bipartition(cm)
     rows = [[-parity[i] * cm[i, j] if cm[i, j] < 0 else 0 for j in range(cm.r)]
             for i in range(cm.r)]
     return new_exchange_matrix(rows, parity)
 
 
-def square_product(cm: CartanMatrix, cm2: CartanMatrix,
-                   parity: Optional[tuple] = None,
-                   parity2: Optional[tuple] = None) -> ExchangeMatrix:
+def square_product(cm: CartanMatrix, cm2: CartanMatrix) -> ExchangeMatrix:
     """Square product of two bipartite Cartan matrices on the pair index set,
     with the alternating orientation around every unit square.  Pairs are
     flattened first-index-major; the pair (i, i') is in the + class when the
-    two parities agree.  The orientation is two sign rules, for C_ij < 0
-    and C'_i'j' < 0 (edges, which join unlike parities):
+    two matrices' own bipartitions agree on it.  The orientation is two sign
+    rules, for C_ij < 0 and C'_i'j' < 0 (edges, which join unlike parities):
 
         B[(i,i'), (j,i')] =  p_i p'_i' C_ij
         B[(i,i'), (i,j')] = -p_i p'_i' C'_i'j'
     """
-    parity, parity2 = _bipartition_of(cm, parity), _bipartition_of(cm2, parity2)
+    parity, parity2 = _bipartition(cm), _bipartition(cm2)
     r, r2 = cm.r, cm2.r
 
     def flat(i, ip):
@@ -670,20 +657,18 @@ def sequence_checks(seq: SequenceResult) -> Dict[str, List[dict]]:
 # ---------------------------------------------------------------------------
 
 
-def _odd_plus_parity(rank: int) -> tuple:
-    return tuple(1 if i % 2 == 0 else -1 for i in range(rank))
-
-
-def exchange_matrix_for_level(cm: CartanMatrix, level: int,
-                              parity: Optional[tuple] = None) -> ExchangeMatrix:
+def exchange_matrix_for_level(cm: CartanMatrix, level: int) -> ExchangeMatrix:
     """B(C) at level 2; the square product with the path matrix of rank
     level-1 (odd path nodes in the + class) at level >= 3."""
     if level < 2:
         raise LevelOutOfRange(f"the exchange matrix needs level >= 2, got {level}")
     if level == 2:
-        return b_of_c(cm, parity)
-    ladder = new_cartan(a_type_rows(level - 1))
-    return square_product(cm, ladder, parity, _odd_plus_parity(level - 1))
+        return b_of_c(cm)
+    return square_product(cm, new_cartan(a_type_rows(level - 1)))
+
+
+# the slices u at which correspondence_check compares values
+CORRESPONDENCE_WINDOW = (-4, 4)
 
 
 def _doubling_map(r: int):
@@ -703,11 +688,12 @@ def _read_through(rel: TRelation, node) -> tuple:
 
 
 def _double_relation_bijection(cm: CartanMatrix, doubled: CartanMatrix,
-                               level: int, window) -> List[dict]:
+                               level: int) -> List[dict]:
     """Relations of the restricted system of a nonbipartite simply laced
     matrix map one-to-one onto the alternating-class relations of its
     bipartite double.  The doubling map depends on u only through
-    (m + 1 + u) mod 2, so the window's first two slices stand for all."""
+    (m + 1 + u) mod 2, so the first two slices of CORRESPONDENCE_WINDOW
+    stand for all."""
     sys_c = SystemSpec(cm, level)
     sys_d = SystemSpec(doubled, level)
     node = _doubling_map(cm.r)
@@ -715,10 +701,11 @@ def _double_relation_bijection(cm: CartanMatrix, doubled: CartanMatrix,
     def double(v):
         return LatticeVar(node(v.a, v.m, v.k), v.m, v.k)
 
+    lo = CORRESPONDENCE_WINDOW[0]
     violations = []
     for a in range(cm.r):
         for m in range(1, level):
-            for u in (window[0], window[0] + 1):
+            for u in (lo, lo + 1):
                 # the twin is centred at the node of its left-hand side
                 twin = t_relation(sys_d, node(a, m, u + 1), m, u)
                 if _read_through(t_relation(sys_c, a, m, u), double) \
@@ -726,10 +713,6 @@ def _double_relation_bijection(cm: CartanMatrix, doubled: CartanMatrix,
                     violations.append({"relation": f"double mismatch at "
                                                    f"(a={a + 1},m={m},u={u})"})
     return violations
-
-
-# the slices u at which correspondence_check compares values
-CORRESPONDENCE_WINDOW = (-4, 4)
 
 
 def correspondence_check(cm: CartanMatrix, level: int, rng=None) -> dict:
@@ -754,17 +737,12 @@ def correspondence_check(cm: CartanMatrix, level: int, rng=None) -> dict:
     """
     if not is_simply_laced(cm):
         raise NotSimplyLaced("the correspondence applies to simply laced matrices")
-    violations: List[dict] = []
     original = cm
-    parity = bipartition(cm)
-    routed = parity is None
+    routed = bipartition(cm) is None
     if routed:
         cm, _ = bipartite_double(cm)
-        parity = bipartition(cm)
-    em = exchange_matrix_for_level(cm, level, parity)
-    if routed:
-        violations += _double_relation_bijection(original, cm, level,
-                                                 CORRESPONDENCE_WINDOW)
+    em = exchange_matrix_for_level(cm, level)
+    violations = _double_relation_bijection(original, cm, level) if routed else []
     sys_c = SystemSpec(cm, level)
     tb = _tb_relations(em)
 

@@ -657,7 +657,6 @@ class SemifieldElement:
 
     def __init__(self, coeff: Fraction, powers: Mapping[str, int],
                  factors: Mapping[LaurentPoly, int]):
-        coeff = Fraction(coeff)
         if coeff <= 0:
             raise ValueError("semifield coefficient must be positive")
         object.__setattr__(self, "_coeff", coeff)

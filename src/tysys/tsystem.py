@@ -140,6 +140,12 @@ class SystemSpec:
         top = self.max_m_t(a) if kind == "T" else self.max_m_y(a)
         return top - 1
 
+    def cells(self, kind: str) -> List[Tuple[int, int]]:
+        """The cells (a, m) of the kind's variables, node by node, level by
+        level: m up to max_m_t or max_m_y."""
+        top = self.max_m_t if kind == "T" else self.max_m_y
+        return [(a, m) for a in range(self.cm.r) for m in range(1, top(a) + 1)]
+
     def describe(self) -> dict:
         return {
             "matrix": self.cm.rows(),
@@ -443,10 +449,10 @@ def _boundary_filter(sys: SystemSpec, factors: Iterable[Factor]) -> Tuple[Factor
     return tuple(kept)
 
 
-def stencil(sys: SystemSpec, kind: str, a: int, m: int, build: Callable):
-    """The kind relation centred at (a, m, 0), built by build(sys, a, m) once
-    per system.  Relations do not change when k is shifted: the one centred
-    at (a, m, k) is this stencil read at offset k."""
+def stencil(sys: SystemSpec, kind: str, a: int, m: int):
+    """The kind relation centred at (a, m, 0), built once per system by the
+    kind's compiler (COMPILERS).  Relations do not change when k is
+    shifted: the one centred at (a, m, k) is this stencil read at offset k."""
     key = (kind, a, m)
     rel = sys._stencils.get(key)
     if rel is None:
@@ -454,7 +460,7 @@ def stencil(sys: SystemSpec, kind: str, a: int, m: int, build: Callable):
         if not 1 <= m <= top:
             raise LevelOutOfRange(
                 f"center level m={m} outside 1..{top} for node {a + 1}")
-        rel = sys._stencils[key] = build(sys, a, m)
+        rel = sys._stencils[key] = COMPILERS[kind](sys, a, m)
     return rel
 
 
@@ -467,9 +473,14 @@ def _compile_t(sys: SystemSpec, a: int, m: int) -> TRelation:
     return TRelation(LatticeVar(a, m, 0), lhs, term_a, term_m)
 
 
+# each kind's compiler of its stencils, (sys, a, m) -> the relation centred
+# at (a, m, 0); ysystem, which imports this module, adds "Y"
+COMPILERS: Dict[str, Callable] = {"T": _compile_t}
+
+
 def t_relation(sys: SystemSpec, a: int, m: int, k: int) -> TRelation:
     """Relation centered at (a, m, k) with unit boundaries substituted."""
-    return stencil(sys, "T", a, m, _compile_t).shift(k)
+    return stencil(sys, "T", a, m).shift(k)
 
 
 def _check_window(window) -> Tuple[int, int]:
@@ -479,18 +490,17 @@ def _check_window(window) -> Tuple[int, int]:
     return lo, hi
 
 
-def enumerate_relations(sys: SystemSpec, window, kind: str = "T",
-                        build: Callable = _compile_t) -> Runs:
-    """All relations whose variables (after unit substitution) lie in the
-    window, ordered by node, level and centre, as runs: the stencils that
-    build compiles, each with the range of offsets at which it fits, a
-    stencil that fits nowhere left out.  Unrestricted windows additionally
-    exclude centers whose m+1 factor would exceed the level cap."""
+def enumerate_relations(sys: SystemSpec, window, kind: str = "T") -> Runs:
+    """All kind relations whose variables (after unit substitution) lie in
+    the window, ordered by node, level and centre, as runs: the kind's
+    stencils, each with the range of offsets at which it fits, a stencil
+    that fits nowhere left out.  Unrestricted windows additionally exclude
+    centers whose m+1 factor would exceed the level cap."""
     lo, hi = _check_window(window)
     runs = []
     for a in range(sys.cm.r):
         for m in range(1, sys.max_center_m(a, kind) + 1):
-            rel = stencil(sys, kind, a, m, build)
+            rel = stencil(sys, kind, a, m)
             low, high = rel.reach()
             ks = range(lo - low - rel._lhs[1].k, hi - high - rel._lhs[1].k + 1)
             if ks:
@@ -515,7 +525,10 @@ class ValueTable:
     (reduced_value).  values is a read-only {var: value} dict, built once
     from the pairs with one value per distinct pair; equal pairs then share
     one tuple in the store, so that a periodic table, which repeats each of
-    its values once per period, holds one copy of each."""
+    its values once per period, holds one copy of each.  values is a
+    snapshot of the store at its first read: a later write into
+    pairs().store is not seen there.  Nothing in this package writes a
+    finished table's store."""
 
     def __init__(self, kind: str, system: SystemSpec, window: Tuple[int, int],
                  pairs: SlotStore, meta: Optional[dict] = None):
@@ -667,15 +680,9 @@ def table_store(sys: SystemSpec, kind: str, window) -> "SlotStore":
     (a, m) of the kind, in order, and the window's slices padded by the
     reach of the kind's stencils (_reach), so that every relation whose
     lhs[1] lies in the window is read in place (lay)."""
-    if kind == "T":
-        build, top = _compile_t, sys.max_m_t
-    else:
-        from .ysystem import _compile_y as build  # ysystem imports this module
-        top = sys.max_m_y
-    reach = _reach(stencil(sys, kind, a, m, build) for a in range(sys.cm.r)
+    reach = _reach(stencil(sys, kind, a, m) for a in range(sys.cm.r)
                    for m in range(1, sys.max_center_m(a, kind) + 1))
-    cells = [(a, m) for a in range(sys.cm.r) for m in range(1, top(a) + 1)]
-    return SlotStore(Layout(cells, window[0] - reach, window[1] + reach))
+    return SlotStore(Layout(sys.cells(kind), window[0] - reach, window[1] + reach))
 
 
 def _is_int(value) -> bool:
@@ -735,15 +742,8 @@ def check_relations(relations: Iterable, pair: Callable, value: Callable,
     value(var), are compared by rel.holds.  Each failure is recorded as
     violation(label(rel), lhs, rhs), from the sides as values."""
     relations = as_runs(relations)
-    return check_laid(relations, *lay(relations, pair), value, label)
-
-
-def check_laid(relations: Runs, store: list, reads: Sequence, value: Callable,
-               label: Callable) -> List[dict]:
-    """check_relations on runs already laid: reads[r] is the (start,
-    Compiled) of relations.runs[r] in store (lay)."""
     violations = []
-    for r, k, ok in relations.failing(store, reads):
+    for r, k, ok in relations.failing(*lay(relations, pair)):
         rel = relations.runs[r][0].shift(k)
         lhs = value(rel.lhs[0]) * value(rel.lhs[1])
         rhs = rel.rhs(value)
@@ -758,17 +758,14 @@ def check_laid(relations: Runs, store: list, reads: Sequence, value: Callable,
 SAMPLES = 3
 
 
-def _check_table(table: ValueTable, relations: Iterable, mode: str, rng,
-                 laid: Optional[tuple] = None) -> List[dict]:
+def _check_table(table: ValueTable, relations: Iterable, mode: str, rng) -> List[dict]:
     """check_relations on a table's ring pairs, read in place or laid once
-    (lay), or laid by the caller: laid is then (store, reads) of the runs
-    of relations on the table's pairs.  Numeric mode evaluates the table at
-    SAMPLES random assignments of the symbols of its rational functions,
-    drawn from rng, and checks each relation's exact identity on the
-    evaluated pairs, a SlotStore on the table's layout read as the table's
-    store is, each sample walking the
-    relations that held so far; only a relation that fails at a point goes
-    on to the exact check, which writes its record.  A table without
+    (lay).  Numeric mode evaluates the table at SAMPLES random assignments
+    of the symbols of its rational functions, drawn from rng, and checks
+    each relation's exact identity on the evaluated pairs, a SlotStore on
+    the table's layout read as the table's store is, each sample walking
+    the relations that held so far; only a relation that fails at a point
+    goes on to the exact check, which writes its record.  A table without
     rational functions is checked exactly.  Records read the table's values
     through table.get, which builds them from the stored pairs."""
     pairs = table.pairs()
@@ -791,9 +788,8 @@ def _check_table(table: ValueTable, relations: Iterable, mode: str, rng,
             # the runs keep their reads: only their offsets are filtered
             relations = Runs((rel, [k for k in ks if (r, k) in failed])
                              for r, (rel, ks) in enumerate(runs))
-    store, reads = laid or lay(relations, pairs)
-    return check_laid(relations, store, reads, table.get,
-                      lambda rel: rel.center.label(table.kind))
+    return check_relations(relations, pairs, table.get,
+                           lambda rel: rel.center.label(table.kind))
 
 
 def check_t_solution(table: ValueTable, relations: Iterable[TRelation],
@@ -1055,8 +1051,7 @@ def _propagate(kind: str, sys: SystemSpec, window, relation: Callable,
     there has no rule.  A level above every relation centre
     (sys.max_center_m) is sampled instead."""
     lo, hi = _check_window(window)
-    top = sys.max_m_t if kind == "T" else sys.max_m_y
-    cells = [(a, m) for a in range(sys.cm.r) for m in range(1, top(a) + 1)]
+    cells = sys.cells(kind)
     stencils = [relation(sys, a, m, 0) if m <= sys.max_center_m(a, kind) else SAMPLE
                 for a, m in cells]
     reach = _reach(rel for rel in stencils if rel is not SAMPLE)

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .exactmath import inverse, one_plus
 from .tsystem import (
+    COMPILERS,
     Factor,
     LatticeVar,
     Layout,
@@ -235,9 +236,12 @@ def _compile_y(sys: SystemSpec, a: int, m: int) -> YRelation:
                      _aggregate(numerator), denominator)
 
 
+COMPILERS["Y"] = _compile_y
+
+
 def y_relation(sys: SystemSpec, a: int, m: int, k: int) -> YRelation:
     """Relation centered at (a, m, k) with the boundary conventions applied."""
-    return stencil(sys, "Y", a, m, _compile_y).shift(k)
+    return stencil(sys, "Y", a, m).shift(k)
 
 
 def y_relation_via_transpose(cm: CartanMatrix, a: int, m: int, k: int) -> YRelation:
@@ -267,26 +271,17 @@ def y_relation_via_transpose(cm: CartanMatrix, a: int, m: int, k: int) -> YRelat
 
 
 def enumerate_y_relations(sys: SystemSpec, window) -> Runs:
-    return enumerate_relations(sys, window, "Y", _compile_y)
+    return enumerate_relations(sys, window, "Y")
 
 
 def covered_y_relations(y_table: ValueTable) -> Runs:
     """The relations of enumerate_y_relations on the table's window whose
     slots all hold a pair of the table, read in place or laid once (lay),
     in the same order, as runs."""
-    return _covered(y_table)[0]
-
-
-def _covered(y_table: ValueTable):
-    """(covered_y_relations(y_table), (store, reads)): the table's store,
-    or the table laid once, and the reads of the runs of its window (lay),
-    each run keeping the offsets at which every slot it reads is filled;
-    its read stays as it is."""
     relations = enumerate_y_relations(y_table.system, y_table.window)
     store, reads = lay(relations, y_table.pairs())
-    covered = Runs((rel, [k for k in ks if at.filled(store, start + k * at.layout.size)])
-                   for (rel, ks), (start, at) in zip(relations.runs, reads))
-    return covered, (store, reads)
+    return Runs((rel, [k for k in ks if at.filled(store, start + k * at.layout.size)])
+                for (rel, ks), (start, at) in zip(relations.runs, reads))
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +297,9 @@ def check_y_solution(table: ValueTable, relations: Iterable[YRelation],
 
 def check_covered(y_table: ValueTable, mode: str = "exact", rng=None):
     """(covered_y_relations(y_table), check_y_solution of the table on
-    them, with mode and rng), the table read in place, or laid once, for
-    both."""
-    relations, laid = _covered(y_table)
-    return relations, _check_table(y_table, relations, mode, rng, laid)
+    them, with mode and rng)."""
+    relations = covered_y_relations(y_table)
+    return relations, _check_table(y_table, relations, mode, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +372,7 @@ def _centred_relations(t_table: ValueTable) -> Runs:
     its window, in (a, m, k) order: one run per Y cell over the window."""
     sys = t_table.system
     lo, hi = t_table.window
-    return Runs((t_relation(sys, a, m, 0), range(lo, hi + 1))
-                for a in range(sys.cm.r) for m in range(1, sys.max_m_y(a) + 1))
+    return Runs((t_relation(sys, a, m, 0), range(lo, hi + 1)) for a, m in sys.cells("Y"))
 
 
 def companions_hold(pair, inner, coupling) -> bool:
@@ -532,7 +525,7 @@ def y_to_t(y_table: ValueTable, rng=None, free: str = "random",
             raise WindowTooNarrow(probe.label("Y"))
     span = range(lo - max(d), hi + max(d) + 1)
     y_pair = y_table.pairs().get
-    cells = [(a, m) for a in range(cm.r) for m in range(1, sys.max_m_t(a) + 1)]
+    cells = sys.cells("T")
     couplings = [t_relation(sys, a, 1, 0).term_m for a in range(cm.r)]
     # a rule reads 2 d_a slices away, and a coupling up to d_a beyond its stencil
     reach = 2 * max(d) + max((abs(var.k) for coupling in couplings for var, _ in coupling),

@@ -188,49 +188,52 @@ def tabled_square_product(cm, cm2, parity, parity2):
     return em
 
 
-def is_bipartition(cm, parity):
-    return all(parity[i] != parity[j] for i in range(cm.r) for j in range(cm.r)
-               if cm[i, j] < 0)
-
-
 def test_square_product_sign_rules_match_the_parity_table():
-    # every pair of finite types, with the default parities and six random
-    # parity pairs each: on bipartitions the same matrix as the table, and
-    # any other parity rejected, by square_product and by b_of_c alike
+    # every pair of finite types, each on its own bipartition: the same
+    # matrix as the table, or the same error
     from test_rational_route import outcome
     from tysys.acceptance import FINITE_TYPE
     from tysys.cartan import bipartition
 
-    rng = random.Random(11)
     matrices = [new_cartan(rows) for rows in FINITE_TYPE.values()]
-    accepted = rejected = 0
+    compared = 0
     for cm in matrices:
         for cm2 in matrices:
-            parities = [(bipartition(cm), bipartition(cm2))] + [
-                (tuple(rng.choice((1, -1)) for _ in range(cm.r)),
-                 tuple(rng.choice((1, -1)) for _ in range(cm2.r))) for _ in range(6)]
-            for p, p2 in parities:
-                if is_bipartition(cm, p) and is_bipartition(cm2, p2):
-                    got = outcome(lambda: square_product(cm, cm2, p, p2))
-                    assert got == outcome(lambda: tabled_square_product(cm, cm2, p, p2))
-                    accepted += 1
-                else:
-                    with pytest.raises(NotBipartite):
-                        square_product(cm, cm2, p, p2)
-                    rejected += 1
-                if not is_bipartition(cm, p):
-                    with pytest.raises(NotBipartite):
-                        b_of_c(cm, p)
-    assert (accepted, rejected) == (292, 891)
+            want = outcome(lambda: tabled_square_product(cm, cm2, bipartition(cm),
+                                                         bipartition(cm2)))
+            assert outcome(lambda: square_product(cm, cm2)) == want
+            compared += 1
+    assert compared == 169
 
 
-def test_parities_of_the_wrong_length_are_rejected():
-    for call in (lambda: b_of_c(A3, (1, -1)), lambda: b_of_c(A2, (1, -1, 1)),
-                 lambda: square_product(A2, A3, (1, -1), (1, -1)),
-                 lambda: square_product(A2, A2, (1, -1, 1), (1, -1))):
-        with pytest.raises(NotBipartite):
+def test_exchange_matrix_for_level_is_the_explicit_build():
+    # B(C) written out at level 2, and at levels 3-5 the parity table of the
+    # square product with the ladder, its odd nodes in the + class
+    from tysys.acceptance import FINITE_TYPE
+    from tysys.cartan import a_type_rows, bipartition, is_simply_laced
+
+    compared = 0
+    for rows in FINITE_TYPE.values():
+        cm = new_cartan(rows)
+        if not is_simply_laced(cm):
+            continue
+        p = bipartition(cm)
+        want = new_exchange_matrix([[-p[i] * cm[i, j] if cm[i, j] < 0 else 0
+                                     for j in range(cm.r)] for i in range(cm.r)], p)
+        assert exchange_matrix_for_level(cm, 2) == want
+        for level in (3, 4, 5):
+            odd_plus = tuple(1 if i % 2 == 0 else -1 for i in range(level - 1))
+            want = tabled_square_product(cm, new_cartan(a_type_rows(level - 1)), p, odd_plus)
+            assert exchange_matrix_for_level(cm, level) == want
+        compared += 4
+    assert compared == 20  # A1-A4 and D4 at levels 2-5
+
+
+def test_an_odd_cycle_is_not_bipartite():
+    for call in (lambda: b_of_c(CYCLE3), lambda: square_product(CYCLE3, A2),
+                 lambda: square_product(A2, CYCLE3)):
+        with pytest.raises(NotBipartite, match="^adjacency graph has an odd cycle$"):
             call()
-    assert b_of_c(A3, (-1, 1, -1)).rows() == [[0, -1, 0], [1, 0, 1], [0, -1, 0]]
 
 
 # --- seeds ---------------------------------------------------------------------
@@ -689,7 +692,7 @@ def test_correspondence_fails_on_a_wrong_exchange_matrix(monkeypatch):
 
     wrong = new_cartan([[2, 0, 0], [0, 2, -1], [0, -1, 2]])
     monkeypatch.setattr(cluster, "exchange_matrix_for_level",
-                        lambda cm, level, parity=None: b_of_c(wrong, parity))
+                        lambda cm, level: b_of_c(wrong))
     report = correspondence_check(A3, 2)
     assert report["pass"] is False
     assert "relation mismatch" in _kinds(report)
@@ -720,11 +723,10 @@ def test_restricted_y_stencils_are_the_yb_relations(cm, level):
     pair node, is the Y^eps(B) relation of that node shifted to u, with
     eps = -1 at level 2 and eps = +1 at levels 3 and 4, and never with the
     other sign."""
-    from tysys.cartan import bipartition
     from tysys.cluster import _node, _yb_relations
     from tysys.ysystem import y_relation
 
-    em = exchange_matrix_for_level(cm, level, bipartition(cm))
+    em = exchange_matrix_for_level(cm, level)
     sys = SystemSpec(cm, level)
 
     def node(v):  # correspondence_check's flat identification

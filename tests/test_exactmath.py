@@ -854,6 +854,19 @@ def test_sf_inverse_twins(a, expand_first):
 
 
 @settings(max_examples=60, deadline=None)
+@given(semifield_elements(), semifield_elements())
+def test_sf_every_constructor_leaves_a_fraction_coefficient(a, b):
+    # __init__ keeps the coefficient it is given: each route passes a Fraction
+    a.set_one_plus([a.num + a.den])
+    built = {"*": a * b, "inv": a.inv(), "** 0": a ** 0, "** 3": a ** 3, "** -2": a ** -2,
+             "successor": a.one_plus(), "successor of the twin": a.inv().one_plus(),
+             "from_num_den": SemifieldElement.from_num_den(a.num, a.den),
+             "from_fraction of an int": SemifieldElement.from_fraction(3)}
+    assert {name: type(c._coeff) for name, c in built.items()} \
+        == dict.fromkeys(built, Fraction)
+
+
+@settings(max_examples=60, deadline=None)
 @given(polys3(max_terms=3), polys3(min_terms=1, max_terms=3))
 def test_rf_one_plus_and_inv_match_fresh_construction(a, b):
     f = RationalFunction(a, b)
