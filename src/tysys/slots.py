@@ -14,11 +14,25 @@ one read per run of a family on a SlotStore in place, or lays the values
 it reads once on a store of its own; the checks and the T -> Y map walk
 each run slot by slot, and slot_product and slot_pairs read one factor
 list from a store.
+
+Exact values can grow to hundreds of thousands of bits, where nearly all of
+the time goes to CPython's bigint products, gcds and divisions.  Where the
+estimated work of a walk over runs (walked), or of the solves of one slice
+of a fill (presolved), is large, one forked child (forked) takes half of it,
+so that the work runs on two cores; the outputs, the errors and the draws
+are those of one process.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import signal
+import threading
+from bisect import bisect
 from collections.abc import Mapping
+from contextlib import contextmanager
+from itertools import accumulate, chain, groupby
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 
@@ -74,7 +88,8 @@ class Layout:
 
     def offsets(self, target, factors: Iterable[Factor]) -> Tuple[Tuple[int, int], ...]:
         """The factors as (slot offset from target, exponent) pairs."""
-        return tuple((self.offset(var, target), exp) for var, exp in factors)
+        base = self.slot(target)
+        return tuple((self.slot(var) - base, exp) for var, exp in factors)
 
 
 class Compiled(NamedTuple):
@@ -167,7 +182,11 @@ class Runs:
         = (rel, ks), whose fused identity (rel.holds_exactly) does not hold
         at its slot of store, start + k * size with reads[r] = (start,
         Compiled) (lay): ok is False, or None where a slot it reads is
-        empty.  The one walk of the checks."""
+        empty.  The one walk of the checks, in two processes where its
+        work is large (walked)."""
+        return walked(lambda runs: runs._failing(store, reads), self, store, reads)
+
+    def _failing(self, store: list, reads: Sequence) -> Iterator[tuple]:
         for r, ((rel, ks), (start, at)) in enumerate(zip(self.runs, reads)):
             holds, size = rel.holds_exactly, at.layout.size
             for k in ks:
@@ -282,3 +301,209 @@ def slot_pairs(store: list, demand: Callable, i: int, offsets,
         pairs.append(got if exp == 1 else (got[0] ** exp, got[1] ** exp) if exp > 0
                      else (got[1] ** -exp, got[0] ** -exp))
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# two processes for large exact work
+# ---------------------------------------------------------------------------
+
+
+# A value of b bits in all, numerator and denominator, costs about
+# b ** WORK_POWER to read into a product, a gcd or a division (the exponent of
+# Karatsuba multiplication, log2 3), and the estimated work of a walk or of a
+# slice of solves is that cost summed over the values it reads.  On a 2-core
+# AMD EPYC VM (Python 3.11.7) the checks of lattice_growth and of lattice_periodic
+# alike ran about 5e7 of these units per ms, and the solves of lattice_growth
+# about 2e7.  Work above FORK_WORK, about 21 ms of checks or 50 ms of solves
+# there, is halved with one forked child (forked), whose fork, transfer back
+# and reaping take about 0.5-0.7 ms, a few percent of it at most.  The largest
+# walk of lattice_periodic is about 3.7e8, and the tables of about 10 ms on
+# which tests count calls stay below it too.  Of the power-of-two bounds, this
+# is the highest that forks the last two slices of lattice_growth's fill
+# (seed 1), and below it a fork costs over 5% of the least work it can take
+# (BENCH_31.json)
+WORK_POWER = 1.585
+FORK_WORK = 2 ** 30
+
+
+def _forkable() -> bool:
+    """Whether a forked child can take half of the work: os.fork exists,
+    this process may run on two CPUs or more, and it runs one thread, since
+    a child forked beside another thread can inherit a lock that no one
+    releases."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+
+
+def _top(pairs: Iterable) -> int:
+    """The largest bit length of an integer of the ring pairs, None
+    skipped; TypeError where a pair is not of ints."""
+    return max(map(int.bit_length, chain.from_iterable(filter(None, pairs))), default=0)
+
+
+def _worth(reads: int, top: int) -> bool:
+    """Whether reads values, none of more than top bits per integer, may
+    reach FORK_WORK (its upper bound, in C-speed reads only) and a child can
+    take half of it."""
+    return reads * (2 * top) ** WORK_POWER > FORK_WORK and _forkable()
+
+
+def _cut(store: list, items: Sequence) -> Optional[int]:
+    """The index that cuts items, (slot i, offsets) pairs, each reading the
+    int pairs at i + offset for its offsets, an empty slot free, into two
+    halves of about equal work, an item weighing the cost of its product,
+    (its bits in all) ** WORK_POWER; None where the estimated work of all,
+    the cost summed over the values read, is not above FORK_WORK."""
+    work, weights = 0.0, []
+    for i, offsets in items:
+        bits = [got[0].bit_length() + got[1].bit_length()
+                for got in map(store.__getitem__, (i + off for off in offsets)) if got is not None]
+        work += sum(b ** WORK_POWER for b in bits)
+        weights.append(sum(bits) ** WORK_POWER)
+    if len(weights) < 2 or work <= FORK_WORK:
+        return None
+    weights = list(accumulate(weights))
+    return min(max(bisect(weights, weights[-1] / 2), 1), len(weights) - 1)
+
+
+@contextmanager
+def forked(there: Callable) -> Iterator[Callable]:
+    """Runs there(), an iterable of values that marshal writes, in one forked
+    child while the with block runs, and gives the block a function that
+    returns its items: the child's, sent back through a pipe by marshal as
+    a list, or, where the child failed, there() run again here, whose items
+    come and whose error is raised as one process gives them.  The child
+    writes nothing but the pipe and leaves through os._exit; it is reaped
+    however the block ends, and killed first where its items were not read.
+    Where no process can be forked, there() runs here when its items are
+    asked for."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        yield there
+        return
+    if not pid:
+        code = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pipe.write(marshal.dumps(list(there())))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    pipe = open(read, "rb")
+
+    def value():
+        nonlocal pid
+        data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        pid = 0
+        return marshal.loads(data) if status == 0 else there()
+
+    try:
+        yield value
+    finally:
+        pipe.close()
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def walked(walk: Callable, runs: Runs, store: list, reads: Sequence) -> Iterator:
+    """The items of walk(runs), an iterator of values that marshal writes,
+    over the runs read at reads on store (lay).  Where their estimated work
+    is large, the items (r, k) are cut into two Runs of about equal work, the
+    first walked here, item by item, while one forked child walks the
+    second, whose items follow: the same items in the same order, and an
+    error of the second half raised after the first half's items."""
+    try:
+        top = _top(store)
+    except TypeError:  # values that are not int pairs
+        top = 0
+    cut = None
+    if _worth(sum(len(ks) * (len(at.pair) + len(at.first) + len(at.second))
+                  for (_, ks), (_, at) in zip(runs.runs, reads)), top):
+        cut = _cut(store, [(start + k * at.layout.size,
+                            [off for off, _ in at.pair + at.first + at.second])
+                           for (_, ks), (start, at) in zip(runs.runs, reads) for k in ks])
+    if cut is None:
+        yield from walk(runs)
+        return
+    first, second = [], []
+    for rel, ks in runs.runs:
+        first.append((rel, ks[:cut]))
+        second.append((rel, ks[cut:]))
+        cut = max(cut - len(ks), 0)
+    with forked(lambda: walk(Runs(second))) as theirs:
+        yield from walk(Runs(first))
+        yield from theirs()
+
+
+def step(solve: Callable, at: Compiled) -> Callable:
+    """solve(store, demand, i, at) as a fill's solve of (store, demand, i)
+    (fill_lattice), carrying the (offset, exp) pairs it reads as its
+    attribute reads, by which presolved weighs a slice."""
+    def rule(store, demand, i):
+        return solve(store, demand, i, at)
+
+    rule.reads = at.first + at.second + at.lhs
+    return rule
+
+
+def _refuse(i: int):
+    """A demand that solves nothing: the halves of a slice read filled slots."""
+    raise LookupError(f"slot {i} is empty")
+
+
+def presolved(targets: Iterable[int], store: list, rule: Callable, size: int) -> Iterator[int]:
+    """The slots of targets in order, for a fill to visit (fill_lattice), the
+    targets of a slice, size slots, following each other.  Before the visit
+    reaches a slice, its empty targets whose solves carry their reads (step)
+    are solved, where their estimated work is large, half in one forked
+    child and half here, and written to store only if every solve gives a
+    nonzero pair.  Such a solve reads filled slots only, since its demand
+    raises (_refuse), and no write lands before the last solve, so it draws
+    nothing and gives the value the visit would; where one raises, a demand
+    included, nothing is written, and the visit solves the slice in order,
+    raising where one process raises.  The visit draws the slice's samples,
+    in order, either way."""
+    top = seen = 0  # the largest bit length in the store's slots before seen
+    for s, group in groupby(targets, size.__rfloordiv__):
+        group = list(group)
+        if top is not None and len(group) > 1:
+            try:
+                top = max(top, _top(store[seen:s * size]))
+            except TypeError:  # values that are not int pairs
+                top = None
+            else:
+                seen = max(seen, s * size)
+                _presolve(store, group, rule, top)
+        yield from group
+
+
+def _presolve(store: list, group: list, rule: Callable, top: int):
+    """presolved's two halves of a slice's targets group, the integers of
+    the slices before it of at most top bits."""
+    solves = [(i, how) for i, how in zip(group, map(rule, group))
+              if store[i] is None and hasattr(how, "reads")]
+    if not _worth(sum(len(how.reads) for _, how in solves), top):
+        return
+    cut = _cut(store, [(i, [off for off, _ in how.reads]) for i, how in solves])
+    if cut is None:
+        return
+
+    def solve(part):
+        return [how(store, _refuse, i) for i, how in part]
+
+    try:
+        with forked(lambda: solve(solves[cut:])) as theirs:
+            got = solve(solves[:cut]) + theirs()
+    except Exception:  # the visit solves the slice again, in order, and raises there
+        return
+    if all(n for n, _ in got):
+        for (i, _), pair in zip(solves, got):
+            store[i] = pair

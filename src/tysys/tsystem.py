@@ -87,8 +87,10 @@ from .slots import (  # noqa: F401 (the package's names for the slot store)
     _reach,
     as_runs,
     lay,
+    presolved,
     slot_pairs,
     slot_product,
+    step,
 )
 
 
@@ -950,10 +952,12 @@ def fill_lattice(kind: str, layout: Layout, free: List[LatticeVar], targets: Ite
     calling demand(slot + offset) where that slot is still empty: demand
     solves a missing dependency on demand, by its rule.  The visit calls a
     target's solve itself, and demand only for a slot that it reaches out
-    of order.  A rule reads only slots inside the layout, so the layout
-    must reach as many slices beyond the slots that have a rule as their
-    rules read: an offset then never reads a neighbouring cell, and a slot
-    beyond has no rule.  A dependency that no rule determines raises
+    of order.  Where the solves of a slice carry their reads (step) and
+    their work is large, half of them run in a forked child first, with the
+    values, errors and draws of the visit (presolved).  A rule reads only
+    slots inside the layout, so the layout must reach as many slices beyond
+    the slots that have a rule as their rules read: an offset then never
+    reads a neighbouring cell, and a slot beyond has no rule.  A dependency that no rule determines raises
     UnschedulableDependency; with partial, the target that needs it is left
     out instead.  A ZeroDivisor redraws every sample, up to retries (>= 0)
     times, when there is an rng and something was sampled; a DegenerateData,
@@ -1008,7 +1012,7 @@ def fill_lattice(kind: str, layout: Layout, free: List[LatticeVar], targets: Ite
             if not take(i, initial.get(var))[0]:
                 raise ZeroDivisor(f"initial value for {var.label(kind)} is zero")
         try:
-            for i in targets:
+            for i in presolved(targets, store, rule, layout.size):
                 if store[i] is not None:
                     continue
                 how = None if i in undetermined else rule(i)
@@ -1056,11 +1060,7 @@ def _propagate(kind: str, sys: SystemSpec, window, relation: Callable,
                 for a, m in cells]
     reach = _reach(rel for rel in stencils if rel is not SAMPLE)
     layout = Layout(cells, lo - reach, hi + reach)
-    # each solve with its compiled stencil bound (a closure calls faster
-    # than a partial with a keyword)
-    rules = [rel if rel is SAMPLE else
-             lambda store, demand, i, solve=rel.solve, at=rel.compile(layout):
-             solve(store, demand, i, at) for rel in stencils]
+    rules = [rel if rel is SAMPLE else step(rel.solve, rel.compile(layout)) for rel in stencils]
     # the rule of every slot, None beyond the window
     pad = [None] * (reach * layout.size)
     by_slot = pad + rules * (hi - lo + 1) + pad

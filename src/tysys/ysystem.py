@@ -65,6 +65,7 @@ from .tsystem import (
     table_store,
     violation,
 )
+from .slots import walked
 
 
 def _one_plus(p, q) -> tuple:
@@ -607,27 +608,42 @@ def _compare_to_t(t_table: ValueTable, y_table: ValueTable):
     factors the T-table holds, each tested once for Y == coupling / inner;
     coupling / inner at those where that fails; and the records of
     claim_identities_check.  A vanishing inner is left out without a pair,
-    and raises as the division of values does with one.  Records are built
-    from values."""
+    and raises as the division of values does with one.  The tests give
+    (var, coupling / inner where Y differs, the pairs where a claim fails),
+    in two processes where their work is large (walked); records are built
+    from values, only where a test failed."""
     covered, differing, violations = [], {}, []
     y_pairs = y_table.pairs()
-    relations = [t_relation(t_table.system, *var) for var in sorted(y_pairs)]
-    for rel, k, inner, coupling, pair in mapped_points(relations, t_table.pairs()):
-        if pair is None and inner[0] == 0:
-            continue
-        var = rel.shift(k).center
+    relations = as_runs([t_relation(t_table.system, *var) for var in sorted(y_pairs)])
+    store, reads = lay(relations, t_table.pairs())
+    if not reads:
+        return covered, differing, violations
+    # the T-values laid once, which mapped_points then reads in place
+    t_pairs = SlotStore(reads[0][1].layout, store)
+
+    def tested(runs):
+        for rel, k, inner, coupling, pair in mapped_points(runs, t_pairs):
+            if pair is None and inner[0] == 0:
+                continue
+            var = rel.shift(k).center
+            quotient = None if _is_quotient(y_pairs[var], coupling, inner) \
+                else pair_quotient(coupling, inner)
+            held = pair is None or quotient is None and companions_hold(pair, inner, coupling)
+            yield tuple(var), quotient, None if held else (pair, inner, coupling)
+
+    for var, quotient, failed in walked(tested, relations, store, reads):
+        var = LatticeVar(*var)
         covered.append(var)
-        if not _is_quotient(y_pairs[var], coupling, inner):
-            differing[var] = reduced_value(*pair_quotient(coupling, inner))
-        if pair is None:
+        if quotient is not None:
+            differing[var] = reduced_value(*quotient)
+        if failed is None:
             continue
-        if var in differing:
+        if quotient is not None:
             violations.append(violation(f"value {var.label('Y')}", y_table.get(var),
                                         differing[var]))
-        elif companions_hold(pair, inner, coupling):
-            continue
-        violations += companion_identities(var.label("Y"), y_table.get(var), pair_value(*pair),
-                                           pair_value(*inner), pair_value(*coupling))
+        pair, inner, coupling = (pair_value(*got) for got in failed)
+        violations += companion_identities(var.label("Y"), y_table.get(var), pair, inner,
+                                           coupling)
     return covered, differing, violations
 
 
